@@ -33,12 +33,13 @@ print("stencil c_0..c_2:", c)
 print("one rank-one projector |psi><psi|:\n", np.outer(c, c.conj()))
 
 # Summing every placement that fits inside the window gives the
-# both-sided modified Neumann restriction, exactly.
+# both-sided modified Neumann restriction (body plus two corners), up to
+# rounding.
 size = 8
 soft = rank_one_sum(spec, size, range(0, size - N))
 built = build_restricted(spec, size, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN)
-print("\nrank-one interior sum equals the built restriction:",
-      np.array_equal(soft.entries, built.entries))
+print("\nrank-one interior sum minus the built restriction, max |entry|:",
+      np.abs(soft.entries - built.entries).max())
 
 # The corner blocks are the dropped crossing placements, projected to the
 # last N coordinates.  Neumann is <= 0, Dirichlet is >= 0.

@@ -1,8 +1,9 @@
 """Why the classic Toeplitz-plus-Hankel Neumann condition cannot bracket.
 
-For tridiagonal matrices the classic Hankel-corner Neumann condition and
-the modified one coincide on the discrete Laplacian.  One band wider the
-story ends: for the squared Laplacian the defect
+On the discrete Laplacian the classic Hankel-corner Neumann condition and
+the modified one coincide.  That is the only symbol where they do: already
+for the tridiagonal 2 + 2*cos(x) the Hankel corner adds +1 where the
+softened corner needs -1, and for the squared Laplacian the defect
 
     whole window - (classic-Neumann half  (+)  classic-Neumann half)
 

@@ -12,15 +12,19 @@ softened (negative-semidefinite correction) restriction; adding them back
 with opposite sign yields the stiffened one.  The two corrections are what
 this module calls the modified Neumann and modified Dirichlet boundary
 conditions.  The classic Toeplitz-plus-Hankel Neumann condition is kept as
-well because it fails the softening property once the band is wider than
-three diagonals, which the counterexample helpers reproduce.
+well because it brackets only the plain Laplacian (E = 0, N = 1): already
+for the tridiagonal symbol 2 + 2*cos(x) (E = pi) its Hankel corner adds
++1 where the softened corner needs -1, which the counterexample helpers
+reproduce.
 
-Corner orientation: ``corner_block`` returns the block added at the
-bottom-right (right boundary).  The matching top-left block is the
-conjugated anti-diagonal reflection of it, which equals the direct
-crossing-placement sum at the left edge; a plain (unconjugated) reflection
-would transpose the block and break both the rank-one identity and the
-operator inequalities for complex symbols.
+Every window is the plain Toeplitz body plus one N x N block per
+non-simple edge, so all windows keep half-bandwidth N.  Corner orientation:
+``corner_block`` returns the block added at the bottom-right (right
+boundary).  The matching top-left block is the conjugated anti-diagonal
+reflection of it, which equals the direct crossing-placement sum at the
+left edge; a plain (unconjugated) reflection would transpose the block and
+break both the rank-one identity and the operator inequalities for complex
+symbols.
 """
 
 from __future__ import annotations
@@ -94,8 +98,9 @@ def rank_one_sum(spec: SymbolSpec, size: int, k_range: Iterable[int]) -> Hermiti
 
     ``k_range`` must consist of placements that intersect the window, i.e.
     -N <= k <= size-1.  With k_range = range(0, size - N) (all placements
-    contained in the window) this is exactly the both-sided modified
-    Neumann restriction.
+    contained in the window) this is the Gram form of the both-sided
+    modified Neumann restriction, equal to the :func:`build_restricted`
+    window up to rounding; it is the O(L**3) oracle for that identity.
     """
     n = spec.degree
     _check_window(size, 2 * n + 1)
@@ -113,12 +118,6 @@ def _right_crossing_vectors(c: np.ndarray) -> list[np.ndarray]:
     """Last-N-coordinate parts of the N placements crossing the right edge."""
     n = len(c) - 1
     return [np.concatenate([np.zeros(s, dtype=np.complex128), c[: n - s]]) for s in range(n)]
-
-
-def _left_crossing_vectors(c: np.ndarray) -> list[np.ndarray]:
-    """First-N-coordinate parts of the N placements crossing the left edge."""
-    n = len(c) - 1
-    return [np.concatenate([c[u:], np.zeros(u - 1, dtype=np.complex128)]) for u in range(1, n + 1)]
 
 
 def _crossing_sum(vectors: list[np.ndarray]) -> np.ndarray:
@@ -148,12 +147,6 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     return _wrap(sign * _crossing_sum(_right_crossing_vectors(c)))
 
 
-def _left_block(spec: SymbolSpec, kind: BoundaryKind) -> np.ndarray:
-    sign = -1.0 if kind is BoundaryKind.MODIFIED_NEUMANN else 1.0
-    c = stencil(spec).c
-    return sign * _crossing_sum(_left_crossing_vectors(c))
-
-
 def _check_window(size: int, minimum: int) -> None:
     if size < minimum:
         raise SizeTooSmallError(f"window size {size} is below the minimum {minimum}")
@@ -169,6 +162,17 @@ def _hankel_block(coeffs: BandedCoeffs) -> np.ndarray:
     return h
 
 
+def _mirror(block: np.ndarray) -> np.ndarray:
+    """Conjugated anti-diagonal reflection: moves a corner block to the other edge."""
+    return np.conj(block[::-1, ::-1])
+
+
+def _right_corner(spec: SymbolSpec, coeffs: BandedCoeffs, kind: BoundaryKind) -> np.ndarray:
+    if kind is BoundaryKind.CLASSIC_NEUMANN:
+        return _mirror(_hankel_block(coeffs))
+    return corner_block(spec, kind).entries
+
+
 def build_restricted(
     spec: SymbolSpec,
     size: int,
@@ -177,33 +181,19 @@ def build_restricted(
 ) -> HermitianMatrix:
     """Toeplitz window of the symbol with boundary conditions at each edge.
 
-    Requires size >= 2N+1 so the two corner blocks never overlap.  The
-    both-sided modified Neumann case is built directly as the rank-one sum
-    over interior placements; every other combination is the plain window
-    plus the appropriate N x N corner additions.  Simple/Simple returns the
-    unmodified window.
+    Requires size >= 2N+1 so the two corner blocks never overlap.  Every
+    combination is the plain window plus one N x N corner block per
+    non-simple edge; the left block is the conjugated mirror of the right
+    block of the same kind.  Simple/Simple returns the unmodified window.
     """
     n = spec.degree
     _check_window(size, 2 * n + 1)
-    if left is BoundaryKind.MODIFIED_NEUMANN and right is BoundaryKind.MODIFIED_NEUMANN:
-        return rank_one_sum(spec, size, range(0, size - n))
     coeffs = fourier_coefficients(spec)
     out = _toeplitz_body(coeffs, size)
-    for side, kind in (("left", left), ("right", right)):
-        if kind is BoundaryKind.SIMPLE:
-            continue
-        if kind is BoundaryKind.CLASSIC_NEUMANN:
-            block = _hankel_block(coeffs)
-            if side == "right":
-                block = np.conj(block[::-1, ::-1])
-        elif side == "right":
-            block = corner_block(spec, kind).entries
-        else:
-            block = _left_block(spec, kind)
-        if side == "left":
-            out[:n, :n] += block
-        else:
-            out[size - n :, size - n :] += block
+    if left is not BoundaryKind.SIMPLE:
+        out[:n, :n] += _mirror(_right_corner(spec, coeffs, left))
+    if right is not BoundaryKind.SIMPLE:
+        out[size - n :, size - n :] += _right_corner(spec, coeffs, right)
     return hermitian(out)
 
 
@@ -222,7 +212,7 @@ def classic_neumann(coeffs: BandedCoeffs, size: int, side: str) -> HermitianMatr
     if side == "left":
         out[:n, :n] += block
     elif side == "right":
-        out[size - n :, size - n :] += np.conj(block[::-1, ::-1])
+        out[size - n :, size - n :] += _mirror(block)
     else:
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
     return hermitian(out)
@@ -231,9 +221,10 @@ def classic_neumann(coeffs: BandedCoeffs, size: int, side: str) -> HermitianMatr
 def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> HermitianMatrix:
     """T_{L1+L2} minus the direct sum of classic-Neumann halves.
 
-    For bands wider than three diagonals this difference is indefinite,
-    which is exactly why the classic condition cannot bracket; the returned
-    matrix makes that failure inspectable.
+    For the plain Laplacian this difference is positive semidefinite; for
+    2 + 2*cos(x) and for the squared Laplacian it has negative eigenvalues,
+    which is exactly why the classic condition cannot bracket.  The
+    returned matrix makes that failure inspectable.
     """
     size = size1 + size2
     _check_window(size, 2 * coeffs.half_bandwidth + 1)

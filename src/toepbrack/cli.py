@@ -368,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--classic-neumann",
         action="store_true",
-        help="substitute the classic Toeplitz-plus-Hankel condition (expected to fail for wide bands)",
+        help="substitute the classic Toeplitz-plus-Hankel condition (brackets only the plain Laplacian 0:1)",
     )
     add_io_opts(p)
     p.set_defaults(func=cmd_check)
@@ -400,10 +400,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliUsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _USAGE_ERRORS as exc:
+    except (CliUsageError, ValueError, *_USAGE_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (KernelMismatchError, NoConvergenceError) as exc:

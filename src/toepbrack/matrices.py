@@ -3,8 +3,9 @@
 Entry convention: row i, column j of a Toeplitz restriction holds a_{j-i},
 matching the action (T b)_i = sum_j a_{j-i} b_j of the bi-infinite operator.
 All constructors return matrices that satisfy entries[i][j] ==
-conj(entries[j][i]) exactly; dense storage is used throughout since sizes
-stay at desk scale and boundary corrections destroy banded structure anyway.
+conj(entries[j][i]) exactly.  Every window, the corner-corrected ones
+included, keeps half-bandwidth N; dense storage is used throughout because
+sizes stay at desk scale.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonHermitianError, SizeTooSmallError
-from .symbols import BandedCoeffs
+from .symbols import BandedCoeffs, _freeze
 
 
 @dataclass(frozen=True)
@@ -43,11 +44,6 @@ class HermitianMatrix:
     def shifted(self, constant: float) -> "HermitianMatrix":
         """Add ``constant`` times the identity."""
         return _wrap(self.entries + float(constant) * np.eye(self.dim))
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
 
 
 def _wrap(entries: np.ndarray) -> HermitianMatrix:

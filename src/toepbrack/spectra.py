@@ -13,7 +13,7 @@ eigenvalue of the softened restriction across window sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -34,6 +34,7 @@ from .symbols import (
     decompose_pentadiagonal,
     evaluate_symbol,
     fourier_coefficients,
+    penta_coefficients,
     phase_angle,
     reduce_angle,
 )
@@ -186,36 +187,6 @@ class BracketReport:
         }
 
 
-def _bracket_margins(
-    whole: HermitianMatrix,
-    soft1: HermitianMatrix,
-    soft2: HermitianMatrix,
-    both1: HermitianMatrix,
-    both2: HermitianMatrix,
-    stiff: HermitianMatrix,
-    floor_value: float,
-    rel_tol: float,
-) -> BracketReport:
-    size1, size2 = soft1.dim, soft2.dim
-    soft = direct_sum(soft1, soft2)
-    floor_nn = min(
-        float(eigenvalues(both1).values[0]), float(eigenvalues(both2).values[0])
-    )
-    report = BracketReport(
-        size=whole.dim,
-        size1=size1,
-        size2=size2,
-        floor_nn=floor_nn - floor_value,
-        delta_nn=psd_gap(soft, direct_sum(both1, both2)),
-        delta_lower=psd_gap(whole, soft),
-        delta_upper=psd_gap(stiff, whole),
-        symbol_floor=floor_value,
-        rel_tol=rel_tol,
-        abs_tol=rel_tol * max(1.0, whole.row_sum_norm()),
-    )
-    return report
-
-
 def check_bracketing(
     spec: SymbolSpec,
     size1: int,
@@ -233,8 +204,9 @@ def check_bracketing(
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
-    counterpart 2*T - T_classic), which is expected to fail the lower
-    bracket once the band is wider than three diagonals.
+    counterpart 2*T - T_classic).  It brackets only the plain Laplacian
+    (E = 0, N = 1); already 2 + 2*cos(x) fails nn_vs_0n and the lower
+    bracket.
     """
     if neumann not in (BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.CLASSIC_NEUMANN):
         raise ValueError("neumann must be the modified or the classic Neumann kind")
@@ -251,7 +223,21 @@ def check_bracketing(
         )
     else:
         stiff = dirichlet_from_neumann(whole, soft1, soft2)
-    return _bracket_margins(whole, soft1, soft2, both1, both2, stiff, 0.0, tol)
+    soft = direct_sum(soft1, soft2)
+    return BracketReport(
+        size=whole.dim,
+        size1=size1,
+        size2=size2,
+        floor_nn=min(
+            float(eigenvalues(both1).values[0]), float(eigenvalues(both2).values[0])
+        ),
+        delta_nn=psd_gap(soft, direct_sum(both1, both2)),
+        delta_lower=psd_gap(whole, soft),
+        delta_upper=psd_gap(stiff, whole),
+        symbol_floor=0.0,
+        rel_tol=tol,
+        abs_tol=tol * max(1.0, whole.row_sum_norm()),
+    )
 
 
 def check_bracketing_penta(
@@ -266,25 +252,22 @@ def check_bracketing_penta(
 
     The row is decomposed as scale * g + shift with g a product symbol;
     every windowed operator transforms affinely (scale times the g-operator
-    plus shift times the identity), so the three difference margins carry
-    over scaled and the floor margin is measured against inf h = shift.
+    plus shift times the identity), so the product-symbol margins carry
+    over multiplied by ``scale``, the floor is measured against
+    inf h = shift, and the tolerance scales with the row's own window.
     """
     deco = decompose_pentadiagonal(a0, a1, a2)
-    spec, scale, shift = deco.spec, deco.scale, deco.shift
-
-    def affine(m: HermitianMatrix) -> HermitianMatrix:
-        return m.scaled(scale).shifted(shift)
-
-    whole = affine(toeplitz_finite(fourier_coefficients(spec), size1 + size2))
-    soft1 = affine(build_restricted(spec, size1, BoundaryKind.SIMPLE, BoundaryKind.MODIFIED_NEUMANN))
-    soft2 = affine(build_restricted(spec, size2, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.SIMPLE))
-    both1 = affine(build_restricted(spec, size1, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN))
-    both2 = affine(build_restricted(spec, size2, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN))
-    stiff = direct_sum(
-        affine(build_restricted(spec, size1, BoundaryKind.SIMPLE, BoundaryKind.MODIFIED_DIRICHLET)),
-        affine(build_restricted(spec, size2, BoundaryKind.MODIFIED_DIRICHLET, BoundaryKind.SIMPLE)),
-    )
-    return _bracket_margins(whole, soft1, soft2, both1, both2, stiff, shift, tol), deco
+    base = check_bracketing(deco.spec, size1, size2, tol=tol)
+    window = toeplitz_finite(penta_coefficients(a0, a1, a2), size1 + size2)
+    return replace(
+        base,
+        floor_nn=deco.scale * base.floor_nn,
+        delta_nn=deco.scale * base.delta_nn,
+        delta_lower=deco.scale * base.delta_lower,
+        delta_upper=deco.scale * base.delta_upper,
+        symbol_floor=deco.shift,
+        abs_tol=tol * max(1.0, window.row_sum_norm()),
+    ), deco
 
 
 def kernel_basis(spec: SymbolSpec, size: int) -> list[np.ndarray]:

@@ -29,6 +29,7 @@ from toepbrack import (
     hermitian,
     kernel_basis,
     make_symbol,
+    penta_coefficients,
     psd_gap,
     sampled_gap_floor,
     spectral_gap,
@@ -129,6 +130,14 @@ class TestCheckBracketing:
         )
         assert not report.verdicts["lower"]
         assert not report.all_hold
+
+    def test_classic_brackets_only_the_plain_laplacian(self):
+        classic = BoundaryKind.CLASSIC_NEUMANN
+        plain = check_bracketing(make_symbol([(0.0, 1)]), 20, 20, neumann=classic)
+        assert plain.all_hold
+        flipped = check_bracketing(make_symbol([(np.pi, 1)]), 20, 20, neumann=classic)
+        assert not flipped.verdicts["nn_vs_0n"]
+        assert not flipped.verdicts["lower"]
 
     def test_random_specs_and_splits(self, rng):
         for _ in range(12):
@@ -350,6 +359,35 @@ class TestPentaBracketing:
             report, deco = check_bracketing_penta(a0, a1, a2, size1, size2)
             assert report.symbol_floor == pytest.approx(deco.shift)
             assert report.all_hold, report.margins
+
+    def test_margins_match_affine_windows(self):
+        # Oracle: LAPACK on the windows of the row itself, h = scale * g + shift.
+        a0, a1, a2, size1, size2 = 2.0, -1.5, 0.75, 6, 9
+        report, deco = check_bracketing_penta(a0, a1, a2, size1, size2)
+
+        def window(size, left, right):
+            g = build_restricted(deco.spec, size, left, right).entries
+            return deco.scale * g + deco.shift * np.eye(size)
+
+        def block_diag(x, y):
+            out = np.zeros((size1 + size2,) * 2, dtype=complex)
+            out[:size1, :size1], out[size1:, size1:] = x, y
+            return out
+
+        simple, dirichlet = BoundaryKind.SIMPLE, BoundaryKind.MODIFIED_DIRICHLET
+        whole = toeplitz_finite(penta_coefficients(a0, a1, a2), size1 + size2).entries
+        soft = block_diag(window(size1, simple, N_KIND), window(size2, N_KIND, simple))
+        both = block_diag(window(size1, N_KIND, N_KIND), window(size2, N_KIND, N_KIND))
+        stiff = block_diag(window(size1, simple, dirichlet), window(size2, dirichlet, simple))
+        expected = {
+            "floor_nn": np.linalg.eigvalsh(both)[0] - deco.shift,
+            "nn_vs_0n": np.linalg.eigvalsh(soft - both)[0],
+            "lower": np.linalg.eigvalsh(whole - soft)[0],
+            "upper": np.linalg.eigvalsh(stiff - whole)[0],
+        }
+        for name, value in expected.items():
+            assert report.margins[name] == pytest.approx(value, abs=1e-12)
+        assert report.abs_tol == pytest.approx(1e-9 * (abs(a0) + 2 * abs(a1) + 2 * abs(a2)))
 
     def test_ratio_endpoints(self):
         for ratio in (-4.0, 4.0):
