@@ -19,7 +19,9 @@ Usage examples::
 Angles are radians; the token ``pi`` is accepted with an optional
 coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``).  Exit
 status is 0 on success with all verdicts true, 1 on a verification
-failure, 2 on usage errors.  Output is byte-stable for fixed inputs: JSON
+failure, 2 on usage errors.  Windows are stored densely, so a size above
+4096 (for ``--split`` the sum L1+L2) is a usage error, refused before
+anything is built.  Output is byte-stable for fixed inputs: JSON
 uses shortest round-trip floats, CSV cells carry 17 significant digits.
 """
 
@@ -74,6 +76,18 @@ _USAGE_ERRORS = (
 
 class CliUsageError(Exception):
     pass
+
+
+#: Largest window size accepted; building a dense window of size L peaks
+#: near 64 * L**2 bytes, about 1 GB at this limit.
+_MAX_DENSE_SIZE = 4096
+
+
+def _require_dense(size: int, source: str) -> None:
+    if size > _MAX_DENSE_SIZE:
+        raise CliUsageError(
+            f"window size {size} from {source} exceeds the dense limit {_MAX_DENSE_SIZE}"
+        )
 
 
 _ANGLE_RE = re.compile(
@@ -229,6 +243,7 @@ def cmd_check(args) -> int:
     if len(split) != 2:
         raise CliUsageError("--split needs exactly two sizes L1,L2")
     size1, size2 = split
+    _require_dense(size1 + size2, "--split")
     if args.parsed_spec is not None:
         neumann = (
             BoundaryKind.CLASSIC_NEUMANN if args.classic_neumann else BoundaryKind.MODIFIED_NEUMANN
@@ -264,6 +279,8 @@ def cmd_gap(args) -> int:
     if args.parsed_spec is None:
         raise CliUsageError("gap scans need --factors (a product symbol)")
     sizes = parse_int_list(args.sizes, "sizes")
+    for size in sizes:
+        _require_dense(size, "--sizes")
     spec = args.parsed_spec
     report = gap_scan(spec, sizes)
     floors = {s: sampled_gap_floor(spec, s, seed=args.seed) for s, _ in report.records}
@@ -309,11 +326,13 @@ def cmd_export(args) -> int:
         if not args.split:
             raise CliUsageError("--matrix lap2-diff needs --split L1,L2")
         size1, size2 = parse_int_list(args.split, "split")
+        _require_dense(size1 + size2, "--split")
         matrix = classic_split_difference(coeffs, size1, size2)
         bc_token = "lap2-diff"
     else:
         if not args.size:
             raise CliUsageError(f"--matrix {kind} needs --size")
+        _require_dense(args.size, "--size")
         if kind == "toeplitz":
             matrix = toeplitz_finite(coeffs, args.size)
             bc_token = "00"

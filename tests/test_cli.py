@@ -16,6 +16,7 @@ from toepbrack import (
     make_symbol,
     toeplitz_finite,
 )
+from toepbrack import cli
 from toepbrack.cli import main, parse_angle
 
 
@@ -201,6 +202,48 @@ class TestGap:
         code, _, err = run_cli(capsys, "gap", "--penta", "6,-4,1", "--sizes", "8,16")
         assert code == 2
         assert "factors" in err
+
+
+class TestDenseSizeGuard:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--factors", "0:1", "--sizes", "8,4097"],
+            ["gap", "--factors", "0:1,2.0:1", "--sizes", "100000"],
+            ["check", "--factors", "0:1", "--split", "4000,100"],
+            ["check", "--penta", "6,-4,1", "--split", "5000,10"],
+            ["export", "--factors", "0:1", "--size", "4097", "--bc", "nn"],
+            ["export", "--factors", "0:1", "--size", "50000"],
+            ["export", "--factors", "0:2", "--size", "5000", "--matrix", "circulant"],
+            ["export", "--factors", "0:2", "--matrix", "lap2-diff", "--split", "3000,3000"],
+        ],
+    )
+    def test_refused_before_any_dense_build(self, capsys, monkeypatch, argv):
+        def reached(*args, **kwargs):
+            pytest.fail("a dense window was requested")
+
+        for name in (
+            "gap_scan", "build_restricted", "check_bracketing", "check_bracketing_penta",
+            "toeplitz_finite", "circulant_periodic", "classic_split_difference",
+        ):
+            monkeypatch.setattr(cli, name, reached)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "dense limit 4096" in err
+        assert "Traceback" not in err
+
+    def test_limit_itself_is_accepted(self, capsys, monkeypatch):
+        seen = []
+
+        def small_window(coeffs, size):
+            seen.append(size)
+            return toeplitz_finite(coeffs, 8)
+
+        monkeypatch.setattr(cli, "toeplitz_finite", small_window)
+        code, _, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096")
+        assert code == 0
+        assert seen == [4096]
 
 
 class TestExport:

@@ -14,6 +14,7 @@ from toepbrack import (
     DimensionMismatchError,
     DuplicateNodeError,
     HermitianMatrix,
+    KernelMismatchError,
     NoConvergenceError,
     check_bracketing,
     check_bracketing_penta,
@@ -35,6 +36,8 @@ from toepbrack import (
     spectral_gap,
     toeplitz_finite,
 )
+from toepbrack import spectra
+from toepbrack.spectra import _banded_lambda_min
 from conftest import random_spec, random_split
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -178,6 +181,13 @@ class TestKernelBasis:
             assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
 
 
+def dense_toeplitz(coeffs, m):
+    """Oracle: T_m(g) as a plain array for any m >= 1 (toeplitz_finite needs 2N+1)."""
+    n = coeffs.half_bandwidth
+    diff = np.arange(m)[None, :] - np.arange(m)[:, None]
+    return np.where(np.abs(diff) <= n, coeffs.a[np.clip(diff, -n, n) + n], 0.0)
+
+
 def brute_confluent_det(nodes, mults):
     """Oracle: assemble the moment matrix and take |det| via LU."""
     n = sum(mults)
@@ -302,6 +312,17 @@ class TestSpectralGap:
             )
             assert gap >= floor - 1e-9 * max(1.0, abs(floor))
 
+    def test_corrupted_window_fails_kernel_check(self, monkeypatch):
+        def corrupted(spec, size, left, right):
+            entries = build_restricted(spec, size, left, right).entries.copy()
+            entries[0, 0] += 1e-3
+            return HermitianMatrix(entries)
+
+        monkeypatch.setattr(spectra, "build_restricted", corrupted)
+        for factors in ([(0.0, 1)], [(0.0, 2)], [(1.0, 1), (2.5, 2)]):
+            with pytest.raises(KernelMismatchError):
+                spectral_gap(make_symbol(factors), 24)
+
     def test_modulation_invariance_of_spectrum(self, rng):
         for _ in range(5):
             spec = random_spec(rng, max_factors=2, max_mult=2)
@@ -312,6 +333,42 @@ class TestSpectralGap:
                 build_restricted(spec.shifted(delta), size, N_KIND, N_KIND)
             ).values
             assert_allclose(ev, ev_shifted, atol=1e-9 * max(1.0, ev.max()))
+
+
+class TestBandedLambdaMin:
+    def test_against_lapack_on_random_symbols(self, rng):
+        # Random angles give complex coefficients; N ranges over 1..6.
+        for _ in range(40):
+            spec = random_spec(rng, max_factors=3, max_mult=2, min_sep=0.3)
+            n = spec.degree
+            coeffs = fourier_coefficients(spec)
+            m = int(rng.integers(2 * n + 1, 201)) - n
+            ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, m))[0]
+            tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
+            assert abs(_banded_lambda_min(coeffs, m) - ref) <= tol, (spec.factors, m)
+
+    @pytest.mark.parametrize("size", [512, 1024, 4096])
+    def test_path_laplacian_gap_at_large_sizes(self, size):
+        coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
+        exact = 4.0 * math.sin(math.pi / (2 * size)) ** 2
+        assert abs(_banded_lambda_min(coeffs, size - 1) - exact) <= 1e-12 * 4.0
+
+    def test_deterministic(self):
+        coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
+        first = _banded_lambda_min(coeffs, 97)
+        assert _banded_lambda_min(coeffs, 97) == first
+
+    @pytest.mark.parametrize("factors", [[(0.0, 1)], [(0.0, 2)], [(0.4, 1), (2.0, 2), (4.1, 1)]])
+    def test_smallest_window(self, factors):
+        # L = 2N+1 leaves m = N+1 rows, below the size toeplitz_finite accepts.
+        spec = make_symbol(factors)
+        n = spec.degree
+        coeffs = fourier_coefficients(spec)
+        ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, n + 1))[0]
+        tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
+        assert abs(_banded_lambda_min(coeffs, n + 1) - ref) <= tol
+        _, gap = spectral_gap(spec, 2 * n + 1)
+        assert gap == _banded_lambda_min(coeffs, n + 1)
 
 
 class TestGapScan:
