@@ -392,15 +392,15 @@ def _banded_lambda_min(coeffs: BandedCoeffs, m: int) -> float:
     for a product symbol, and the row-sum bound caps its spectrum) and
     shrinks 32-fold per pass until its width is below
     8 * (N+1) * eps * max(1, sum|a_k|), the scale of the banded Cholesky
-    backward error; the midpoint is returned.  Works for any m >= 1, so
-    also below the 2N+1 that toeplitz_finite requires, and never builds an
-    m x m matrix.
+    backward error; the midpoint is returned.  Needs m >= N+1 (the window
+    of L = 2N+1 gives m = N+1, below the 2N+1 that toeplitz_finite
+    requires) and never builds an m x m matrix.
     """
-    n = min(coeffs.half_bandwidth, m - 1)
-    a = coeffs.a[coeffs.half_bandwidth - n : coeffs.half_bandwidth + n + 1]
+    n = coeffs.half_bandwidth
+    a = coeffs.a
     if not np.any(a.imag):
         a = a.real
-    norm = float(np.abs(coeffs.a).sum())
+    norm = float(np.abs(a).sum())
     # Rows 0..n of T - s*I: the first n form the starting Schur block, and
     # row n (entries a_n..a_1 above its diagonal) is the template of every
     # row that enters later.  The update rewrites only the leading n x n
