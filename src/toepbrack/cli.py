@@ -17,12 +17,13 @@ Usage examples::
     toepbrack export --factors 0:2 --size 8 --matrix lap2-diff --split 4,4
 
 Angles are radians; the token ``pi`` is accepted with an optional
-coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``).  Exit
-status is 0 on success with all verdicts true, 1 on a verification
-failure, 2 on usage errors.  Windows are stored densely, so a size above
-4096 (for ``--split`` the sum L1+L2) is a usage error, refused before
-anything is built.  Output is byte-stable for fixed inputs: JSON
-uses shortest round-trip floats, CSV cells carry 17 significant digits.
+coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
+finite; ``--tol`` must be finite and positive.  Exit status is 0 on
+success with all verdicts true, 1 on a verification failure, 2 on usage
+errors.  Windows are stored densely, so a size above 4096 (for
+``--split`` the sum L1+L2) is a usage error, refused before anything is
+built.  Output is byte-stable for fixed inputs: JSON uses shortest
+round-trip floats, CSV cells carry 17 significant digits.
 """
 
 from __future__ import annotations
@@ -98,24 +99,16 @@ _ANGLE_RE = re.compile(
 
 
 def parse_angle(text: str) -> float:
-    """Parse a radian literal, optionally using the token ``pi``."""
+    """Parse a radian literal, optionally using the token ``pi``; it must be finite."""
     m = _ANGLE_RE.match(text)
-    if m is None:
+    if m is None or (m.group("pi") is None and m.group("coef") in (None, "", "+", "-")):
         raise CliUsageError(f"cannot parse angle {text!r}")
     coef_s, pi_s, div_s = m.group("coef"), m.group("pi"), m.group("div")
-    if coef_s in (None, "") and pi_s is None:
-        raise CliUsageError(f"cannot parse angle {text!r}")
-    if coef_s in (None, ""):
-        coef = 1.0
-    elif coef_s in ("+", "-"):
-        if pi_s is None:
-            raise CliUsageError(f"cannot parse angle {text!r}")
-        coef = 1.0 if coef_s == "+" else -1.0
-    else:
-        coef = float(coef_s)
-    value = coef * (math.pi if pi_s else 1.0)
-    if div_s:
-        value /= float(div_s)
+    coef = -1.0 if coef_s == "-" else 1.0 if coef_s in (None, "", "+") else float(coef_s)
+    div = float(div_s) if div_s else 1.0
+    value = coef * (math.pi if pi_s else 1.0) / div if div else math.inf
+    if not math.isfinite(value):
+        raise CliUsageError(f"angle {text!r} is not a finite number")
     return value
 
 
@@ -238,6 +231,8 @@ def cmd_coeffs(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise CliUsageError(f"--tol must be a finite positive number, got {args.tol!r}")
     _resolve_symbol(args)
     split = parse_int_list(args.split, "split")
     if len(split) != 2:

@@ -2,14 +2,16 @@
 
 Two self-contained engines keep external eigensolvers out of the
 verification path; LAPACK appears only as an independent cross-check in
-the test suite.  A cyclic Jacobi diagonalization for complex Hermitian
-matrices (round-robin parallel ordering, vectorized rotation updates)
-certifies semidefiniteness of a difference by its smallest eigenvalue, and
-the bracketing chain is four such differences.  The spectral gap needs one
-number: by the Gram identity the softened window of size L has an
-N-dimensional kernel and the rest of its spectrum is that of T_{L-N}(g),
-so the gap is the smallest eigenvalue of that banded window, found by
-multisection on the signs of banded LDL* pivots in O(L * N**2) per pass.
+the test suite.  Every window, boundary corners included, is the banded
+Toeplitz body plus one N x N block per edge, and its smallest eigenvalue
+comes from multisection on the signs of banded LDL* pivots in
+O(L * N**2) per pass.  That gives the floor of the bracketing chain, and
+the spectral gap too: by the Gram identity the softened window of size L
+has an N-dimensional kernel and the rest of its spectrum is that of
+T_{L-N}(g).  The other three bracketing margins are smallest eigenvalues
+of differences that vanish outside a block of at most 2N rows; a cyclic
+Jacobi diagonalization that rotates only pairs above a threshold finds
+them, and on such a difference it only ever rotates inside that block.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .errors import (
     KernelMismatchError,
     NoConvergenceError,
     SizeTooSmallError,
+    ToepbrackError,
 )
-from .matrices import HermitianMatrix, direct_sum, toeplitz_finite
+from .matrices import HermitianMatrix, _toeplitz_body, direct_sum, toeplitz_finite
 from .symbols import (
     TWO_PI,
     BandedCoeffs,
@@ -53,39 +56,43 @@ class Spectrum:
     tolerance: float
 
 
-def _round_robin_rounds(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Tournament schedule: n-1 (or n) rounds of disjoint index pairs."""
-    m = n if n % 2 == 0 else n + 1
-    arr = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        pairs = []
-        for i in range(m // 2):
-            a, b = arr[i], arr[m - 1 - i]
-            if a < n and b < n:
-                pairs.append((min(a, b), max(a, b)))
-        pairs.sort()
-        rounds.append(
-            (np.array([p for p, _ in pairs]), np.array([q for _, q in pairs]))
-        )
-        arr = [arr[0]] + [arr[-1]] + arr[1:-1]
-    return rounds
-
-
-def _off_norm(h: np.ndarray) -> float:
-    off = h.copy()
+def _off_diagonal(h: np.ndarray) -> tuple[np.ndarray, float]:
+    """|h| with its diagonal zeroed, and its Frobenius norm (summed without BLAS)."""
+    off = np.abs(h)
     np.fill_diagonal(off, 0.0)
-    return float(np.linalg.norm(off))
+    return off, math.sqrt(float(np.sum(off * off)))
+
+
+def _rotate(h: np.ndarray, p: int, q: int) -> None:
+    """Apply the Jacobi rotation that annihilates h[p, q] (p < q), in place."""
+    piv = complex(h[p, q])
+    mag = abs(piv)
+    phase = piv / mag
+    tau = (h[q, q].real - h[p, p].real) / (2.0 * mag)
+    t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+    col_p, col_q = h[:, p].copy(), h[:, q].copy()
+    h[:, p] = c * col_p - (phase.conjugate() * s) * col_q
+    h[:, q] = s * col_p + (phase.conjugate() * c) * col_q
+    row_p, row_q = h[p].copy(), h[q].copy()
+    h[p] = c * row_p - (phase * s) * row_q
+    h[q] = s * row_p + (phase * c) * row_q
 
 
 def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
     """All eigenvalues of a Hermitian matrix, ascending.
 
-    Jacobi rotations are applied in a fixed round-robin order with all
-    disjoint pivots of a round rotated together, until the off-diagonal
-    Frobenius norm falls below 1e-12 * max(1, row-sum norm).  By Weyl's
-    inequality each returned value is then within that threshold of a true
-    eigenvalue.  The computation is deterministic for identical input.
+    Cyclic Jacobi: each sweep goes in order through the rows that hold an
+    off-diagonal entry above a skip threshold, and in row p it rotates,
+    left to right, each pair (p, q) whose entry exceeds the threshold when
+    the row is scanned and again when the pair is reached.  Sweeps repeat until the off-diagonal Frobenius norm falls below
+    1e-12 * max(1, row-sum norm); by Weyl's inequality each returned value
+    is then within that threshold of a true eigenvalue.  A rotation mixes
+    two rows and two columns, so exact zeros outside a principal block
+    stay zero and a matrix supported on a block (every bracketing
+    difference) is only ever rotated inside it.  The computation is
+    deterministic for identical input.
 
     Raises
     ------
@@ -97,45 +104,27 @@ def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spect
     if n == 1:
         return Spectrum(np.array([matrix.entries[0, 0].real]), 0.0)
     h = np.array(matrix.entries)
-    if np.abs(h.imag).max() == 0.0:
-        h = np.ascontiguousarray(h.real)
-    real_path = not np.iscomplexobj(h)
     thresh = 1e-12 * max(1.0, matrix.row_sum_norm())
     # Pivots below `skip` cannot push the off-norm above thresh/4 even if
     # every pair sits at the cutoff, so they are left unrotated.
     skip = 0.25 * thresh / n
-    rounds = _round_robin_rounds(n)
     for _ in range(max_sweeps):
-        if _off_norm(h) <= thresh:
+        off, off_norm = _off_diagonal(h)
+        if off_norm <= thresh:
             vals = np.sort(np.diag(h).real)
             vals.flags.writeable = False
             return Spectrum(vals, thresh)
-        for ps, qs in rounds:
-            piv = h[ps, qs]
-            mag = np.abs(piv)
-            act = mag > skip
-            if not act.any():
-                continue
-            if not act.all():
-                ps, qs, piv, mag = ps[act], qs[act], piv[act], mag[act]
-            phase = np.sign(piv) if real_path else piv / mag
-            tau = (h[qs, qs].real - h[ps, ps].real) / (2.0 * mag)
-            t = np.where(tau >= 0.0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            c = 1.0 / np.hypot(1.0, t)
-            s = t * c
-            cols_p = h[:, ps].copy()
-            cols_q = h[:, qs].copy()
-            h[:, ps] = c * cols_p - (np.conj(phase) * s) * cols_q
-            h[:, qs] = s * cols_p + (np.conj(phase) * c) * cols_q
-            rows_p = h[ps, :].copy()
-            rows_q = h[qs, :].copy()
-            h[ps, :] = c[:, None] * rows_p - (phase * s)[:, None] * rows_q
-            h[qs, :] = s[:, None] * rows_p + (phase * c)[:, None] * rows_q
+        # A row with no entry above `skip` holds no pivot, and rotations of
+        # other rows only mix its entries unitarily, so the sweep passes it.
+        for p in np.flatnonzero(off.max(axis=1) > skip).tolist():
+            for q in (p + 1 + np.flatnonzero(np.abs(h[p, p + 1 :]) > skip)).tolist():
+                if abs(h[p, q]) > skip:
+                    _rotate(h, p, q)
         # No re-symmetrization here: unitary similarity preserves Hermitian
         # input to machine precision, and corrupted (non-Hermitian) input
         # must stall and be reported instead of being silently repaired.
     raise NoConvergenceError(
-        f"off-diagonal norm {_off_norm(h):.3e} above {thresh:.3e} after {max_sweeps} sweeps"
+        f"off-diagonal norm {_off_diagonal(h)[1]:.3e} above {thresh:.3e} after {max_sweeps} sweeps"
     )
 
 
@@ -169,12 +158,7 @@ class BracketReport:
 
     @property
     def verdicts(self) -> dict[str, bool]:
-        return {
-            "floor_nn": self.floor_nn >= -self.abs_tol,
-            "nn_vs_0n": self.delta_nn >= -self.abs_tol,
-            "lower": self.delta_lower >= -self.abs_tol,
-            "upper": self.delta_upper >= -self.abs_tol,
-        }
+        return {name: margin >= -self.abs_tol for name, margin in self.margins.items()}
 
     @property
     def all_hold(self) -> bool:
@@ -204,6 +188,9 @@ def check_bracketing(
     one-sided minus both-sided softened direct sums, the whole window minus
     the softened direct sum, and the stiffened direct sum minus the whole
     window.  Verdicts compare each margin against -tol * max(1, norm(T)).
+    The floor comes from banded multisection on each window's Toeplitz
+    body and corners, after a check that the window has exactly that
+    form; the three differences go to :func:`eigenvalues`.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
@@ -231,9 +218,7 @@ def check_bracketing(
         size=whole.dim,
         size1=size1,
         size2=size2,
-        floor_nn=min(
-            float(eigenvalues(both1).values[0]), float(eigenvalues(both2).values[0])
-        ),
+        floor_nn=min(_window_lambda_min(coeffs, both1), _window_lambda_min(coeffs, both2)),
         delta_nn=psd_gap(soft, direct_sum(both1, both2)),
         delta_lower=psd_gap(whole, soft),
         delta_upper=psd_gap(stiff, whole),
@@ -257,11 +242,12 @@ def check_bracketing_penta(
     every windowed operator transforms affinely (scale times the g-operator
     plus shift times the identity), so the product-symbol margins carry
     over multiplied by ``scale``, the floor is measured against
-    inf h = shift, and the tolerance scales with the row's own window.
+    inf h = shift, and the tolerance scales with the row-sum norm of the
+    row's own window, sum |a_k| (a window of L1 + L2 >= 5 has a full row).
     """
     deco = decompose_pentadiagonal(a0, a1, a2)
     base = check_bracketing(deco.spec, size1, size2, tol=tol)
-    window = toeplitz_finite(penta_coefficients(a0, a1, a2), size1 + size2)
+    row_sum = float(np.abs(penta_coefficients(a0, a1, a2).a).sum())
     return replace(
         base,
         floor_nn=deco.scale * base.floor_nn,
@@ -269,7 +255,7 @@ def check_bracketing_penta(
         delta_lower=deco.scale * base.delta_lower,
         delta_upper=deco.scale * base.delta_upper,
         symbol_floor=deco.shift,
-        abs_tol=tol * max(1.0, window.row_sum_norm()),
+        abs_tol=tol * max(1.0, row_sum),
     ), deco
 
 
@@ -319,16 +305,14 @@ def confluent_vandermonde_abs(
         raise ValueError("need one positive multiplicity per node")
     if np.abs(np.abs(z) - 1.0).max() > 1e-9:
         raise ValueError("nodes must lie on the unit circle")
-    for i in range(len(z)):
-        for j in range(i + 1, len(z)):
-            if abs(z[i] - z[j]) <= 1e-12:
-                raise DuplicateNodeError(f"nodes {i} and {j} coincide")
     value = 1.0
     for m in alpha:
         for l in range(1, m):
             value *= math.factorial(l)
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
+            if abs(z[i] - z[j]) <= 1e-12:
+                raise DuplicateNodeError(f"nodes {i} and {j} coincide")
             value *= float(abs(z[i] - z[j])) ** (alpha[i] * alpha[j])
     return value
 
@@ -379,37 +363,44 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
 _SHIFTS = 31
 
 
-def _banded_lambda_min(coeffs: BandedCoeffs, m: int) -> float:
-    """Smallest eigenvalue of the m x m Toeplitz window T_m(g) of a band.
+def _banded_lambda_min(
+    coeffs: BandedCoeffs, m: int, left: np.ndarray | None = None, right: np.ndarray | None = None
+) -> float:
+    """Smallest eigenvalue of the m x m window T_m(g) plus optional N x N
+    blocks at its top-left and bottom-right corners.
 
-    Multisection on Sylvester's law of inertia: T - s*I is positive
+    Multisection on Sylvester's law of inertia: W - s*I is positive
     definite iff every pivot of its LDL* factorization is positive.  One
-    pass runs the banded right-looking recurrence over all m rows for 31
+    pass runs the banded right-looking recurrence over the m rows for 31
     equispaced shifts at once, keeping only the trailing (N+1) x (N+1)
-    Schur block.  The first shift with a nonpositive pivot ends the pass
-    for itself and every shift above it, so nothing divides by a failed
-    pivot.  The bracket starts at [0, sum|a_k|] (T is positive definite
-    for a product symbol, and the row-sum bound caps its spectrum) and
-    shrinks 32-fold per pass until its width is below
-    8 * (N+1) * eps * max(1, sum|a_k|), the scale of the banded Cholesky
-    backward error; the midpoint is returned.  Needs m >= N+1 (the window
-    of L = 2N+1 gives m = N+1, below the 2N+1 that toeplitz_finite
-    requires) and never builds an m x m matrix.
+    Schur block; the first shift with a nonpositive pivot ends the pass for
+    itself and every shift above it.  The left corner enters with the
+    starting block, the right one once the block holds the last N rows (no
+    earlier pivot reads them).  The bracket starts at [0, r] without
+    corners (T > 0 for a product symbol) and at [-r, r] with them, r the
+    row-sum bound; it shrinks 32-fold per pass down to the banded Cholesky
+    backward-error scale 8 * (N+1) * eps * max(1, sum|a_k|), and its
+    midpoint is returned.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and
+    never builds an m x m matrix.
     """
     n = coeffs.half_bandwidth
     a = coeffs.a
-    if not np.any(a.imag):
-        a = a.real
+    if not any(np.any(np.imag(x)) for x in (a, left, right) if x is not None):
+        a, left, right = (None if x is None else np.real(x) for x in (a, left, right))
     norm = float(np.abs(a).sum())
+    reach = norm + sum(float(np.abs(x).sum(axis=1).max()) for x in (left, right) if x is not None)
     # Rows 0..n of T - s*I: the first n form the starting Schur block, and
     # row n (entries a_n..a_1 above its diagonal) is the template of every
     # row that enters later.  The update rewrites only the leading n x n
     # block, so the entering row stays in place until the band runs past
-    # row m-1, where it becomes a decoupled unit row.
+    # row m-1.  There it becomes a decoupled unit row, and the leading
+    # block, then rows m-n..m-1, takes the right corner.
     k = np.arange(n + 1)
     template = a[n + k[None, :] - k[:, None]]
+    if left is not None:
+        template[:n, :n] += left
     tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, norm)
-    lo, hi = 0.0, norm
+    lo, hi = (0.0 if left is None and right is None else -reach), reach
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     while hi - lo > tol:
         shifts = lo + (hi - lo) * steps
@@ -420,6 +411,8 @@ def _banded_lambda_min(coeffs: BandedCoeffs, m: int) -> float:
                 block[:, :, n] = 0.0
                 block[:, n, :] = 0.0
                 block[:, n, n] = 1.0
+                if right is not None:
+                    block[:, :n, :n] += right
             pivots = block[:, 0, 0].real
             if pivots.min() <= 0.0:
                 alive = int(np.argmax(pivots <= 0.0))
@@ -436,6 +429,20 @@ def _banded_lambda_min(coeffs: BandedCoeffs, m: int) -> float:
         if alive < _SHIFTS:
             hi = float(shifts[alive])
     return 0.5 * (lo + hi)
+
+
+def _window_lambda_min(coeffs: BandedCoeffs, window: HermitianMatrix) -> float:
+    """lambda_min of a window that must be the Toeplitz body plus two N x N corners."""
+    n = coeffs.half_bandwidth
+    extra = window.entries - _toeplitz_body(coeffs, window.dim)
+    left, right = extra[:n, :n].copy(), extra[-n:, -n:].copy()
+    extra[:n, :n] = extra[-n:, -n:] = 0.0
+    if np.any(extra):
+        raise ToepbrackError(
+            f"window of size {window.dim} differs from its Toeplitz body outside the corners"
+            f" at entries {np.argwhere(extra)[:3].tolist()}"
+        )
+    return _banded_lambda_min(coeffs, window.dim, left, right)
 
 
 def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
@@ -493,10 +500,7 @@ def gap_scan(spec: SymbolSpec, sizes: Iterable[int]) -> GapReport:
     size_list = sorted(set(int(s) for s in sizes))
     if any(s < 2 * n + 1 for s in size_list):
         raise SizeTooSmallError(f"all sizes must be >= {2 * n + 1}")
-    records = []
-    for s in size_list:
-        _, gap = spectral_gap(spec, s)
-        records.append((s, gap))
+    records = [(s, spectral_gap(spec, s)[1]) for s in size_list]
     fit = [(s, g) for s, g in records if s >= 4 * n]
     if len(fit) < 2:
         raise ValueError("need at least two sizes >= 4N for the slope fit")
@@ -528,7 +532,4 @@ def sampled_gap_floor(
     rng = np.random.default_rng(seed)
     shifts.extend(rng.uniform(0.0, TWO_PI, n_samples).tolist())
     grid = TWO_PI * np.arange(1, size + 1) / size
-    best = -np.inf
-    for sh in shifts:
-        best = max(best, float(np.min(evaluate_symbol(coeffs, grid - sh))))
-    return best
+    return max(float(np.min(evaluate_symbol(coeffs, grid - sh))) for sh in shifts)

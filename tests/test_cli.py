@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from toepbrack import (
@@ -17,7 +19,7 @@ from toepbrack import (
     toeplitz_finite,
 )
 from toepbrack import cli
-from toepbrack.cli import main, parse_angle
+from toepbrack.cli import CliUsageError, main, parse_angle
 
 
 def run_cli(capsys, *argv):
@@ -65,10 +67,40 @@ class TestAngleParsing:
 
     @pytest.mark.parametrize("text", ["", "abc", "pi/", "/3", "--"])
     def test_invalid(self, text):
-        from toepbrack.cli import CliUsageError
-
         with pytest.raises(CliUsageError):
             parse_angle(text)
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e400", "1e308pi", "1e308*pi/0.5", "pi/0", "0/0"])
+    def test_non_finite_refused(self, text):
+        with pytest.raises(CliUsageError):
+            parse_angle(text)
+
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789.eE+-*/pi ", max_size=24),
+            st.from_regex(
+                r"[+-]?\d{1,4}(\.\d*)?([eE][+-]?\d{1,3})?\*?(pi)?(/\d{1,4}\.?\d*)?", fullmatch=True
+            ),
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_text_is_finite_or_refused(self, text):
+        try:
+            value = parse_angle(text)
+        except CliUsageError:
+            return
+        assert math.isfinite(value)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["coeffs", "--factors", "0:1", "--eval", "1e400"], ["coeffs", "--factors", "1e400:1"]],
+    )
+    def test_non_finite_angle_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not a finite number" in err
 
 
 class TestCoeffs:
@@ -150,6 +182,19 @@ class TestCheck:
         payload = json.loads(out)
         assert all(payload["verdicts"].values())
         assert payload["symbol_floor"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
+    def test_bad_tol_refused_before_any_build(self, capsys, monkeypatch, tol):
+        def reached(*args, **kwargs):
+            pytest.fail("a certificate was started")
+
+        monkeypatch.setattr(cli, "check_bracketing", reached)
+        monkeypatch.setattr(cli, "check_bracketing_penta", reached)
+        argv = ["check", "--factors", "0:2", "--split", "7,7", "--classic-neumann", f"--tol={tol}"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --tol must be a finite positive number")
 
     def test_size_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--factors", "0:2", "--split", "4,7")

@@ -36,9 +36,10 @@ from toepbrack import (
     spectral_gap,
     toeplitz_finite,
 )
-from toepbrack import spectra
-from toepbrack.spectra import _banded_lambda_min
+from toepbrack import ToepbrackError, dirichlet_from_neumann, spectra
+from toepbrack.spectra import _banded_lambda_min, _window_lambda_min
 from conftest import random_spec, random_split
+from test_boundary import ALL_PAIRS, _window, _window_specs
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
 
@@ -148,6 +149,60 @@ class TestCheckBracketing:
             size1, size2 = random_split(rng, spec.degree, 50)
             report = check_bracketing(spec, size1, size2)
             assert report.all_hold, (spec, size1, size2, report.margins)
+
+    @pytest.mark.parametrize(
+        "neumann", [N_KIND, BoundaryKind.CLASSIC_NEUMANN], ids=["modified", "classic"]
+    )
+    def test_margins_match_lapack_on_the_same_windows(self, rng, neumann):
+        # Oracle: eigvalsh of the four differences, built from the same windows.
+        simple = BoundaryKind.SIMPLE
+        for _ in range(6):
+            if neumann is N_KIND:
+                spec = random_spec(rng)
+            else:  # the classic corner needs a real symbol: conjugate angle pairs
+                e = float(rng.uniform(0.5, 2.6))
+                spec = make_symbol([(e, 1), (-e, 1)] + [(0.0, 1)] * int(rng.integers(0, 2)))
+            size1, size2 = random_split(rng, spec.degree, 40)
+            report = check_bracketing(spec, size1, size2, neumann=neumann)
+            whole = toeplitz_finite(fourier_coefficients(spec), size1 + size2)
+            soft1 = build_restricted(spec, size1, simple, neumann)
+            soft2 = build_restricted(spec, size2, neumann, simple)
+            both = direct_sum(
+                build_restricted(spec, size1, neumann, neumann),
+                build_restricted(spec, size2, neumann, neumann),
+            )
+            if neumann is N_KIND:
+                d_kind = BoundaryKind.MODIFIED_DIRICHLET
+                stiff = direct_sum(
+                    build_restricted(spec, size1, simple, d_kind),
+                    build_restricted(spec, size2, d_kind, simple),
+                )
+            else:
+                stiff = dirichlet_from_neumann(whole, soft1, soft2)
+            soft = direct_sum(soft1, soft2)
+            expected = {
+                "floor_nn": np.linalg.eigvalsh(both.entries)[0],
+                "nn_vs_0n": np.linalg.eigvalsh((soft - both).entries)[0],
+                "lower": np.linalg.eigvalsh((whole - soft).entries)[0],
+                "upper": np.linalg.eigvalsh((stiff - whole).entries)[0],
+            }
+            tol = 1e-12 * max(1.0, whole.row_sum_norm())
+            for name, value in expected.items():
+                assert abs(report.margins[name] - value) <= tol, (spec, size1, size2, name)
+
+    def test_jacobi_sees_only_the_three_differences(self, monkeypatch):
+        # The floor is banded; each difference Jacobi sees lives on <= 2N rows.
+        seen = []
+
+        def spy(matrix, *args, **kwargs):
+            seen.append(int(np.any(matrix.entries != 0, axis=1).sum()))
+            return eigenvalues(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(spectra, "eigenvalues", spy)
+        spec = make_symbol([(0.0, 1), (2.0, 2)])
+        assert check_bracketing(spec, 20, 23).all_hold
+        assert len(seen) == 3
+        assert max(seen) <= 2 * spec.degree
 
     def test_rejects_other_neumann_kind(self):
         with pytest.raises(ValueError):
@@ -352,6 +407,27 @@ class TestBandedLambdaMin:
         coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
         exact = 4.0 * math.sin(math.pi / (2 * size)) ** 2
         assert abs(_banded_lambda_min(coeffs, size - 1) - exact) <= 1e-12 * 4.0
+
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
+    def test_corner_windows_against_lapack(self, pair):
+        # Every boundary window is the Toeplitz body plus its two corners.
+        for spec in _window_specs(pair):
+            coeffs = fourier_coefficients(spec)
+            for size in (2 * spec.degree + 1, 2 * spec.degree + 2, 33):
+                window = hermitian(_window(spec, size, pair))
+                ref = np.linalg.eigvalsh(window.entries)[0]
+                tol = 1e-12 * max(1.0, window.row_sum_norm())
+                assert abs(_window_lambda_min(coeffs, window) - ref) <= tol, (spec, size)
+
+    @pytest.mark.parametrize("entry", [(0, 4), (5, 5), (9, 8), (3, 2)])
+    def test_window_off_its_corners_raises(self, entry):
+        spec = make_symbol([(0.0, 1), (2.0, 1)])
+        entries = build_restricted(spec, 12, N_KIND, N_KIND).entries.copy()
+        i, j = entry
+        entries[i, j] += 1e-3
+        entries[j, i] += 1e-3
+        with pytest.raises(ToepbrackError, match="outside the corners"):
+            _window_lambda_min(fourier_coefficients(spec), HermitianMatrix(entries))
 
     def test_deterministic(self):
         coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
