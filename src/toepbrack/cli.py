@@ -23,7 +23,8 @@ success with all verdicts true, 1 on a verification failure, 2 on usage
 errors.  Windows are stored densely, so a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
 built.  Output is byte-stable for fixed inputs: JSON uses shortest
-round-trip floats, CSV cells carry 17 significant digits.
+round-trip floats, CSV cells carry 17 significant digits.  A zero cell is
+written ``0+0i``; a signed zero keeps its sign (``-0+0i``, ``0-0i``).
 """
 
 from __future__ import annotations
@@ -134,6 +135,8 @@ def parse_penta(text: str) -> tuple[float, float, float]:
         a0, a1, a2 = (float(p) for p in parts)
     except ValueError as exc:
         raise CliUsageError(f"bad pentadiagonal values {text!r}") from exc
+    if not all(math.isfinite(v) for v in (a0, a1, a2)):
+        raise CliUsageError(f"pentadiagonal values {text!r} are not all finite numbers")
     return a0, a1, a2
 
 
@@ -145,6 +148,14 @@ def parse_int_list(text: str, what: str) -> list[int]:
     if not values:
         raise CliUsageError(f"empty {what} list")
     return values
+
+
+def _split_sizes(text: str) -> tuple[int, int]:
+    split = parse_int_list(text, "split")
+    if len(split) != 2:
+        raise CliUsageError("--split needs exactly two sizes L1,L2")
+    _require_dense(sum(split), "--split")
+    return split[0], split[1]
 
 
 def _fmt(x: float) -> str:
@@ -181,8 +192,17 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 
 def _matrix_csv(matrix: HermitianMatrix, symbol_token: str, bc_token: str) -> str:
     lines = [f"# dim={matrix.dim} symbol={symbol_token} bc={bc_token}"]
-    for row in matrix.entries:
-        lines.append(",".join(_cell(z) for z in row))
+    entries = np.ascontiguousarray(matrix.entries, dtype=np.complex128)
+    # Windows are banded, so most cells are zero.  The test is on the bits,
+    # not on ``!= 0``, so that a signed zero still goes through _cell.
+    nonzero = entries.view(np.uint64).reshape(*entries.shape, 2).any(axis=2)
+    zero_cell = _cell(0j)
+    for row, mask in zip(entries, nonzero):
+        cells = [zero_cell] * len(row)
+        cols = np.flatnonzero(mask)
+        for j, z in zip(cols.tolist(), row[cols].tolist()):
+            cells[j] = _cell(z)
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
@@ -234,11 +254,7 @@ def cmd_check(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliUsageError(f"--tol must be a finite positive number, got {args.tol!r}")
     _resolve_symbol(args)
-    split = parse_int_list(args.split, "split")
-    if len(split) != 2:
-        raise CliUsageError("--split needs exactly two sizes L1,L2")
-    size1, size2 = split
-    _require_dense(size1 + size2, "--split")
+    size1, size2 = _split_sizes(args.split)
     if args.parsed_spec is not None:
         neumann = (
             BoundaryKind.CLASSIC_NEUMANN if args.classic_neumann else BoundaryKind.MODIFIED_NEUMANN
@@ -320,12 +336,11 @@ def cmd_export(args) -> int:
     if kind == "lap2-diff":
         if not args.split:
             raise CliUsageError("--matrix lap2-diff needs --split L1,L2")
-        size1, size2 = parse_int_list(args.split, "split")
-        _require_dense(size1 + size2, "--split")
+        size1, size2 = _split_sizes(args.split)
         matrix = classic_split_difference(coeffs, size1, size2)
         bc_token = "lap2-diff"
     else:
-        if not args.size:
+        if args.size is None:
             raise CliUsageError(f"--matrix {kind} needs --size")
         _require_dense(args.size, "--size")
         if kind == "toeplitz":

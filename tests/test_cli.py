@@ -11,15 +11,18 @@ from numpy.testing import assert_allclose
 
 from toepbrack import (
     BoundaryKind,
+    HermitianMatrix,
     build_restricted,
     circulant_periodic,
     classic_split_difference,
+    decompose_pentadiagonal,
     fourier_coefficients,
     make_symbol,
     toeplitz_finite,
 )
 from toepbrack import cli
-from toepbrack.cli import CliUsageError, main, parse_angle
+from toepbrack.cli import CliUsageError, main, parse_angle, parse_penta
+from test_boundary import ALL_PAIRS, _window_specs
 
 
 def run_cli(capsys, *argv):
@@ -101,6 +104,93 @@ class TestAngleParsing:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "not a finite number" in err
+
+
+class TestPentaParsing:
+    def test_valid(self):
+        assert parse_penta("6,-4,1") == (6.0, -4.0, 1.0)
+        assert parse_penta(" 7.5 ,-3.25,1e-3") == (7.5, -3.25, 1e-3)
+
+    @pytest.mark.parametrize("text", ["6,-4", "6,-4,1,0", "a,b,c", "6,,1", ""])
+    def test_invalid(self, text):
+        with pytest.raises(CliUsageError):
+            parse_penta(text)
+
+    @pytest.mark.parametrize(
+        "text", ["nan,1,1", "1,inf,1", "1,1,-inf", "1e400,1,1", "1,-1e999,1", "NaN,Infinity,nan"]
+    )
+    def test_non_finite_refused(self, text):
+        with pytest.raises(CliUsageError):
+            parse_penta(text)
+
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789.eE+-,nainfNIF ", max_size=30),
+            st.tuples(st.floats(), st.floats(), st.floats()).map(
+                lambda values: ",".join(repr(v) for v in values)
+            ),
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_text_is_three_finite_floats_or_refused(self, text):
+        try:
+            values = parse_penta(text)
+        except CliUsageError:
+            return
+        assert len(values) == 3
+        assert all(isinstance(v, float) and math.isfinite(v) for v in values)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--penta", "nan,1,1", "--split", "8,8"],
+            ["export", "--penta", "nan,1,1", "--size", "8", "--bc", "nn"],
+            ["coeffs", "--penta", "1e400,1,1"],
+        ],
+    )
+    def test_non_finite_penta_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "not all finite" in err
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--factors", "0:1", "--split", "4,4,4"],
+            ["check", "--factors", "0:1", "--split", "8"],
+            ["export", "--factors", "0:2", "--matrix", "lap2-diff", "--split", "4,4,4"],
+            ["export", "--factors", "0:2", "--matrix", "lap2-diff", "--split", "8"],
+        ],
+    )
+    def test_split_needs_two_sizes(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --split needs exactly two sizes L1,L2\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["export", "--factors", "0:1", "--size", "0"],
+            ["export", "--factors", "0:1", "--size", "0", "--bc", "nn"],
+            ["export", "--factors", "0:1", "--size", "0", "--matrix", "circulant"],
+            ["export", "--factors", "0:1", "--size", "-3"],
+        ],
+    )
+    def test_size_below_minimum_is_reported_as_such(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "below the minimum" in err
+
+    def test_missing_size(self, capsys):
+        code, _, err = run_cli(capsys, "export", "--factors", "0:1", "--bc", "nn")
+        assert code == 2
+        assert err == "error: --matrix restricted needs --size\n"
 
 
 class TestCoeffs:
@@ -374,3 +464,63 @@ class TestExport:
         )
         assert code == 2
         assert "error" in err
+
+
+def _per_cell_csv(matrix, symbol_token, bc_token):
+    """Reference formatter: every cell of every row goes through ``_cell``."""
+    lines = [f"# dim={matrix.dim} symbol={symbol_token} bc={bc_token}"]
+    for row in matrix.entries:
+        lines.append(",".join(cli._cell(z) for z in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestMatrixCsv:
+    @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
+    def test_boundary_windows_match_per_cell_oracle(self, pair):
+        left, right = (BoundaryKind.from_code(code) for code in pair)
+        for spec in _window_specs(pair):
+            for size in (2 * spec.degree + 1, 40):
+                matrix = build_restricted(spec, size, left, right)
+                token = "".join(pair)
+                assert cli._matrix_csv(matrix, "s", token) == _per_cell_csv(matrix, "s", token)
+
+    def test_plain_and_difference_matrices_match_per_cell_oracle(self):
+        coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
+        lap2 = fourier_coefficients(make_symbol([(0.0, 2)]))
+        for matrix in (
+            toeplitz_finite(coeffs, 33),
+            circulant_periodic(coeffs, 33),
+            classic_split_difference(lap2, 9, 11),
+        ):
+            assert cli._matrix_csv(matrix, "s", "x") == _per_cell_csv(matrix, "s", "x")
+
+    def test_scaled_shifted_penta_window_matches_per_cell_oracle(self):
+        deco = decompose_pentadiagonal(7.5, -3.25, 1.0)
+        kind = BoundaryKind.MODIFIED_NEUMANN
+        matrix = build_restricted(deco.spec, 30, kind, kind).scaled(deco.scale).shifted(deco.shift)
+        assert cli._matrix_csv(matrix, "s", "nn") == _per_cell_csv(matrix, "s", "nn")
+
+    def test_signed_zeros_keep_their_sign(self):
+        entries = np.array(
+            [
+                [complex(-0.0, 0.0), complex(0.0, -0.0), 0, complex(-0.0, -0.0)],
+                [complex(0.0, 0.0), 2, complex(-0.0, 1.0), 0],
+                [0, complex(-0.0, -1.0), 2, complex(0.0, -0.0)],
+                [complex(-0.0, 0.0), 0, complex(-0.0, 0.0), 1],
+            ]
+        )
+        matrix = HermitianMatrix(entries)
+        text = cli._matrix_csv(matrix, "s", "x")
+        assert text == _per_cell_csv(matrix, "s", "x")
+        first = text.splitlines()[1]
+        assert first == "-0+0i,0-0i,0+0i,-0-0i"
+
+    def test_export_at_the_dense_cap(self, capsys):
+        code, out, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096", "--bc", "nn")
+        assert code == 0
+        lines = out.splitlines()
+        del out
+        assert lines[0].startswith("# dim=4096 ")
+        assert len(lines) == 4097
+        assert all(line.count(",") == 4095 for line in lines[1:])
+        assert lines[1].startswith("1+0i,-1+0i,0+0i,")
