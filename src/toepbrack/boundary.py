@@ -173,6 +173,25 @@ def _right_corner(spec: SymbolSpec, coeffs: BandedCoeffs, kind: BoundaryKind) ->
     return corner_block(spec, kind).entries
 
 
+def _window_corners(
+    spec: SymbolSpec, left: BoundaryKind, right: BoundaryKind
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """The N x N blocks a window adds at its top-left and bottom-right corners.
+
+    None stands for a simple edge.  Each block is validated and made
+    exactly Hermitian by :func:`hermitian`, so a classic corner of a
+    complex symbol raises NonHermitianError.  Every window is the Toeplitz
+    body plus these two blocks, whatever its size (>= 2N+1).
+    """
+    coeffs = fourier_coefficients(spec)
+    top = bottom = None
+    if left is not BoundaryKind.SIMPLE:
+        top = hermitian(_mirror(_right_corner(spec, coeffs, left))).entries
+    if right is not BoundaryKind.SIMPLE:
+        bottom = hermitian(_right_corner(spec, coeffs, right)).entries
+    return top, bottom
+
+
 def build_restricted(
     spec: SymbolSpec,
     size: int,
@@ -182,19 +201,20 @@ def build_restricted(
     """Toeplitz window of the symbol with boundary conditions at each edge.
 
     Requires size >= 2N+1 so the two corner blocks never overlap.  Every
-    combination is the plain window plus one N x N corner block per
-    non-simple edge; the left block is the conjugated mirror of the right
-    block of the same kind.  Simple/Simple returns the unmodified window.
+    combination is the plain window plus the :func:`_window_corners` of its
+    two edges; the left block is the conjugated mirror of the right block
+    of the same kind.  Simple/Simple returns the unmodified window.  Body
+    and blocks are each exactly Hermitian, so their sum is too.
     """
     n = spec.degree
     _check_window(size, 2 * n + 1)
-    coeffs = fourier_coefficients(spec)
-    out = _toeplitz_body(coeffs, size)
-    if left is not BoundaryKind.SIMPLE:
-        out[:n, :n] += _mirror(_right_corner(spec, coeffs, left))
-    if right is not BoundaryKind.SIMPLE:
-        out[size - n :, size - n :] += _right_corner(spec, coeffs, right)
-    return hermitian(out)
+    top, bottom = _window_corners(spec, left, right)
+    out = _toeplitz_body(fourier_coefficients(spec), size)
+    if top is not None:
+        out[:n, :n] += top
+    if bottom is not None:
+        out[size - n :, size - n :] += bottom
+    return _wrap(out)
 
 
 def classic_neumann(coeffs: BandedCoeffs, size: int, side: str) -> HermitianMatrix:

@@ -22,7 +22,8 @@ finite; ``--tol`` must be finite and positive.  Exit status is 0 on
 success with all verdicts true, 1 on a verification failure, 2 on usage
 errors.  Windows are stored densely, so a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
-built.  Output is byte-stable for fixed inputs: JSON uses shortest
+built.  So is a coefficient row outside the float64 range: a symbol of
+degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  Output is byte-stable for fixed inputs: JSON uses shortest
 round-trip floats, CSV cells carry 17 significant digits.  A zero cell is
 written ``0+0i``; a signed zero keeps its sign (``-0+0i``, ``0-0i``).
 """
@@ -80,8 +81,9 @@ class CliUsageError(Exception):
     pass
 
 
-#: Largest window size accepted; building a dense window of size L peaks
-#: near 64 * L**2 bytes, about 1 GB at this limit.
+#: Largest window size accepted; a dense window of size L takes 16 * L**2
+#: bytes, 268 MB at this limit.  ``check`` and ``gap`` build no window but
+#: keep the same limit.
 _MAX_DENSE_SIZE = 4096
 
 
@@ -90,6 +92,15 @@ def _require_dense(size: int, source: str) -> None:
         raise CliUsageError(
             f"window size {size} from {source} exceeds the dense limit {_MAX_DENSE_SIZE}"
         )
+
+
+#: Largest symbol degree accepted.  sum |a_k| <= 4**N for a product symbol
+#: of degree N, with equality for (2 - 2*cos(x))**N, so up to this degree
+#: every coefficient row stays below 2**1022 and its symmetrization (which
+#: doubles entries) cannot overflow.  A --penta row must respect the same
+#: bound on sum |a_k|.
+_MAX_DEGREE = 511
+_MAX_ROW_SUM = 4.0**_MAX_DEGREE
 
 
 _ANGLE_RE = re.compile(
@@ -124,7 +135,13 @@ def parse_factors(text: str) -> SymbolSpec:
         except ValueError as exc:
             raise CliUsageError(f"bad multiplicity in {item!r}") from exc
         factors.append((parse_angle(angle_s), mult))
-    return make_symbol(factors)
+    spec = make_symbol(factors)
+    if spec.degree > _MAX_DEGREE:
+        raise CliUsageError(
+            f"symbol degree {spec.degree} exceeds {_MAX_DEGREE}: its coefficients"
+            " would leave the float64 range"
+        )
+    return spec
 
 
 def parse_penta(text: str) -> tuple[float, float, float]:
@@ -137,6 +154,11 @@ def parse_penta(text: str) -> tuple[float, float, float]:
         raise CliUsageError(f"bad pentadiagonal values {text!r}") from exc
     if not all(math.isfinite(v) for v in (a0, a1, a2)):
         raise CliUsageError(f"pentadiagonal values {text!r} are not all finite numbers")
+    if abs(a0) + 2.0 * abs(a1) + 2.0 * abs(a2) > _MAX_ROW_SUM:
+        raise CliUsageError(
+            f"pentadiagonal values {text!r} leave the float64 range:"
+            f" sum |a_k| exceeds 4**{_MAX_DEGREE}"
+        )
     return a0, a1, a2
 
 

@@ -4,8 +4,10 @@ Entry convention: row i, column j of a Toeplitz restriction holds a_{j-i},
 matching the action (T b)_i = sum_j a_{j-i} b_j of the bi-infinite operator.
 All constructors return matrices that satisfy entries[i][j] ==
 conj(entries[j][i]) exactly.  Every window, the corner-corrected ones
-included, keeps half-bandwidth N; dense storage is used throughout because
-sizes stay at desk scale.
+included, keeps half-bandwidth N.  The matrices here are stored densely,
+for export, the Jacobi engine and the test oracles; the certificates and
+gap computations in ``spectra`` work from the coefficient row and the N x N
+corner blocks instead and build no window.
 """
 
 from __future__ import annotations
@@ -73,12 +75,15 @@ def hermitian(raw, tol: float = 1e-14) -> HermitianMatrix:
 
 
 def _toeplitz_body(coeffs: BandedCoeffs, size: int) -> np.ndarray:
+    """T_size(g) as a writable array, for any size >= 1, written by diagonals."""
     n = coeffs.half_bandwidth
-    idx = np.arange(size)
-    diff = idx[None, :] - idx[:, None]
-    inband = np.abs(diff) <= n
     out = np.zeros((size, size), dtype=np.complex128)
-    out[inband] = coeffs.a[diff[inband] + n]
+    flat = out.reshape(-1)
+    reach = min(n, size - 1)
+    # Diagonal j - i = k runs through the flat array with stride size + 1,
+    # from (0, k) for k >= 0 and from (-k, 0) for k < 0.
+    for k in range(-reach, reach + 1):
+        flat[max(k, -k * size) : min(size, size - k) * size : size + 1] = coeffs.a[k + n]
     return out
 
 

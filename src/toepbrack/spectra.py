@@ -3,15 +3,18 @@
 Two self-contained engines keep external eigensolvers out of the
 verification path; LAPACK appears only as an independent cross-check in
 the test suite.  Every window, boundary corners included, is the banded
-Toeplitz body plus one N x N block per edge, and its smallest eigenvalue
-comes from multisection on the signs of banded LDL* pivots in
-O(L * N**2) per pass.  That gives the floor of the bracketing chain, and
-the spectral gap too: by the Gram identity the softened window of size L
-has an N-dimensional kernel and the rest of its spectrum is that of
-T_{L-N}(g).  The other three bracketing margins are smallest eigenvalues
-of differences that vanish outside a block of at most 2N rows; a cyclic
-Jacobi diagonalization that rotates only pairs above a threshold finds
-them, and on such a difference it only ever rotates inside that block.
+Toeplitz body plus one N x N block per edge (``boundary._window_corners``),
+and its smallest eigenvalue comes from multisection on the signs of banded
+LDL* pivots in O(L * N**2) per pass, fed with the coefficient row and the
+two blocks.  That gives the floor of the bracketing chain, and the
+spectral gap too: by the Gram identity the softened window of size L has
+an N-dimensional kernel and the rest of its spectrum is that of
+T_{L-N}(g); the kernel is checked by a banded product.  The other three
+bracketing margins are smallest eigenvalues of differences that vanish
+outside the 2N rows at the split; they are formed there as 2N x 2N blocks
+from the coupling across the split and the corners, and a cyclic Jacobi
+diagonalization that rotates only pairs above a threshold finds them.  So
+neither a certificate nor a gap builds an L x L matrix.
 """
 
 from __future__ import annotations
@@ -22,16 +25,15 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import BoundaryKind, build_restricted, dirichlet_from_neumann
+from .boundary import BoundaryKind, _check_window, _window_corners
 from .errors import (
     DimensionMismatchError,
     DuplicateNodeError,
     KernelMismatchError,
     NoConvergenceError,
     SizeTooSmallError,
-    ToepbrackError,
 )
-from .matrices import HermitianMatrix, _toeplitz_body, direct_sum, toeplitz_finite
+from .matrices import HermitianMatrix, _toeplitz_body, _wrap
 from .symbols import (
     TWO_PI,
     BandedCoeffs,
@@ -187,10 +189,19 @@ def check_bracketing(
     both-sided softened blocks (their floor, relative to inf g = 0), the
     one-sided minus both-sided softened direct sums, the whole window minus
     the softened direct sum, and the stiffened direct sum minus the whole
-    window.  Verdicts compare each margin against -tol * max(1, norm(T)).
-    The floor comes from banded multisection on each window's Toeplitz
-    body and corners, after a check that the window has exactly that
-    form; the three differences go to :func:`eigenvalues`.
+    window.  Verdicts compare each margin against -tol * max(1, sum|a_k|),
+    sum|a_k| being the row-sum norm of T.
+
+    No window is built.  Each is the Toeplitz body plus the two corners
+    from :func:`boundary._window_corners`, so the floor comes from banded
+    multisection on body and corners.  The three differences vanish outside
+    2N rows: with X the coupling of the two halves across the split (T_2N
+    with its diagonal N x N blocks zeroed) and D = diag(bottom, top) the
+    soft corners that meet there, they are -D (up to the order of its two
+    blocks), X - D and -X - D.  :func:`eigenvalues` diagonalizes each 2N x
+    2N block, and min(0, .) adds back the zero eigenvalue of the rows the
+    difference does not touch.  The stiff corner is minus the soft one for
+    both kinds, so no Dirichlet window is formed either.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
@@ -200,31 +211,30 @@ def check_bracketing(
     """
     if neumann not in (BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.CLASSIC_NEUMANN):
         raise ValueError("neumann must be the modified or the classic Neumann kind")
+    n = spec.degree
+    for size in (size1, size2):
+        _check_window(size, 2 * n + 1)
     coeffs = fourier_coefficients(spec)
-    whole = toeplitz_finite(coeffs, size1 + size2)
-    soft1 = build_restricted(spec, size1, BoundaryKind.SIMPLE, neumann)
-    soft2 = build_restricted(spec, size2, neumann, BoundaryKind.SIMPLE)
-    both1 = build_restricted(spec, size1, neumann, neumann)
-    both2 = build_restricted(spec, size2, neumann, neumann)
-    if neumann is BoundaryKind.MODIFIED_NEUMANN:
-        stiff = direct_sum(
-            build_restricted(spec, size1, BoundaryKind.SIMPLE, BoundaryKind.MODIFIED_DIRICHLET),
-            build_restricted(spec, size2, BoundaryKind.MODIFIED_DIRICHLET, BoundaryKind.SIMPLE),
-        )
-    else:
-        stiff = dirichlet_from_neumann(whole, soft1, soft2)
-    soft = direct_sum(soft1, soft2)
+    top, bottom = _window_corners(spec, neumann, neumann)
+    coupling = _toeplitz_body(coeffs, 2 * n)
+    coupling[:n, :n] = coupling[n:, n:] = 0.0
+    soft = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    soft[:n, :n], soft[n:, n:] = bottom, top
+
+    def margin(difference: np.ndarray) -> float:
+        return min(0.0, float(eigenvalues(_wrap(difference)).values[0]))
+
     return BracketReport(
-        size=whole.dim,
+        size=size1 + size2,
         size1=size1,
         size2=size2,
-        floor_nn=min(_window_lambda_min(coeffs, both1), _window_lambda_min(coeffs, both2)),
-        delta_nn=psd_gap(soft, direct_sum(both1, both2)),
-        delta_lower=psd_gap(whole, soft),
-        delta_upper=psd_gap(stiff, whole),
+        floor_nn=min(_banded_lambda_min(coeffs, size, top, bottom) for size in (size1, size2)),
+        delta_nn=margin(-soft),
+        delta_lower=margin(coupling - soft),
+        delta_upper=margin(-coupling - soft),
         symbol_floor=0.0,
         rel_tol=tol,
-        abs_tol=tol * max(1.0, whole.row_sum_norm()),
+        abs_tol=tol * max(1.0, float(np.abs(coeffs.a).sum())),
     )
 
 
@@ -364,7 +374,7 @@ _SHIFTS = 31
 
 
 def _banded_lambda_min(
-    coeffs: BandedCoeffs, m: int, left: np.ndarray | None = None, right: np.ndarray | None = None
+    coeffs: BandedCoeffs, m: int, top: np.ndarray | None = None, bottom: np.ndarray | None = None
 ) -> float:
     """Smallest eigenvalue of the m x m window T_m(g) plus optional N x N
     blocks at its top-left and bottom-right corners.
@@ -374,8 +384,8 @@ def _banded_lambda_min(
     pass runs the banded right-looking recurrence over the m rows for 31
     equispaced shifts at once, keeping only the trailing (N+1) x (N+1)
     Schur block; the first shift with a nonpositive pivot ends the pass for
-    itself and every shift above it.  The left corner enters with the
-    starting block, the right one once the block holds the last N rows (no
+    itself and every shift above it.  The top corner enters with the
+    starting block, the bottom one once the block holds the last N rows (no
     earlier pivot reads them).  The bracket starts at [0, r] without
     corners (T > 0 for a product symbol) and at [-r, r] with them, r the
     row-sum bound; it shrinks 32-fold per pass down to the banded Cholesky
@@ -385,22 +395,22 @@ def _banded_lambda_min(
     """
     n = coeffs.half_bandwidth
     a = coeffs.a
-    if not any(np.any(np.imag(x)) for x in (a, left, right) if x is not None):
-        a, left, right = (None if x is None else np.real(x) for x in (a, left, right))
+    if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
+        a, top, bottom = (None if x is None else np.real(x) for x in (a, top, bottom))
     norm = float(np.abs(a).sum())
-    reach = norm + sum(float(np.abs(x).sum(axis=1).max()) for x in (left, right) if x is not None)
+    reach = norm + sum(float(np.abs(x).sum(axis=1).max()) for x in (top, bottom) if x is not None)
     # Rows 0..n of T - s*I: the first n form the starting Schur block, and
     # row n (entries a_n..a_1 above its diagonal) is the template of every
     # row that enters later.  The update rewrites only the leading n x n
     # block, so the entering row stays in place until the band runs past
     # row m-1.  There it becomes a decoupled unit row, and the leading
-    # block, then rows m-n..m-1, takes the right corner.
+    # block, then rows m-n..m-1, takes the bottom corner.
     k = np.arange(n + 1)
     template = a[n + k[None, :] - k[:, None]]
-    if left is not None:
-        template[:n, :n] += left
+    if top is not None:
+        template[:n, :n] += top
     tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, norm)
-    lo, hi = (0.0 if left is None and right is None else -reach), reach
+    lo, hi = (0.0 if top is None and bottom is None else -reach), reach
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
     while hi - lo > tol:
         shifts = lo + (hi - lo) * steps
@@ -411,8 +421,8 @@ def _banded_lambda_min(
                 block[:, :, n] = 0.0
                 block[:, n, :] = 0.0
                 block[:, n, n] = 1.0
-                if right is not None:
-                    block[:, :n, :n] += right
+                if bottom is not None:
+                    block[:, :n, :n] += bottom
             pivots = block[:, 0, 0].real
             if pivots.min() <= 0.0:
                 alive = int(np.argmax(pivots <= 0.0))
@@ -431,20 +441,6 @@ def _banded_lambda_min(
     return 0.5 * (lo + hi)
 
 
-def _window_lambda_min(coeffs: BandedCoeffs, window: HermitianMatrix) -> float:
-    """lambda_min of a window that must be the Toeplitz body plus two N x N corners."""
-    n = coeffs.half_bandwidth
-    extra = window.entries - _toeplitz_body(coeffs, window.dim)
-    left, right = extra[:n, :n].copy(), extra[-n:, -n:].copy()
-    extra[:n, :n] = extra[-n:, -n:] = 0.0
-    if np.any(extra):
-        raise ToepbrackError(
-            f"window of size {window.dim} differs from its Toeplitz body outside the corners"
-            f" at entries {np.argwhere(extra)[:3].tolist()}"
-        )
-    return _banded_lambda_min(coeffs, window.dim, left, right)
-
-
 def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
     """Kernel dimension and first nonzero eigenvalue of the softened window.
 
@@ -453,23 +449,33 @@ def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
     stencil's first coefficient is 1.  So W has an exactly N-dimensional
     kernel and its nonzero spectrum is that of T_{L-N}(g): the gap is
     lambda_min(T_{L-N}(g)), found by banded multisection in O(L * N**2)
-    per pass.  The window itself is still built, and every
-    :func:`kernel_basis` vector must satisfy max|W v| <= 1e-9 * norm(W)
-    (row-sum norm); a larger residual signals a construction bug and
-    raises KernelMismatchError.
+    per pass.  W is not built: every :func:`kernel_basis` vector v is
+    checked by the banded product W v (the Toeplitz body, then the two
+    corners on the N edge rows), and max|W v| above 1e-9 * sum|a_k|, the
+    row sum of W's interior rows, signals a construction bug and raises
+    KernelMismatchError.
     """
     n = spec.degree
-    matrix = build_restricted(
-        spec, size, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN
+    _check_window(size, 2 * n + 1)
+    coeffs = fourier_coefficients(spec)
+    top, bottom = _window_corners(
+        spec, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN
     )
-    residual = np.abs(matrix.entries @ np.stack(kernel_basis(spec, size), axis=1)).max(axis=0)
-    kernel_tol = 1e-9 * matrix.row_sum_norm()
+    basis = np.stack(kernel_basis(spec, size), axis=1)
+    image = np.zeros_like(basis)
+    for k in range(-n, n + 1):  # row i of W holds a_k in column i + k
+        lo, hi = max(0, -k), min(size, size - k)
+        image[lo:hi] += coeffs.a[k + n] * basis[lo + k : hi + k]
+    image[:n] += top @ basis[:n]
+    image[-n:] += bottom @ basis[-n:]
+    residual = np.abs(image).max(axis=0)
+    kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     if residual.max() > kernel_tol:
         raise KernelMismatchError(
             f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
             f" > {kernel_tol:.3e} in the softened window of size {size}"
         )
-    return n, _banded_lambda_min(fourier_coefficients(spec), size - n)
+    return n, _banded_lambda_min(coeffs, size - n)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
+from toepbrack.boundary import _window_corners
 from conftest import random_spec
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -257,6 +258,17 @@ def test_every_window_is_bitwise_hermitian(pair):
         for size in (2 * spec.degree + 1, 40):
             m = _window(spec, size, pair)
             assert np.array_equal(m, m.conj().T), (spec, size)
+
+
+@pytest.mark.parametrize("spec", REAL_SPECS + COMPLEX_SPECS, ids=lambda spec: str(spec.factors))
+def test_dirichlet_corner_is_minus_the_neumann_corner(spec):
+    # Exactly equal (only the sign of a zero may differ), so a check can
+    # take the stiff corners as -(soft corners).
+    assert np.array_equal(corner_block(spec, D_KIND).entries, -corner_block(spec, N_KIND).entries)
+    stiff = _window_corners(spec, D_KIND, D_KIND)
+    soft = _window_corners(spec, N_KIND, N_KIND)
+    for d, n in zip(stiff, soft):
+        assert np.array_equal(d, -n)
 
 
 def _pad_top_left(block, size):

@@ -21,7 +21,14 @@ from toepbrack import (
     toeplitz_finite,
 )
 from toepbrack import cli
-from toepbrack.cli import CliUsageError, main, parse_angle, parse_penta
+from toepbrack.cli import (
+    CliUsageError,
+    main,
+    parse_angle,
+    parse_factors,
+    parse_int_list,
+    parse_penta,
+)
 from test_boundary import ALL_PAIRS, _window_specs
 
 
@@ -156,6 +163,76 @@ class TestPentaParsing:
         assert err.startswith("error: ") and "not all finite" in err
 
 
+class TestFactorParsing:
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789.eE+-*/pi:, ", max_size=30),
+            st.lists(
+                st.tuples(
+                    st.sampled_from(["0", "pi", "2.0", "-1", "pi/3", "2pi", "1e400", "x", ""]),
+                    st.integers(-2, 600),
+                ),
+                min_size=1,
+                max_size=3,
+            ).map(lambda factors: ",".join(f"{e}:{m}" for e, m in factors)),
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_text_is_a_finite_symbol_or_refused(self, text):
+        try:
+            spec = parse_factors(text)
+        except (CliUsageError, *cli._USAGE_ERRORS):
+            return
+        assert np.all(np.isfinite(fourier_coefficients(spec).a))
+
+    @given(
+        text=st.one_of(
+            st.text(),
+            st.text(alphabet="0123456789+-, _", max_size=30),
+            st.lists(st.integers(-10, 10**6), min_size=1, max_size=6).map(
+                lambda sizes: ",".join(map(str, sizes))
+            ),
+        )
+    )
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    def test_any_sizes_text_parses_or_is_refused(self, text):
+        try:
+            sizes = parse_int_list(text, "sizes")
+        except CliUsageError:
+            return
+        assert sizes and all(isinstance(size, int) for size in sizes)
+        assert len(sizes) == text.count(",") + 1
+
+
+class TestCoefficientRange:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--penta", "1e308,1,1"],
+            ["export", "--penta", "1e308,-1e308,1e308", "--size", "6", "--bc", "nn"],
+            ["check", "--penta", "1e308,-1e308,1e308", "--split", "8,8"],
+            ["coeffs", "--factors", "0:520"],
+            ["coeffs", "--factors", "0:300,1.0:212"],
+            ["coeffs", "--factors", "0:100000"],
+        ],
+    )
+    def test_out_of_range_row_exits_two(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "float64 range" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["coeffs", "--penta", "1e307,1,1"], ["coeffs", "--factors", "0:511"]],
+    )
+    def test_edge_of_range_still_works(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert np.all(np.isfinite(json.loads(out)["coefficients"]))
+
+
 class TestSizeArguments:
     @pytest.mark.parametrize(
         "argv",
@@ -285,6 +362,19 @@ class TestCheck:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --tol must be a finite positive number")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--factors", "1.0:1", "--split", "8,8", "--classic-neumann"],
+            ["export", "--factors", "1.0:1", "--size", "8", "--bc", "cc"],
+        ],
+    )
+    def test_classic_corner_of_complex_symbol_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: Hermitian deviation")
 
     def test_size_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--factors", "0:2", "--split", "4,7")

@@ -18,7 +18,9 @@ from toepbrack import (
     reflect_antidiagonal,
     toeplitz_finite,
 )
+from toepbrack.matrices import _toeplitz_body
 from conftest import random_spec
+from test_spectra import dense_toeplitz
 
 
 class TestHermitianConstructor:
@@ -69,6 +71,17 @@ class TestToeplitzFinite:
         coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
         with pytest.raises(SizeTooSmallError):
             toeplitz_finite(coeffs, 4)
+
+    def test_body_matches_dense_oracle_bitwise(self, rng):
+        # Sizes 1..2N+1 cover windows narrower than the band.
+        for _ in range(20):
+            spec = random_spec(rng, max_mult=3)
+            coeffs = fourier_coefficients(spec)
+            n = spec.degree
+            for size in [*range(1, 2 * n + 2), int(rng.integers(2 * n + 2, 60))]:
+                body = _toeplitz_body(coeffs, size)
+                expected = np.asarray(dense_toeplitz(coeffs, size), dtype=np.complex128)
+                assert body.tobytes() == expected.tobytes(), (spec, size)
 
     def test_window_consistency(self, rng):
         # Any contiguous sub-window of a larger window is the smaller window.

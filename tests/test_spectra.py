@@ -1,6 +1,7 @@
 """Eigensolver, bracketing certification, kernels, Vandermonde and gap scaling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,9 @@ from toepbrack import (
     spectral_gap,
     toeplitz_finite,
 )
-from toepbrack import ToepbrackError, dirichlet_from_neumann, spectra
-from toepbrack.spectra import _banded_lambda_min, _window_lambda_min
+from toepbrack import dirichlet_from_neumann, spectra
+from toepbrack.boundary import _window_corners
+from toepbrack.spectra import _banded_lambda_min
 from conftest import random_spec, random_split
 from test_boundary import ALL_PAIRS, _window, _window_specs
 
@@ -209,6 +211,28 @@ class TestCheckBracketing:
             check_bracketing(make_symbol([(0.0, 1)]), 3, 3, neumann=BoundaryKind.SIMPLE)
 
 
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 512, 512),
+        lambda: spectral_gap(make_symbol([(0.0, 1)]), 2048),
+    ],
+    ids=["check_bracketing", "spectral_gap"],
+)
+def test_no_window_is_built(call):
+    # A dense window takes 16 MB at size 1024 and 64 MB at size 2048.
+    assert _peak_bytes(call) < 4 * 2**20
+
+
 class TestKernelBasis:
     def test_laplacian_constant_vector(self):
         (phi,) = kernel_basis(make_symbol([(0.0, 1)]), 4)
@@ -368,12 +392,13 @@ class TestSpectralGap:
             assert gap >= floor - 1e-9 * max(1.0, abs(floor))
 
     def test_corrupted_window_fails_kernel_check(self, monkeypatch):
-        def corrupted(spec, size, left, right):
-            entries = build_restricted(spec, size, left, right).entries.copy()
-            entries[0, 0] += 1e-3
-            return HermitianMatrix(entries)
+        def corrupted(spec, left, right):
+            top, bottom = _window_corners(spec, left, right)
+            top = top.copy()
+            top[0, 0] += 1e-3
+            return top, bottom
 
-        monkeypatch.setattr(spectra, "build_restricted", corrupted)
+        monkeypatch.setattr(spectra, "_window_corners", corrupted)
         for factors in ([(0.0, 1)], [(0.0, 2)], [(1.0, 1), (2.5, 2)]):
             with pytest.raises(KernelMismatchError):
                 spectral_gap(make_symbol(factors), 24)
@@ -411,23 +436,15 @@ class TestBandedLambdaMin:
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
     def test_corner_windows_against_lapack(self, pair):
         # Every boundary window is the Toeplitz body plus its two corners.
+        left, right = (BoundaryKind.from_code(code) for code in pair)
         for spec in _window_specs(pair):
             coeffs = fourier_coefficients(spec)
+            corners = _window_corners(spec, left, right)
             for size in (2 * spec.degree + 1, 2 * spec.degree + 2, 33):
                 window = hermitian(_window(spec, size, pair))
                 ref = np.linalg.eigvalsh(window.entries)[0]
                 tol = 1e-12 * max(1.0, window.row_sum_norm())
-                assert abs(_window_lambda_min(coeffs, window) - ref) <= tol, (spec, size)
-
-    @pytest.mark.parametrize("entry", [(0, 4), (5, 5), (9, 8), (3, 2)])
-    def test_window_off_its_corners_raises(self, entry):
-        spec = make_symbol([(0.0, 1), (2.0, 1)])
-        entries = build_restricted(spec, 12, N_KIND, N_KIND).entries.copy()
-        i, j = entry
-        entries[i, j] += 1e-3
-        entries[j, i] += 1e-3
-        with pytest.raises(ToepbrackError, match="outside the corners"):
-            _window_lambda_min(fourier_coefficients(spec), HermitianMatrix(entries))
+                assert abs(_banded_lambda_min(coeffs, size, *corners) - ref) <= tol, (spec, size)
 
     def test_deterministic(self):
         coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
