@@ -18,7 +18,6 @@ from toepbrack import (
     BoundaryKind,
     build_restricted,
     check_bracketing,
-    classic_neumann,
     classic_split_difference,
     direct_sum,
     eigenvalues,
@@ -33,7 +32,7 @@ squared = make_symbol([(0.0, 2)])
 coeffs = fourier_coefficients(squared)
 
 # The classic corner adds a 2x2 Hankel block built from a_{-1}, a_{-2}.
-half = classic_neumann(coeffs, 4, "left")
+half = build_restricted(squared, 5, BoundaryKind.CLASSIC_NEUMANN, BoundaryKind.SIMPLE)
 print("classic-Neumann half window (left corner modified):\n", half.entries.real)
 
 # The defect of the split has the famous alternating central block.

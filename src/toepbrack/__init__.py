@@ -13,7 +13,6 @@ from .boundary import (
     BoundaryKind,
     StencilVector,
     build_restricted,
-    classic_neumann,
     classic_split_difference,
     corner_block,
     dirichlet_from_neumann,
@@ -38,7 +37,6 @@ from .matrices import (
     circulant_periodic,
     direct_sum,
     hermitian,
-    reflect_antidiagonal,
     toeplitz_finite,
 )
 from .spectra import (
@@ -52,7 +50,6 @@ from .spectra import (
     gap_scan,
     grid_shift,
     kernel_basis,
-    psd_gap,
     sampled_gap_floor,
     spectral_gap,
 )
@@ -103,7 +100,6 @@ __all__ = [
     "check_bracketing_penta",
     "circulant_periodic",
     "circular_distance",
-    "classic_neumann",
     "classic_split_difference",
     "confluent_vandermonde_abs",
     "corner_block",
@@ -119,10 +115,8 @@ __all__ = [
     "kernel_basis",
     "make_symbol",
     "penta_coefficients",
-    "psd_gap",
     "rank_one_sum",
     "reduce_angle",
-    "reflect_antidiagonal",
     "sampled_gap_floor",
     "spectral_gap",
     "stencil",

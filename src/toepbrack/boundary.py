@@ -217,41 +217,33 @@ def build_restricted(
     return _wrap(out)
 
 
-def classic_neumann(coeffs: BandedCoeffs, size: int, side: str) -> HermitianMatrix:
-    """Toeplitz window plus the classic Hankel corner on one side.
-
-    ``side`` is "left" or "right".  Only real-coefficient symbols give a
-    Hermitian Hankel block; complex coefficients raise NonHermitianError.
-    The window may be as small as N+1 (band and single corner still fit),
-    which the split counterexamples need.
-    """
-    n = coeffs.half_bandwidth
-    _check_window(size, n + 1)
-    out = _toeplitz_body(coeffs, size)
-    block = _hankel_block(coeffs)
-    if side == "left":
-        out[:n, :n] += block
-    elif side == "right":
-        out[size - n :, size - n :] += _mirror(block)
-    else:
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    return hermitian(out)
-
-
 def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> HermitianMatrix:
     """T_{L1+L2} minus the direct sum of classic-Neumann halves.
 
     For the plain Laplacian this difference is positive semidefinite; for
     2 + 2*cos(x) and for the squared Laplacian it has negative eigenvalues,
     which is exactly why the classic condition cannot bracket.  The
-    returned matrix makes that failure inspectable.
+    returned matrix makes that failure inspectable.  It vanishes outside
+    the 2N rows at the split, where it is T_2N with its diagonal N x N
+    blocks replaced by minus the two classic corners that meet there.
+    Each half may be as small as N+1, where its corner still fits.  Only
+    real-coefficient symbols give a Hermitian Hankel corner; complex
+    coefficients raise NonHermitianError.
     """
+    n = coeffs.half_bandwidth
     size = size1 + size2
-    _check_window(size, 2 * coeffs.half_bandwidth + 1)
-    whole = _toeplitz_body(coeffs, size)
-    whole[:size1, :size1] -= classic_neumann(coeffs, size1, "right").entries
-    whole[size1:, size1:] -= classic_neumann(coeffs, size2, "left").entries
-    return hermitian(whole)
+    _check_window(size, 2 * n + 1)
+    for half in (size1, size2):
+        _check_window(half, n + 1)
+    hankel = _hankel_block(coeffs)
+    top, bottom = hermitian(hankel).entries, hermitian(_mirror(hankel)).entries
+    block = _toeplitz_body(coeffs, 2 * n)
+    # 0 - corner, not -corner, so that zero cells stay 0+0i.
+    block[:n, :n] = 0.0 - bottom
+    block[n:, n:] = 0.0 - top
+    out = np.zeros((size, size), dtype=np.complex128)
+    out[size1 - n : size1 + n, size1 - n : size1 + n] = block
+    return _wrap(out)
 
 
 def dirichlet_from_neumann(

@@ -23,9 +23,12 @@ success with all verdicts true, 1 on a verification failure, 2 on usage
 errors.  Windows are stored densely, so a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
 built.  So is a coefficient row outside the float64 range: a symbol of
-degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  Output is byte-stable for fixed inputs: JSON uses shortest
-round-trip floats, CSV cells carry 17 significant digits.  A zero cell is
-written ``0+0i``; a signed zero keeps its sign (``-0+0i``, ``0-0i``).
+degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  A
+``gap`` scan whose observed constant gap * L**(2*alpha_max) leaves the
+float64 range exits 2 as well.  Output is byte-stable for fixed inputs:
+JSON uses shortest round-trip floats, CSV cells carry 17 significant
+digits.  A zero cell is written ``0+0i``; a signed zero keeps its sign
+(``-0+0i``, ``0-0i``).
 """
 
 from __future__ import annotations
@@ -316,6 +319,11 @@ def cmd_gap(args) -> int:
         _require_dense(size, "--sizes")
     spec = args.parsed_spec
     report = gap_scan(spec, sizes)
+    if not math.isfinite(report.c_empirical):
+        raise CliUsageError(
+            f"c_empirical = min gap * L**{2 * report.alpha_max} leaves the float64 range;"
+            " use smaller sizes"
+        )
     floors = {s: sampled_gap_floor(spec, s, seed=args.seed) for s, _ in report.records}
     payload = {
         "command": "gap",

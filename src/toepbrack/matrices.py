@@ -128,14 +128,3 @@ def direct_sum(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
     out[na:, na:] = b.entries
     return _wrap(out)
 
-
-def reflect_antidiagonal(b: HermitianMatrix) -> HermitianMatrix:
-    """Reflection along the anti-diagonal: out[i][j] = B[n-1-i][n-1-j].
-
-    This is conjugation by the index-reversal permutation, so the spectrum
-    is unchanged and the reflection is an involution.  Note that for complex
-    Hermitian input it does NOT commute with complex conjugation; boundary
-    constructions that mirror a right-corner block to the left corner need
-    the conjugated reflection (see toepbrack.boundary).
-    """
-    return _wrap(b.entries[::-1, ::-1])

@@ -10,7 +10,6 @@ from toepbrack import (
     NonHermitianError,
     SizeTooSmallError,
     build_restricted,
-    classic_neumann,
     classic_split_difference,
     corner_block,
     dirichlet_from_neumann,
@@ -278,29 +277,29 @@ def _pad_top_left(block, size):
 
 
 class TestClassicNeumann:
+    C_KIND = BoundaryKind.CLASSIC_NEUMANN
+
     def test_laplacian_left_vertex(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
-        m = classic_neumann(coeffs, 5, "left")
+        m = build_restricted(make_symbol([(0.0, 1)]), 5, self.C_KIND, SIMPLE)
         assert m.entries[0, 0] == 1.0
         assert m.entries[1, 1] == 2.0
 
     def test_matches_modified_for_laplacian(self):
         spec = make_symbol([(0.0, 1)])
-        coeffs = fourier_coefficients(spec)
-        classic = classic_neumann(coeffs, 6, "left")
+        classic = build_restricted(spec, 6, self.C_KIND, SIMPLE)
         modified = build_restricted(spec, 6, N_KIND, SIMPLE)
         assert_allclose(classic.entries, modified.entries, atol=0)
 
     def test_laplacian_squared_hankel_corner(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
-        t = toeplitz_finite(coeffs, 5).entries
-        m = classic_neumann(coeffs, 5, "left").entries
+        spec = make_symbol([(0.0, 2)])
+        t = toeplitz_finite(fourier_coefficients(spec), 5).entries
+        m = build_restricted(spec, 5, self.C_KIND, SIMPLE).entries
         assert_allclose(m - t, _pad_top_left(np.array([[-4.0, 1.0], [1.0, 0.0]]), 5), atol=0)
 
     def test_right_side_is_mirror(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
-        left = classic_neumann(coeffs, 6, "left").entries
-        right = classic_neumann(coeffs, 6, "right").entries
+        spec = make_symbol([(0.0, 2)])
+        left = build_restricted(spec, 6, self.C_KIND, SIMPLE).entries
+        right = build_restricted(spec, 6, SIMPLE, self.C_KIND).entries
         assert_allclose(right, left[::-1, ::-1], atol=0)
 
     def test_split_difference_matches_displayed_pattern(self):
@@ -315,21 +314,35 @@ class TestClassicNeumann:
         ]
         assert_allclose(diff, expected, atol=0)
 
+    @pytest.mark.parametrize(
+        "factors", [[(0.0, 1)], [(np.pi, 1)], [(0.0, 2)], [(0.3, 2), (-0.3, 2)]]
+    )
+    def test_split_difference_is_whole_minus_classic_halves(self, factors):
+        # Oracle: the dense windows, halves of at least 2N+1 rows.
+        spec = make_symbol(factors)
+        coeffs = fourier_coefficients(spec)
+        size1, size2 = 2 * spec.degree + 1, 2 * spec.degree + 4
+        halves = np.zeros((size1 + size2,) * 2, dtype=complex)
+        halves[:size1, :size1] = build_restricted(spec, size1, SIMPLE, self.C_KIND).entries
+        halves[size1:, size1:] = build_restricted(spec, size2, self.C_KIND, SIMPLE).entries
+        expected = toeplitz_finite(coeffs, size1 + size2).entries - halves
+        scale = float(np.abs(coeffs.a).sum())
+        diff = classic_split_difference(coeffs, size1, size2).entries
+        assert_allclose(diff, expected, rtol=0, atol=4 * np.finfo(float).eps * scale)
+
     def test_complex_symbol_rejected(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 1), (2.0, 1)]))
+        spec = make_symbol([(0.0, 1), (2.0, 1)])
         with pytest.raises(NonHermitianError):
-            classic_neumann(coeffs, 7, "left")
+            build_restricted(spec, 7, self.C_KIND, SIMPLE)
+        with pytest.raises(NonHermitianError):
+            classic_split_difference(fourier_coefficients(spec), 7, 7)
 
     def test_minimum_size(self):
         coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
-        classic_neumann(coeffs, 3, "left")  # N+1 is allowed
-        with pytest.raises(SizeTooSmallError):
-            classic_neumann(coeffs, 2, "left")
-
-    def test_bad_side(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
-        with pytest.raises(ValueError):
-            classic_neumann(coeffs, 5, "top")
+        classic_split_difference(coeffs, 3, 3)  # N+1 per half is allowed
+        for size1, size2 in [(2, 5), (5, 2), (1, 1)]:
+            with pytest.raises(SizeTooSmallError):
+                classic_split_difference(coeffs, size1, size2)
 
 
 class TestDirichletFromNeumann:

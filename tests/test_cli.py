@@ -428,6 +428,17 @@ class TestGap:
         assert code == 2
         assert "factors" in err
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_observed_constant_past_float_range_is_usage_error(self, capsys, fmt):
+        # 500**240 has no float64 value, and a power k**119 of the kernel
+        # basis would not either before it is normalized.
+        argv = ["gap", "--factors", "0:120", "--sizes", "480,500", "--format", fmt]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: c_empirical") and err.count("\n") == 1
+        assert not any(word in err.lower() for word in ("traceback", "nan", "inf"))
+
 
 class TestDenseSizeGuard:
     @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from toepbrack import (
     fourier_coefficients,
     hermitian,
     make_symbol,
-    reflect_antidiagonal,
     toeplitz_finite,
 )
 from toepbrack.matrices import _toeplitz_body
@@ -156,42 +155,3 @@ class TestDirectSum:
             mask[l1 - n : l1 + n, l1 - n : l1 + n] = True
             assert np.all(diff[~mask] == 0)
             assert np.abs(diff).max() > 0
-
-
-class TestReflectAntidiagonal:
-    def test_index_reversal(self):
-        b = hermitian([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, 3.0]])
-        r = reflect_antidiagonal(b)
-        assert r.entries[0, 0] == 3.0
-        assert r.entries[0, 1] == b.entries[1, 0]
-        assert r.entries[1, 0] == b.entries[0, 1]
-        assert r.entries[1, 1] == 1.0
-
-    def test_involution(self, rng):
-        raw = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        b = hermitian(raw + raw.conj().T)
-        assert np.array_equal(reflect_antidiagonal(reflect_antidiagonal(b)).entries, b.entries)
-
-    def test_corner_block_reflection(self):
-        e = 2.0
-        block = hermitian(
-            [
-                [3 + 2 * np.cos(e), -1 - np.exp(1j * e)],
-                [-1 - np.exp(-1j * e), 1.0],
-            ]
-        )
-        r = reflect_antidiagonal(block)
-        expected = [
-            [1.0, -1 - np.exp(-1j * e)],
-            [-1 - np.exp(1j * e), 3 + 2 * np.cos(e)],
-        ]
-        assert_allclose(r.entries, expected, atol=0)
-
-    def test_preserves_spectrum(self, rng):
-        raw = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        b = hermitian(raw + raw.conj().T)
-        assert_allclose(
-            eigenvalues(reflect_antidiagonal(b)).values,
-            eigenvalues(b).values,
-            atol=1e-11,
-        )
