@@ -12,8 +12,11 @@ kernel and the rest of its spectrum is that of T_{L-N}(g); the kernel is
 checked by a banded product.  The other three bracketing margins are
 smallest eigenvalues of differences that vanish outside the 2N rows at the
 split, and each is itself a window of size 2N (a coefficient row and two
-corners), so the same engine reads them.  Neither a certificate nor a gap
-builds an L x L matrix.  A cyclic Jacobi diagonalization,
+corners), so the same engine reads them.  The engine takes a batch of
+windows of one half-bandwidth and advances all their passes through one
+row loop per arithmetic kind: a certificate makes one call for its four
+windows, a gap scan one call for all its sizes.  Neither a certificate
+nor a gap builds an L x L matrix.  A cyclic Jacobi diagonalization,
 :func:`eigenvalues`, stays as the dense reference for tests and demos.
 """
 
@@ -186,9 +189,9 @@ def check_bracketing(
     window.  Verdicts compare each margin against -tol * max(1, sum|a_k|),
     sum|a_k| being the row-sum norm of T.
 
-    No window is built, and one engine gives all four margins:
-    multisection on banded LDL* pivots (:func:`_banded_lambda_min`), fed
-    with a coefficient row and the two N x N corners of a window.  The
+    No window is built, and one engine call gives all four margins:
+    multisection on banded LDL* pivots (:func:`_banded_lambda_mins`), fed
+    with a coefficient row and the two N x N corners of each window.  The
     floor reads each half as the Toeplitz body plus the two corners from
     :func:`boundary._window_corners`.  The three differences vanish outside
     the 2N rows at the split, where, with bottom and top the soft corners
@@ -217,13 +220,16 @@ def check_bracketing(
     top, bottom = _window_corners(spec, neumann, neumann)
     body = _toeplitz_body(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
-    lower = min(0.0, _banded_lambda_min(coeffs, 2 * n, -body - bottom, -body - top))
+    windows = [(coeffs, size, top, bottom) for size in (size1, size2)]
+    windows += [(coeffs, 2 * n, -body - bottom, -body - top), (zero_row, 2 * n, -bottom, -top)]
+    floor1, floor2, lower, delta_nn = _banded_lambda_mins(windows)
+    lower = min(0.0, lower)
     return BracketReport(
         size=size1 + size2,
         size1=size1,
         size2=size2,
-        floor_nn=min(_banded_lambda_min(coeffs, size, top, bottom) for size in (size1, size2)),
-        delta_nn=min(0.0, _banded_lambda_min(zero_row, 2 * n, -bottom, -top)),
+        floor_nn=min(floor1, floor2),
+        delta_nn=min(0.0, delta_nn),
         delta_lower=lower,
         delta_upper=lower,
         symbol_floor=0.0,
@@ -369,10 +375,9 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
 _SHIFTS = 31
 
 
-def _banded_lambda_min(
-    coeffs: BandedCoeffs, m: int, top: np.ndarray | None = None, bottom: np.ndarray | None = None
-) -> float:
-    """Smallest eigenvalue of the m x m window T_m(g) plus optional N x N
+def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
+    """Smallest eigenvalues of windows (coeffs, m, top, bottom) of one
+    half-bandwidth N: each is the m x m window T_m(g) plus optional N x N
     blocks at its top-left and bottom-right corners.
 
     Multisection on Sylvester's law of inertia: W - s*I is positive
@@ -390,76 +395,101 @@ def _banded_lambda_min(
     returned.  The coefficient row may be zero, for a window that is just
     its two corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never
     builds an m x m matrix.
+
+    All passes run in one row loop per arithmetic kind (:func:`_multisection`;
+    complex / real division can round otherwise than real / real), and each
+    shift does the arithmetic it does alone: no result depends on the batch.
     """
-    n = coeffs.half_bandwidth
-    a = coeffs.a
-    if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
-        a, top, bottom = (None if x is None else np.real(x) for x in (a, top, bottom))
-    reach = float(np.abs(a).sum()) + sum(
-        float(np.abs(x).sum(axis=1).max()) for x in (top, bottom) if x is not None
-    )
-    # Rows 0..n of T - s*I: the first n form the starting Schur block, and
-    # row n (entries a_n..a_1 above its diagonal) is the template of every
-    # row that enters later.  The update rewrites only the leading n x n
-    # block, so the entering row stays in place until the band runs past
-    # row m-1.  There it becomes a decoupled unit row, and the leading
-    # block, then rows m-n..m-1, takes the bottom corner.
+    n = windows[0][0].half_bandwidth
     k = np.arange(n + 1)
-    template = a[n + k[None, :] - k[:, None]]
-    if top is not None:
-        template[:n, :n] += top
-    tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
-    lo, hi = (0.0 if top is None and bottom is None else -reach), reach
+    jobs = []
+    for coeffs, m, top, bottom in windows:
+        a = coeffs.a
+        if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
+            a, top, bottom = (None if x is None else np.real(x) for x in (a, top, bottom))
+        reach = float(np.abs(a).sum()) + sum(
+            float(np.abs(x).sum(axis=1).max()) for x in (top, bottom) if x is not None
+        )
+        # Rows 0..n of T - s*I: the first n form the starting Schur block,
+        # and row n (entries a_n..a_1 above its diagonal) is the template of
+        # every row that enters later.  The update rewrites only the leading
+        # n x n block, so the entering row stays in place until the band
+        # runs past row m-1.  There it becomes a decoupled unit row, and the
+        # leading block, then rows m-n..m-1, takes the bottom corner.
+        template = a[n + k[None, :] - k[:, None]]
+        if top is not None:
+            template[:n, :n] += top
+        tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
+        lo = 0.0 if top is None and bottom is None else -reach
+        jobs.append([template, m, bottom, tol, lo, reach])
+    for kind in (False, True):
+        group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
+        if group:
+            _multisection(group)
+    return [0.5 * (job[4] + job[5]) for job in jobs]
+
+
+def _multisection(jobs: list[list]) -> None:
+    """Narrow the bracket job[4:6] of each job [template, m, bottom, tol,
+    lo, hi], all of one arithmetic kind, to width tol in one row loop.  The
+    block stacks the unretired shifts of the jobs in order; a job leaves when
+    its rows end or its last shift retires, and a converged one the next pass."""
+    n = len(jobs[0][0]) - 1
+    eye = np.eye(n + 1)
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
-    while hi - lo > tol:
-        shifts = lo + (hi - lo) * steps
-        block = template - shifts[:, None, None] * np.eye(n + 1)
-        alive = _SHIFTS
-        for i in range(m):
-            if i + n == m:
-                block[:, :, n] = 0.0
-                block[:, n, :] = 0.0
-                block[:, n, n] = 1.0
-                if bottom is not None:
-                    block[:, :n, :n] += bottom
+    real = not np.iscomplexobj(jobs[0][0])
+    jobs = [job for job in jobs if job[5] - job[4] > job[3]]
+    while jobs:
+        shifts = [lo + (hi - lo) * steps for *_, lo, hi in jobs]
+        block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
+        alive = [_SHIFTS] * len(jobs)  # unretired shifts of each job
+        rows = list(alive)  # its rows of the block, 0 once it left
+        events = {row for job in jobs for row in (job[1] - n, job[1])}
+        for i in range(max(job[1] for job in jobs)):
             pivots = block[:, 0, 0].real
-            if pivots.min() <= 0.0:
-                alive = int(np.argmax(pivots <= 0.0))
-                if alive == 0:
+            # Not min <= 0: a NaN of one job must not hide another's pivot.
+            if i in events or not pivots.min() > 0.0:
+                keep, at = np.ones(len(block), dtype=bool), 0
+                for j, job in enumerate(jobs):
+                    start, at = at, at + rows[j]
+                    mine = block[start:at]
+                    if job[1] - n == i:
+                        mine[:, :, n] = mine[:, n, :] = 0.0
+                        mine[:, n, n] = 1.0
+                        if job[2] is not None:
+                            mine[:, :n, :n] += job[2]
+                    if job[1] == i:
+                        keep[start:at], rows[j] = False, 0
+                    elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
+                        alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
+                        keep[start + rows[j] : at] = False
+                block = block[keep]
+                if not len(block):
                     break
-                block = block[:alive]
-                pivots = pivots[:alive]
+                pivots = block[:, 0, 0].real
             v = block[:, 1:, 0]
-            block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * np.conj(
-                v[:, None, :]
-            )
-        if alive > 0:
-            lo = float(shifts[alive - 1])
-        if alive < _SHIFTS:
-            hi = float(shifts[alive])
-    return 0.5 * (lo + hi)
+            w = v[:, None, :] if real else np.conj(v[:, None, :])
+            block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
+        for job, s, count in zip(jobs, shifts, alive):
+            if count > 0:
+                job[4] = float(s[count - 1])
+            if count < _SHIFTS:
+                job[5] = float(s[count])
+        jobs = [job for job in jobs if job[5] - job[4] > job[3]]
 
 
-def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
-    """Kernel dimension and first nonzero eigenvalue of the softened window.
+def _banded_lambda_min(coeffs: BandedCoeffs, m: int, top=None, bottom=None) -> float:
+    """:func:`_banded_lambda_mins` of the one window (coeffs, m, top, bottom)."""
+    return _banded_lambda_mins([(coeffs, m, top, bottom)])[0]
 
-    The both-sided softened window W of size L is the Gram matrix Psi* Psi
-    of the L - N stencil placements, and Psi has full row rank because the
-    stencil's first coefficient is 1.  So W has an exactly N-dimensional
-    kernel and its nonzero spectrum is that of T_{L-N}(g): the gap is
-    lambda_min(T_{L-N}(g)), found by banded multisection in O(L * N**2)
-    per pass.  W is not built: every :func:`kernel_basis` vector v is
-    checked by the banded product W v (the Toeplitz body, then the two
-    corners on the N edge rows), and max|W v| above 1e-9 * sum|a_k|, the
-    row sum of W's interior rows, or not a number, signals a construction
-    bug and raises KernelMismatchError.
-    """
-    n = spec.degree
-    _check_window(size, 2 * n + 1)
-    coeffs = fourier_coefficients(spec)
-    top, bottom = _window_corners(
-        spec, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN
-    )
+
+def _check_kernel(spec: SymbolSpec, coeffs: BandedCoeffs, size: int) -> None:
+    """Raise KernelMismatchError unless max|W v| <= 1e-9 * sum|a_k| (the row
+    sum of W's interior rows; NaN fails) for the softened window W of
+    ``size`` and every :func:`kernel_basis` vector v.  W is not built: W v is
+    the banded product of the Toeplitz body, then the corners on the N edge rows."""
+    n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
+    top, bottom = _window_corners(spec, nn, nn)
     basis = np.stack(kernel_basis(spec, size), axis=1)
     image = np.zeros_like(basis)
     for k in range(-n, n + 1):  # row i of W holds a_k in column i + k
@@ -474,6 +504,22 @@ def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
             f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
             f" > {kernel_tol:.3e} in the softened window of size {size}"
         )
+
+
+def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
+    """Kernel dimension and first nonzero eigenvalue of the softened window.
+
+    The both-sided softened window W of size L is the Gram matrix Psi* Psi
+    of the L - N stencil placements, and Psi has full row rank because the
+    stencil's first coefficient is 1.  So W has an exactly N-dimensional
+    kernel (checked by :func:`_check_kernel`) and its nonzero spectrum is
+    that of T_{L-N}(g): the gap is lambda_min(T_{L-N}(g)), by banded
+    multisection in O(L * N**2) per pass.
+    """
+    n = spec.degree
+    _check_window(size, 2 * n + 1)
+    coeffs = fourier_coefficients(spec)
+    _check_kernel(spec, coeffs, size)
     return n, _banded_lambda_min(coeffs, size - n)
 
 
@@ -499,14 +545,19 @@ class GapReport:
 def gap_scan(spec: SymbolSpec, sizes: Iterable[int]) -> GapReport:
     """Measure the spectral gap across window sizes and fit its decay rate.
 
-    Per-size computations are independent pure calls (callers may farm them
-    out concurrently); records are merged in ascending size order.
+    Each size is the gap of :func:`spectral_gap`, in ascending size order:
+    the kernel of every window is checked first, then one batch of the
+    banded engine reads all the gaps, bitwise as one call per size would.
     """
     n = spec.degree
     size_list = sorted(set(int(s) for s in sizes))
     if any(s < 2 * n + 1 for s in size_list):
         raise SizeTooSmallError(f"all sizes must be >= {2 * n + 1}")
-    records = [(s, spectral_gap(spec, s)[1]) for s in size_list]
+    coeffs = fourier_coefficients(spec)
+    for s in size_list:
+        _check_kernel(spec, coeffs, s)
+    gaps = _banded_lambda_mins([(coeffs, s - n, None, None) for s in size_list])
+    records = list(zip(size_list, gaps))
     fit = [(s, g) for s, g in records if s >= 4 * n]
     if len(fit) < 2:
         raise ValueError("need at least two sizes >= 4N for the slope fit")

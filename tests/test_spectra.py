@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from toepbrack import (
     TWO_PI,
+    BandedCoeffs,
     BoundaryKind,
     DuplicateNodeError,
     HermitianMatrix,
@@ -37,7 +38,7 @@ from toepbrack import (
 )
 from toepbrack import dirichlet_from_neumann, spectra
 from toepbrack.boundary import _window_corners
-from toepbrack.spectra import _banded_lambda_min
+from toepbrack.spectra import _banded_lambda_min, _banded_lambda_mins
 from conftest import random_spec, random_split
 from test_boundary import ALL_PAIRS, _window, _window_specs
 
@@ -178,7 +179,7 @@ class TestCheckBracketing:
             check_bracketing(make_symbol([(0.0, 1)]), 3, 3, neumann=BoundaryKind.SIMPLE)
 
 
-@pytest.mark.parametrize(
+ENGINE_CALLS = pytest.mark.parametrize(
     "call",
     [
         lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
@@ -191,12 +192,30 @@ class TestCheckBracketing:
     ],
     ids=["check_bracketing", "check_classic", "check_bracketing_penta", "spectral_gap", "gap_scan"],
 )
+
+
+@ENGINE_CALLS
 def test_certificates_and_gaps_never_call_jacobi(monkeypatch, call):
     # The banded engine reads every margin and gap; Jacobi is a test oracle.
     calls = []
     monkeypatch.setattr(spectra, "eigenvalues", lambda *args, **kwargs: calls.append(args))
     call()
     assert calls == []
+
+
+@ENGINE_CALLS
+def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
+    # All windows of a certificate, or all sizes of a scan, share a row loop.
+    kinds = []
+    row_loop = spectra._multisection
+
+    def spy(jobs):
+        kinds.append(np.iscomplexobj(jobs[0][0]))
+        row_loop(jobs)
+
+    monkeypatch.setattr(spectra, "_multisection", spy)
+    call()
+    assert kinds and len(kinds) == len(set(kinds))
 
 
 def _peak_bytes(call):
@@ -460,6 +479,50 @@ class TestBandedLambdaMin:
         assert abs(_banded_lambda_min(coeffs, n + 1) - ref) <= tol
         _, gap = spectral_gap(spec, 2 * n + 1)
         assert gap == _banded_lambda_min(coeffs, n + 1)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_batch_composition_changes_no_result(self, monkeypatch, rng, n):
+        # Real and complex windows, with and without corners, on one row
+        # loop: each result is bitwise that of the window run alone.
+        def hermitian_block(real):
+            x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
+            return (x + x.conj().T) / 2
+
+        # Each row loop runs one arithmetic kind, real windows in float64:
+        # complex / real division can round differently from real / real.
+        dtypes = []
+        row_loop = spectra._multisection
+
+        def spy(jobs):
+            dtypes.append({job[0].dtype for job in jobs})
+            row_loop(jobs)
+
+        monkeypatch.setattr(spectra, "_multisection", spy)
+        for _ in range(2):
+            windows = []
+            # Both kinds with every corner shape; the first window ends
+            # before the bottom-corner step of the second.
+            for j, m in enumerate((n + 1, 200, *rng.integers(n + 1, 201, 6))):
+                real, shape = j % 2 == 0, j // 2
+                k = int(rng.integers(1, n + 1))
+                if real:
+                    factors = [(0.0, k)] + ([(math.pi, n - k)] if k < n else [])
+                else:
+                    factors = [(float(rng.uniform(0.1, 3.0)), n)]
+                coeffs = fourier_coefficients(make_symbol(factors))
+                top, bottom = None, None
+                if shape > 0:
+                    top = hermitian_block(real)
+                    # -I would make singular a retired shift kept as identity.
+                    bottom = -np.eye(n) if shape == 1 else hermitian_block(real)
+                if shape == 3:
+                    coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
+                windows.append((coeffs, int(m), top, bottom))
+            alone = [_banded_lambda_min(*w).hex() for w in windows]
+            dtypes.clear()
+            assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
+            assert dtypes == [{np.dtype(np.float64)}, {np.dtype(np.complex128)}]
+            assert [x.hex() for x in _banded_lambda_mins(windows[::-1])] == alone[::-1]
 
 
 class TestGapScan:
