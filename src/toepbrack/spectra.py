@@ -15,9 +15,13 @@ split, and each is itself a window of size 2N (a coefficient row and two
 corners), so the same engine reads them.  The engine takes a batch of
 windows of one half-bandwidth and advances all their passes through one
 row loop per arithmetic kind: a certificate makes one call for its four
-windows, a gap scan one call for all its sizes.  Neither a certificate
-nor a gap builds an L x L matrix.  A cyclic Jacobi diagonalization,
-:func:`eigenvalues`, stays as the dense reference for tests and demos.
+windows, a gap scan one call for all its sizes.  Every certificate window
+has smallest eigenvalue 0 in exact arithmetic, so its first pass tests a
+grid of shifts around 0 and usually ends the multisection at once; a gap
+bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
+certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
+diagonalization, :func:`eigenvalues`, stays as the dense reference for
+tests and demos.
 """
 
 from __future__ import annotations
@@ -205,6 +209,15 @@ def check_bracketing(
     the two margins are equal.  min(0, .) adds back the zero eigenvalue of
     the rows a difference does not touch.
 
+    In exact arithmetic each of the four windows has smallest eigenvalue 0
+    (a softened window has an N-dimensional kernel, a difference rank at
+    most N on its 2N rows), so each is passed as expected at 0: the engine
+    first tests the shifts k*w, |k| <= 16, w its stopping width, which
+    leaves a bracket of width w in one pass.  A margin outside that grid,
+    such as a classic-Neumann failure, falls back to uniform passes, and
+    the two differences reported as min(0, .) stop once their bracket lies
+    at or above 0.  Each bracket end is an LDL* sign test either way.
+
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
     counterpart 2*T - T_classic).  It brackets only the plain Laplacian
@@ -220,16 +233,18 @@ def check_bracketing(
     top, bottom = _window_corners(spec, neumann, neumann)
     body = _toeplitz_body(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
-    windows = [(coeffs, size, top, bottom) for size in (size1, size2)]
-    windows += [(coeffs, 2 * n, -body - bottom, -body - top), (zero_row, 2 * n, -bottom, -top)]
+    windows = [(coeffs, size, top, bottom, "zero") for size in (size1, size2)]
+    windows += [
+        (coeffs, 2 * n, -body - bottom, -body - top, "min0"),
+        (zero_row, 2 * n, -bottom, -top, "min0"),
+    ]
     floor1, floor2, lower, delta_nn = _banded_lambda_mins(windows)
-    lower = min(0.0, lower)
     return BracketReport(
         size=size1 + size2,
         size1=size1,
         size2=size2,
         floor_nn=min(floor1, floor2),
-        delta_nn=min(0.0, delta_nn),
+        delta_nn=delta_nn,
         delta_lower=lower,
         delta_upper=lower,
         symbol_floor=0.0,
@@ -373,28 +388,37 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
 
 
 _SHIFTS = 31
+_GRID = 16  # a window expected at 0 first tests the shifts k*w, |k| <= 16
 
 
 def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
-    """Smallest eigenvalues of windows (coeffs, m, top, bottom) of one
-    half-bandwidth N: each is the m x m window T_m(g) plus optional N x N
+    """Smallest eigenvalues of windows (coeffs, m, top, bottom[, expect]) of
+    one half-bandwidth N: each is the m x m window T_m(g) plus optional N x N
     blocks at its top-left and bottom-right corners.
 
     Multisection on Sylvester's law of inertia: W - s*I is positive
     definite iff every pivot of its LDL* factorization is positive.  One
-    pass runs the banded right-looking recurrence over the m rows for 31
-    equispaced shifts at once, keeping only the trailing (N+1) x (N+1)
-    Schur block; the first shift with a nonpositive pivot ends the pass for
-    itself and every shift above it.  The top corner enters with the
-    starting block, the bottom one once the block holds the last N rows (no
-    earlier pivot reads them).  The bracket starts at [0, r] without
+    pass runs the banded right-looking recurrence over the m rows for a
+    vector of ascending shifts at once, keeping only the trailing (N+1) x
+    (N+1) Schur block; the first shift with a nonpositive pivot ends the
+    pass for itself and every shift above it.  The top corner enters with
+    the starting block, the bottom one once the block holds the last N rows
+    (no earlier pivot reads them).  The bracket starts at [0, r] without
     corners (T > 0 for a product symbol) and at [-r, r] with them, r the
     row-sum bound: sum|a_k| plus the largest absolute row sum of each
-    corner.  It shrinks 32-fold per pass down to the banded Cholesky
-    backward-error scale 8 * (N+1) * eps * max(1, r), and its midpoint is
-    returned.  The coefficient row may be zero, for a window that is just
-    its two corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never
-    builds an m x m matrix.
+    corner.  A uniform pass tests its 31 equispaced interior shifts, which
+    shrinks it 32-fold, down to the banded Cholesky backward-error scale
+    w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
+
+    ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
+    (every window of a bracketing certificate).  The first pass then tests
+    the 33 shifts k*w, |k| <= 16, end points included: a sign change among
+    them leaves a bracket of width w at once, and otherwise uniform passes
+    go on from [-r, -16w] or [16w, r].  "min0" does the same and returns
+    min(0, lambda_min), stopping as soon as the bracket lies in [0, r].
+    The coefficient row may be zero, for a window that is just its two
+    corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never builds an
+    m x m matrix.
 
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
@@ -403,7 +427,8 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     n = windows[0][0].half_bandwidth
     k = np.arange(n + 1)
     jobs = []
-    for coeffs, m, top, bottom in windows:
+    for coeffs, m, top, bottom, *expect in windows:
+        expect = expect[0] if expect else None
         a = coeffs.a
         if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
             a, top, bottom = (None if x is None else np.real(x) for x in (a, top, bottom))
@@ -421,66 +446,91 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
             template[:n, :n] += top
         tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
         lo = 0.0 if top is None and bottom is None else -reach
-        jobs.append([template, m, bottom, tol, lo, reach])
+        grid = None if expect is None else tol * np.arange(-_GRID, _GRID + 1)
+        cap = 0.0 if expect == "min0" else math.inf
+        jobs.append([template, m, bottom, tol, lo, reach, grid, cap])
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
             _multisection(group)
-    return [0.5 * (job[4] + job[5]) for job in jobs]
+    mids = [0.5 * (job[4] + job[5]) for job in jobs]
+    return [min(0.0, mid) if job[7] == 0.0 else mid for job, mid in zip(jobs, mids)]
+
+
+def _open(job: list) -> bool:
+    """Whether a job's bracket is still wider than tol and below its cap."""
+    return job[5] - job[4] > job[3] and job[4] < job[7]
 
 
 def _multisection(jobs: list[list]) -> None:
     """Narrow the bracket job[4:6] of each job [template, m, bottom, tol,
-    lo, hi], all of one arithmetic kind, to width tol in one row loop.  The
-    block stacks the unretired shifts of the jobs in order; a job leaves when
-    its rows end or its last shift retires, and a converged one the next pass."""
-    n = len(jobs[0][0]) - 1
-    eye = np.eye(n + 1)
+    lo, hi, grid, cap], all of one arithmetic kind, one row loop
+    (:func:`_pass`) per pass.  A pass tests the job's ``grid`` if it has
+    one, else 31 equispaced interior shifts of its bracket.  A job stops
+    when its bracket is no wider than tol, or lies at or above cap, or
+    when its grid pass found the sign change inside the grid."""
     steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
-    real = not np.iscomplexobj(jobs[0][0])
-    jobs = [job for job in jobs if job[5] - job[4] > job[3]]
+    jobs = [job for job in jobs if _open(job)]
     while jobs:
-        shifts = [lo + (hi - lo) * steps for *_, lo, hi in jobs]
-        block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
-        alive = [_SHIFTS] * len(jobs)  # unretired shifts of each job
-        rows = list(alive)  # its rows of the block, 0 once it left
-        events = {row for job in jobs for row in (job[1] - n, job[1])}
-        for i in range(max(job[1] for job in jobs)):
-            pivots = block[:, 0, 0].real
-            # Not min <= 0: a NaN of one job must not hide another's pivot.
-            if i in events or not pivots.min() > 0.0:
-                keep, at = np.ones(len(block), dtype=bool), 0
-                for j, job in enumerate(jobs):
-                    start, at = at, at + rows[j]
-                    mine = block[start:at]
-                    if job[1] - n == i:
-                        mine[:, :, n] = mine[:, n, :] = 0.0
-                        mine[:, n, n] = 1.0
-                        if job[2] is not None:
-                            mine[:, :n, :n] += job[2]
-                    if job[1] == i:
-                        keep[start:at], rows[j] = False, 0
-                    elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
-                        alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
-                        keep[start + rows[j] : at] = False
-                block = block[keep]
-                if not len(block):
-                    break
-                pivots = block[:, 0, 0].real
-            v = block[:, 1:, 0]
-            w = v[:, None, :] if real else np.conj(v[:, None, :])
-            block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
-        for job, s, count in zip(jobs, shifts, alive):
+        shifts = [lo + (hi - lo) * steps if grid is None else grid for *_, lo, hi, grid, _ in jobs]
+        remaining = []
+        for job, s, count in zip(jobs, shifts, _pass(jobs, shifts)):
             if count > 0:
                 job[4] = float(s[count - 1])
-            if count < _SHIFTS:
+            if count < len(s):
                 job[5] = float(s[count])
-        jobs = [job for job in jobs if job[5] - job[4] > job[3]]
+            closed = job[6] is not None and 0 < count < len(s)
+            job[6] = None
+            if not closed and _open(job):
+                remaining.append(job)
+        jobs = remaining
 
 
-def _banded_lambda_min(coeffs: BandedCoeffs, m: int, top=None, bottom=None) -> float:
-    """:func:`_banded_lambda_mins` of the one window (coeffs, m, top, bottom)."""
-    return _banded_lambda_mins([(coeffs, m, top, bottom)])[0]
+def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
+    """One row loop: for each job [template, m, bottom, ...], how many of
+    its ascending ``shifts`` s leave W - s*I positive definite.  The block
+    stacks the unretired shifts of the jobs in order; a job leaves when its
+    rows end or its last shift retires."""
+    n = len(jobs[0][0]) - 1
+    eye = np.eye(n + 1)
+    real = not np.iscomplexobj(jobs[0][0])
+    block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
+    alive = [len(s) for s in shifts]  # unretired shifts of each job
+    rows = list(alive)  # its rows of the block, 0 once it left
+    events = {row for job in jobs for row in (job[1] - n, job[1])}
+    for i in range(max(job[1] for job in jobs)):
+        pivots = block[:, 0, 0].real
+        # Not min <= 0: a NaN of one job must not hide another's pivot.
+        if i in events or not pivots.min() > 0.0:
+            keep, at = np.ones(len(block), dtype=bool), 0
+            for j, job in enumerate(jobs):
+                start, at = at, at + rows[j]
+                mine = block[start:at]
+                if job[1] - n == i:
+                    mine[:, :, n] = mine[:, n, :] = 0.0
+                    mine[:, n, n] = 1.0
+                    if job[2] is not None:
+                        mine[:, :n, :n] += job[2]
+                if job[1] == i:
+                    keep[start:at], rows[j] = False, 0
+                elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
+                    alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
+                    keep[start + rows[j] : at] = False
+            block = block[keep]
+            if not len(block):
+                break
+            pivots = block[:, 0, 0].real
+        v = block[:, 1:, 0]
+        w = v[:, None, :] if real else np.conj(v[:, None, :])
+        block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
+    return alive
+
+
+def _banded_lambda_min(
+    coeffs: BandedCoeffs, m: int, top=None, bottom=None, expect=None
+) -> float:
+    """:func:`_banded_lambda_mins` of the one window (coeffs, m, top, bottom, expect)."""
+    return _banded_lambda_mins([(coeffs, m, top, bottom, expect)])[0]
 
 
 def _check_kernel(spec: SymbolSpec, coeffs: BandedCoeffs, size: int) -> None:

@@ -218,6 +218,129 @@ def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
     assert kinds and len(kinds) == len(set(kinds))
 
 
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The arithmetic kind (True: complex) of every engine pass, in order."""
+    kinds = []
+    one_pass = spectra._pass
+
+    def spy(jobs, shifts):
+        kinds.append(np.iscomplexobj(jobs[0][0]))
+        return one_pass(jobs, shifts)
+
+    monkeypatch.setattr(spectra, "_pass", spy)
+    return kinds
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7),
+        lambda: check_bracketing(make_symbol([(0.3, 3), (2.0, 3)]), 30, 31),
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
+        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+        lambda: check_bracketing_penta(6.0, -4.0, 1.0, 8, 8),
+    ],
+    ids=["complex", "real", "degree6", "large", "penta", "penta_real"],
+)
+def test_modified_certificate_takes_one_pass_per_kind(passes, call):
+    # Every window of a modified certificate has smallest eigenvalue 0, so
+    # the grid pass around 0 brackets it to one engine width at once.
+    call()
+    assert passes and len(passes) == len(set(passes))
+
+
+def test_random_modified_certificates_take_one_pass_per_kind(passes, rng):
+    for _ in range(12):
+        spec = random_spec(rng)
+        passes.clear()
+        check_bracketing(spec, *random_split(rng, spec.degree, 60))
+        assert passes and len(passes) == len(set(passes)), spec
+
+
+def test_classic_counterexample_falls_back_to_uniform_passes(passes):
+    report = check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN)
+    assert report.delta_lower == pytest.approx(-0.4721359549995, abs=1e-12)
+    assert len(passes) > 2
+
+
+def test_gap_scan_keeps_its_passes_and_values(passes):
+    # Gap windows have no corners and are not seeded: the pass count and
+    # every bit of each gap are those of the uniform [0, r] multisection.
+    report = gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
+    assert passes == [False] * 10
+    assert [g.hex() for _, g in report.records] == [
+        "0x1.fb8ccbaa2fa00p-4",
+        "0x1.f68a03b80a000p-8",
+        "0x1.f5124ec8e0000p-12",
+    ]
+    passes.clear()
+    _, gap = spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30)
+    assert len(passes) == 10
+    assert gap.hex() == "0x1.ca2aad93147c9p-10"
+
+
+def certificate_windows(spec, size1, size2, neumann=N_KIND):
+    """The four engine windows of check_bracketing: both floors, lower, nn_vs_0n."""
+    n = spec.degree
+    coeffs = fourier_coefficients(spec)
+    top, bottom = spectra._window_corners(spec, neumann, neumann)
+    body = dense_toeplitz(coeffs, n)
+    zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
+    return [
+        (coeffs, size1, top, bottom, "zero"),
+        (coeffs, size2, top, bottom, "zero"),
+        (coeffs, 2 * n, -body - bottom, -body - top, "min0"),
+        (zero_row, 2 * n, -bottom, -top, "min0"),
+    ]
+
+
+def dense_window(coeffs, m, top=None, bottom=None, *_):
+    """Oracle: the m x m window T_m(g) with its corner blocks added."""
+    n = coeffs.half_bandwidth
+    out = dense_toeplitz(coeffs, m).astype(complex)
+    if top is not None:
+        out[:n, :n] += top
+    if bottom is not None:
+        out[-n:, -n:] += bottom
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors", [[(0.0, 1)], [(0.0, 2)], [(1.0, 1), (2.5, 2)], [(0.0, 1), (2.0, 1)]]
+)
+def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
+    # A real negative margin must not hide behind the grid pass around 0.
+    exact = spectra._window_corners
+
+    def perturbed(spec, left, right):
+        top, bottom = exact(spec, left, right)
+        top = top.copy()
+        top[0, 0] += 1e-6
+        return top, bottom
+
+    monkeypatch.setattr(spectra, "_window_corners", perturbed)
+    spec = make_symbol(factors)
+    report = check_bracketing(spec, 9, 11)
+    assert not report.verdicts["lower"] and not report.all_hold
+    floor1, floor2, lower, delta_nn = (
+        np.linalg.eigvalsh(dense_window(*w))[0] for w in certificate_windows(spec, 9, 11)
+    )
+    assert lower < -1e-7
+    expected = {
+        "floor_nn": min(floor1, floor2),
+        "nn_vs_0n": min(0.0, delta_nn),
+        "lower": min(0.0, lower),
+        "upper": min(0.0, lower),
+    }
+    whole = toeplitz_finite(fourier_coefficients(spec), 20)
+    tol = 1e-12 * max(1.0, whole.row_sum_norm())
+    for name, value in expected.items():
+        assert abs(report.margins[name] - value) <= tol, name
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:
@@ -480,6 +603,77 @@ class TestBandedLambdaMin:
         _, gap = spectral_gap(spec, 2 * n + 1)
         assert gap == _banded_lambda_min(coeffs, n + 1)
 
+    # N = 1, m = 2: [[1/8 + t, -1/8], [-1/8, 1/8 + t]] has smallest
+    # eigenvalue t, exactly.  Its row-sum bound is below 1, so the engine
+    # width is w = 8 * 2 * eps = 2**-48 and every k * w below is exact.
+    W = 2.0**-48
+
+    @staticmethod
+    def dyadic_window(t, expect):
+        coeffs = BandedCoeffs(np.array([-0.125, 0.25 + t, -0.125]))
+        corner = np.array([[-0.125]])
+        return coeffs, 2, corner, corner, expect
+
+    @pytest.mark.parametrize("expect", ["zero", "min0"])
+    @pytest.mark.parametrize("k,one_pass", [(0, True), (16, True), (-16, False), (17, None), (-17, False)])
+    def test_seeded_first_pass_edges(self, passes, expect, k, one_pass):
+        # The grid pass tests k * w for |k| <= 16, its end points included:
+        # lambda_min = -16w fails its lowest shift and falls back to
+        # [-r, -16w]; 17w passes its highest and falls back to [16w, r],
+        # except for "min0", which stops there and reports 0.
+        window = self.dyadic_window(k * self.W, expect)
+        dense = dense_window(*window)
+        assert np.abs(dense).sum(axis=1).max() < 1.0
+        exact = k * self.W
+        ref = np.linalg.eigvalsh(dense)[0]
+        value = _banded_lambda_min(*window)
+        assert abs(value - ref) <= 1e-12
+        if expect == "min0":
+            assert abs(value - min(0.0, exact)) <= self.W
+            if k > 0:
+                assert value == 0.0 and len(passes) == 1
+        else:
+            assert abs(value - exact) <= self.W
+        if one_pass is not None:
+            assert (len(passes) == 1) == one_pass, passes
+        elif expect == "zero":
+            assert len(passes) > 1
+
+    def test_grid_step_wider_than_w_still_ends_the_pass(self, passes):
+        # At r = 2.25 the grid points 2w and 3w round apart by more than w;
+        # a sign change between them still ends the multisection.
+        t = 2.5 * 16 * np.finfo(np.float64).eps * 2.25
+        coeffs = BandedCoeffs(np.array([-0.375, 0.75 + t, -0.375]))
+        corner = np.array([[-0.375]])
+        w = 16 * np.finfo(np.float64).eps * (float(np.abs(coeffs.a).sum()) + 0.75)
+        grid = w * np.arange(-16, 17)
+        assert grid[19] - grid[18] > w
+        window = (coeffs, 2, corner, corner, "zero")
+        value = _banded_lambda_min(*window)
+        assert len(passes) == 1
+        assert value == 0.5 * (grid[18] + grid[19])
+        assert abs(value - np.linalg.eigvalsh(dense_window(*window))[0]) <= 1e-12 * 2.25
+
+    def test_seeded_window_far_below_zero(self, passes):
+        # The classic lower window of (2 - 2cos x)**2 at 7,7 sits near -0.4721.
+        spec = make_symbol([(0.0, 2)])
+        window = certificate_windows(spec, 7, 7, BoundaryKind.CLASSIC_NEUMANN)[2]
+        ref = np.linalg.eigvalsh(dense_window(*window))[0]
+        assert ref == pytest.approx(-0.4721359549995, abs=1e-12)
+        tol = 1e-12 * max(1.0, float(np.abs(window[0].a).sum()))
+        assert abs(_banded_lambda_min(*window) - ref) <= tol
+        assert len(passes) > 2
+
+    def test_full_rank_min0_window_reports_zero(self, passes):
+        # nn_vs_0n of (2 - 2cos x)(2 - 2cos(x - 2)) is positive definite on
+        # its 2N rows: only min(0, lambda_min) = 0 is wanted, in one pass.
+        spec = make_symbol([(0.0, 1), (2.0, 1)])
+        window = certificate_windows(spec, 7, 9)[3]
+        assert np.linalg.eigvalsh(dense_window(*window))[0] > 0.3
+        assert _banded_lambda_min(*window) == 0.0
+        assert len(passes) == 1
+        assert check_bracketing(spec, 7, 9).delta_nn == 0.0
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_composition_changes_no_result(self, monkeypatch, rng, n):
         # Real and complex windows, with and without corners, on one row
@@ -498,6 +692,7 @@ class TestBandedLambdaMin:
             row_loop(jobs)
 
         monkeypatch.setattr(spectra, "_multisection", spy)
+        local = np.random.default_rng(n)
         for _ in range(2):
             windows = []
             # Both kinds with every corner shape; the first window ends
@@ -518,6 +713,12 @@ class TestBandedLambdaMin:
                 if shape == 3:
                     coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
                 windows.append((coeffs, int(m), top, bottom))
+            # The same windows seeded at 0, and certificate windows, whose
+            # grid pass closes at once, next to ones that fall back.
+            windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
+            for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
+                split = local.integers(2 * n + 1, 60, 2)
+                windows += certificate_windows(make_symbol(factors), *split)
             alone = [_banded_lambda_min(*w).hex() for w in windows]
             dtypes.clear()
             assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
