@@ -35,8 +35,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError, SizeTooSmallError
-from .matrices import HermitianMatrix, _toeplitz_body, _wrap, hermitian
+from .errors import DimensionMismatchError
+from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
 from .symbols import BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
 
 
@@ -103,7 +103,7 @@ def rank_one_sum(spec: SymbolSpec, size: int, k_range: Iterable[int]) -> Hermiti
     window up to rounding; it is the O(L**3) oracle for that identity.
     """
     n = spec.degree
-    _check_window(size, 2 * n + 1)
+    _require_size(size, 2 * n + 1)
     c = stencil(spec).c
     out = np.zeros((size, size), dtype=np.complex128)
     for k in sorted(int(k) for k in k_range):
@@ -114,28 +114,15 @@ def rank_one_sum(spec: SymbolSpec, size: int, k_range: Iterable[int]) -> Hermiti
     return _wrap(out)
 
 
-def _right_crossing_vectors(c: np.ndarray) -> list[np.ndarray]:
-    """Last-N-coordinate parts of the N placements crossing the right edge."""
-    n = len(c) - 1
-    return [np.concatenate([np.zeros(s, dtype=np.complex128), c[: n - s]]) for s in range(n)]
-
-
-def _crossing_sum(vectors: list[np.ndarray]) -> np.ndarray:
-    n = len(vectors)
-    out = np.zeros((n, n), dtype=np.complex128)
-    for v in vectors:
-        out += np.outer(v, v.conj())
-    return out
-
-
 def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     """The N x N block added at the bottom-right corner of the window.
 
     Modified Neumann subtracts the projectors of the N placements that
     cross the right boundary (negative semidefinite block); modified
-    Dirichlet adds them (positive semidefinite).  The top-left counterpart
-    is the conjugated anti-diagonal reflection, available through
-    :func:`build_restricted`.
+    Dirichlet adds them (positive semidefinite).  The placement starting s
+    rows above the last N has its first N - s coefficients on them.  The
+    top-left counterpart is the conjugated anti-diagonal reflection,
+    available through :func:`build_restricted`.
     """
     if kind is BoundaryKind.MODIFIED_NEUMANN:
         sign = -1.0
@@ -144,12 +131,12 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     else:
         raise ValueError("corner_block is defined for the modified conditions only")
     c = stencil(spec).c
-    return _wrap(sign * _crossing_sum(_right_crossing_vectors(c)))
-
-
-def _check_window(size: int, minimum: int) -> None:
-    if size < minimum:
-        raise SizeTooSmallError(f"window size {size} is below the minimum {minimum}")
+    n = len(c) - 1
+    out = np.zeros((n, n), dtype=np.complex128)
+    for s in range(n):
+        v = np.concatenate([np.zeros(s, dtype=np.complex128), c[: n - s]])
+        out += np.outer(v, v.conj())
+    return _wrap(sign * out)
 
 
 def _hankel_block(coeffs: BandedCoeffs) -> np.ndarray:
@@ -167,28 +154,27 @@ def _mirror(block: np.ndarray) -> np.ndarray:
     return np.conj(block[::-1, ::-1])
 
 
-def _right_corner(spec: SymbolSpec, coeffs: BandedCoeffs, kind: BoundaryKind) -> np.ndarray:
-    if kind is BoundaryKind.CLASSIC_NEUMANN:
-        return _mirror(_hankel_block(coeffs))
-    return corner_block(spec, kind).entries
-
-
 def _window_corners(
     spec: SymbolSpec, left: BoundaryKind, right: BoundaryKind
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
-    None stands for a simple edge.  Each block is validated and made
-    exactly Hermitian by :func:`hermitian`, so a classic corner of a
-    complex symbol raises NonHermitianError.  Every window is the Toeplitz
-    body plus these two blocks, whatever its size (>= 2N+1).
+    None stands for a simple edge.  Each kind's bottom-right block is built
+    once, and the top-left one is its :func:`_mirror`; only a classic edge
+    needs the coefficient row.  Each block is validated and made exactly
+    Hermitian by :func:`hermitian`, so a classic corner of a complex symbol
+    raises NonHermitianError.  Every window is the Toeplitz body plus these
+    two blocks, whatever its size (>= 2N+1).
     """
-    coeffs = fourier_coefficients(spec)
-    top = bottom = None
-    if left is not BoundaryKind.SIMPLE:
-        top = hermitian(_mirror(_right_corner(spec, coeffs, left))).entries
-    if right is not BoundaryKind.SIMPLE:
-        bottom = hermitian(_right_corner(spec, coeffs, right)).entries
+    simple = BoundaryKind.SIMPLE
+    right_blocks = {}
+    for kind in {left, right} - {simple}:
+        if kind is BoundaryKind.CLASSIC_NEUMANN:
+            right_blocks[kind] = _mirror(_hankel_block(fourier_coefficients(spec)))
+        else:
+            right_blocks[kind] = corner_block(spec, kind).entries
+    top = None if left is simple else hermitian(_mirror(right_blocks[left])).entries
+    bottom = None if right is simple else hermitian(right_blocks[right]).entries
     return top, bottom
 
 
@@ -207,7 +193,7 @@ def build_restricted(
     and blocks are each exactly Hermitian, so their sum is too.
     """
     n = spec.degree
-    _check_window(size, 2 * n + 1)
+    _require_size(size, 2 * n + 1)
     top, bottom = _window_corners(spec, left, right)
     out = _toeplitz_body(fourier_coefficients(spec), size)
     if top is not None:
@@ -232,9 +218,9 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     """
     n = coeffs.half_bandwidth
     size = size1 + size2
-    _check_window(size, 2 * n + 1)
+    _require_size(size, 2 * n + 1)
     for half in (size1, size2):
-        _check_window(half, n + 1)
+        _require_size(half, n + 1)
     hankel = _hankel_block(coeffs)
     top, bottom = hermitian(hankel).entries, hermitian(_mirror(hankel)).entries
     block = _toeplitz_body(coeffs, 2 * n)

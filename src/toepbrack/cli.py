@@ -20,9 +20,11 @@ Angles are radians; the token ``pi`` is accepted with an optional
 coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
 finite; ``--tol`` must be finite and positive.  Exit status is 0 on
 success with all verdicts true, 1 on a verification failure, 2 on usage
-errors.  Windows are stored densely, so a size above 4096 (for
+errors.  ``export`` writes a dense window, so there a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
-built.  So is a coefficient row outside the float64 range: a symbol of
+built; ``gap --sizes`` keeps the same limit, its kernel check holding an
+L x N basis.  ``check`` builds no window and takes any split.  A
+coefficient row outside the float64 range is a usage error too: a symbol of
 degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  A
 ``gap`` scan whose observed constant gap * L**(2*alpha_max) leaves the
 float64 range exits 2 as well.  Output is byte-stable for fixed inputs:
@@ -84,9 +86,10 @@ class CliUsageError(Exception):
     pass
 
 
-#: Largest window size accepted; a dense window of size L takes 16 * L**2
-#: bytes, 268 MB at this limit.  ``check`` and ``gap`` build no window but
-#: keep the same limit.
+#: Largest window size ``export`` accepts; a dense window of size L takes
+#: 16 * L**2 bytes, 268 MB at this limit.  ``gap`` builds no window but keeps
+#: the limit on ``--sizes`` (its kernel check holds an L x N basis);
+#: ``check`` has none.
 _MAX_DENSE_SIZE = 4096
 
 
@@ -179,7 +182,6 @@ def _split_sizes(text: str) -> tuple[int, int]:
     split = parse_int_list(text, "split")
     if len(split) != 2:
         raise CliUsageError("--split needs exactly two sizes L1,L2")
-    _require_dense(sum(split), "--split")
     return split[0], split[1]
 
 
@@ -367,6 +369,7 @@ def cmd_export(args) -> int:
         if not args.split:
             raise CliUsageError("--matrix lap2-diff needs --split L1,L2")
         size1, size2 = _split_sizes(args.split)
+        _require_dense(size1 + size2, "--split")
         matrix = classic_split_difference(coeffs, size1, size2)
         bc_token = "lap2-diff"
     else:

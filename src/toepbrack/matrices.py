@@ -88,8 +88,9 @@ def _toeplitz_body(coeffs: BandedCoeffs, size: int) -> np.ndarray:
 
 
 def _require_size(size: int, minimum: int) -> None:
+    """The one window-size check of the package (2N+1 for a full window)."""
     if size < minimum:
-        raise SizeTooSmallError(f"matrix size {size} is below the minimum {minimum}")
+        raise SizeTooSmallError(f"window size {size} is below the minimum {minimum}")
 
 
 def toeplitz_finite(coeffs: BandedCoeffs, size: int) -> HermitianMatrix:

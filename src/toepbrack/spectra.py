@@ -15,13 +15,14 @@ split, and each is itself a window of size 2N (a coefficient row and two
 corners), so the same engine reads them.  The engine takes a batch of
 windows of one half-bandwidth and advances all their passes through one
 row loop per arithmetic kind: a certificate makes one call for its four
-windows, a gap scan one call for all its sizes.  Every certificate window
-has smallest eigenvalue 0 in exact arithmetic, so its first pass tests a
-grid of shifts around 0 and usually ends the multisection at once; a gap
-bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
-certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
-diagonalization, :func:`eigenvalues`, stays as the dense reference for
-tests and demos.
+windows, a gap scan one call for all its sizes.  Every margin of a
+modified certificate is 0 in exact arithmetic (``nn_vs_0n`` only as
+min(0, lambda) of a positive definite window), so each certificate
+window's first pass tests a grid of shifts around 0 and usually ends the
+multisection at once; a gap bracket starts at [0, r] and narrows 32-fold
+per pass.  Neither a certificate nor a gap builds an L x L matrix.  A
+cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
+reference for tests and demos.
 """
 
 from __future__ import annotations
@@ -33,14 +34,9 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from .boundary import BoundaryKind, _check_window, _window_corners
-from .errors import (
-    DuplicateNodeError,
-    KernelMismatchError,
-    NoConvergenceError,
-    SizeTooSmallError,
-)
-from .matrices import HermitianMatrix, _toeplitz_body
+from .boundary import BoundaryKind, _window_corners
+from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
+from .matrices import HermitianMatrix, _require_size, _toeplitz_body
 from .symbols import (
     TWO_PI,
     BandedCoeffs,
@@ -148,16 +144,23 @@ class BracketReport:
     verdicts share the same threshold convention.
     """
 
-    size: int
     size1: int
     size2: int
     floor_nn: float
     delta_nn: float
     delta_lower: float
-    delta_upper: float
     symbol_floor: float
     rel_tol: float
     abs_tol: float
+
+    @property
+    def size(self) -> int:
+        return self.size1 + self.size2
+
+    @property
+    def delta_upper(self) -> float:
+        """``delta_lower``, by the diag(I_N, -I_N) similarity of :func:`check_bracketing`."""
+        return self.delta_lower
 
     @property
     def verdicts(self) -> dict[str, bool]:
@@ -209,14 +212,19 @@ def check_bracketing(
     the two margins are equal.  min(0, .) adds back the zero eigenvalue of
     the rows a difference does not touch.
 
-    In exact arithmetic each of the four windows has smallest eigenvalue 0
-    (a softened window has an N-dimensional kernel, a difference rank at
-    most N on its 2N rows), so each is passed as expected at 0: the engine
-    first tests the shifts k*w, |k| <= 16, w its stopping width, which
-    leaves a bracket of width w in one pass.  A margin outside that grid,
-    such as a classic-Neumann failure, falls back to uniform passes, and
-    the two differences reported as min(0, .) stop once their bracket lies
-    at or above 0.  Each bracket end is an LDL* sign test either way.
+    In exact arithmetic every margin of a modified certificate is 0.  Both
+    floor windows have an N-dimensional kernel and ``lower`` is N rank-one
+    placements on its 2N rows, so the engine first tests the shifts k*w,
+    |k| <= 16, w its stopping width, which brackets each to w in one pass.
+    The ``nn_vs_0n`` window diag(-bottom, -top) is positive definite, each
+    block being the Gram sum of the N independent crossing placements
+    (lambda_min 1.0 for 0:1, 2.4e-3 for 0.3:3,2.0:3), so its margin is 0
+    only through min(0, .).  It takes one pass because the two differences
+    reported as min(0, .) stop once their bracket lies at or above 0;
+    without that stop the certify ops of benchmark seeds 401-410 take 6670
+    engine passes instead of 1270 and half as much CPU time again.  A
+    margin outside the grid, such as a classic-Neumann failure, falls back
+    to uniform passes.  Each bracket end is an LDL* sign test either way.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
@@ -228,7 +236,7 @@ def check_bracketing(
         raise ValueError("neumann must be the modified or the classic Neumann kind")
     n = spec.degree
     for size in (size1, size2):
-        _check_window(size, 2 * n + 1)
+        _require_size(size, 2 * n + 1)
     coeffs = fourier_coefficients(spec)
     top, bottom = _window_corners(spec, neumann, neumann)
     body = _toeplitz_body(coeffs, n)
@@ -240,13 +248,11 @@ def check_bracketing(
     ]
     floor1, floor2, lower, delta_nn = _banded_lambda_mins(windows)
     return BracketReport(
-        size=size1 + size2,
         size1=size1,
         size2=size2,
         floor_nn=min(floor1, floor2),
         delta_nn=delta_nn,
         delta_lower=lower,
-        delta_upper=lower,
         symbol_floor=0.0,
         rel_tol=tol,
         abs_tol=tol * max(1.0, float(np.abs(coeffs.a).sum())),
@@ -278,7 +284,6 @@ def check_bracketing_penta(
         floor_nn=deco.scale * base.floor_nn,
         delta_nn=deco.scale * base.delta_nn,
         delta_lower=deco.scale * base.delta_lower,
-        delta_upper=deco.scale * base.delta_upper,
         symbol_floor=deco.shift,
         abs_tol=tol * max(1.0, row_sum),
     ), deco
@@ -295,8 +300,7 @@ def kernel_basis(spec: SymbolSpec, size: int) -> list[np.ndarray]:
     the same orientation the matrix rows use for their coefficients, which
     is what makes every interior stencil placement orthogonal to it.
     """
-    if size < spec.degree:
-        raise SizeTooSmallError(f"need at least {spec.degree} sites, got {size}")
+    _require_size(size, spec.degree)
     k = np.arange(1, size + 1, dtype=np.float64)
     basis = []
     for e, mult in spec.factors:
@@ -411,11 +415,13 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
 
     ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
-    (every window of a bracketing certificate).  The first pass then tests
+    (the floors of a bracketing certificate).  The first pass then tests
     the 33 shifts k*w, |k| <= 16, end points included: a sign change among
     them leaves a bracket of width w at once, and otherwise uniform passes
     go on from [-r, -16w] or [16w, r].  "min0" does the same and returns
-    min(0, lambda_min), stopping as soon as the bracket lies in [0, r].
+    min(0, lambda_min), stopping as soon as the bracket lies in [0, r]: a
+    positive definite window, such as ``nn_vs_0n``, ends after its grid
+    pass without resolving the eigenvalue that min(0, .) discards.
     The coefficient row may be zero, for a window that is just its two
     corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never builds an
     m x m matrix.
@@ -533,44 +539,48 @@ def _banded_lambda_min(
     return _banded_lambda_mins([(coeffs, m, top, bottom, expect)])[0]
 
 
-def _check_kernel(spec: SymbolSpec, coeffs: BandedCoeffs, size: int) -> None:
-    """Raise KernelMismatchError unless max|W v| <= 1e-9 * sum|a_k| (the row
-    sum of W's interior rows; NaN fails) for the softened window W of
-    ``size`` and every :func:`kernel_basis` vector v.  W is not built: W v is
-    the banded product of the Toeplitz body, then the corners on the N edge rows."""
+def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
+    """The gap of the softened window W of each size, by the Gram identity.
+
+    W of size L is the Gram matrix Psi* Psi of the L - N stencil
+    placements, and Psi has full row rank because the stencil's first
+    coefficient is 1.  So W has an exactly N-dimensional kernel and its
+    nonzero spectrum is that of T_{L-N}(g): the gap is lambda_min(T_{L-N}(g)),
+    every size in one batch of the banded engine.  All sizes are checked
+    first, then every kernel: KernelMismatchError unless max|W v| <= 1e-9 *
+    sum|a_k| (the row sum of W's interior rows; NaN fails) for each
+    :func:`kernel_basis` vector v, W v being the banded product of the
+    Toeplitz body and then of the corners on the N edge rows.
+    """
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
+    for size in sizes:
+        _require_size(size, 2 * n + 1)
+    coeffs = fourier_coefficients(spec)
     top, bottom = _window_corners(spec, nn, nn)
-    basis = np.stack(kernel_basis(spec, size), axis=1)
-    image = np.zeros_like(basis)
-    for k in range(-n, n + 1):  # row i of W holds a_k in column i + k
-        lo, hi = max(0, -k), min(size, size - k)
-        image[lo:hi] += coeffs.a[k + n] * basis[lo + k : hi + k]
-    image[:n] += top @ basis[:n]
-    image[-n:] += bottom @ basis[-n:]
-    residual = np.abs(image).max(axis=0)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
-    if not residual.max() <= kernel_tol:
-        raise KernelMismatchError(
-            f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
-            f" > {kernel_tol:.3e} in the softened window of size {size}"
-        )
+    for size in sizes:
+        basis = np.stack(kernel_basis(spec, size), axis=1)
+        image = np.zeros_like(basis)
+        for k in range(-n, n + 1):  # row i of W holds a_k in column i + k
+            lo, hi = max(0, -k), min(size, size - k)
+            image[lo:hi] += coeffs.a[k + n] * basis[lo + k : hi + k]
+        image[:n] += top @ basis[:n]
+        image[-n:] += bottom @ basis[-n:]
+        residual = np.abs(image).max(axis=0)
+        if not residual.max() <= kernel_tol:
+            raise KernelMismatchError(
+                f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
+                f" > {kernel_tol:.3e} in the softened window of size {size}"
+            )
+    return _banded_lambda_mins([(coeffs, size - n, None, None) for size in sizes])
 
 
 def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
     """Kernel dimension and first nonzero eigenvalue of the softened window.
 
-    The both-sided softened window W of size L is the Gram matrix Psi* Psi
-    of the L - N stencil placements, and Psi has full row rank because the
-    stencil's first coefficient is 1.  So W has an exactly N-dimensional
-    kernel (checked by :func:`_check_kernel`) and its nonzero spectrum is
-    that of T_{L-N}(g): the gap is lambda_min(T_{L-N}(g)), by banded
-    multisection in O(L * N**2) per pass.
+    The one-size case of :func:`gap_scan`'s path (:func:`_gaps`).
     """
-    n = spec.degree
-    _check_window(size, 2 * n + 1)
-    coeffs = fourier_coefficients(spec)
-    _check_kernel(spec, coeffs, size)
-    return n, _banded_lambda_min(coeffs, size - n)
+    return spec.degree, _gaps(spec, [size])[0]
 
 
 @dataclass(frozen=True)
@@ -601,13 +611,7 @@ def gap_scan(spec: SymbolSpec, sizes: Iterable[int]) -> GapReport:
     """
     n = spec.degree
     size_list = sorted(set(int(s) for s in sizes))
-    if any(s < 2 * n + 1 for s in size_list):
-        raise SizeTooSmallError(f"all sizes must be >= {2 * n + 1}")
-    coeffs = fourier_coefficients(spec)
-    for s in size_list:
-        _check_kernel(spec, coeffs, s)
-    gaps = _banded_lambda_mins([(coeffs, s - n, None, None) for s in size_list])
-    records = list(zip(size_list, gaps))
+    records = list(zip(size_list, _gaps(spec, size_list)))
     fit = [(s, g) for s, g in records if s >= 4 * n]
     if len(fit) < 2:
         raise ValueError("need at least two sizes >= 4N for the slope fit")

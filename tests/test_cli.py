@@ -13,6 +13,8 @@ from toepbrack import (
     BoundaryKind,
     HermitianMatrix,
     build_restricted,
+    check_bracketing,
+    check_bracketing_penta,
     circulant_periodic,
     classic_split_difference,
     decompose_pentadiagonal,
@@ -446,8 +448,8 @@ class TestDenseSizeGuard:
         [
             ["gap", "--factors", "0:1", "--sizes", "8,4097"],
             ["gap", "--factors", "0:1,2.0:1", "--sizes", "100000"],
-            ["check", "--factors", "0:1", "--split", "4000,100"],
-            ["check", "--penta", "6,-4,1", "--split", "5000,10"],
+            ["export", "--factors", "0:1", "--matrix", "lap2-diff", "--split", "4000,100"],
+            ["export", "--penta", "6,-4,1", "--matrix", "lap2-diff", "--split", "5000,10"],
             ["export", "--factors", "0:1", "--size", "4097", "--bc", "nn"],
             ["export", "--factors", "0:1", "--size", "50000"],
             ["export", "--factors", "0:2", "--size", "5000", "--matrix", "circulant"],
@@ -480,6 +482,25 @@ class TestDenseSizeGuard:
         code, _, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096")
         assert code == 0
         assert seen == [4096]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--factors", "0:1", "--split", "4000,100"],
+            ["check", "--penta", "6,-4,1", "--split", "5000,10"],
+            ["check", "--factors", "0:1,2.0:1", "--split", "2048,2049"],
+        ],
+    )
+    def test_check_is_not_capped(self, capsys, argv):
+        # check builds no window, so the dense limit of export does not bind it.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        size1, size2 = (int(v) for v in argv[-1].split(","))
+        if argv[1] == "--factors":
+            report = check_bracketing(parse_factors(argv[2]), size1, size2)
+        else:
+            report, _ = check_bracketing_penta(*parse_penta(argv[2]), size1, size2)
+        assert json.loads(out)["margins"] == report.margins
 
 
 class TestExport:

@@ -36,7 +36,8 @@ from toepbrack import (
     spectral_gap,
     toeplitz_finite,
 )
-from toepbrack import dirichlet_from_neumann, spectra
+import toepbrack
+from toepbrack import boundary, dirichlet_from_neumann, spectra, symbols
 from toepbrack.boundary import _window_corners
 from toepbrack.spectra import _banded_lambda_min, _banded_lambda_mins
 from conftest import random_spec, random_split
@@ -273,6 +274,55 @@ def test_gap_scan_keeps_its_passes_and_values(passes):
     _, gap = spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30)
     assert len(passes) == 10
     assert gap.hex() == "0x1.ca2aad93147c9p-10"
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of _window_corners and fourier_coefficients, in every module that binds them."""
+    counts = {"_window_corners": 0, "fourier_coefficients": 0}
+    for name, original in (
+        ("_window_corners", boundary._window_corners),
+        ("fourier_coefficients", symbols.fourier_coefficients),
+    ):
+        def spy(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (toepbrack, symbols, boundary, spectra):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return counts
+
+
+def test_gap_scan_builds_corners_and_row_once(builds):
+    gap_scan(make_symbol([(0.0, 1), (2.0, 2)]), [13, 16, 32, 64, 100])
+    assert builds == {"_window_corners": 1, "fourier_coefficients": 1}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7),
+        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+    ],
+    ids=["complex", "real", "penta"],
+)
+def test_modified_certificate_builds_corners_and_row_once(builds, call):
+    call()
+    assert builds == {"_window_corners": 1, "fourier_coefficients": 1}
+
+
+def test_nn_vs_0n_is_positive_definite_yet_reports_zero(rng):
+    # diag(-bottom, -top): each block is the Gram sum of the N independent
+    # crossing placements, so the window is not singular; the margin is 0
+    # only through min(0, lambda_min).
+    for _ in range(12):
+        spec = random_spec(rng)
+        split = random_split(rng, spec.degree, 60)
+        window = certificate_windows(spec, *split)[3]
+        assert np.linalg.eigvalsh(dense_window(*window))[0] > 0.0, spec
+        assert check_bracketing(spec, *split).delta_nn == 0.0
 
 
 def certificate_windows(spec, size1, size2, neumann=N_KIND):
@@ -714,6 +764,14 @@ class TestBandedLambdaMin:
             assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
             assert dtypes == [{np.dtype(np.float64)}, {np.dtype(np.complex128)}]
             assert [x.hex() for x in _banded_lambda_mins(windows[::-1])] == alone[::-1]
+        # A gap scan is one batch too: spectral_gap, its one-size case, gives
+        # bitwise the record of each size.
+        for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
+            spec = make_symbol(factors)
+            report = gap_scan(spec, [4 * n, 8 * n, *local.integers(2 * n + 1, 200, 4).tolist()])
+            assert [spectral_gap(spec, s)[1].hex() for s, _ in report.records] == [
+                g.hex() for _, g in report.records
+            ]
 
 
 class TestGapScan:
