@@ -222,7 +222,7 @@ def check_bracketing(
     only through min(0, .).  It takes one pass because the two differences
     reported as min(0, .) stop once their bracket lies at or above 0;
     without that stop the certify ops of benchmark seeds 401-410 take 6670
-    engine passes instead of 1270 and half as much CPU time again.  A
+    engine passes instead of 1270 and 46-69 % more CPU time.  A
     margin outside the grid, such as a classic-Neumann failure, falls back
     to uniform passes.  Each bracket end is an LDL* sign test either way.
 

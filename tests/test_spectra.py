@@ -294,21 +294,17 @@ def builds(monkeypatch):
     return counts
 
 
-def test_gap_scan_builds_corners_and_row_once(builds):
-    gap_scan(make_symbol([(0.0, 1), (2.0, 2)]), [13, 16, 32, 64, 100])
-    assert builds == {"_window_corners": 1, "fourier_coefficients": 1}
-
-
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: gap_scan(make_symbol([(0.0, 1), (2.0, 2)]), [13, 16, 32, 64, 100]),
         lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
         lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7),
         lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
     ],
-    ids=["complex", "real", "penta"],
+    ids=["gap_scan", "complex", "real", "penta"],
 )
-def test_modified_certificate_builds_corners_and_row_once(builds, call):
+def test_corners_and_row_built_once_per_call(builds, call):
     call()
     assert builds == {"_window_corners": 1, "fourier_coefficients": 1}
 
