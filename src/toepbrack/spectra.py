@@ -15,7 +15,10 @@ split, and each is itself a window of size 2N (a coefficient row and two
 corners), so the same engine reads them.  The engine takes a batch of
 windows of one half-bandwidth and advances all their passes through one
 row loop per arithmetic kind: a certificate makes one call for its four
-windows, a gap scan one call for all its sizes.  Every margin of a
+windows, a gap scan one call for all its sizes.  The shifts of a pass
+sit on the last, contiguous axis of one Schur block, each with a running
+minimum pivot; retired shifts run on unread and leave at event rows and
+every few rows, which changes no bit of any result.  Every margin of a
 modified certificate is 0 in exact arithmetic (``nn_vs_0n`` only as
 min(0, lambda) of a positive definite window), so each certificate
 window's first pass tests a grid of shifts around 0 and usually ends the
@@ -27,6 +30,7 @@ reference for tests and demos.
 
 from __future__ import annotations
 
+import bisect
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -405,9 +409,11 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     pass runs the banded right-looking recurrence over the m rows for a
     vector of ascending shifts at once, keeping only the trailing (N+1) x
     (N+1) Schur block; the first shift with a nonpositive pivot ends the
-    pass for itself and every shift above it.  The top corner enters with
-    the starting block, the bottom one once the block holds the last N rows
-    (no earlier pivot reads them).  The bracket starts at [0, r] without
+    pass for itself and every shift above it (:func:`_pass` tracks each
+    shift's running minimum pivot and drops retired shifts in batches,
+    which changes no bit).  The top corner enters with the starting block,
+    the bottom one once the block holds the last N rows (no earlier pivot
+    reads them).  The bracket starts at [0, r] without
     corners (T > 0 for a product symbol) and at [-r, r] with them, r the
     row-sum bound: sum|a_k| plus the largest absolute row sum of each
     corner.  A uniform pass tests its 31 equispaced interior shifts, which
@@ -424,16 +430,16 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     pass without resolving the eigenvalue that min(0, .) discards.
     The coefficient row may be zero, for a window that is just its two
     corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never builds an
-    m x m matrix.
+    m x m matrix.  An empty list of windows gives an empty list.
 
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
     """
-    n = windows[0][0].half_bandwidth
-    k = np.arange(n + 1)
     jobs = []
     for coeffs, m, top, bottom, *expect in windows:
+        n = coeffs.half_bandwidth
+        k = np.arange(n + 1)
         expect = expect[0] if expect else None
         a = coeffs.a
         if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
@@ -492,44 +498,80 @@ def _multisection(jobs: list[list]) -> None:
         jobs = remaining
 
 
+_SWEEP = 16  # rows between drops of retired shifts, besides the event rows
+
+
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     """One row loop: for each job [template, m, bottom, ...], how many of
-    its ascending ``shifts`` s leave W - s*I positive definite.  The block
-    stacks the unretired shifts of the jobs in order; a job leaves when its
-    rows end or its last shift retires."""
+    its ascending ``shifts`` s leave W - s*I positive definite.
+
+    The block is (N+1, N+1, S): the S shifts of all jobs, job after job,
+    on its last, contiguous axis, so every ufunc of a row runs inner loops
+    of length S.  A row is five ufunc calls (four for real windows, which
+    need no conjugate) into buffers and views made once per block layout;
+    numpy buffers the overlap of the in-place Schur update.  ``least``
+    holds each shift's running minimum pivot, and a job's count is the
+    index of its first shift with least <= 0: the first nonpositive pivot
+    retires a shift and every shift above it.  Retired shifts run on under
+    errstate, their values never read again, and leave the block only at
+    an event row (a job takes its bottom corner or ends) and every _SWEEP
+    rows; dropping them ends early a pass whose shifts all retire.  A
+    shift's column gets the same operations on the same operands whatever
+    its place in the block, so the counts are bitwise independent of the
+    batch and of when retired shifts leave."""
     n = len(jobs[0][0]) - 1
-    eye = np.eye(n + 1)
+    eye = np.eye(n + 1)[:, :, None]
     real = not np.iscomplexobj(jobs[0][0])
-    block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
-    alive = [len(s) for s in shifts]  # unretired shifts of each job
-    rows = list(alive)  # its rows of the block, 0 once it left
+    block = np.concatenate([job[0][:, :, None] - s * eye for job, s in zip(jobs, shifts)], axis=2)
+    least = np.full(block.shape[2], np.inf)
+    counts = [len(s) for s in shifts]
+    width = list(counts)  # the job's columns of the block, 0 once it left
     events = {row for job in jobs for row in (job[1] - n, job[1])}
-    for i in range(max(job[1] for job in jobs)):
-        pivots = block[:, 0, 0].real
-        # Not min <= 0: a NaN of one job must not hide another's pivot.
-        if i in events or not pivots.min() > 0.0:
-            keep, at = np.ones(len(block), dtype=bool), 0
-            for j, job in enumerate(jobs):
-                start, at = at, at + rows[j]
-                mine = block[start:at]
-                if job[1] - n == i:
-                    mine[:, :, n] = mine[:, n, :] = 0.0
-                    mine[:, n, n] = 1.0
-                    if job[2] is not None:
-                        mine[:, :n, :n] += job[2]
-                if job[1] == i:
-                    keep[start:at], rows[j] = False, 0
-                elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
-                    alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
-                    keep[start + rows[j] : at] = False
-            block = block[keep]
-            if not len(block):
-                break
-            pivots = block[:, 0, 0].real
-        v = block[:, 1:, 0]
-        w = v[:, None, :] if real else np.conj(v[:, None, :])
-        block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
-    return alive
+    layout = True
+    with np.errstate(all="ignore"):
+        # Row max(m) is an event that ends every job left, so the loop breaks there.
+        for i in range(max(job[1] for job in jobs) + 1):
+            if i in events or i % _SWEEP == 0:
+                keep, at = np.ones(len(least), dtype=bool), 0
+                # The retired columns, then one past the last: a job's first
+                # retired shift is the first hit at or after its start.
+                hits = np.flatnonzero(least <= 0.0).tolist() + [len(least)]
+                for j, job in enumerate(jobs):
+                    start, at = at, at + width[j]
+                    if not width[j]:
+                        continue
+                    if job[1] - n == i:
+                        mine = block[:, :, start:at]
+                        mine[:, n] = mine[n] = 0.0
+                        mine[n, n] = 1.0
+                        if job[2] is not None:
+                            mine[:n, :n] += job[2][:, :, None]
+                    first = hits[bisect.bisect_left(hits, start)]
+                    counts[j] = width[j] = min(first, at) - start
+                    if job[1] == i:
+                        width[j] = 0
+                    keep[start + width[j] : at] = False
+                if not keep.all():
+                    # Boolean indexing on the last axis leaves it strided.
+                    block = np.ascontiguousarray(block[:, :, keep])
+                    least = least[keep]
+                    if not len(least):
+                        break
+                    layout = True
+            if layout:
+                pivots, v = block[0, 0].real, block[1:, 0]
+                head, tail = block[:n, :n], block[1:, 1:]
+                q = np.empty_like(v)
+                w = v if real else np.empty_like(v)
+                outer = np.empty_like(head)
+                layout = False
+            np.fmin(least, pivots, out=least)
+            np.divide(v, pivots, out=q)
+            if not real:
+                np.conjugate(v, out=w)
+            np.multiply(q[:, None], w[None], out=outer)
+            np.subtract(tail, outer, out=head)
+    return counts
 
 
 def _banded_lambda_min(

@@ -246,8 +246,9 @@ def passes(monkeypatch):
     ids=["complex", "real", "degree6", "large", "penta", "penta_real"],
 )
 def test_modified_certificate_takes_one_pass_per_kind(passes, call):
-    # Every window of a modified certificate has smallest eigenvalue 0, so
-    # the grid pass around 0 brackets it to one engine width at once.
+    # Both floor windows and lower have smallest eigenvalue 0, so the grid
+    # pass around 0 brackets each to one engine width at once; nn_vs_0n is
+    # positive definite and ends after that pass through its min0 stop.
     call()
     assert passes and len(passes) == len(set(passes))
 
@@ -770,6 +771,118 @@ class TestBandedLambdaMin:
             ]
 
 
+def reference_pass(jobs, shifts, retired_rows):
+    """Oracle: the shift-first row loop that retired every shift at once.
+
+    The block is (S, N+1, N+1), every row allocates its temporaries, and a
+    shift leaves at the row of its first nonpositive pivot, together with
+    every shift above it.  Each row where that happens goes into
+    ``retired_rows``."""
+    n = len(jobs[0][0]) - 1
+    eye = np.eye(n + 1)
+    real = not np.iscomplexobj(jobs[0][0])
+    block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
+    alive = [len(s) for s in shifts]  # unretired shifts of each job
+    rows = list(alive)  # its rows of the block, 0 once it left
+    events = {row for job in jobs for row in (job[1] - n, job[1])}
+    for i in range(max(job[1] for job in jobs)):
+        pivots = block[:, 0, 0].real
+        # Not min <= 0: a NaN of one job must not hide another's pivot.
+        if i in events or not pivots.min() > 0.0:
+            keep, at = np.ones(len(block), dtype=bool), 0
+            for j, job in enumerate(jobs):
+                start, at = at, at + rows[j]
+                mine = block[start:at]
+                if job[1] - n == i:
+                    mine[:, :, n] = mine[:, n, :] = 0.0
+                    mine[:, n, n] = 1.0
+                    if job[2] is not None:
+                        mine[:, :n, :n] += job[2]
+                if job[1] == i:
+                    keep[start:at], rows[j] = False, 0
+                elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
+                    alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
+                    keep[start + rows[j] : at] = False
+                    retired_rows.add(i)
+            block = block[keep]
+            if not len(block):
+                break
+            pivots = block[:, 0, 0].real
+        v = block[:, 1:, 0]
+        w = v[:, None, :] if real else np.conj(v[:, None, :])
+        block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
+    return alive
+
+
+class TestPassAgainstReference:
+    """spectra._pass returns the reference row loop's counts exactly."""
+
+    @staticmethod
+    def job(coeffs, m, top, bottom):
+        """The pass job [template, m, bottom] that _banded_lambda_mins builds."""
+        n = coeffs.half_bandwidth
+        k = np.arange(n + 1)
+        template = coeffs.a[n + k[None, :] - k[:, None]]
+        if top is not None:
+            template[:n, :n] += top
+        return [template, m, bottom]
+
+    @staticmethod
+    def leading_lambda_mins(window, sizes):
+        """The smallest eigenvalue of each leading r x r block of a window."""
+        return {r: np.linalg.eigvalsh(window[:r, :r])[0] if r else math.inf for r in sizes}
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_match_the_reference(self, n):
+        # Pivot r of W - s*I is the first nonpositive one when s lies between
+        # the smallest eigenvalues of W's leading (r+1) x (r+1) and r x r
+        # blocks, so each shift below is aimed at one row: the sweep rows and
+        # their neighbours, the bottom-corner rows, the last row and two
+        # random rows, with two shifts below lambda_min that never retire.
+        local = np.random.default_rng(1100 + n)
+
+        def hermitian_block(real):
+            x = local.normal(size=(n, n)) + (0.0 if real else 1j * local.normal(size=(n, n)))
+            return (x + x.conj().T) / 2
+
+        sweeps = {r for k in (1, 2, 3) for r in (16 * k - 1, 16 * k, 16 * k + 1)}
+        retired_rows = set()
+        for batch in range(8):
+            real = batch % 2 == 0
+            jobs, shifts = [], []
+            for j in range(1 + (batch + n) % 6):
+                if j == 1 and batch % 3 == 0:
+                    m = jobs[0][1]  # two jobs that end on the same row
+                else:
+                    m = int(local.choice([n + 1, local.integers(n + 2, 60), local.integers(60, 201)]))
+                row = local.normal(size=2 * n + 1)
+                if not real:
+                    row = row + 1j * local.normal(size=2 * n + 1)
+                row = (row + row[::-1].conj()) / 2
+                if (batch + j) % 4 == 3:
+                    row = np.zeros_like(row)
+                coeffs = BandedCoeffs(row)
+                top, bottom = None, None
+                if (batch + j) % 4 > 0:
+                    top, bottom = hermitian_block(real), hermitian_block(real)
+                rows = {0, m - 1, m - n - 1, m - n, m - n + 1, *sweeps, *local.integers(0, m, 2)}
+                rows = sorted(int(r) for r in rows if 0 <= r < m)
+                sizes = {r + d for r in rows for d in (0, 1)} | {m - n, m}
+                lam = self.leading_lambda_mins(dense_window(coeffs, m, top, bottom), sizes)
+                s = [lam[1] + 1.0 if r == 0 else 0.5 * (lam[r] + lam[r + 1]) for r in rows]
+                if j == 2:
+                    # Every shift retires before the bottom-corner step.
+                    s = np.maximum(s, lam[m - n] + 1e-6)
+                else:
+                    s += [lam[m] - 1e-3, lam[m] - 1.0]
+                jobs.append(self.job(coeffs, m, top, bottom))
+                shifts.append(np.sort(s))
+            expected = reference_pass(jobs, shifts, retired_rows)
+            assert spectra._pass(jobs, shifts) == expected
+            assert len(jobs) < 3 or expected[2] == 0
+        assert {15, 16, 17, 31, 32, 33} <= retired_rows
+
+
 class TestGapScan:
     def test_path_laplacian_slope(self):
         report = gap_scan(make_symbol([(0.0, 1)]), [8, 16, 32, 64])
@@ -797,6 +910,13 @@ class TestGapScan:
     def test_needs_two_fit_points(self):
         with pytest.raises(ValueError):
             gap_scan(make_symbol([(0.0, 1)]), [3, 4])
+
+    def test_no_sizes_fails_like_one_size(self):
+        # The engine takes an empty batch; the slope fit refuses it.
+        assert _banded_lambda_mins([]) == []
+        for sizes in ([16], []):
+            with pytest.raises(ValueError, match="two sizes"):
+                gap_scan(make_symbol([(0.0, 1)]), sizes)
 
 
 class TestPentaBracketing:
