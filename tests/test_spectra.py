@@ -772,12 +772,12 @@ class TestBandedLambdaMin:
 
 
 def reference_pass(jobs, shifts, retired_rows):
-    """Oracle: the shift-first row loop that retired every shift at once.
+    """Oracle: a plainer row loop with the shifts on the block's first axis.
 
     The block is (S, N+1, N+1), every row allocates its temporaries, and a
-    shift leaves at the row of its first nonpositive pivot, together with
-    every shift above it.  Each row where that happens goes into
-    ``retired_rows``."""
+    shift leaves the block at the row of its first nonpositive pivot,
+    together with every shift above it.  Each row where a shift leaves so
+    goes into ``retired_rows``."""
     n = len(jobs[0][0]) - 1
     eye = np.eye(n + 1)
     real = not np.iscomplexobj(jobs[0][0])
