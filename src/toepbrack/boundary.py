@@ -24,7 +24,10 @@ boundary).  The matching top-left block is the conjugated anti-diagonal
 reflection of it, which equals the direct crossing-placement sum at the
 left edge; a plain (unconjugated) reflection would transpose the block and
 break both the rank-one identity and the operator inequalities for complex
-symbols.
+symbols.  So a window with the same kind at both edges is mirror-symmetric,
+W = J conj(W) J with J the exchange matrix: the identity the eigen engine
+(``spectra._banded_lambda_mins``) checks bit for bit and uses to factor
+each window from both ends.
 """
 
 from __future__ import annotations

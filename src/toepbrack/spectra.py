@@ -12,10 +12,17 @@ kernel and the rest of its spectrum is that of T_{L-N}(g); the kernel is
 checked by a banded product.  The other three bracketing margins are
 smallest eigenvalues of differences that vanish outside the 2N rows at the
 split, and each is itself a window of size 2N (a coefficient row and two
-corners), so the same engine reads them.  The engine takes a batch of
-windows of one half-bandwidth and advances all their passes through one
-row loop per arithmetic kind: a certificate makes one call for its four
-windows, a gap scan one call for all its sizes.  The shifts of a pass
+corners), so the same engine reads them.  Each of these windows is
+mirror-symmetric, W = J conj(W) J with J the exchange matrix, so a pass
+factors it from both ends at once: the forward recurrence stops at the
+middle row and one N x N meeting block decides the rest, in about half
+the rows (the double factorization of Parlett and Dhillon, "Fernando's
+solution to Wilkinson's problem", LAA 267, 1997).  The engine takes this
+step only where it finds the symmetry bit for bit; any other window runs
+the whole forward recurrence.  The engine takes a batch of windows of
+one half-bandwidth and advances all their passes through one row loop
+per arithmetic kind: a certificate makes one call for its four windows,
+a gap scan one call for all its sizes.  The shifts of a pass
 sit on the last, contiguous axis of one Schur block, each with a running
 minimum pivot; retired shifts run on unread and leave at event rows and
 every few rows, which changes no bit of any result.  Every margin of a
@@ -214,7 +221,12 @@ def check_bracketing(
     so ``upper`` is the same window with its coupling across the split
     negated, which conjugation by diag(I_N, -I_N) maps back to ``lower``:
     the two margins are equal.  min(0, .) adds back the zero eigenvalue of
-    the rows a difference does not touch.
+    the rows a difference does not touch.  Each top corner is the
+    conjugated reflection of its bottom one, bit for bit, so all four
+    windows are mirror-symmetric and the engine factors each from both ends
+    at once, every pass running about half its rows; a window that fails
+    that check, such as one with a corrupted corner, is factored from the
+    top alone, so the certificate still reports on the window as built.
 
     In exact arithmetic every margin of a modified certificate is 0.  Both
     floor windows have an N-dimensional kernel and ``lower`` is N rank-one
@@ -406,19 +418,42 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
 
     Multisection on Sylvester's law of inertia: W - s*I is positive
     definite iff every pivot of its LDL* factorization is positive.  One
-    pass runs the banded right-looking recurrence over the m rows for a
-    vector of ascending shifts at once, keeping only the trailing (N+1) x
-    (N+1) Schur block; the first shift with a nonpositive pivot ends the
-    pass for itself and every shift above it (:func:`_pass` tracks each
-    shift's running minimum pivot and drops retired shifts in batches,
-    which changes no bit).  The top corner enters with the starting block,
-    the bottom one once the block holds the last N rows (no earlier pivot
-    reads them).  The bracket starts at [0, r] without
-    corners (T > 0 for a product symbol) and at [-r, r] with them, r the
-    row-sum bound: sum|a_k| plus the largest absolute row sum of each
-    corner.  A uniform pass tests its 31 equispaced interior shifts, which
-    shrinks it 32-fold, down to the banded Cholesky backward-error scale
-    w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
+    pass runs the banded right-looking recurrence for a vector of ascending
+    shifts at once, keeping only the trailing (N+1) x (N+1) Schur block; the
+    first shift with a nonpositive pivot ends the pass for itself and every
+    shift above it (:func:`_pass` tracks each shift's running minimum pivot
+    and drops retired shifts in batches, which changes no bit).  The top
+    corner enters with the starting block.
+
+    A mirror window, W = J conj(W) J, meets in the middle.  With
+    p = ceil((m-N)/2) and q = m-N-p <= p, W - s*I is positive definite iff
+    its rows 0..p-1, its rows p+N..m-1 and the Schur complement M on the N
+    middle rows p..p+N-1 are; with bandwidth N the top and bottom rows do
+    not couple.  By the symmetry the bottom rows, eliminated from the
+    bottom, give the pivots of the first q rows, which the forward
+    recurrence has already tested, and their share of M is J conj(S_q) J -
+    (T_N(g) - s*I), S_r being the Schur block of rows r..r+N-1 at the start
+    of forward row r.  So the pass runs rows 0..p-1 forward, copies S_q on
+    the way, and ends with N pivot steps on M = S_p + J conj(S_q) J -
+    T_N(g) + s*I: each corner's share of the middle lies in exactly one of
+    S_p and S_q, and T_N(g) in both.  A window takes this step when both
+    corners are None, or when the corners do not overlap (m >= 2N) and top
+    equals conj(bottom[::-1, ::-1]), and in both cases the row equals its
+    conjugated reversal, all bit for bit after the real/complex demotion.
+    Every window of :func:`check_bracketing` and of the gap scans passes
+    that check.  Any other window, such as one with a corrupted corner,
+    runs all m rows forward and takes the bottom corner once the block
+    holds the last N rows (no earlier pivot reads them).  Against the
+    forward loop the meet changes a result only through rounding: no gap
+    of the benchmark's seeds 401-410 moved, and no certify margin by more
+    than one stopping width w (below).
+
+    The bracket starts at [0, r] without corners (T > 0 for a product
+    symbol) and at [-r, r] with them, r the row-sum bound: sum|a_k| plus
+    the largest absolute row sum of each corner.  A uniform pass tests its
+    31 equispaced interior shifts, which shrinks it 32-fold, down to the
+    banded Cholesky backward-error scale w = 8 * (N+1) * eps * max(1, r),
+    and its midpoint is returned.
 
     ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
     (the floors of a bracketing certificate).  The first pass then tests
@@ -435,6 +470,8 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
+    A job is [template, m, bottom, meet, tol, lo, hi, grid, cap], meet being
+    (q, p, T_N(g)) for a mirror window and None otherwise.
     """
     jobs = []
     for coeffs, m, top, bottom, *expect in windows:
@@ -451,32 +488,44 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
         # and row n (entries a_n..a_1 above its diagonal) is the template of
         # every row that enters later.  The update rewrites only the leading
         # n x n block, so the entering row stays in place until the band
-        # runs past row m-1.  There it becomes a decoupled unit row, and the
-        # leading block, then rows m-n..m-1, takes the bottom corner.
+        # runs past the last row.  There it becomes a decoupled unit row, and
+        # the leading block takes the bottom corner (rows m-n..m-1) or
+        # becomes the meeting block (rows p..p+n-1).
         template = a[n + k[None, :] - k[:, None]]
+        body = template[:n, :n].copy()
         if top is not None:
             template[:n, :n] += top
+        # The meet step needs W = J conj(W) J bit for bit, and corners that
+        # do not overlap; any other window runs the forward loop.
+        if top is None or bottom is None:
+            mirror = top is None and bottom is None
+        else:
+            mirror = m >= 2 * n and np.array_equal(top, np.conj(bottom[::-1, ::-1]))
+        meet = None
+        if mirror and np.array_equal(a, np.conj(a[::-1])):
+            p = (m - n + 1) // 2
+            meet = (m - n - p, p, body)
         tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
         lo = 0.0 if top is None and bottom is None else -reach
         grid = None if expect is None else tol * np.arange(-_GRID, _GRID + 1)
         cap = 0.0 if expect == "min0" else math.inf
-        jobs.append([template, m, bottom, tol, lo, reach, grid, cap])
+        jobs.append([template, m, bottom, meet, tol, lo, reach, grid, cap])
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
             _multisection(group)
-    mids = [0.5 * (job[4] + job[5]) for job in jobs]
-    return [min(0.0, mid) if job[7] == 0.0 else mid for job, mid in zip(jobs, mids)]
+    mids = [0.5 * (job[5] + job[6]) for job in jobs]
+    return [min(0.0, mid) if job[8] == 0.0 else mid for job, mid in zip(jobs, mids)]
 
 
 def _open(job: list) -> bool:
     """Whether a job's bracket is still wider than tol and below its cap."""
-    return job[5] - job[4] > job[3] and job[4] < job[7]
+    return job[6] - job[5] > job[4] and job[5] < job[8]
 
 
 def _multisection(jobs: list[list]) -> None:
-    """Narrow the bracket job[4:6] of each job [template, m, bottom, tol,
-    lo, hi, grid, cap], all of one arithmetic kind, one row loop
+    """Narrow the bracket job[5:7] of each job [template, m, bottom, meet,
+    tol, lo, hi, grid, cap], all of one arithmetic kind, one row loop
     (:func:`_pass`) per pass.  A pass tests the job's ``grid`` if it has
     one, else 31 equispaced interior shifts of its bracket.  A job stops
     when its bracket is no wider than tol, or lies at or above cap, or
@@ -488,11 +537,11 @@ def _multisection(jobs: list[list]) -> None:
         remaining = []
         for job, s, count in zip(jobs, shifts, _pass(jobs, shifts)):
             if count > 0:
-                job[4] = float(s[count - 1])
+                job[5] = float(s[count - 1])
             if count < len(s):
-                job[5] = float(s[count])
-            closed = job[6] is not None and 0 < count < len(s)
-            job[6] = None
+                job[6] = float(s[count])
+            closed = job[7] is not None and 0 < count < len(s)
+            job[7] = None
             if not closed and _open(job):
                 remaining.append(job)
         jobs = remaining
@@ -502,8 +551,15 @@ _SWEEP = 16  # rows between drops of retired shifts, besides the event rows
 
 
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
-    """One row loop: for each job [template, m, bottom, ...], how many of
-    its ascending ``shifts`` s leave W - s*I positive definite.
+    """One row loop: for each job [template, m, bottom, meet, ...], how
+    many of its ascending ``shifts`` s leave W - s*I positive definite.
+
+    A job with meet None runs its m rows and takes its bottom corner at row
+    m-N.  A job with meet (q, p, T_N(g)) copies its N x N Schur block S_q at
+    the start of row q, replaces it at the start of row p by the meeting
+    block S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
+    :func:`_banded_lambda_mins`); retired shifts leave only as a suffix of a
+    job's columns, so those at row p are a prefix of those copied at row q.
 
     The block is (N+1, N+1, S): the S shifts of all jobs, job after job,
     on its last, contiguous axis, so every ufunc of a row runs inner loops
@@ -514,23 +570,30 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     index of its first shift with least <= 0: the first nonpositive pivot
     retires a shift and every shift above it.  Retired shifts run on under
     errstate, their values never read again, and leave the block only at
-    an event row (a job takes its bottom corner or ends) and every _SWEEP
-    rows; dropping them ends early a pass whose shifts all retire.  A
-    shift's column gets the same operations on the same operands whatever
-    its place in the block, so the counts are bitwise independent of the
-    batch and of when retired shifts leave."""
+    an event row (a job copies S_q, takes its bottom corner or meeting
+    block, or ends) and every _SWEEP rows; dropping them ends early a pass
+    whose shifts all retire.  A shift's column gets the same operations on
+    the same operands whatever its place in the block, so the counts are
+    bitwise independent of the batch and of when retired shifts leave."""
     n = len(jobs[0][0]) - 1
     eye = np.eye(n + 1)[:, :, None]
     real = not np.iscomplexobj(jobs[0][0])
     block = np.concatenate([job[0][:, :, None] - s * eye for job, s in zip(jobs, shifts)], axis=2)
+    column_shifts = np.concatenate(shifts)
     least = np.full(block.shape[2], np.inf)
     counts = [len(s) for s in shifts]
     width = list(counts)  # the job's columns of the block, 0 once it left
-    events = {row for job in jobs for row in (job[1] - n, job[1])}
+    # A meet job ends N rows after its middle row p, which stands where the
+    # bottom-corner row m - N of a forward job stands.
+    ends = [job[1] if job[3] is None else job[3][1] + n for job in jobs]
+    events = {row for end in ends for row in (end - n, end)}
+    events |= {job[3][0] for job in jobs if job[3] is not None}
+    mirrors = [None] * len(jobs)  # each meet job's S_q, once copied
     layout = True
     with np.errstate(all="ignore"):
-        # Row max(m) is an event that ends every job left, so the loop breaks there.
-        for i in range(max(job[1] for job in jobs) + 1):
+        # The last end row is an event that ends every job left, so the
+        # loop breaks there.
+        for i in range(max(ends) + 1):
             if i in events or i % _SWEEP == 0:
                 keep, at = np.ones(len(least), dtype=bool), 0
                 # The retired columns, then one past the last: a job's first
@@ -540,21 +603,34 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
                     start, at = at, at + width[j]
                     if not width[j]:
                         continue
-                    if job[1] - n == i:
+                    meet = job[3]
+                    if meet is not None and meet[0] == i:
+                        mirrors[j] = block[:n, :n, start:at].copy()
+                    if ends[j] - n == i:
                         mine = block[:, :, start:at]
                         mine[:, n] = mine[n] = 0.0
                         mine[n, n] = 1.0
-                        if job[2] is not None:
+                        if meet is not None:
+                            # M = S_p + J conj(S_q) J - T_N(g) + s*I; the
+                            # columns here are a prefix of those at row q.
+                            middle = mine[:n, :n]
+                            mirror = mirrors[j][::-1, ::-1, : at - start]
+                            middle += mirror if real else np.conj(mirror)
+                            middle -= meet[2][:, :, None]
+                            for d in range(n):
+                                middle[d, d] += column_shifts[start:at]
+                        elif job[2] is not None:
                             mine[:n, :n] += job[2][:, :, None]
                     first = hits[bisect.bisect_left(hits, start)]
                     counts[j] = width[j] = min(first, at) - start
-                    if job[1] == i:
+                    if ends[j] == i:
                         width[j] = 0
                     keep[start + width[j] : at] = False
                 if not keep.all():
                     # Boolean indexing on the last axis leaves it strided.
                     block = np.ascontiguousarray(block[:, :, keep])
                     least = least[keep]
+                    column_shifts = column_shifts[keep]
                     if not len(least):
                         break
                     layout = True

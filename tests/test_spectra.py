@@ -714,22 +714,26 @@ class TestBandedLambdaMin:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_composition_changes_no_result(self, monkeypatch, rng, n):
         # Real and complex windows, with and without corners, on one row
-        # loop: each result is bitwise that of the window run alone.
+        # loop: each result is bitwise that of the window run alone.  Those
+        # without corners and the mirror windows take the meet step, the
+        # others the forward loop.
         def hermitian_block(real):
             x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
             return (x + x.conj().T) / 2
 
         # Each row loop runs one arithmetic kind, real windows in float64:
         # complex / real division can round differently from real / real.
-        dtypes = []
+        dtypes, meets = [], set()
         row_loop = spectra._multisection
 
         def spy(jobs):
             dtypes.append({job[0].dtype for job in jobs})
+            meets.update(job[3] is not None for job in jobs)
             row_loop(jobs)
 
         monkeypatch.setattr(spectra, "_multisection", spy)
         local = np.random.default_rng(n)
+        mirror = np.random.default_rng(1500 + n)
         for _ in range(2):
             windows = []
             # Both kinds with every corner shape; the first window ends
@@ -745,11 +749,23 @@ class TestBandedLambdaMin:
                 top, bottom = None, None
                 if shape > 0:
                     top = hermitian_block(real)
-                    # -I would make singular a retired shift kept as identity.
+                    # A definite corner beside the indefinite random ones;
+                    # neither mirrors the random top.
                     bottom = -np.eye(n) if shape == 1 else hermitian_block(real)
                 if shape == 3:
                     coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
                 windows.append((coeffs, int(m), top, bottom))
+            # Mirror windows, drawn apart so the draws above stay the same:
+            # mirrored corners on a symbol's row and on a zero row.
+            for j, m in enumerate(mirror.integers(2 * n, 201, 4)):
+                real = j % 2 == 0
+                factors = [(0.0, n)] if real else [(float(mirror.uniform(0.1, 3.0)), n)]
+                coeffs = fourier_coefficients(make_symbol(factors))
+                if j >= 2:
+                    coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
+                x = mirror.normal(size=(n, n)) + (0.0 if real else 1j * mirror.normal(size=(n, n)))
+                bottom = (x + x.conj().T) / 2
+                windows.append((coeffs, int(m), np.conj(bottom[::-1, ::-1]), bottom))
             # The same windows seeded at 0, and certificate windows, whose
             # grid pass closes at once, next to ones that fall back.
             windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
@@ -761,6 +777,7 @@ class TestBandedLambdaMin:
             assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
             assert dtypes == [{np.dtype(np.float64)}, {np.dtype(np.complex128)}]
             assert [x.hex() for x in _banded_lambda_mins(windows[::-1])] == alone[::-1]
+        assert meets == {False, True}
         # A gap scan is one batch too: spectral_gap, its one-size case, gives
         # bitwise the record of each size.
         for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
@@ -819,13 +836,14 @@ class TestPassAgainstReference:
 
     @staticmethod
     def job(coeffs, m, top, bottom):
-        """The pass job [template, m, bottom] that _banded_lambda_mins builds."""
+        """The pass job [template, m, bottom, meet] that _banded_lambda_mins
+        builds for a window that takes the forward loop (meet None)."""
         n = coeffs.half_bandwidth
         k = np.arange(n + 1)
         template = coeffs.a[n + k[None, :] - k[:, None]]
         if top is not None:
             template[:n, :n] += top
-        return [template, m, bottom]
+        return [template, m, bottom, None]
 
     @staticmethod
     def leading_lambda_mins(window, sizes):
@@ -881,6 +899,168 @@ class TestPassAgainstReference:
             assert spectra._pass(jobs, shifts) == expected
             assert len(jobs) < 3 or expected[2] == 0
         assert {15, 16, 17, 31, 32, 33} <= retired_rows
+
+
+def reference_meet(job, shifts):
+    """Oracle: the twisted recurrence of one mirror window, written plainly.
+
+    The block is (S, N+1, N+1) with the shifts on its first axis, every row
+    allocates its temporaries, and no shift ever leaves.  Rows 0..p-1 run
+    forward, S_q is copied at the start of row q, and row p starts from the
+    meeting block S_p + J conj(S_q) J - T_N(g) + s*I, whose N pivot steps
+    end the window.  Returns the count of shifts before the first one with
+    a nonpositive pivot, and each shift's first row with one (-1 if none)."""
+    template, _, _, (q, p, body) = job[:4]
+    n = len(template) - 1
+    real = not np.iscomplexobj(template)
+    block = template - shifts[:, None, None] * np.eye(n + 1)
+    least = np.full(len(shifts), np.inf)
+    first_row = np.full(len(shifts), -1)
+    diagonal = np.arange(n)
+    for i in range(p + n):
+        if i == q:
+            saved = block[:, :n, :n].copy()
+        if i == p:
+            block[:, :, n] = block[:, n, :] = 0.0
+            block[:, n, n] = 1.0
+            mirror = saved[:, ::-1, ::-1]
+            middle = block[:, :n, :n] + (mirror if real else np.conj(mirror)) - body
+            middle[:, diagonal, diagonal] += shifts[:, None]
+            block[:, :n, :n] = middle
+        pivots = block[:, 0, 0].real
+        first_row[(pivots <= 0.0) & (first_row < 0)] = i
+        least = np.fmin(least, pivots)
+        v = block[:, 1:, 0]
+        w = v if real else np.conj(v)
+        with np.errstate(all="ignore"):  # a retired shift may divide by 0
+            block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w[:, None, :]
+    hits = np.flatnonzero(least <= 0.0)
+    return (int(hits[0]) if len(hits) else len(shifts)), first_row
+
+
+class TestMeetAgainstReference:
+    """Mirror windows take the meet step, and _pass counts them exactly as
+    the plain twisted recurrence does."""
+
+    @staticmethod
+    def mirror_window(local, n, m, real, corners, zero_row):
+        """A window with a Hermitian row and, if asked, mirrored corners."""
+        row = local.normal(size=2 * n + 1)
+        if not real:
+            row = row + 1j * local.normal(size=2 * n + 1)
+        row = np.zeros_like(row) if zero_row else (row + row[::-1].conj()) / 2
+        top, bottom = None, None
+        if corners:
+            x = local.normal(size=(n, n)) + (0.0 if real else 1j * local.normal(size=(n, n)))
+            bottom = (x + x.conj().T) / 2
+            top = np.conj(bottom[::-1, ::-1])
+        return BandedCoeffs(row), m, top, bottom
+
+    @staticmethod
+    def engine_job(monkeypatch, window):
+        """The job that _banded_lambda_mins builds for a window, from its first pass."""
+        seen = []
+        one_pass = spectra._pass
+
+        def spy(jobs, shifts):
+            seen.extend(jobs)
+            return one_pass(jobs, shifts)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(spectra, "_pass", spy)
+            _banded_lambda_min(*window)
+        return seen[0]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_match_the_reference(self, monkeypatch, n):
+        # As in TestPassAgainstReference, each shift is aimed at one row:
+        # between the smallest eigenvalues of the leading r and r+1 rows for
+        # a row r < p, and for meeting row p+d between those of the rows
+        # {0..p+d-1} and {0..p+d}, each joined with the bottom rows p+N..m-1.
+        # Four shifts sit 2w and 4w on either side of lambda_min, and two
+        # below it never retire.
+        local = np.random.default_rng(1300 + n)
+        sweeps = {r for k in (1, 2, 3) for r in (16 * k - 1, 16 * k, 16 * k + 1)}
+        hit = set()
+        for batch in range(8):
+            jobs, shifts, expected = [], [], []
+            for j in range(1 + (batch + n) % 4):
+                corners = (batch + j) % 3 > 0
+                low = 2 * n if corners else n + 1
+                m = int(local.choice([low, low + 1, local.integers(low, 60), local.integers(100, 201)]))
+                window = self.mirror_window(
+                    local, n, m, batch % 2 == 0, corners, corners and (batch + j) % 3 == 2
+                )
+                job = self.engine_job(monkeypatch, window)
+                assert job[3] is not None
+                q, p, _ = job[3]
+                assert (q, p) == ((m - n) // 2, (m - n + 1) // 2)
+                dense = dense_window(*window)
+                bottom_rows = list(range(p + n, m))
+
+                def lam(rows):
+                    return np.linalg.eigvalsh(dense[np.ix_(rows, rows)])[0] if rows else math.inf
+
+                lead = [lam(list(range(r))) for r in range(p + 1)]
+                middle = [lead[p]] + [lam(list(range(p + d + 1)) + bottom_rows) for d in range(n)]
+                rows = {0, q - 1, q, q + 1, p - 1, *sweeps, *local.integers(0, p, 2)}
+                rows = sorted(int(r) for r in rows if 0 <= r < p)
+                s = [lead[1] + 1.0 if r == 0 else 0.5 * (lead[r] + lead[r + 1]) for r in rows]
+                s += [0.5 * (middle[d] + middle[d + 1]) for d in range(n)]
+                lam_min, w = middle[n], job[4]
+                s += [lam_min + k * w for k in (-4, -2, 2, 4)]
+                if j == 2 and q > 0:
+                    # Every shift retires before row q, whose copy then holds no column.
+                    s = np.maximum(s, lead[q] + 1e-6)
+                else:
+                    s += [lam_min - 1e-3, lam_min - 1.0]
+                s = np.sort(s)
+                count, first_row = reference_meet(job, s)
+                for r in first_row[first_row >= 0].tolist():
+                    hit.add(r if r < p else f"p+{r - p}")
+                    hit.update(["q"] if r == q else [])
+                # lambda_min is read by eigvalsh, independently of both loops.
+                assert np.all(s[:count] < lam_min + 2 * w) and np.all(s[count:] > lam_min - 2 * w)
+                jobs.append(job)
+                shifts.append(s)
+                expected.append(count)
+            for kind in (False, True):
+                mine = [i for i, job in enumerate(jobs) if np.iscomplexobj(job[0]) == kind]
+                if mine:
+                    counts = spectra._pass([jobs[i] for i in mine], [shifts[i] for i in mine])
+                    assert counts == [expected[i] for i in mine]
+        assert sweeps - {47, 48, 49} <= hit
+        assert {"q", *(f"p+{d}" for d in range(n))} <= hit
+
+    def test_only_mirror_windows_meet(self, monkeypatch):
+        # The meet step is taken on a bitwise check of the input; anything
+        # else, down to one corner entry one ulp off, runs the forward loop.
+        local = np.random.default_rng(1400)
+        for n in (1, 3):
+            for real in (True, False):
+                coeffs, m, top, bottom = self.mirror_window(local, n, 3 * n, real, True, False)
+                nudged = top.copy()
+                nudged[0, 0] = np.nextafter(nudged[0, 0].real, math.inf)
+                cases = [
+                    ((coeffs, m, None, None), True),
+                    ((coeffs, m, top, bottom), True),
+                    ((coeffs, 2 * n, top, bottom), True),
+                    ((coeffs, m, nudged, bottom), False),
+                    ((coeffs, m, top, None), False),
+                    ((coeffs, m, None, bottom), False),
+                ]
+                if n > 1:
+                    cases.append(((coeffs, 2 * n - 1, top, bottom), False))  # corners overlap
+                    skew = coeffs.a.copy()
+                    skew[0] = np.nextafter(skew[0].real, math.inf)
+                    cases.append(((BandedCoeffs(skew), m, None, None), False))
+                for window, meets in cases:
+                    assert (self.engine_job(monkeypatch, window)[3] is not None) == meets
+                    if window[2] is None and window[3] is None:
+                        continue  # bracketed from 0 up: a random row need not be definite
+                    dense = dense_window(*window)
+                    tol = 1e-12 * max(1.0, np.abs(dense).sum(axis=1).max())
+                    assert abs(_banded_lambda_min(*window) - np.linalg.eigvalsh(dense)[0]) <= tol
 
 
 class TestGapScan:
