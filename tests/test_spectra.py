@@ -1010,7 +1010,7 @@ class TestMeetAgainstReference:
                 lam_min, w = middle[n], job[4]
                 s += [lam_min + k * w for k in (-4, -2, 2, 4)]
                 if j == 2 and q > 0:
-                    # Every shift retires before row q, whose copy then holds no column.
+                    # Every shift retires before row q.
                     s = np.maximum(s, lead[q] + 1e-6)
                 else:
                     s += [lam_min - 1e-3, lam_min - 1.0]
@@ -1049,11 +1049,11 @@ class TestMeetAgainstReference:
                     ((coeffs, m, top, None), False),
                     ((coeffs, m, None, bottom), False),
                 ]
+                skew = coeffs.a.copy()
+                skew[0] += np.nextafter(abs(skew[0]), math.inf) - abs(skew[0])
+                cases.append(((BandedCoeffs(skew), m, None, None), False))
                 if n > 1:
                     cases.append(((coeffs, 2 * n - 1, top, bottom), False))  # corners overlap
-                    skew = coeffs.a.copy()
-                    skew[0] = np.nextafter(skew[0].real, math.inf)
-                    cases.append(((BandedCoeffs(skew), m, None, None), False))
                 for window, meets in cases:
                     assert (self.engine_job(monkeypatch, window)[3] is not None) == meets
                     if window[2] is None and window[3] is None:
