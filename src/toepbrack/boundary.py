@@ -26,8 +26,8 @@ left edge; a plain (unconjugated) reflection would transpose the block and
 break both the rank-one identity and the operator inequalities for complex
 symbols.  So a window with the same kind at both edges is mirror-symmetric,
 W = J conj(W) J with J the exchange matrix: the identity the eigen engine
-(``spectra._banded_lambda_mins``) checks bit for bit and uses to factor
-each window from both ends.
+(``spectra._banded_lambda_mins``) takes as given, reading only a window's
+top block and factoring the window from both ends.
 """
 
 from __future__ import annotations

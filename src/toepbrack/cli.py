@@ -23,7 +23,9 @@ success with all verdicts true, 1 on a verification failure, 2 on usage
 errors.  ``export`` writes a dense window, so there a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
 built; ``gap --sizes`` keeps the same limit, its kernel check holding an
-L x N basis.  ``check`` builds no window and takes any split.  A
+L x N basis.  ``export`` refuses ``--bc`` with any kind but
+``--matrix restricted`` and ``--split`` with any but ``lap2-diff``, rather
+than drop them.  ``check`` builds no window and takes any split.  A
 coefficient row outside the float64 range is a usage error too: a symbol of
 degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  A
 ``gap`` scan whose observed constant gap * L**(2*alpha_max) leaves the
@@ -360,6 +362,10 @@ def cmd_gap(args) -> int:
 def cmd_export(args) -> int:
     _resolve_symbol(args)
     kind = args.matrix or ("restricted" if args.bc else "toeplitz")
+    if args.bc is not None and kind != "restricted":
+        raise CliUsageError(f"--bc applies only to --matrix restricted, not {kind}")
+    if args.split is not None and kind != "lap2-diff":
+        raise CliUsageError(f"--split applies only to --matrix lap2-diff, not {kind}")
     if args.parsed_spec is not None:
         coeffs = fourier_coefficients(args.parsed_spec)
     else:
@@ -451,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("toeplitz", "circulant", "restricted", "lap2-diff"),
         help="matrix kind; defaults to restricted when --bc is given, else toeplitz",
     )
-    p.add_argument("--bc", help="two boundary codes from {0,n,d,c}, e.g. nn, 0d, n0")
+    p.add_argument("--bc", help="two boundary codes from {0,n,d,c}, e.g. nn, 0d, n0 (for --matrix restricted)")
     add_io_opts(p)
     p.set_defaults(func=cmd_export)
     return parser

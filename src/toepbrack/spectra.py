@@ -5,34 +5,35 @@ LAPACK appears only as an independent cross-check in the test suite.
 Every window, boundary corners included, is the banded Toeplitz body plus
 one N x N block per edge (``boundary._window_corners``), and its smallest
 eigenvalue comes from multisection on the signs of banded LDL* pivots in
-O(L * N**2) per pass, fed with the coefficient row and the two blocks.
+O(L * N**2) per pass, fed with the coefficient row and the top block.
 That gives the floor of the bracketing chain, and the spectral gap too: by
 the Gram identity the softened window of size L has an N-dimensional
 kernel and the rest of its spectrum is that of T_{L-N}(g); the kernel is
 checked by a banded product.  The other three bracketing margins are
 smallest eigenvalues of differences that vanish outside the 2N rows at the
 split, and each is itself a window of size 2N (a coefficient row and two
-corners), so the same engine reads them.  Each of these windows is
-mirror-symmetric, W = J conj(W) J with J the exchange matrix, so a pass
-factors it from both ends at once: the forward recurrence stops at the
-middle row and one N x N meeting block decides the rest, in about half
-the rows (the double factorization of Parlett and Dhillon, "Fernando's
-solution to Wilkinson's problem", LAA 267, 1997).  The engine takes this
-step only where it finds the symmetry bit for bit; any other window runs
-the whole forward recurrence.  The engine takes a batch of windows of
-one half-bandwidth and advances all their passes through one row loop
-per arithmetic kind: a certificate makes one call for its four windows,
-a gap scan one call for all its sizes.  The shifts of a pass
-sit on the last, contiguous axis of one Schur block, each with a running
-minimum pivot; retired shifts run on unread and leave at event rows and
-every few rows, which changes no bit of any result.  Every margin of a
-modified certificate is 0 in exact arithmetic (``nn_vs_0n`` only as
-min(0, lambda) of a positive definite window), so each certificate
-window's first pass tests a grid of shifts around 0 and usually ends the
-multisection at once; a gap bracket starts at [0, r] and narrows 32-fold
-per pass.  Neither a certificate nor a gap builds an L x L matrix.  A
-cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
-reference for tests and demos.
+corners), so the same engine reads them.  Every window it reads is
+mirror-symmetric, W = J conj(W) J with J the exchange matrix: the row is
+Hermitian and the bottom block is the conjugated reflection of the top
+one.  The engine takes that as part of its input, so it is given only the
+top block, and each pass factors the window from both ends at once: the
+forward recurrence stops at the middle row and one N x N meeting block
+decides the rest, in about half the rows (the double factorization of
+Parlett and Dhillon, "Fernando's solution to Wilkinson's problem", LAA
+267, 1997).  The engine takes a batch of windows of one half-bandwidth
+and advances all their passes through one row loop per arithmetic kind:
+a certificate makes one call for its four windows, a gap scan one call
+for all its sizes.  The shifts of a pass sit on the last, contiguous
+axis of one Schur block, each with a running minimum pivot; retired
+shifts run on unread and leave at event rows and every few rows, which
+changes no bit of any result.  Every margin of a modified certificate
+is 0 in exact arithmetic (``nn_vs_0n`` only as min(0, lambda) of a
+positive definite window), so each certificate window's first pass tests
+a grid of shifts around 0 and usually ends the multisection at once; a
+gap bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
+certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
+diagonalization, :func:`eigenvalues`, stays as the dense reference for
+tests and demos.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def check_bracketing(
 
     No window is built, and one engine call gives all four margins:
     multisection on banded LDL* pivots (:func:`_banded_lambda_mins`), fed
-    with a coefficient row and the two N x N corners of each window.  The
+    with a coefficient row and the top N x N corner of each window.  The
     floor reads each half as the Toeplitz body plus the two corners from
     :func:`boundary._window_corners`.  The three differences vanish outside
     the 2N rows at the split, where, with bottom and top the soft corners
@@ -221,12 +222,11 @@ def check_bracketing(
     so ``upper`` is the same window with its coupling across the split
     negated, which conjugation by diag(I_N, -I_N) maps back to ``lower``:
     the two margins are equal.  min(0, .) adds back the zero eigenvalue of
-    the rows a difference does not touch.  Each top corner is the
-    conjugated reflection of its bottom one, bit for bit, so all four
-    windows are mirror-symmetric and the engine factors each from both ends
-    at once, every pass running about half its rows; a window that fails
-    that check, such as one with a corrupted corner, is factored from the
-    top alone, so the certificate still reports on the window as built.
+    the rows a difference does not touch.  In each window the bottom corner
+    is the conjugated reflection of the top one, so the engine takes only
+    the top corners, ``top``, -T_N(g) - bottom and -bottom, and factors
+    every window from both ends at once, each pass running about half its
+    rows.
 
     In exact arithmetic every margin of a modified certificate is 0.  Both
     floor windows have an N-dimensional kernel and ``lower`` is N rank-one
@@ -257,11 +257,8 @@ def check_bracketing(
     top, bottom = _window_corners(spec, neumann, neumann)
     body = _toeplitz_body(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
-    windows = [(coeffs, size, top, bottom, "zero") for size in (size1, size2)]
-    windows += [
-        (coeffs, 2 * n, -body - bottom, -body - top, "min0"),
-        (zero_row, 2 * n, -bottom, -top, "min0"),
-    ]
+    windows = [(coeffs, size, top, "zero") for size in (size1, size2)]
+    windows += [(coeffs, 2 * n, -body - bottom, "min0"), (zero_row, 2 * n, -bottom, "min0")]
     floor1, floor2, lower, delta_nn = _banded_lambda_mins(windows)
     return BracketReport(
         size1=size1,
@@ -412,9 +409,10 @@ _GRID = 16  # a window expected at 0 first tests the shifts k*w, |k| <= 16
 
 
 def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
-    """Smallest eigenvalues of windows (coeffs, m, top, bottom[, expect]) of
-    one half-bandwidth N: each is the m x m window T_m(g) plus optional N x N
-    blocks at its top-left and bottom-right corners.
+    """Smallest eigenvalues of windows (coeffs, m, top[, expect]) of one
+    half-bandwidth N: each is the m x m window T_m(g) plus, unless top is
+    None, the N x N block top at its top-left corner and its conjugated
+    reflection bottom = conj(top[::-1, ::-1]) at its bottom-right one.
 
     Multisection on Sylvester's law of inertia: W - s*I is positive
     definite iff every pivot of its LDL* factorization is positive.  One
@@ -425,35 +423,30 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     and drops retired shifts in batches, which changes no bit).  The top
     corner enters with the starting block.
 
-    A mirror window, W = J conj(W) J, meets in the middle.  With
-    p = ceil((m-N)/2) and q = m-N-p <= p, W - s*I is positive definite iff
-    its rows 0..p-1, its rows p+N..m-1 and the Schur complement M on the N
-    middle rows p..p+N-1 are; with bandwidth N the top and bottom rows do
-    not couple.  By the symmetry the bottom rows, eliminated from the
-    bottom, give the pivots of the first q rows, which the forward
+    Every window is mirror-symmetric, W = J conj(W) J, because its row is
+    Hermitian (a_{-k} = conj(a_k)) and its corners are each other's
+    reflection, so each pass factors it from both ends and meets in the
+    middle.  With p = ceil((m-N)/2) and q = m-N-p <= p, W - s*I is positive
+    definite iff its rows 0..p-1, its rows p+N..m-1 and the Schur complement
+    M on the N middle rows p..p+N-1 are; with bandwidth N the top and bottom
+    rows do not couple.  By the symmetry the bottom rows, eliminated from
+    the bottom, give the pivots of the first q rows, which the forward
     recurrence has already tested, and their share of M is J conj(S_q) J -
     (T_N(g) - s*I), S_r being the Schur block of rows r..r+N-1 at the start
     of forward row r.  So the pass runs rows 0..p-1 forward, copies S_q on
     the way, and ends with N pivot steps on M = S_p + J conj(S_q) J -
     T_N(g) + s*I: each corner's share of the middle lies in exactly one of
-    S_p and S_q, and T_N(g) in both.  A window takes this step when both
-    corners are None, or when the corners do not overlap (m >= 2N) and top
-    equals conj(bottom[::-1, ::-1]), and in both cases the row equals its
-    conjugated reversal, all bit for bit after the real/complex demotion.
-    Every window of :func:`check_bracketing` and of the gap scans passes
-    that check.  Any other window, such as one with a corrupted corner,
-    runs all m rows forward and takes the bottom corner once the block
-    holds the last N rows (no earlier pivot reads them).  Against the
-    forward loop the meet changes a result only through rounding: no gap
-    of the benchmark's seeds 401-410 moved, and no certify margin by more
-    than one stopping width w (below).
+    S_p and S_q, and T_N(g) in both, so the bottom corner enters only the
+    row-sum bound below.  That needs corners that do not overlap, so a
+    window with a corner and m < 2N raises ValueError.
 
-    The bracket starts at [0, r] without corners (T > 0 for a product
-    symbol) and at [-r, r] with them, r the row-sum bound: sum|a_k| plus
-    the largest absolute row sum of each corner.  A uniform pass tests its
-    31 equispaced interior shifts, which shrinks it 32-fold, down to the
-    banded Cholesky backward-error scale w = 8 * (N+1) * eps * max(1, r),
-    and its midpoint is returned.
+    The bracket starts at [-r, r], r the row-sum bound: sum|a_k| plus the
+    largest absolute row sum of each corner.  A window without corners
+    starts at [0, r] instead, which assumes T_m(g) >= 0: the only such
+    windows are those of :func:`_gaps`, whose row is a product symbol's,
+    with g >= 0.  A uniform pass tests its 31 equispaced interior shifts,
+    which shrinks it 32-fold, down to the banded Cholesky backward-error
+    scale w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
 
     ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
     (the floors of a bracketing certificate).  The first pass then tests
@@ -470,46 +463,36 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
-    A job is [template, m, bottom, meet, tol, lo, hi, grid, cap], meet being
-    (q, p, T_N(g)) for a mirror window and None otherwise.
+    A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap].
     """
     jobs = []
-    for coeffs, m, top, bottom, *expect in windows:
+    for coeffs, m, top, *expect in windows:
         n = coeffs.half_bandwidth
         k = np.arange(n + 1)
         expect = expect[0] if expect else None
+        if top is not None and m < 2 * n:
+            raise ValueError(f"a window with corners needs m >= 2N = {2 * n}, got {m}")
         a = coeffs.a
-        if not any(np.any(np.imag(x)) for x in (a, top, bottom) if x is not None):
-            a, top, bottom = (None if x is None else np.real(x) for x in (a, top, bottom))
-        reach = float(np.abs(a).sum()) + sum(
-            float(np.abs(x).sum(axis=1).max()) for x in (top, bottom) if x is not None
-        )
+        if not any(np.any(np.imag(x)) for x in (a, top) if x is not None):
+            a, top = (None if x is None else np.real(x) for x in (a, top))
+        corners = () if top is None else (top, np.conj(top[::-1, ::-1]))
+        reach = float(np.abs(a).sum()) + sum(float(np.abs(x).sum(axis=1).max()) for x in corners)
         # Rows 0..n of T - s*I: the first n form the starting Schur block,
         # and row n (entries a_n..a_1 above its diagonal) is the template of
         # every row that enters later.  The update rewrites only the leading
-        # n x n block, so the entering row stays in place until the band
-        # runs past the last row.  There it becomes a decoupled unit row, and
-        # the leading block takes the bottom corner (rows m-n..m-1) or
+        # n x n block, so the entering row stays in place until the middle
+        # row p, where it becomes a decoupled unit row and the leading block
         # becomes the meeting block (rows p..p+n-1).
         template = a[n + k[None, :] - k[:, None]]
         body = template[:n, :n].copy()
         if top is not None:
             template[:n, :n] += top
-        # The meet step needs W = J conj(W) J bit for bit, and corners that
-        # do not overlap; any other window runs the forward loop.
-        if top is None or bottom is None:
-            mirror = top is None and bottom is None
-        else:
-            mirror = m >= 2 * n and np.array_equal(top, np.conj(bottom[::-1, ::-1]))
-        meet = None
-        if mirror and np.array_equal(a, np.conj(a[::-1])):
-            p = (m - n + 1) // 2
-            meet = (m - n - p, p, body)
+        p = (m - n + 1) // 2
         tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
-        lo = 0.0 if top is None and bottom is None else -reach
+        lo = -reach if corners else 0.0
         grid = None if expect is None else tol * np.arange(-_GRID, _GRID + 1)
         cap = 0.0 if expect == "min0" else math.inf
-        jobs.append([template, m, bottom, meet, tol, lo, reach, grid, cap])
+        jobs.append([template, m - n - p, p, body, tol, lo, reach, grid, cap])
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
@@ -524,8 +507,8 @@ def _open(job: list) -> bool:
 
 
 def _multisection(jobs: list[list]) -> None:
-    """Narrow the bracket job[5:7] of each job [template, m, bottom, meet,
-    tol, lo, hi, grid, cap], all of one arithmetic kind, one row loop
+    """Narrow the bracket job[5:7] of each job [template, q, p, T_N(g), tol,
+    lo, hi, grid, cap], all of one arithmetic kind, one row loop
     (:func:`_pass`) per pass.  A pass tests the job's ``grid`` if it has
     one, else 31 equispaced interior shifts of its bracket.  A job stops
     when its bracket is no wider than tol, or lies at or above cap, or
@@ -551,13 +534,12 @@ _SWEEP = 16  # rows between drops of retired shifts, besides the event rows
 
 
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
-    """One row loop: for each job [template, m, bottom, meet, ...], how
-    many of its ascending ``shifts`` s leave W - s*I positive definite.
+    """One row loop: for each job [template, q, p, T_N(g), ...], how many
+    of its ascending ``shifts`` s leave W - s*I positive definite.
 
-    A job with meet None runs its m rows and takes its bottom corner at row
-    m-N.  A job with meet (q, p, T_N(g)) copies its N x N Schur block S_q at
-    the start of row q, replaces it at the start of row p by the meeting
-    block S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
+    Each job copies its N x N Schur block S_q at the start of row q,
+    replaces it at the start of row p by the meeting block
+    S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
     :func:`_banded_lambda_mins`); retired shifts leave only as a suffix of a
     job's columns, so those at row p are a prefix of those copied at row q.
 
@@ -570,11 +552,11 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     index of its first shift with least <= 0: the first nonpositive pivot
     retires a shift and every shift above it.  Retired shifts run on under
     errstate, their values never read again, and leave the block only at
-    an event row (a job copies S_q, takes its bottom corner or meeting
-    block, or ends) and every _SWEEP rows; dropping them ends early a pass
-    whose shifts all retire.  A shift's column gets the same operations on
-    the same operands whatever its place in the block, so the counts are
-    bitwise independent of the batch and of when retired shifts leave."""
+    an event row (a job copies S_q, takes its meeting block, or ends) and
+    every _SWEEP rows; dropping them ends early a pass whose shifts all
+    retire.  A shift's column gets the same operations on the same operands
+    whatever its place in the block, so the counts are bitwise independent
+    of the batch and of when retired shifts leave."""
     n = len(jobs[0][0]) - 1
     eye = np.eye(n + 1)[:, :, None]
     real = not np.iscomplexobj(jobs[0][0])
@@ -583,12 +565,9 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     least = np.full(block.shape[2], np.inf)
     counts = [len(s) for s in shifts]
     width = list(counts)  # the job's columns of the block, 0 once it left
-    # A meet job ends N rows after its middle row p, which stands where the
-    # bottom-corner row m - N of a forward job stands.
-    ends = [job[1] if job[3] is None else job[3][1] + n for job in jobs]
-    events = {row for end in ends for row in (end - n, end)}
-    events |= {job[3][0] for job in jobs if job[3] is not None}
-    mirrors = [None] * len(jobs)  # each meet job's S_q, once copied
+    ends = [job[2] + n for job in jobs]
+    events = {row for job in jobs for row in job[1:3]} | set(ends)
+    mirrors = [None] * len(jobs)  # each job's S_q, once copied
     layout = True
     with np.errstate(all="ignore"):
         # The last end row is an event that ends every job left, so the
@@ -603,24 +582,20 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
                     start, at = at, at + width[j]
                     if not width[j]:
                         continue
-                    meet = job[3]
-                    if meet is not None and meet[0] == i:
+                    if job[1] == i:
                         mirrors[j] = block[:n, :n, start:at].copy()
-                    if ends[j] - n == i:
+                    if job[2] == i:
                         mine = block[:, :, start:at]
                         mine[:, n] = mine[n] = 0.0
                         mine[n, n] = 1.0
-                        if meet is not None:
-                            # M = S_p + J conj(S_q) J - T_N(g) + s*I; the
-                            # columns here are a prefix of those at row q.
-                            middle = mine[:n, :n]
-                            mirror = mirrors[j][::-1, ::-1, : at - start]
-                            middle += mirror if real else np.conj(mirror)
-                            middle -= meet[2][:, :, None]
-                            for d in range(n):
-                                middle[d, d] += column_shifts[start:at]
-                        elif job[2] is not None:
-                            mine[:n, :n] += job[2][:, :, None]
+                        # M = S_p + J conj(S_q) J - T_N(g) + s*I; the
+                        # columns here are a prefix of those at row q.
+                        middle = mine[:n, :n]
+                        mirror = mirrors[j][::-1, ::-1, : at - start]
+                        middle += mirror if real else np.conj(mirror)
+                        middle -= job[3][:, :, None]
+                        for d in range(n):
+                            middle[d, d] += column_shifts[start:at]
                     first = hits[bisect.bisect_left(hits, start)]
                     counts[j] = width[j] = min(first, at) - start
                     if ends[j] == i:
@@ -648,13 +623,6 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
             np.multiply(q[:, None], w[None], out=outer)
             np.subtract(tail, outer, out=head)
     return counts
-
-
-def _banded_lambda_min(
-    coeffs: BandedCoeffs, m: int, top=None, bottom=None, expect=None
-) -> float:
-    """:func:`_banded_lambda_mins` of the one window (coeffs, m, top, bottom, expect)."""
-    return _banded_lambda_mins([(coeffs, m, top, bottom, expect)])[0]
 
 
 def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
@@ -690,7 +658,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
                 f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
                 f" > {kernel_tol:.3e} in the softened window of size {size}"
             )
-    return _banded_lambda_mins([(coeffs, size - n, None, None) for size in sizes])
+    return _banded_lambda_mins([(coeffs, size - n, None) for size in sizes])
 
 
 def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:

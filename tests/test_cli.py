@@ -587,6 +587,27 @@ class TestExport:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("matrix", ["toeplitz", "circulant", "lap2-diff"])
+    def test_bc_needs_the_restricted_matrix(self, capsys, matrix):
+        # A boundary code on another kind would be dropped without a word.
+        code, out, err = run_cli(
+            capsys, "export", "--factors", "0:1", "--size", "5", "--split", "4,4",
+            "--matrix", matrix, "--bc", "nn",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --bc applies only to --matrix restricted, not {matrix}\n"
+
+    @pytest.mark.parametrize("extra", [["--matrix", "toeplitz"], ["--bc", "nn"], []])
+    def test_split_needs_the_lap2_diff_matrix(self, capsys, extra):
+        code, out, err = run_cli(
+            capsys, "export", "--factors", "0:1", "--size", "5", "--split", "4,4", *extra
+        )
+        kind = "restricted" if "--bc" in extra else "toeplitz"
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --split applies only to --matrix lap2-diff, not {kind}\n"
+
 
 def _per_cell_csv(matrix, symbol_token, bc_token):
     """Reference formatter: every cell of every row goes through ``_cell``."""

@@ -39,9 +39,9 @@ from toepbrack import (
 import toepbrack
 from toepbrack import boundary, dirichlet_from_neumann, spectra, symbols
 from toepbrack.boundary import _window_corners
-from toepbrack.spectra import _banded_lambda_min, _banded_lambda_mins
+from toepbrack.spectra import _banded_lambda_mins
 from conftest import random_spec, random_split
-from test_boundary import ALL_PAIRS, _window, _window_specs
+from test_boundary import _window, _window_specs
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
 
@@ -330,21 +330,20 @@ def certificate_windows(spec, size1, size2, neumann=N_KIND):
     body = dense_toeplitz(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
     return [
-        (coeffs, size1, top, bottom, "zero"),
-        (coeffs, size2, top, bottom, "zero"),
-        (coeffs, 2 * n, -body - bottom, -body - top, "min0"),
-        (zero_row, 2 * n, -bottom, -top, "min0"),
+        (coeffs, size1, top, "zero"),
+        (coeffs, size2, top, "zero"),
+        (coeffs, 2 * n, -body - bottom, "min0"),
+        (zero_row, 2 * n, -bottom, "min0"),
     ]
 
 
-def dense_window(coeffs, m, top=None, bottom=None, *_):
-    """Oracle: the m x m window T_m(g) with its corner blocks added."""
+def dense_window(coeffs, m, top=None, *_):
+    """Oracle: the m x m window T_m(g) with top and its mirror as corners."""
     n = coeffs.half_bandwidth
     out = dense_toeplitz(coeffs, m).astype(complex)
     if top is not None:
         out[:n, :n] += top
-    if bottom is not None:
-        out[-n:, -n:] += bottom
+        out[-n:, -n:] += np.conj(top[::-1, ::-1])
     return out
 
 
@@ -353,12 +352,14 @@ def dense_window(coeffs, m, top=None, bottom=None, *_):
 )
 def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
     # A real negative margin must not hide behind the grid pass around 0.
+    # The lower window's top corner is -T_N(g) - bottom, so an entry of the
+    # bottom corner reaches the engine, and the window stays a mirror one.
     exact = spectra._window_corners
 
     def perturbed(spec, left, right):
         top, bottom = exact(spec, left, right)
-        top = top.copy()
-        top[0, 0] += 1e-6
+        bottom = bottom.copy()
+        bottom[0, 0] += 1e-6
         return top, bottom
 
     monkeypatch.setattr(spectra, "_window_corners", perturbed)
@@ -605,31 +606,35 @@ class TestBandedLambdaMin:
             m = int(rng.integers(2 * n + 1, 201)) - n
             ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, m))[0]
             tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
-            assert abs(_banded_lambda_min(coeffs, m) - ref) <= tol, (spec.factors, m)
+            assert abs(_banded_lambda_mins([(coeffs, m, None)])[0] - ref) <= tol, (spec.factors, m)
 
     @pytest.mark.parametrize("size", [512, 1024, 4096])
     def test_path_laplacian_gap_at_large_sizes(self, size):
         coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
         exact = 4.0 * math.sin(math.pi / (2 * size)) ** 2
-        assert abs(_banded_lambda_min(coeffs, size - 1) - exact) <= 1e-12 * 4.0
+        assert abs(_banded_lambda_mins([(coeffs, size - 1, None)])[0] - exact) <= 1e-12 * 4.0
 
-    @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
+    @pytest.mark.parametrize("pair", ["00", "nn", "dd", "cc"])
     def test_corner_windows_against_lapack(self, pair):
-        # Every boundary window is the Toeplitz body plus its two corners.
-        left, right = (BoundaryKind.from_code(code) for code in pair)
+        # A window with the same kind at both edges is the Toeplitz body plus
+        # its top corner and that corner's mirror, which is all the engine
+        # reads.  Mixed pairs are not mirror windows; test_boundary.py pins
+        # their bandwidth and Hermitian symmetry.
+        kind = BoundaryKind.from_code(pair[0])
         for spec in _window_specs(pair):
             coeffs = fourier_coefficients(spec)
-            corners = _window_corners(spec, left, right)
+            top, _ = _window_corners(spec, kind, kind)
             for size in (2 * spec.degree + 1, 2 * spec.degree + 2, 33):
                 window = hermitian(_window(spec, size, pair))
                 ref = np.linalg.eigvalsh(window.entries)[0]
                 tol = 1e-12 * max(1.0, window.row_sum_norm())
-                assert abs(_banded_lambda_min(coeffs, size, *corners) - ref) <= tol, (spec, size)
+                value = _banded_lambda_mins([(coeffs, size, top)])[0]
+                assert abs(value - ref) <= tol, (spec, size)
 
     def test_deterministic(self):
         coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
-        first = _banded_lambda_min(coeffs, 97)
-        assert _banded_lambda_min(coeffs, 97) == first
+        first = _banded_lambda_mins([(coeffs, 97, None)])
+        assert _banded_lambda_mins([(coeffs, 97, None)]) == first
 
     @pytest.mark.parametrize("factors", [[(0.0, 1)], [(0.0, 2)], [(0.4, 1), (2.0, 2), (4.1, 1)]])
     def test_smallest_window(self, factors):
@@ -639,9 +644,10 @@ class TestBandedLambdaMin:
         coeffs = fourier_coefficients(spec)
         ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, n + 1))[0]
         tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
-        assert abs(_banded_lambda_min(coeffs, n + 1) - ref) <= tol
+        value = _banded_lambda_mins([(coeffs, n + 1, None)])[0]
+        assert abs(value - ref) <= tol
         _, gap = spectral_gap(spec, 2 * n + 1)
-        assert gap == _banded_lambda_min(coeffs, n + 1)
+        assert gap == value
 
     # N = 1, m = 2: [[1/8 + t, -1/8], [-1/8, 1/8 + t]] has smallest
     # eigenvalue t, exactly.  Its row-sum bound is below 1, so the engine
@@ -652,7 +658,7 @@ class TestBandedLambdaMin:
     def dyadic_window(t, expect):
         coeffs = BandedCoeffs(np.array([-0.125, 0.25 + t, -0.125]))
         corner = np.array([[-0.125]])
-        return coeffs, 2, corner, corner, expect
+        return coeffs, 2, corner, expect
 
     @pytest.mark.parametrize("expect", ["zero", "min0"])
     @pytest.mark.parametrize("k", [0, 16, -16, 17, -17])
@@ -666,7 +672,7 @@ class TestBandedLambdaMin:
         assert np.abs(dense).sum(axis=1).max() < 1.0
         exact = k * self.W
         ref = np.linalg.eigvalsh(dense)[0]
-        value = _banded_lambda_min(*window)
+        value = _banded_lambda_mins([window])[0]
         assert abs(value - ref) <= 1e-12
         if expect == "min0":
             assert abs(value - min(0.0, exact)) <= self.W
@@ -685,8 +691,8 @@ class TestBandedLambdaMin:
         w = 16 * np.finfo(np.float64).eps * (float(np.abs(coeffs.a).sum()) + 0.75)
         grid = w * np.arange(-16, 17)
         assert grid[19] - grid[18] > w
-        window = (coeffs, 2, corner, corner, "zero")
-        value = _banded_lambda_min(*window)
+        window = (coeffs, 2, corner, "zero")
+        value = _banded_lambda_mins([window])[0]
         assert len(passes) == 1
         assert value == 0.5 * (grid[18] + grid[19])
         assert abs(value - np.linalg.eigvalsh(dense_window(*window))[0]) <= 1e-12 * 2.25
@@ -698,7 +704,7 @@ class TestBandedLambdaMin:
         ref = np.linalg.eigvalsh(dense_window(*window))[0]
         assert ref == pytest.approx(-0.4721359549995, abs=1e-12)
         tol = 1e-12 * max(1.0, float(np.abs(window[0].a).sum()))
-        assert abs(_banded_lambda_min(*window) - ref) <= tol
+        assert abs(_banded_lambda_mins([window])[0] - ref) <= tol
         assert len(passes) > 2
 
     def test_full_rank_min0_window_reports_zero(self, passes):
@@ -707,38 +713,35 @@ class TestBandedLambdaMin:
         spec = make_symbol([(0.0, 1), (2.0, 1)])
         window = certificate_windows(spec, 7, 9)[3]
         assert np.linalg.eigvalsh(dense_window(*window))[0] > 0.3
-        assert _banded_lambda_min(*window) == 0.0
+        assert _banded_lambda_mins([window])[0] == 0.0
         assert len(passes) == 1
         assert check_bracketing(spec, 7, 9).delta_nn == 0.0
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_batch_composition_changes_no_result(self, monkeypatch, rng, n):
-        # Real and complex windows, with and without corners, on one row
-        # loop: each result is bitwise that of the window run alone.  Those
-        # without corners and the mirror windows take the meet step, the
-        # others the forward loop.
+        # Real and complex windows, without corners, with corners and with
+        # corners on a zero row, on one row loop: each result is bitwise
+        # that of the window run alone.
         def hermitian_block(real):
             x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
             return (x + x.conj().T) / 2
 
         # Each row loop runs one arithmetic kind, real windows in float64:
         # complex / real division can round differently from real / real.
-        dtypes, meets = [], set()
+        dtypes = []
         row_loop = spectra._multisection
 
         def spy(jobs):
             dtypes.append({job[0].dtype for job in jobs})
-            meets.update(job[3] is not None for job in jobs)
             row_loop(jobs)
 
         monkeypatch.setattr(spectra, "_multisection", spy)
         local = np.random.default_rng(n)
-        mirror = np.random.default_rng(1500 + n)
         for _ in range(2):
             windows = []
             # Both kinds with every corner shape; the first window ends
-            # before the bottom-corner step of the second.
-            for j, m in enumerate((n + 1, 200, *rng.integers(n + 1, 201, 6))):
+            # before the second reaches its middle row.
+            for j, m in enumerate((n + 1, 200, *rng.integers(2 * n, 201, 6))):
                 real, shape = j % 2 == 0, j // 2
                 k = int(rng.integers(1, n + 1))
                 if real:
@@ -746,38 +749,25 @@ class TestBandedLambdaMin:
                 else:
                     factors = [(float(rng.uniform(0.1, 3.0)), n)]
                 coeffs = fourier_coefficients(make_symbol(factors))
-                top, bottom = None, None
-                if shape > 0:
+                top = None
+                if shape == 1:
+                    top = -np.eye(n)  # a definite corner beside the indefinite ones
+                elif shape > 1:
                     top = hermitian_block(real)
-                    # A definite corner beside the indefinite random ones;
-                    # neither mirrors the random top.
-                    bottom = -np.eye(n) if shape == 1 else hermitian_block(real)
                 if shape == 3:
                     coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
-                windows.append((coeffs, int(m), top, bottom))
-            # Mirror windows, drawn apart so the draws above stay the same:
-            # mirrored corners on a symbol's row and on a zero row.
-            for j, m in enumerate(mirror.integers(2 * n, 201, 4)):
-                real = j % 2 == 0
-                factors = [(0.0, n)] if real else [(float(mirror.uniform(0.1, 3.0)), n)]
-                coeffs = fourier_coefficients(make_symbol(factors))
-                if j >= 2:
-                    coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
-                x = mirror.normal(size=(n, n)) + (0.0 if real else 1j * mirror.normal(size=(n, n)))
-                bottom = (x + x.conj().T) / 2
-                windows.append((coeffs, int(m), np.conj(bottom[::-1, ::-1]), bottom))
+                windows.append((coeffs, int(m), top))
             # The same windows seeded at 0, and certificate windows, whose
             # grid pass closes at once, next to ones that fall back.
             windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
             for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
                 split = local.integers(2 * n + 1, 60, 2)
                 windows += certificate_windows(make_symbol(factors), *split)
-            alone = [_banded_lambda_min(*w).hex() for w in windows]
+            alone = [_banded_lambda_mins([w])[0].hex() for w in windows]
             dtypes.clear()
             assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
             assert dtypes == [{np.dtype(np.float64)}, {np.dtype(np.complex128)}]
             assert [x.hex() for x in _banded_lambda_mins(windows[::-1])] == alone[::-1]
-        assert meets == {False, True}
         # A gap scan is one batch too: spectral_gap, its one-size case, gives
         # bitwise the record of each size.
         for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
@@ -786,119 +776,6 @@ class TestBandedLambdaMin:
             assert [spectral_gap(spec, s)[1].hex() for s, _ in report.records] == [
                 g.hex() for _, g in report.records
             ]
-
-
-def reference_pass(jobs, shifts, retired_rows):
-    """Oracle: a plainer row loop with the shifts on the block's first axis.
-
-    The block is (S, N+1, N+1), every row allocates its temporaries, and a
-    shift leaves the block at the row of its first nonpositive pivot,
-    together with every shift above it.  Each row where a shift leaves so
-    goes into ``retired_rows``."""
-    n = len(jobs[0][0]) - 1
-    eye = np.eye(n + 1)
-    real = not np.iscomplexobj(jobs[0][0])
-    block = np.concatenate([job[0] - s[:, None, None] * eye for job, s in zip(jobs, shifts)])
-    alive = [len(s) for s in shifts]  # unretired shifts of each job
-    rows = list(alive)  # its rows of the block, 0 once it left
-    events = {row for job in jobs for row in (job[1] - n, job[1])}
-    for i in range(max(job[1] for job in jobs)):
-        pivots = block[:, 0, 0].real
-        # Not min <= 0: a NaN of one job must not hide another's pivot.
-        if i in events or not pivots.min() > 0.0:
-            keep, at = np.ones(len(block), dtype=bool), 0
-            for j, job in enumerate(jobs):
-                start, at = at, at + rows[j]
-                mine = block[start:at]
-                if job[1] - n == i:
-                    mine[:, :, n] = mine[:, n, :] = 0.0
-                    mine[:, n, n] = 1.0
-                    if job[2] is not None:
-                        mine[:, :n, :n] += job[2]
-                if job[1] == i:
-                    keep[start:at], rows[j] = False, 0
-                elif rows[j] and mine[:, 0, 0].real.min() <= 0.0:
-                    alive[j] = rows[j] = int(np.argmax(mine[:, 0, 0].real <= 0.0))
-                    keep[start + rows[j] : at] = False
-                    retired_rows.add(i)
-            block = block[keep]
-            if not len(block):
-                break
-            pivots = block[:, 0, 0].real
-        v = block[:, 1:, 0]
-        w = v[:, None, :] if real else np.conj(v[:, None, :])
-        block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w
-    return alive
-
-
-class TestPassAgainstReference:
-    """spectra._pass returns the reference row loop's counts exactly."""
-
-    @staticmethod
-    def job(coeffs, m, top, bottom):
-        """The pass job [template, m, bottom, meet] that _banded_lambda_mins
-        builds for a window that takes the forward loop (meet None)."""
-        n = coeffs.half_bandwidth
-        k = np.arange(n + 1)
-        template = coeffs.a[n + k[None, :] - k[:, None]]
-        if top is not None:
-            template[:n, :n] += top
-        return [template, m, bottom, None]
-
-    @staticmethod
-    def leading_lambda_mins(window, sizes):
-        """The smallest eigenvalue of each leading r x r block of a window."""
-        return {r: np.linalg.eigvalsh(window[:r, :r])[0] if r else math.inf for r in sizes}
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_counts_match_the_reference(self, n):
-        # Pivot r of W - s*I is the first nonpositive one when s lies between
-        # the smallest eigenvalues of W's leading (r+1) x (r+1) and r x r
-        # blocks, so each shift below is aimed at one row: the sweep rows and
-        # their neighbours, the bottom-corner rows, the last row and two
-        # random rows, with two shifts below lambda_min that never retire.
-        local = np.random.default_rng(1100 + n)
-
-        def hermitian_block(real):
-            x = local.normal(size=(n, n)) + (0.0 if real else 1j * local.normal(size=(n, n)))
-            return (x + x.conj().T) / 2
-
-        sweeps = {r for k in (1, 2, 3) for r in (16 * k - 1, 16 * k, 16 * k + 1)}
-        retired_rows = set()
-        for batch in range(8):
-            real = batch % 2 == 0
-            jobs, shifts = [], []
-            for j in range(1 + (batch + n) % 6):
-                if j == 1 and batch % 3 == 0:
-                    m = jobs[0][1]  # two jobs that end on the same row
-                else:
-                    m = int(local.choice([n + 1, local.integers(n + 2, 60), local.integers(60, 201)]))
-                row = local.normal(size=2 * n + 1)
-                if not real:
-                    row = row + 1j * local.normal(size=2 * n + 1)
-                row = (row + row[::-1].conj()) / 2
-                if (batch + j) % 4 == 3:
-                    row = np.zeros_like(row)
-                coeffs = BandedCoeffs(row)
-                top, bottom = None, None
-                if (batch + j) % 4 > 0:
-                    top, bottom = hermitian_block(real), hermitian_block(real)
-                rows = {0, m - 1, m - n - 1, m - n, m - n + 1, *sweeps, *local.integers(0, m, 2)}
-                rows = sorted(int(r) for r in rows if 0 <= r < m)
-                sizes = {r + d for r in rows for d in (0, 1)} | {m - n, m}
-                lam = self.leading_lambda_mins(dense_window(coeffs, m, top, bottom), sizes)
-                s = [lam[1] + 1.0 if r == 0 else 0.5 * (lam[r] + lam[r + 1]) for r in rows]
-                if j == 2:
-                    # Every shift retires before the bottom-corner step.
-                    s = np.maximum(s, lam[m - n] + 1e-6)
-                else:
-                    s += [lam[m] - 1e-3, lam[m] - 1.0]
-                jobs.append(self.job(coeffs, m, top, bottom))
-                shifts.append(np.sort(s))
-            expected = reference_pass(jobs, shifts, retired_rows)
-            assert spectra._pass(jobs, shifts) == expected
-            assert len(jobs) < 3 or expected[2] == 0
-        assert {15, 16, 17, 31, 32, 33} <= retired_rows
 
 
 def reference_meet(job, shifts):
@@ -910,7 +787,7 @@ def reference_meet(job, shifts):
     meeting block S_p + J conj(S_q) J - T_N(g) + s*I, whose N pivot steps
     end the window.  Returns the count of shifts before the first one with
     a nonpositive pivot, and each shift's first row with one (-1 if none)."""
-    template, _, _, (q, p, body) = job[:4]
+    template, q, p, body = job[:4]
     n = len(template) - 1
     real = not np.iscomplexobj(template)
     block = template - shifts[:, None, None] * np.eye(n + 1)
@@ -939,22 +816,21 @@ def reference_meet(job, shifts):
 
 
 class TestMeetAgainstReference:
-    """Mirror windows take the meet step, and _pass counts them exactly as
-    the plain twisted recurrence does."""
+    """Every window meets in the middle, and _pass counts it exactly as the
+    plain twisted recurrence does."""
 
     @staticmethod
     def mirror_window(local, n, m, real, corners, zero_row):
-        """A window with a Hermitian row and, if asked, mirrored corners."""
+        """A window with a Hermitian row and, if asked, a random top corner."""
         row = local.normal(size=2 * n + 1)
         if not real:
             row = row + 1j * local.normal(size=2 * n + 1)
         row = np.zeros_like(row) if zero_row else (row + row[::-1].conj()) / 2
-        top, bottom = None, None
+        top = None
         if corners:
             x = local.normal(size=(n, n)) + (0.0 if real else 1j * local.normal(size=(n, n)))
-            bottom = (x + x.conj().T) / 2
-            top = np.conj(bottom[::-1, ::-1])
-        return BandedCoeffs(row), m, top, bottom
+            top = (x + x.conj().T) / 2
+        return BandedCoeffs(row), m, top
 
     @staticmethod
     def engine_job(monkeypatch, window):
@@ -968,33 +844,40 @@ class TestMeetAgainstReference:
 
         with monkeypatch.context() as patch:
             patch.setattr(spectra, "_pass", spy)
-            _banded_lambda_min(*window)
+            _banded_lambda_mins([window])
         return seen[0]
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_counts_match_the_reference(self, monkeypatch, n):
-        # As in TestPassAgainstReference, each shift is aimed at one row:
-        # between the smallest eigenvalues of the leading r and r+1 rows for
-        # a row r < p, and for meeting row p+d between those of the rows
-        # {0..p+d-1} and {0..p+d}, each joined with the bottom rows p+N..m-1.
-        # Four shifts sit 2w and 4w on either side of lambda_min, and two
-        # below it never retire.
+        # Pivot r of W - s*I is the first nonpositive one when s lies
+        # between the smallest eigenvalues of W's leading r+1 and r rows, so
+        # each shift is aimed at one row: for a row r < p through those
+        # leading blocks, and for meeting row p+d between the smallest
+        # eigenvalues of the rows {0..p+d-1} and {0..p+d}, each joined with
+        # the bottom rows p+N..m-1.  The rows aimed at are the sweep rows
+        # and their neighbours, rows q and p and two random rows.  Four
+        # shifts sit 2w and 4w on either side of lambda_min, and two below
+        # it never retire.  Every third batch has two jobs that end on the
+        # same row, and a third job whose shifts all retire before row q.
         local = np.random.default_rng(1300 + n)
         sweeps = {r for k in (1, 2, 3) for r in (16 * k - 1, 16 * k, 16 * k + 1)}
-        hit = set()
+        hit, shared_end, all_retired = set(), False, False
         for batch in range(8):
             jobs, shifts, expected = [], [], []
             for j in range(1 + (batch + n) % 4):
                 corners = (batch + j) % 3 > 0
-                low = 2 * n if corners else n + 1
-                m = int(local.choice([low, low + 1, local.integers(low, 60), local.integers(100, 201)]))
+                low = 2 * n if corners or batch % 3 == 0 else n + 1
+                if j == 1 and batch % 3 == 0:
+                    m = jobs[0][2] + n + jobs[0][1]  # the first job's m
+                else:
+                    m = int(local.choice([low, low + 1, local.integers(low, 60), local.integers(100, 201)]))
                 window = self.mirror_window(
                     local, n, m, batch % 2 == 0, corners, corners and (batch + j) % 3 == 2
                 )
                 job = self.engine_job(monkeypatch, window)
-                assert job[3] is not None
-                q, p, _ = job[3]
+                q, p = job[1:3]
                 assert (q, p) == ((m - n) // 2, (m - n + 1) // 2)
+                shared_end |= j == 1 and p == jobs[0][2]
                 dense = dense_window(*window)
                 bottom_rows = list(range(p + n, m))
 
@@ -1016,6 +899,9 @@ class TestMeetAgainstReference:
                     s += [lam_min - 1e-3, lam_min - 1.0]
                 s = np.sort(s)
                 count, first_row = reference_meet(job, s)
+                if j == 2 and q > 0:
+                    assert count == 0 and 0 <= first_row.min() <= first_row.max() < q
+                    all_retired = True
                 for r in first_row[first_row >= 0].tolist():
                     hit.add(r if r < p else f"p+{r - p}")
                     hit.update(["q"] if r == q else [])
@@ -1029,38 +915,29 @@ class TestMeetAgainstReference:
                 if mine:
                     counts = spectra._pass([jobs[i] for i in mine], [shifts[i] for i in mine])
                     assert counts == [expected[i] for i in mine]
-        assert sweeps - {47, 48, 49} <= hit
+        assert shared_end and all_retired
+        assert {15, 16, 17, 31, 32, 33} <= hit
         assert {"q", *(f"p+{d}" for d in range(n))} <= hit
 
-    def test_only_mirror_windows_meet(self, monkeypatch):
-        # The meet step is taken on a bitwise check of the input; anything
-        # else, down to one corner entry one ulp off, runs the forward loop.
+    def test_corners_must_not_overlap(self):
+        # The meet needs the two corners apart: a window with corners and
+        # m = 2N - 1 is refused, while one with corners and m = 2N, and one
+        # without corners and m = N + 1, are read like any other window.
         local = np.random.default_rng(1400)
-        for n in (1, 3):
+        for n in (2, 3):
             for real in (True, False):
-                coeffs, m, top, bottom = self.mirror_window(local, n, 3 * n, real, True, False)
-                nudged = top.copy()
-                nudged[0, 0] = np.nextafter(nudged[0, 0].real, math.inf)
-                cases = [
-                    ((coeffs, m, None, None), True),
-                    ((coeffs, m, top, bottom), True),
-                    ((coeffs, 2 * n, top, bottom), True),
-                    ((coeffs, m, nudged, bottom), False),
-                    ((coeffs, m, top, None), False),
-                    ((coeffs, m, None, bottom), False),
-                ]
-                skew = coeffs.a.copy()
-                skew[0] += np.nextafter(abs(skew[0]), math.inf) - abs(skew[0])
-                cases.append(((BandedCoeffs(skew), m, None, None), False))
-                if n > 1:
-                    cases.append(((coeffs, 2 * n - 1, top, bottom), False))  # corners overlap
-                for window, meets in cases:
-                    assert (self.engine_job(monkeypatch, window)[3] is not None) == meets
-                    if window[2] is None and window[3] is None:
-                        continue  # bracketed from 0 up: a random row need not be definite
+                coeffs, m, top = self.mirror_window(local, n, 2 * n, real, True, False)
+                with pytest.raises(ValueError, match="m >= 2N"):
+                    _banded_lambda_mins([(coeffs, 2 * n - 1, top)])
+                # Without corners the bracket starts at 0, so the row is a
+                # product symbol's, with T_m(g) >= 0.
+                factors = [(0.0, n)] if real else [(float(local.uniform(0.1, 3.0)), n)]
+                plain = fourier_coefficients(make_symbol(factors))
+                for window in ((coeffs, m, top), (plain, n + 1, None)):
                     dense = dense_window(*window)
                     tol = 1e-12 * max(1.0, np.abs(dense).sum(axis=1).max())
-                    assert abs(_banded_lambda_min(*window) - np.linalg.eigvalsh(dense)[0]) <= tol
+                    value = _banded_lambda_mins([window])[0]
+                    assert abs(value - np.linalg.eigvalsh(dense)[0]) <= tol
 
 
 class TestGapScan:
