@@ -18,9 +18,18 @@ Usage examples::
 
 Angles are radians; the token ``pi`` is accepted with an optional
 coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
-finite; ``--tol`` must be finite and positive.  Exit status is 0 on
-success with all verdicts true, 1 on a verification failure, 2 on usage
-errors.  ``export`` writes a dense window, so there a size above 4096 (for
+finite; ``--tol`` must be finite and positive.
+
+Each command reads its input once and returns its exit status, its JSON
+report (None for ``export``) and its CSV text; ``main`` writes one of the
+two and maps errors to exit statuses in one place.  Exit status is 0 on
+success with all verdicts true; 1 on a false ``check`` verdict or a
+verification failure (``KernelMismatchError``, ``NoConvergenceError``,
+reported as ``verification failure:``); 2 on any other library error, a
+``ValueError`` or a usage error (``error:``).  ``coeffs``, ``check`` and
+``gap`` take ``--format json|csv``; ``export`` always writes CSV.
+``coeffs --eval`` needs JSON output: the CSV row has no place for the
+value.  ``export`` writes a dense window, so there a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
 built; ``gap --sizes`` keeps the same limit, its kernel check holding an
 L x N basis.  ``export`` refuses ``--bc`` with any kind but
@@ -48,19 +57,7 @@ import numpy as np
 
 from . import __version__
 from .boundary import BoundaryKind, build_restricted, classic_split_difference
-from .errors import (
-    DimensionMismatchError,
-    DuplicateAngleError,
-    DuplicateNodeError,
-    InvalidMultiplicityError,
-    KernelMismatchError,
-    NoConvergenceError,
-    NonHermitianError,
-    NonRealSymbolError,
-    OutOfClassError,
-    SizeTooSmallError,
-    ToepbrackError,
-)
+from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
 from .matrices import HermitianMatrix, circulant_periodic, toeplitz_finite
 from .spectra import check_bracketing, check_bracketing_penta, gap_scan, sampled_gap_floor
 from .symbols import (
@@ -70,17 +67,6 @@ from .symbols import (
     fourier_coefficients,
     make_symbol,
     penta_coefficients,
-)
-
-_USAGE_ERRORS = (
-    DuplicateAngleError,
-    InvalidMultiplicityError,
-    NonRealSymbolError,
-    NonHermitianError,
-    OutOfClassError,
-    SizeTooSmallError,
-    DimensionMismatchError,
-    DuplicateNodeError,
 )
 
 
@@ -172,12 +158,9 @@ def parse_penta(text: str) -> tuple[float, float, float]:
 
 def parse_int_list(text: str, what: str) -> list[int]:
     try:
-        values = [int(p) for p in text.split(",")]
+        return [int(p) for p in text.split(",")]
     except ValueError as exc:
         raise CliUsageError(f"bad {what} list {text!r}") from exc
-    if not values:
-        raise CliUsageError(f"empty {what} list")
-    return values
 
 
 def _split_sizes(text: str) -> tuple[int, int]:
@@ -193,19 +176,6 @@ def _fmt(x: float) -> str:
 
 def _cell(z: complex) -> str:
     return f"{format(z.real, '.17g')}{format(z.imag, '+.17g')}i"
-
-
-def _symbol_token(args) -> str:
-    if args.factors is not None:
-        spec = args.parsed_spec
-        return "factors=" + ",".join(f"{_fmt(e)}:{m}" for e, m in spec.factors)
-    return "penta=" + ",".join(_fmt(v) for v in args.parsed_penta)
-
-
-def _symbol_json(args) -> dict:
-    if args.factors is not None:
-        return {"factors": [[e, m] for e, m in args.parsed_spec.factors]}
-    return {"penta": list(args.parsed_penta)}
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -235,67 +205,71 @@ def _matrix_csv(matrix: HermitianMatrix, symbol_token: str, bc_token: str) -> st
     return "\n".join(lines) + "\n"
 
 
-def _resolve_symbol(args) -> None:
+def _resolve_symbol(args):
+    """Read the symbol of ``--factors`` or ``--penta`` once.
+
+    Returns ``(spec, penta, token, symbol_json)``: exactly one of ``spec``
+    (a :class:`SymbolSpec`) and ``penta`` (the row a0, a1, a2) is set;
+    ``token`` names the symbol in CSV headers and ``symbol_json`` in JSON
+    reports.
+    """
     if (args.factors is None) == (args.penta is None):
         raise CliUsageError("provide exactly one of --factors or --penta")
-    args.parsed_spec = parse_factors(args.factors) if args.factors is not None else None
-    args.parsed_penta = parse_penta(args.penta) if args.penta is not None else None
+    if args.factors is not None:
+        spec = parse_factors(args.factors)
+        token = "factors=" + ",".join(f"{_fmt(e)}:{m}" for e, m in spec.factors)
+        return spec, None, token, {"factors": [[e, m] for e, m in spec.factors]}
+    penta = parse_penta(args.penta)
+    token = "penta=" + ",".join(_fmt(v) for v in penta)
+    return None, penta, token, {"penta": list(penta)}
 
 
-def cmd_coeffs(args) -> int:
-    _resolve_symbol(args)
-    decomposition = None
-    if args.parsed_spec is not None:
-        coeffs = fourier_coefficients(args.parsed_spec)
-    else:
-        a0, a1, a2 = args.parsed_penta
-        coeffs = penta_coefficients(a0, a1, a2)
-        deco = decompose_pentadiagonal(a0, a1, a2)
-        decomposition = {
+def cmd_coeffs(args) -> tuple[int, Optional[dict], str]:
+    if args.eval is not None and args.format == "csv":
+        raise CliUsageError("--eval needs --format json: the CSV row has no place for the value")
+    spec, penta, token, symbol = _resolve_symbol(args)
+    coeffs = fourier_coefficients(spec) if spec is not None else penta_coefficients(*penta)
+    report = {
+        "command": "coeffs",
+        "symbol": symbol,
+        "half_bandwidth": coeffs.half_bandwidth,
+        "coefficients": [[z.real, z.imag] for z in coeffs.a],
+    }
+    if penta is not None:
+        deco = decompose_pentadiagonal(*penta)
+        report["decomposition"] = {
             "scale": deco.scale,
             "shift": deco.shift,
             "factors": [[e, m] for e, m in deco.spec.factors],
         }
-    report = {
-        "command": "coeffs",
-        "symbol": _symbol_json(args),
-        "half_bandwidth": coeffs.half_bandwidth,
-        "coefficients": [[z.real, z.imag] for z in coeffs.a],
-    }
-    if decomposition is not None:
-        report["decomposition"] = decomposition
     if args.eval is not None:
         x = parse_angle(args.eval)
         report["eval"] = {"x": x, "value": evaluate_symbol(coeffs, x)}
-    if args.format == "csv":
-        n = coeffs.half_bandwidth
-        lines = [f"# command=coeffs symbol={_symbol_token(args)}", "k,re,im"]
-        for k in range(-n, n + 1):
-            z = coeffs[k]
-            lines.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(report, indent=2) + "\n", args.out)
-    return 0
+    n = coeffs.half_bandwidth
+    lines = [f"# command=coeffs symbol={token}", "k,re,im"]
+    for k in range(-n, n + 1):
+        z = coeffs[k]
+        lines.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
+    return 0, report, "\n".join(lines) + "\n"
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[int, Optional[dict], str]:
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliUsageError(f"--tol must be a finite positive number, got {args.tol!r}")
-    _resolve_symbol(args)
+    spec, penta, token, symbol = _resolve_symbol(args)
     size1, size2 = _split_sizes(args.split)
-    if args.parsed_spec is not None:
+    if spec is not None:
         neumann = (
             BoundaryKind.CLASSIC_NEUMANN if args.classic_neumann else BoundaryKind.MODIFIED_NEUMANN
         )
-        report = check_bracketing(args.parsed_spec, size1, size2, tol=args.tol, neumann=neumann)
+        report = check_bracketing(spec, size1, size2, tol=args.tol, neumann=neumann)
     else:
         if args.classic_neumann:
             raise CliUsageError("--classic-neumann is only supported with --factors")
-        report, _ = check_bracketing_penta(*args.parsed_penta, size1, size2, tol=args.tol)
+        report, _ = check_bracketing_penta(*penta, size1, size2, tol=args.tol)
     payload = {
         "command": "check",
-        "symbol": _symbol_json(args),
+        "symbol": symbol,
         "sizes": [report.size1, report.size2],
         "margins": report.margins,
         "verdicts": report.verdicts,
@@ -303,25 +277,22 @@ def cmd_check(args) -> int:
         "tol": report.rel_tol,
         "version": __version__,
     }
-    if args.format == "csv":
-        lines = [f"# command=check symbol={_symbol_token(args)} sizes={report.size1},{report.size2}"]
-        lines.append("inequality,margin,verdict")
-        for name in ("floor_nn", "nn_vs_0n", "lower", "upper"):
-            lines.append(f"{name},{_fmt(report.margins[name])},{report.verdicts[name]}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0 if report.all_hold else 1
+    lines = [
+        f"# command=check symbol={token} sizes={report.size1},{report.size2}",
+        "inequality,margin,verdict",
+    ]
+    for name in ("floor_nn", "nn_vs_0n", "lower", "upper"):
+        lines.append(f"{name},{_fmt(report.margins[name])},{report.verdicts[name]}")
+    return (0 if report.all_hold else 1), payload, "\n".join(lines) + "\n"
 
 
-def cmd_gap(args) -> int:
-    _resolve_symbol(args)
-    if args.parsed_spec is None:
+def cmd_gap(args) -> tuple[int, Optional[dict], str]:
+    spec, _, token, symbol = _resolve_symbol(args)
+    if spec is None:
         raise CliUsageError("gap scans need --factors (a product symbol)")
     sizes = parse_int_list(args.sizes, "sizes")
     for size in sizes:
         _require_dense(size, "--sizes")
-    spec = args.parsed_spec
     report = gap_scan(spec, sizes)
     if not math.isfinite(report.c_empirical):
         raise CliUsageError(
@@ -331,7 +302,7 @@ def cmd_gap(args) -> int:
     floors = {s: sampled_gap_floor(spec, s, seed=args.seed) for s, _ in report.records}
     payload = {
         "command": "gap",
-        "symbol": _symbol_json(args),
+        "symbol": symbol,
         "sizes": [s for s, _ in report.records],
         "records": [
             {"size": s, "gap": g, "floor": floors[s]} for s, g in report.records
@@ -344,32 +315,25 @@ def cmd_gap(args) -> int:
         "seed": args.seed,
         "version": __version__,
     }
-    if args.format == "csv":
-        lines = [
-            f"# command=gap symbol={_symbol_token(args)} alpha_max={report.alpha_max}",
-            f"# slope={_fmt(report.slope)} intercept={_fmt(report.intercept)}"
-            f" c_empirical={_fmt(report.c_empirical)}",
-            "size,gap",
-        ]
-        for s, g in report.records:
-            lines.append(f"{s},{_fmt(g)}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    return 0
+    lines = [
+        f"# command=gap symbol={token} alpha_max={report.alpha_max}",
+        f"# slope={_fmt(report.slope)} intercept={_fmt(report.intercept)}"
+        f" c_empirical={_fmt(report.c_empirical)}",
+        "size,gap",
+    ]
+    for s, g in report.records:
+        lines.append(f"{s},{_fmt(g)}")
+    return 0, payload, "\n".join(lines) + "\n"
 
 
-def cmd_export(args) -> int:
-    _resolve_symbol(args)
+def cmd_export(args) -> tuple[int, Optional[dict], str]:
+    spec, penta, token, _ = _resolve_symbol(args)
     kind = args.matrix or ("restricted" if args.bc else "toeplitz")
     if args.bc is not None and kind != "restricted":
         raise CliUsageError(f"--bc applies only to --matrix restricted, not {kind}")
     if args.split is not None and kind != "lap2-diff":
         raise CliUsageError(f"--split applies only to --matrix lap2-diff, not {kind}")
-    if args.parsed_spec is not None:
-        coeffs = fourier_coefficients(args.parsed_spec)
-    else:
-        coeffs = penta_coefficients(*args.parsed_penta)
+    coeffs = fourier_coefficients(spec) if spec is not None else penta_coefficients(*penta)
 
     if kind == "lap2-diff":
         if not args.split:
@@ -388,23 +352,20 @@ def cmd_export(args) -> int:
         elif kind == "circulant":
             matrix = circulant_periodic(coeffs, args.size)
             bc_token = "per"
-        elif kind == "restricted":
+        else:
             code = args.bc or "nn"
             if len(code) != 2:
                 raise CliUsageError("--bc needs two side codes from {0,n,d,c}, e.g. nn or 0d")
             left = BoundaryKind.from_code(code[0])
             right = BoundaryKind.from_code(code[1])
-            if args.parsed_spec is not None:
-                matrix = build_restricted(args.parsed_spec, args.size, left, right)
+            if spec is not None:
+                matrix = build_restricted(spec, args.size, left, right)
             else:
-                deco = decompose_pentadiagonal(*args.parsed_penta)
+                deco = decompose_pentadiagonal(*penta)
                 base = build_restricted(deco.spec, args.size, left, right)
                 matrix = base.scaled(deco.scale).shifted(deco.shift)
             bc_token = code
-        else:
-            raise CliUsageError(f"unknown matrix kind {kind!r}")
-    _emit(_matrix_csv(matrix, _symbol_token(args), bc_token), args.out)
-    return 0
+    return 0, None, _matrix_csv(matrix, token, bc_token)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,9 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--factors", help="comma list of ANGLE:MULTIPLICITY, angles in radians (pi token allowed)")
         p.add_argument("--penta", help="pentadiagonal coefficients a0,a1,a2")
 
+    def add_out_opt(p):
+        p.add_argument("--out", help="write output to this path instead of stdout")
+
     def add_io_opts(p):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+        add_out_opt(p)
 
     p = sub.add_parser("coeffs", help="coefficient row of a symbol")
     add_symbol_opts(p)
@@ -458,25 +422,26 @@ def build_parser() -> argparse.ArgumentParser:
         help="matrix kind; defaults to restricted when --bc is given, else toeplitz",
     )
     p.add_argument("--bc", help="two boundary codes from {0,n,d,c}, e.g. nn, 0d, n0 (for --matrix restricted)")
-    add_io_opts(p)
+    add_out_opt(p)
     p.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit status (see the module docstring)."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (CliUsageError, ValueError, *_USAGE_ERRORS) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, report, text = args.func(args)
+        if report is not None and args.format == "json":
+            text = json.dumps(report, indent=2) + "\n"
+        _emit(text, args.out)
+        return code
     except (KernelMismatchError, NoConvergenceError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except ToepbrackError as exc:
+    except (ToepbrackError, ValueError, CliUsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

@@ -189,7 +189,10 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
 
     Convolves the per-factor triples (-exp(-i*E), 2, -exp(+i*E)); the result
     has half-bandwidth equal to ``spec.degree`` and is exactly Hermitian
-    after symmetrization.
+    after symmetrization.  The row is Hermitian by construction, so it skips
+    the tolerance test that :func:`banded_coefficients` applies to outside
+    input: repeated convolution can round it further from Hermitian than
+    that test allows.  Its outermost coefficient has modulus 1.
     """
     a = np.array([1.0 + 0.0j])
     for e, mult in spec.factors:
@@ -197,7 +200,7 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
         triple = np.array([-np.exp(-1j * theta), 2.0, -np.exp(1j * theta)])
         for _ in range(mult):
             a = np.convolve(a, triple)
-    return banded_coefficients(a)
+    return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1]))))
 
 
 def evaluate_symbol(coeffs: BandedCoeffs, x):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -22,7 +22,7 @@ from toepbrack import (
     make_symbol,
     toeplitz_finite,
 )
-from toepbrack import cli
+from toepbrack import cli, errors
 from toepbrack.cli import (
     CliUsageError,
     main,
@@ -180,11 +180,12 @@ class TestFactorParsing:
             ).map(lambda factors: ",".join(f"{e}:{m}" for e, m in factors)),
         )
     )
+    @example("0:29,pi:2")
     @settings(max_examples=200, derandomize=True, deadline=None)
     def test_any_text_is_a_finite_symbol_or_refused(self, text):
         try:
             spec = parse_factors(text)
-        except (CliUsageError, *cli._USAGE_ERRORS):
+        except (CliUsageError, errors.DuplicateAngleError, errors.InvalidMultiplicityError):
             return
         assert np.all(np.isfinite(fourier_coefficients(spec).a))
 
@@ -312,6 +313,14 @@ class TestCoeffs:
         assert lines[1] == "k,re,im"
         assert lines[2].startswith("-1,")
 
+    def test_eval_with_csv_is_refused(self, capsys):
+        # The CSV row has no place for the value: refuse rather than drop it.
+        argv = ["coeffs", "--factors", "0:1", "--eval", "3.14159", "--format", "csv"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --eval needs --format json: the CSV row has no place for the value\n"
+
     def test_byte_stability(self, capsys):
         _, first, _ = run_cli(capsys, "coeffs", "--factors", "0:1,2.0:1")
         _, second, _ = run_cli(capsys, "coeffs", "--factors", "0:1,2.0:1")
@@ -378,6 +387,14 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: Hermitian deviation")
 
+    def test_degree_seven_symbol_holds(self, capsys):
+        # Its convolved row is further from Hermitian than the tolerance for
+        # outside rows allows; a product symbol's row skips that test.
+        argv = ["check", "--factors", "4.48:2,3.19:1,1.72:2,6.09:2", "--split", "20,23"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert all(json.loads(out)["verdicts"].values())
+
     def test_size_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--factors", "0:2", "--split", "4,7")
         assert code == 2
@@ -391,6 +408,35 @@ class TestCheck:
         lines = out.strip().splitlines()
         assert lines[1] == "inequality,margin,verdict"
         assert len(lines) == 6
+
+
+_LIBRARY_ERRORS = [
+    cls
+    for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.ToepbrackError)
+]
+_VERIFICATION_FAILURES = (errors.KernelMismatchError, errors.NoConvergenceError)
+
+
+class TestExitCodes:
+    def test_library_errors_are_found(self):
+        assert set(_VERIFICATION_FAILURES) < set(_LIBRARY_ERRORS)
+        assert errors.ToepbrackError in _LIBRARY_ERRORS
+
+    @pytest.mark.parametrize(
+        "error", [*_LIBRARY_ERRORS, ValueError, CliUsageError], ids=lambda cls: cls.__name__
+    )
+    def test_each_error_maps_to_one_status(self, capsys, monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error("boom")
+
+        monkeypatch.setattr(cli, "check_bracketing", fail)
+        code, out, err = run_cli(capsys, "check", "--factors", "0:1", "--split", "7,9")
+        assert out == ""
+        if error in _VERIFICATION_FAILURES:
+            assert (code, err) == (1, "verification failure: boom\n")
+        else:
+            assert (code, err) == (2, "error: boom\n")
 
 
 class TestGap:
@@ -579,6 +625,16 @@ class TestExport:
         )
         assert code == 2
         assert "/nonexistent-dir/m.csv" in err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_format_is_not_an_export_option(self, capsys, fmt):
+        # export always writes CSV, so it takes no --format it would ignore.
+        with pytest.raises(SystemExit) as exc:
+            main(["export", "--factors", "0:1", "--size", "5", "--format", fmt])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --format" in captured.err
 
     def test_bad_bc_code(self, capsys):
         code, _, err = run_cli(
