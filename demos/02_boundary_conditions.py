@@ -28,7 +28,7 @@ E = 2.0
 spec = make_symbol([(0.0, 1), (E, 1)])
 N = spec.degree
 
-c = stencil(spec).c
+c = stencil(spec)
 print("stencil c_0..c_2:", c)
 print("one rank-one projector |psi><psi|:\n", np.outer(c, c.conj()))
 

@@ -11,7 +11,6 @@ promises.
 
 from .boundary import (
     BoundaryKind,
-    StencilVector,
     build_restricted,
     classic_split_difference,
     corner_block,
@@ -91,7 +90,6 @@ __all__ = [
     "PentaDecomposition",
     "SizeTooSmallError",
     "Spectrum",
-    "StencilVector",
     "SymbolSpec",
     "ToepbrackError",
     "banded_coefficients",

@@ -17,7 +17,8 @@ for the tridiagonal symbol 2 + 2*cos(x) (E = pi) its Hankel corner adds
 +1 where the softened corner needs -1, which the counterexample helpers
 reproduce.
 
-Every window is the plain Toeplitz body plus one N x N block per
+Every restricted window, and every Toeplitz or restricted CLI export, is
+one ``_window``: a coefficient row's Toeplitz body plus one N x N block per
 non-simple edge, so all windows keep half-bandwidth N.  Corner orientation:
 ``corner_block`` returns the block added at the bottom-right (right
 boundary).  The matching top-left block is the conjugated anti-diagonal
@@ -33,7 +34,6 @@ top block and factoring the window from both ends.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -59,21 +59,11 @@ class BoundaryKind(enum.Enum):
         raise ValueError(f"unknown boundary code {code!r} (use 0, n, d or c)")
 
 
-@dataclass(frozen=True)
-class StencilVector:
-    """Coefficients c_0..c_N of the generating stencil; c_0 == 1."""
-
-    c: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.c) - 1
-
-
-def stencil(spec: SymbolSpec) -> StencilVector:
+def stencil(spec: SymbolSpec) -> np.ndarray:
     """Convolve the per-factor pairs (1, -exp(-i*E_i)), each alpha_i times.
 
-    The autocorrelation sum_j c_j * conj(c_{j+t}) reproduces the symbol
+    Returns the stencil c_0..c_N as a read-only array, c_0 == 1.  The
+    autocorrelation sum_j c_j * conj(c_{j+t}) reproduces the symbol
     coefficient a_t, which is the identity all boundary constructions here
     rely on.
     """
@@ -83,7 +73,7 @@ def stencil(spec: SymbolSpec) -> StencilVector:
         for _ in range(mult):
             c = np.convolve(c, pair)
     c.flags.writeable = False
-    return StencilVector(c)
+    return c
 
 
 def _placement(c: np.ndarray, k: int, size: int) -> np.ndarray:
@@ -107,7 +97,7 @@ def rank_one_sum(spec: SymbolSpec, size: int, k_range: Iterable[int]) -> Hermiti
     """
     n = spec.degree
     _require_size(size, 2 * n + 1)
-    c = stencil(spec).c
+    c = stencil(spec)
     out = np.zeros((size, size), dtype=np.complex128)
     for k in sorted(int(k) for k in k_range):
         if not -n <= k <= size - 1:
@@ -133,7 +123,7 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
         sign = 1.0
     else:
         raise ValueError("corner_block is defined for the modified conditions only")
-    c = stencil(spec).c
+    c = stencil(spec)
     n = len(c) - 1
     out = np.zeros((n, n), dtype=np.complex128)
     for s in range(n):
@@ -166,8 +156,8 @@ def _window_corners(
     once, and the top-left one is its :func:`_mirror`; only a classic edge
     needs the coefficient row.  Each block is validated and made exactly
     Hermitian by :func:`hermitian`, so a classic corner of a complex symbol
-    raises NonHermitianError.  Every window is the Toeplitz body plus these
-    two blocks, whatever its size (>= 2N+1).
+    raises NonHermitianError.  :func:`_window` adds them to a body of any
+    size >= 2N+1.
     """
     simple = BoundaryKind.SIMPLE
     right_blocks = {}
@@ -190,15 +180,26 @@ def build_restricted(
     """Toeplitz window of the symbol with boundary conditions at each edge.
 
     Requires size >= 2N+1 so the two corner blocks never overlap.  Every
-    combination is the plain window plus the :func:`_window_corners` of its
-    two edges; the left block is the conjugated mirror of the right block
-    of the same kind.  Simple/Simple returns the unmodified window.  Body
+    combination is the :func:`_window` of the symbol's row and the
+    :func:`_window_corners` of its two edges; the left block is the
+    conjugated mirror of the right block of the same kind.  Simple/Simple
+    returns the unmodified window.
+    """
+    _require_size(size, 2 * spec.degree + 1)
+    top, bottom = _window_corners(spec, left, right)
+    return _window(fourier_coefficients(spec), size, top, bottom)
+
+
+def _window(
+    coeffs: BandedCoeffs, size: int, top: np.ndarray | None, bottom: np.ndarray | None
+) -> HermitianMatrix:
+    """The row's Toeplitz body plus its top-left and bottom-right N x N blocks.
+
+    None stands for a simple edge; the caller checks size >= 2N+1.  Body
     and blocks are each exactly Hermitian, so their sum is too.
     """
-    n = spec.degree
-    _require_size(size, 2 * n + 1)
-    top, bottom = _window_corners(spec, left, right)
-    out = _toeplitz_body(fourier_coefficients(spec), size)
+    n = coeffs.half_bandwidth
+    out = _toeplitz_body(coeffs, size)
     if top is not None:
         out[:n, :n] += top
     if bottom is not None:

@@ -21,9 +21,10 @@ coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
 finite; ``--tol`` must be finite and positive.
 
 Each command reads its input once and returns its exit status, its JSON
-report (None for ``export``) and its CSV text; ``main`` writes one of the
-two and maps errors to exit statuses in one place.  Exit status is 0 on
-success with all verdicts true; 1 on a false ``check`` verdict or a
+report and its CSV text; ``main`` writes one of the two and maps errors to
+exit statuses in one place; the report is None for ``export`` and for
+``gap --format csv``, which thus computes no sampled floors.  Exit status
+is 0 on success with all verdicts true; 1 on a false ``check`` verdict or a
 verification failure (``KernelMismatchError``, ``NoConvergenceError``,
 reported as ``verification failure:``); 2 on any other library error, a
 ``ValueError`` or a usage error (``error:``).  ``coeffs``, ``check`` and
@@ -34,14 +35,16 @@ value.  ``export`` writes a dense window, so there a size above 4096 (for
 built; ``gap --sizes`` keeps the same limit, its kernel check holding an
 L x N basis.  ``export`` refuses ``--bc`` with any kind but
 ``--matrix restricted`` and ``--split`` with any but ``lap2-diff``, rather
-than drop them.  ``check`` builds no window and takes any split.  A
-coefficient row outside the float64 range is a usage error too: a symbol of
-degree above 511, or a ``--penta`` row with sum |a_k| above 4**511.  A
-``gap`` scan whose observed constant gap * L**(2*alpha_max) leaves the
-float64 range exits 2 as well.  Output is byte-stable for fixed inputs:
-JSON uses shortest round-trip floats, CSV cells carry 17 significant
-digits.  A zero cell is written ``0+0i``; a signed zero keeps its sign
-(``-0+0i``, ``0-0i``).
+than drop them.  It builds ``--matrix toeplitz`` as ``--bc 00``: each such
+window is the input's own coefficient row plus two corner blocks, for
+``--penta`` the row's scale times the corners of its product symbol.
+``check`` builds no window and takes any split.  A coefficient row outside
+the float64 range is a usage error too: a symbol of degree above 511, or a
+``--penta`` row with sum |a_k| above 4**511.  A ``gap`` scan whose observed
+constant gap * L**(2*alpha_max) leaves the float64 range exits 2 as well.
+Output is byte-stable for fixed inputs: JSON uses shortest round-trip
+floats, CSV cells carry 17 significant digits.  A zero cell is written
+``0+0i``; a signed zero keeps its sign (``-0+0i``, ``0-0i``).
 """
 
 from __future__ import annotations
@@ -56,9 +59,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .boundary import BoundaryKind, build_restricted, classic_split_difference
+from .boundary import BoundaryKind, _window, _window_corners, classic_split_difference
 from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
-from .matrices import HermitianMatrix, circulant_periodic, toeplitz_finite
+from .matrices import HermitianMatrix, _require_size, circulant_periodic
 from .spectra import check_bracketing, check_bracketing_penta, gap_scan, sampled_gap_floor
 from .symbols import (
     SymbolSpec,
@@ -299,13 +302,14 @@ def cmd_gap(args) -> tuple[int, Optional[dict], str]:
             f"c_empirical = min gap * L**{2 * report.alpha_max} leaves the float64 range;"
             " use smaller sizes"
         )
-    floors = {s: sampled_gap_floor(spec, s, seed=args.seed) for s, _ in report.records}
-    payload = {
+    # The sampled floors appear only in the JSON report.
+    payload = None if args.format == "csv" else {
         "command": "gap",
         "symbol": symbol,
         "sizes": [s for s, _ in report.records],
         "records": [
-            {"size": s, "gap": g, "floor": floors[s]} for s, g in report.records
+            {"size": s, "gap": g, "floor": sampled_gap_floor(spec, s, seed=args.seed)}
+            for s, g in report.records
         ],
         "slope": report.slope,
         "intercept": report.intercept,
@@ -346,25 +350,25 @@ def cmd_export(args) -> tuple[int, Optional[dict], str]:
         if args.size is None:
             raise CliUsageError(f"--matrix {kind} needs --size")
         _require_dense(args.size, "--size")
-        if kind == "toeplitz":
-            matrix = toeplitz_finite(coeffs, args.size)
-            bc_token = "00"
-        elif kind == "circulant":
+        if kind == "circulant":
             matrix = circulant_periodic(coeffs, args.size)
             bc_token = "per"
         else:
-            code = args.bc or "nn"
-            if len(code) != 2:
+            # A toeplitz window is the restricted one with two simple edges.
+            bc_token = args.bc or ("nn" if kind == "restricted" else "00")
+            if len(bc_token) != 2:
                 raise CliUsageError("--bc needs two side codes from {0,n,d,c}, e.g. nn or 0d")
-            left = BoundaryKind.from_code(code[0])
-            right = BoundaryKind.from_code(code[1])
-            if spec is not None:
-                matrix = build_restricted(spec, args.size, left, right)
-            else:
-                deco = decompose_pentadiagonal(*penta)
-                base = build_restricted(deco.spec, args.size, left, right)
-                matrix = base.scaled(deco.scale).shifted(deco.shift)
-            bc_token = code
+            left, right = (BoundaryKind.from_code(code) for code in bc_token)
+            # A --penta row is scale * g + shift: its window is its own band,
+            # the shift on the diagonal, plus scale times the corners of g.
+            deco = decompose_pentadiagonal(*penta) if kind == "restricted" and penta else None
+            _require_size(args.size, 2 * coeffs.half_bandwidth + 1)
+            top = bottom = None
+            if kind == "restricted":
+                top, bottom = _window_corners(deco.spec if deco else spec, left, right)
+            if deco is not None:
+                top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
+            matrix = _window(coeffs, args.size, top, bottom)
     return 0, None, _matrix_csv(matrix, token, bc_token)
 
 

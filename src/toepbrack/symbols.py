@@ -81,10 +81,6 @@ class SymbolSpec:
         return tuple(m for _, m in self.factors)
 
     @property
-    def n_factors(self) -> int:
-        return len(self.factors)
-
-    @property
     def degree(self) -> int:
         """Total degree N = sum of multiplicities; the matrix half-bandwidth."""
         return sum(self.multiplicities)

@@ -471,6 +471,22 @@ class TestGap:
         assert lines[2] == "size,gap"
         assert [row.split(",")[0] for row in lines[3:]] == ["8", "16", "32"]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_floors_are_computed_only_for_the_json_report(self, capsys, monkeypatch, fmt):
+        # The CSV rows carry no floor column, so a CSV scan samples none.
+        sampled = []
+
+        def floor(spec, size, seed):
+            sampled.append(size)
+            return 0.0
+
+        monkeypatch.setattr(cli, "sampled_gap_floor", floor)
+        code, _, _ = run_cli(
+            capsys, "gap", "--factors", "0:1", "--sizes", "8,16,32", "--format", fmt
+        )
+        assert code == 0
+        assert sampled == ([8, 16, 32] if fmt == "json" else [])
+
     def test_penta_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--penta", "6,-4,1", "--sizes", "8,16")
         assert code == 2
@@ -500,6 +516,8 @@ class TestDenseSizeGuard:
             ["export", "--factors", "0:1", "--size", "50000"],
             ["export", "--factors", "0:2", "--size", "5000", "--matrix", "circulant"],
             ["export", "--factors", "0:2", "--matrix", "lap2-diff", "--split", "3000,3000"],
+            ["export", "--penta", "6,-4,1", "--size", "4097", "--bc", "dd"],
+            ["export", "--penta", "6,-4,1", "--size", "5000", "--matrix", "toeplitz"],
         ],
     )
     def test_refused_before_any_dense_build(self, capsys, monkeypatch, argv):
@@ -507,8 +525,8 @@ class TestDenseSizeGuard:
             pytest.fail("a dense window was requested")
 
         for name in (
-            "gap_scan", "build_restricted", "check_bracketing", "check_bracketing_penta",
-            "toeplitz_finite", "circulant_periodic", "classic_split_difference",
+            "gap_scan", "_window", "_window_corners", "check_bracketing",
+            "check_bracketing_penta", "circulant_periodic", "classic_split_difference",
         ):
             monkeypatch.setattr(cli, name, reached)
         code, out, err = run_cli(capsys, *argv)
@@ -520,11 +538,13 @@ class TestDenseSizeGuard:
     def test_limit_itself_is_accepted(self, capsys, monkeypatch):
         seen = []
 
-        def small_window(coeffs, size):
-            seen.append(size)
-            return toeplitz_finite(coeffs, 8)
+        window = cli._window
 
-        monkeypatch.setattr(cli, "toeplitz_finite", small_window)
+        def small_window(coeffs, size, top, bottom):
+            seen.append(size)
+            return window(coeffs, 8, top, bottom)
+
+        monkeypatch.setattr(cli, "_window", small_window)
         code, _, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096")
         assert code == 0
         assert seen == [4096]
@@ -607,6 +627,42 @@ class TestExport:
             spec, 6, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN
         )
         assert_allclose(matrix, base.entries + np.eye(6), atol=1e-12)
+        # Rows with two distinct angles: the row's own band plus scale times
+        # the corners of g equals scale * W_g + shift * I up to rounding.
+        for row in ((5.3, -2.7, 0.9), (1.5, 0.3, 0.8)):
+            deco = decompose_pentadiagonal(*row)
+            tol = 4 * np.finfo(float).eps * (abs(row[0]) + 2 * abs(row[1]) + 2 * abs(row[2]))
+            for pair in ALL_PAIRS:
+                left, right = (BoundaryKind.from_code(code) for code in pair)
+                code, out, _ = run_cli(
+                    capsys, "export", "--penta", ",".join(map(str, row)),
+                    "--size", "9", "--bc", "".join(pair),
+                )
+                assert code == 0
+                _, matrix = parse_matrix_csv(out)
+                assert np.array_equal(matrix, matrix.conj().T), pair
+                affine = build_restricted(deco.spec, 9, left, right).scaled(deco.scale)
+                assert_allclose(matrix, affine.shifted(deco.shift).entries, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("row", ["5.3,-2.7,0.9", "1.5,0.3,0.8", "7,-4,1"])
+    def test_penta_simple_edges_equal_the_toeplitz_window(self, capsys, row):
+        # Both are the row's own band, so the two exports agree byte for byte.
+        plain = run_cli(capsys, "export", "--penta", row, "--size", "9", "--matrix", "toeplitz")
+        restricted = run_cli(capsys, "export", "--penta", row, "--size", "9", "--bc", "00")
+        assert plain[0] == 0
+        assert restricted == plain
+
+    def test_factors_toeplitz_equals_simple_edges(self, capsys):
+        rng = np.random.default_rng(15)
+        for _ in range(6):
+            count = int(rng.integers(1, 4))
+            angles = np.sort(rng.uniform(0.0, 2 * np.pi, count))
+            factors = ",".join(f"{float(e)!r}:{int(rng.integers(1, 3))}" for e in angles)
+            size = str(int(rng.integers(13, 24)))
+            plain = run_cli(capsys, "export", "--factors", factors, "--size", size, "--matrix", "toeplitz")
+            restricted = run_cli(capsys, "export", "--factors", factors, "--size", size, "--bc", "00")
+            assert plain[0] == 0, factors
+            assert restricted == plain
 
     def test_out_file(self, capsys, tmp_path):
         out_path = tmp_path / "m.csv"
@@ -635,6 +691,15 @@ class TestExport:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unrecognized arguments: --format" in captured.err
+
+    @pytest.mark.parametrize("symbol", [["--factors", "1.0:1,2.5:2"], ["--penta", "5.3,-2.7,0.9"]])
+    def test_size_is_checked_before_the_corners(self, capsys, symbol):
+        # The size is refused before any corner is built; for the complex
+        # symbol a classic corner would fail with another message.
+        code, out, err = run_cli(capsys, "export", *symbol, "--size", "4", "--bc", "cc")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: window size 4 is below the minimum")
 
     def test_bad_bc_code(self, capsys):
         code, _, err = run_cli(
