@@ -23,22 +23,28 @@ Parlett and Dhillon, "Fernando's solution to Wilkinson's problem", LAA
 267, 1997).  The engine takes a batch of windows of one half-bandwidth
 and advances all their passes through one row loop per arithmetic kind:
 a certificate makes one call for its four windows, a gap scan one call
-for all its sizes.  The shifts of a pass sit on the last, contiguous
-axis of one Schur block, each with a running minimum pivot; retired
-shifts run on unread and leave at event rows and every few rows, which
-changes no bit of any result.  Every margin of a modified certificate
+for all its sizes.  Windows of one coefficient row and top corner, the
+two floors of a certificate or the sizes of a scan, share one setup per
+call.  The shifts of a pass sit on the last, contiguous axis of one
+Schur block, each with a running minimum pivot.  A window's copy of its
+mirror block and its meeting touch only its own columns; retired shifts
+run on unread and leave only at a window's end row and every few rows,
+which changes no bit of any result.  Every margin of a modified certificate
 is 0 in exact arithmetic (``nn_vs_0n`` only as min(0, lambda) of a
 positive definite window), so each certificate window's first pass tests
 a grid of shifts around 0 and usually ends the multisection at once; a
 gap bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
 certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
 diagonalization, :func:`eigenvalues`, stays as the dense reference for
-tests and demos.
+tests and demos.  The sampled gap floor evaluates the symbol in product
+form, which keeps its relative accuracy near the zeros of g.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -55,7 +61,6 @@ from .symbols import (
     PentaDecomposition,
     SymbolSpec,
     decompose_pentadiagonal,
-    evaluate_symbol,
     fourier_coefficients,
     penta_coefficients,
     phase_angle,
@@ -406,6 +411,46 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
 
 _SHIFTS = 31
 _GRID = 16  # a window expected at 0 first tests the shifts k*w, |k| <= 16
+_GRID_STEPS = np.arange(-_GRID, _GRID + 1)
+_GRID_STEPS.flags.writeable = False
+_EPS = float(np.finfo(np.float64).eps)
+
+
+@functools.cache
+def _band_index(n: int) -> np.ndarray:
+    """Read-only (N+1, N+1) index into a_{-N..N}: entry (r, c) holds a_{c-r}."""
+    k = np.arange(n + 1)
+    index = n + k[None, :] - k[:, None]
+    index.flags.writeable = False
+    return index
+
+
+def _window_setup(coeffs: BandedCoeffs, top: np.ndarray | None) -> tuple:
+    """What every window of one coefficient row and top corner shares:
+    (template, T_N(g), tol, lo, hi, grid), the arrays read-only.
+
+    Rows 0..N of T - s*I: the first N form the starting Schur block, and
+    row N (entries a_N..a_1 above its diagonal) is the template of every
+    row that enters later; the top corner sits in the starting block.  A
+    row and a corner without imaginary parts give a real template."""
+    n = coeffs.half_bandwidth
+    a = coeffs.a
+    if not (a.imag.any() or top is not None and top.imag.any()):
+        a, top = a.real, None if top is None else top.real
+    reach = float(np.abs(a).sum())
+    template = a[_band_index(n)]
+    body = template[:n, :n].copy()
+    if top is not None:
+        # The largest absolute row sums of top and of its reflection, the
+        # bottom corner, each summed in its own row order.
+        top_sum, bottom_sum = np.abs([top, top[::-1, ::-1]]).sum(axis=2).max(axis=1).tolist()
+        reach += top_sum + bottom_sum
+        template[:n, :n] += top
+    tol = 8.0 * (n + 1) * _EPS * max(1.0, reach)
+    grid = tol * _GRID_STEPS
+    for x in (template, body, grid):
+        x.flags.writeable = False
+    return template, body, tol, 0.0 if top is None else -reach, reach, grid
 
 
 def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
@@ -460,39 +505,32 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1) and never builds an
     m x m matrix.  An empty list of windows gives an empty list.
 
+    Windows that share their row and top corner object share one
+    :func:`_window_setup`, built once per call with read-only arrays: the
+    two floors of a certificate differ only in m, and so do all the sizes
+    of a gap scan.
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
     A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap].
     """
-    jobs = []
+    jobs, setups = [], {}
     for coeffs, m, top, *expect in windows:
         n = coeffs.half_bandwidth
-        k = np.arange(n + 1)
         expect = expect[0] if expect else None
         if top is not None and m < 2 * n:
             raise ValueError(f"a window with corners needs m >= 2N = {2 * n}, got {m}")
-        a = coeffs.a
-        if not any(np.any(np.imag(x)) for x in (a, top) if x is not None):
-            a, top = (None if x is None else np.real(x) for x in (a, top))
-        corners = () if top is None else (top, np.conj(top[::-1, ::-1]))
-        reach = float(np.abs(a).sum()) + sum(float(np.abs(x).sum(axis=1).max()) for x in corners)
-        # Rows 0..n of T - s*I: the first n form the starting Schur block,
-        # and row n (entries a_n..a_1 above its diagonal) is the template of
-        # every row that enters later.  The update rewrites only the leading
-        # n x n block, so the entering row stays in place until the middle
-        # row p, where it becomes a decoupled unit row and the leading block
-        # becomes the meeting block (rows p..p+n-1).
-        template = a[n + k[None, :] - k[:, None]]
-        body = template[:n, :n].copy()
-        if top is not None:
-            template[:n, :n] += top
+        key = (id(coeffs), id(top))
+        if key not in setups:
+            setups[key] = _window_setup(coeffs, top)
+        template, body, tol, lo, hi, grid = setups[key]
+        # The update rewrites only the leading N x N block, so the entering
+        # row stays in place until the middle row p, where it becomes a
+        # decoupled unit row and the leading block becomes the meeting
+        # block (rows p..p+N-1).
         p = (m - n + 1) // 2
-        tol = 8.0 * (n + 1) * np.finfo(np.float64).eps * max(1.0, reach)
-        lo = -reach if corners else 0.0
-        grid = None if expect is None else tol * np.arange(-_GRID, _GRID + 1)
         cap = 0.0 if expect == "min0" else math.inf
-        jobs.append([template, m - n - p, p, body, tol, lo, reach, grid, cap])
+        jobs.append([template, m - n - p, p, body, tol, lo, hi, None if expect is None else grid, cap])
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
@@ -530,97 +568,112 @@ def _multisection(jobs: list[list]) -> None:
         jobs = remaining
 
 
-_SWEEP = 16  # rows between drops of retired shifts, besides the event rows
+_SWEEP = 16  # rows between drops of retired shifts, besides the end rows
 
 
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     """One row loop: for each job [template, q, p, T_N(g), ...], how many
     of its ascending ``shifts`` s leave W - s*I positive definite.
 
-    Each job copies its N x N Schur block S_q at the start of row q,
-    replaces it at the start of row p by the meeting block
-    S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
-    :func:`_banded_lambda_mins`); retired shifts leave only as a suffix of a
-    job's columns, so those at row p are a prefix of those copied at row q.
+    Each job keeps J conj(S_q) J, its N x N Schur block S_q mirrored, at
+    the start of row q, replaces S_p at the start of row p by the meeting
+    block S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
+    :func:`_banded_lambda_mins`); these two event rows touch only the
+    job's own columns and leave the layout as it is.
 
     The block is (N+1, N+1, S): the S shifts of all jobs, job after job,
     on its last, contiguous axis, so every ufunc of a row runs inner loops
-    of length S.  A row is five ufunc calls (four for real windows, which
-    need no conjugate) into buffers and views made once per block layout;
-    numpy buffers the overlap of the in-place Schur update.  ``least``
+    of length S.  Each column starts as its job's template with its shift
+    subtracted on the diagonal.  A row is five ufunc calls (four for real windows, which need no
+    conjugate) into buffers and views made once per block layout; numpy
+    buffers the overlap of the in-place Schur update.  ``least``
     holds each shift's running minimum pivot, and a job's count is the
     index of its first shift with least <= 0: the first nonpositive pivot
     retires a shift and every shift above it.  Retired shifts run on under
-    errstate, their values never read again, and leave the block only at
-    an event row (a job copies S_q, takes its meeting block, or ends) and
-    every _SWEEP rows; dropping them ends early a pass whose shifts all
+    errstate, their values never read again.  The layout changes only at
+    a job's end row, where its columns leave, and every _SWEEP rows after
+    row 0; at both, each job's retired columns leave too, always as a
+    suffix of the job's columns, so those at row p are a prefix of those
+    copied at row q.  Dropping them ends early a pass whose shifts all
     retire.  A shift's column gets the same operations on the same operands
     whatever its place in the block, so the counts are bitwise independent
     of the batch and of when retired shifts leave."""
     n = len(jobs[0][0]) - 1
-    eye = np.eye(n + 1)[:, :, None]
     real = not np.iscomplexobj(jobs[0][0])
-    block = np.concatenate([job[0][:, :, None] - s * eye for job, s in zip(jobs, shifts)], axis=2)
-    column_shifts = np.concatenate(shifts)
-    least = np.full(block.shape[2], np.inf)
     counts = [len(s) for s in shifts]
     width = list(counts)  # the job's columns of the block, 0 once it left
+    starts = list(itertools.accumulate(width, initial=0))
+    column_shifts = np.concatenate(shifts)
+    least = np.full(len(column_shifts), np.inf)
+    # The diagonal is rows 0, N+2, .. of the block's (N+1)**2 x S view.
+    block = np.repeat(np.array([job[0] for job in jobs]).transpose(1, 2, 0), width, axis=2)
+    block.reshape(-1, len(least))[:: n + 2] -= column_shifts
     ends = [job[2] + n for job in jobs]
-    events = {row for job in jobs for row in job[1:3]} | set(ends)
-    mirrors = [None] * len(jobs)  # each job's S_q, once copied
+    stops = set(ends)
+    events: dict[int, list[int]] = {}  # row -> the jobs whose q or p it is
+    for j, job in enumerate(jobs):
+        for row in {job[1], job[2]}:
+            events.setdefault(row, []).append(j)
+    mirrors = [None] * len(jobs)  # each job's J conj(S_q) J, once copied
+    unit = np.eye(n + 1)[n, :, None]
     layout = True
     with np.errstate(all="ignore"):
-        # The last end row is an event that ends every job left, so the
-        # loop breaks there.
+        # The last end row ends every job left, so the loop breaks there.
         for i in range(max(ends) + 1):
-            if i in events or i % _SWEEP == 0:
-                keep, at = np.ones(len(least), dtype=bool), 0
+            for j in events.get(i, ()):
+                start, at = starts[j], starts[j] + width[j]
+                if start == at:
+                    continue
+                job = jobs[j]
+                if job[1] == i:
+                    mirror = block[n - 1 :: -1, n - 1 :: -1, start:at]
+                    mirrors[j] = mirror.copy() if real else np.conj(mirror)
+                if job[2] == i:
+                    # M = S_p + J conj(S_q) J - T_N(g) + s*I, after a unit
+                    # row N; the columns here are a prefix of those at row q.
+                    mine = block[:, :, start:at]
+                    mine[n] = unit
+                    mine[:n, n] = 0.0
+                    middle = mine[:n, :n]
+                    middle += mirrors[j][:, :, : at - start]
+                    middle -= job[3][:, :, None]
+                    flat[: n * (n + 2) : n + 2, start:at] += column_shifts[start:at]
+            if i in stops or (i and i % _SWEEP == 0):
                 # The retired columns, then one past the last: a job's first
                 # retired shift is the first hit at or after its start.
                 hits = np.flatnonzero(least <= 0.0).tolist() + [len(least)]
-                for j, job in enumerate(jobs):
-                    start, at = at, at + width[j]
-                    if not width[j]:
-                        continue
-                    if job[1] == i:
-                        mirrors[j] = block[:n, :n, start:at].copy()
-                    if job[2] == i:
-                        mine = block[:, :, start:at]
-                        mine[:, n] = mine[n] = 0.0
-                        mine[n, n] = 1.0
-                        # M = S_p + J conj(S_q) J - T_N(g) + s*I; the
-                        # columns here are a prefix of those at row q.
-                        middle = mine[:n, :n]
-                        mirror = mirrors[j][::-1, ::-1, : at - start]
-                        middle += mirror if real else np.conj(mirror)
-                        middle -= job[3][:, :, None]
-                        for d in range(n):
-                            middle[d, d] += column_shifts[start:at]
-                    first = hits[bisect.bisect_left(hits, start)]
-                    counts[j] = width[j] = min(first, at) - start
-                    if ends[j] == i:
-                        width[j] = 0
-                    keep[start + width[j] : at] = False
-                if not keep.all():
-                    # Boolean indexing on the last axis leaves it strided.
-                    block = np.ascontiguousarray(block[:, :, keep])
-                    least = least[keep]
-                    column_shifts = column_shifts[keep]
-                    if not len(least):
+                for j, start in enumerate(starts[:-1]):
+                    if width[j]:
+                        first = hits[bisect.bisect_left(hits, start)]
+                        counts[j] = width[j] = min(first, start + width[j]) - start
+                        if ends[j] == i:
+                            width[j] = 0
+                if sum(width) < len(least):
+                    if not any(width):
                         break
+                    keep = np.zeros(len(least), dtype=bool)
+                    for start, columns in zip(starts, width):
+                        keep[start : start + columns] = True
+                    kept = np.flatnonzero(keep)
+                    block = block.take(kept, axis=2)
+                    least = least[kept]
+                    column_shifts = column_shifts[kept]
+                    starts = list(itertools.accumulate(width, initial=0))
                     layout = True
             if layout:
                 pivots, v = block[0, 0].real, block[1:, 0]
                 head, tail = block[:n, :n], block[1:, 1:]
+                flat = block.reshape(-1, len(least))
                 q = np.empty_like(v)
                 w = v if real else np.empty_like(v)
                 outer = np.empty_like(head)
+                q_col, w_row = q[:, None], w[None]
                 layout = False
             np.fmin(least, pivots, out=least)
             np.divide(v, pivots, out=q)
             if not real:
                 np.conjugate(v, out=w)
-            np.multiply(q[:, None], w[None], out=outer)
+            np.multiply(q_col, w_row, out=outer)
             np.subtract(tail, outer, out=head)
     return counts
 
@@ -726,11 +779,20 @@ def sampled_gap_floor(
 
     Evaluates min_k g(2*pi*k/size - shift) for the constructive
     :func:`grid_shift` plus ``n_samples`` seeded uniform shifts and returns
-    the largest of these minima; the spectral gap always dominates it.
+    the largest of these minima; the spectral gap always dominates it.  g
+    is evaluated in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i,
+    because the sum over the coefficient row cancels near the zeros of g:
+    for 0:3 at L = 4096 the sum gives floor * L**6 = 0.0 and the product
+    961.389.  Near a zero the rounding of x - E_i dominates:
+    the grid keeps every angle at least 2*pi/(2**n * L) away, n the number
+    of factors, so the floor carries a relative error of about
+    2 * alpha * 2**n * L * eps.
     """
-    coeffs = fourier_coefficients(spec)
     shifts = [grid_shift(spec.angles, size)]
     rng = np.random.default_rng(seed)
     shifts.extend(rng.uniform(0.0, TWO_PI, n_samples).tolist())
-    grid = TWO_PI * np.arange(1, size + 1) / size
-    return max(float(np.min(evaluate_symbol(coeffs, grid - sh))) for sh in shifts)
+    x = TWO_PI * np.arange(1, size + 1) / size - np.array(shifts)[:, None]
+    g = np.ones_like(x)
+    for e, mult in spec.factors:
+        g *= (4.0 * np.sin(0.5 * (x - e)) ** 2) ** mult
+    return float(g.min(axis=1).max())

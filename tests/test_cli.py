@@ -450,6 +450,17 @@ class TestGap:
         for record in payload["records"]:
             assert record["gap"] >= record["floor"] - 1e-9
 
+    def test_triple_root_floor_in_product_form(self, capsys):
+        # Summed from the coefficient row, floor * L**6 would read 961.5,
+        # 2048, 131072 and 0.0; the product form keeps it near the exact
+        # (4 sin^2(pi/2L))**3 * L**6 at every size.
+        code, out, _ = run_cli(capsys, "gap", "--factors", "0:3", "--sizes", "256,1024,2048,4096")
+        assert code == 0
+        for record in json.loads(out)["records"]:
+            size = record["size"]
+            exact = (4.0 * math.sin(math.pi / (2 * size)) ** 2) ** 3 * size**6
+            assert record["floor"] * size**6 == pytest.approx(exact, rel=1e-10), size
+
     def test_two_factor_kernel_dim(self, capsys):
         code, out, _ = run_cli(
             capsys, "gap", "--factors", "0:1,2.0:1", "--sizes", "16,32,64"

@@ -537,6 +537,19 @@ class TestSpectralGap:
             floor = sampled_gap_floor(spec, size, n_samples=6, seed=7)
             assert gap >= floor - 1e-9 * max(1.0, floor)
 
+    @pytest.mark.parametrize("alpha", [1, 3])
+    def test_floor_in_product_form(self, alpha):
+        # Summed from the coefficient row, floor * L**6 of 0:3 would read
+        # 961.5, 2048, 131072 and 0.0 at L = 256, 1024, 2048 and 4096.  In
+        # product form only the rounding of x - E grows near the zero, to a
+        # relative error of about 2 * alpha * L * eps.
+        spec = make_symbol([(0.0, alpha)])
+        eps = np.finfo(np.float64).eps
+        for size in (8, 16, 64, 256, 1024, 2048, 4096, 16384):
+            scaled = sampled_gap_floor(spec, size) * size ** (2 * alpha)
+            exact = (4.0 * math.sin(math.pi / (2 * size)) ** 2) ** alpha * size ** (2 * alpha)
+            assert abs(scaled - exact) <= 4 * alpha * size * eps * exact, size
+
     def test_circulant_dominates_softened(self, rng):
         # The periodic window exceeds the softened one by a rank-N PSD term.
         for _ in range(6):
@@ -722,10 +735,6 @@ class TestBandedLambdaMin:
         # Real and complex windows, without corners, with corners and with
         # corners on a zero row, on one row loop: each result is bitwise
         # that of the window run alone.
-        def hermitian_block(real):
-            x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
-            return (x + x.conj().T) / 2
-
         # Each row loop runs one arithmetic kind, real windows in float64:
         # complex / real division can round differently from real / real.
         dtypes = []
@@ -736,33 +745,8 @@ class TestBandedLambdaMin:
             row_loop(jobs)
 
         monkeypatch.setattr(spectra, "_multisection", spy)
-        local = np.random.default_rng(n)
-        for _ in range(2):
-            windows = []
-            # Both kinds with every corner shape; the first window ends
-            # before the second reaches its middle row.
-            for j, m in enumerate((n + 1, 200, *rng.integers(2 * n, 201, 6))):
-                real, shape = j % 2 == 0, j // 2
-                k = int(rng.integers(1, n + 1))
-                if real:
-                    factors = [(0.0, k)] + ([(math.pi, n - k)] if k < n else [])
-                else:
-                    factors = [(float(rng.uniform(0.1, 3.0)), n)]
-                coeffs = fourier_coefficients(make_symbol(factors))
-                top = None
-                if shape == 1:
-                    top = -np.eye(n)  # a definite corner beside the indefinite ones
-                elif shape > 1:
-                    top = hermitian_block(real)
-                if shape == 3:
-                    coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
-                windows.append((coeffs, int(m), top))
-            # The same windows seeded at 0, and certificate windows, whose
-            # grid pass closes at once, next to ones that fall back.
-            windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
-            for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
-                split = local.integers(2 * n + 1, 60, 2)
-                windows += certificate_windows(make_symbol(factors), *split)
+        batches, local = seeded_batches(rng, n)
+        for windows in batches:
             alone = [_banded_lambda_mins([w])[0].hex() for w in windows]
             dtypes.clear()
             assert [x.hex() for x in _banded_lambda_mins(windows)] == alone
@@ -776,6 +760,95 @@ class TestBandedLambdaMin:
             assert [spectral_gap(spec, s)[1].hex() for s, _ in report.records] == [
                 g.hex() for _, g in report.records
             ]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_counts_do_not_depend_on_when_columns_leave(self, monkeypatch, rng, n):
+        # Retired and ended columns leave the block at end rows and every
+        # _SWEEP rows.  Leaving after every row, or only at end rows, must
+        # give every result bitwise as it is.
+        batches, _ = seeded_batches(rng, n)
+        results = []
+        for sweep in (spectra._SWEEP, 1, 10**6):
+            monkeypatch.setattr(spectra, "_SWEEP", sweep)
+            results.append([[x.hex() for x in _banded_lambda_mins(w)] for w in batches])
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: check_bracketing(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23),
+            lambda: check_bracketing(make_symbol([(0.0, 2)]), 9, 12),
+            lambda: gap_scan(make_symbol([(1.0, 1), (2.5, 2)]), [16, 24, 40]),
+        ],
+        ids=["complex", "real", "gap_scan"],
+    )
+    def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call):
+        # Both floors of a certificate, and all sizes of a gap scan, differ
+        # only in m: their jobs share one template, T_N(g) and grid, which
+        # no pass may write.
+        first_pass = []
+        one_pass = spectra._pass
+
+        def spy(jobs, shifts):
+            if not first_pass:
+                first_pass.extend(list(job) for job in jobs)
+            return one_pass(jobs, shifts)
+
+        monkeypatch.setattr(spectra, "_pass", spy)
+        call()
+        shared = first_pass[:2] if len(first_pass) == 4 else first_pass
+        for k in (0, 3, 7):
+            if shared[0][k] is None:
+                continue  # a gap window has no grid
+            assert all(job[k] is shared[0][k] for job in shared)
+        for job in first_pass:
+            for array in (job[0], job[3], job[7]):
+                if array is not None:
+                    assert not array.flags.writeable
+                    with pytest.raises(ValueError):
+                        array[(0,) * array.ndim] = 0.0
+
+
+def seeded_batches(rng, n):
+    """Two batches of windows of half-bandwidth n, real and complex, without
+    corners, with corners and with corners on a zero row, each also seeded
+    at 0, plus certificate windows; and the generator that drew the latter."""
+
+    def hermitian_block(real):
+        x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
+        return (x + x.conj().T) / 2
+
+    local = np.random.default_rng(n)
+    batches = []
+    for _ in range(2):
+        windows = []
+        # Both kinds with every corner shape; the first window ends
+        # before the second reaches its middle row.
+        for j, m in enumerate((n + 1, 200, *rng.integers(2 * n, 201, 6))):
+            real, shape = j % 2 == 0, j // 2
+            k = int(rng.integers(1, n + 1))
+            if real:
+                factors = [(0.0, k)] + ([(math.pi, n - k)] if k < n else [])
+            else:
+                factors = [(float(rng.uniform(0.1, 3.0)), n)]
+            coeffs = fourier_coefficients(make_symbol(factors))
+            top = None
+            if shape == 1:
+                top = -np.eye(n)  # a definite corner beside the indefinite ones
+            elif shape > 1:
+                top = hermitian_block(real)
+            if shape == 3:
+                coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
+            windows.append((coeffs, int(m), top))
+        # The same windows seeded at 0, and certificate windows, whose
+        # grid pass closes at once, next to ones that fall back.
+        windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
+        for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
+            split = local.integers(2 * n + 1, 60, 2)
+            windows += certificate_windows(make_symbol(factors), *split)
+        batches.append(windows)
+    return batches, local
 
 
 def reference_meet(job, shifts):
