@@ -11,7 +11,6 @@ import numpy as np
 from toepbrack import (
     TWO_PI,
     circulant_periodic,
-    eigenvalues,
     evaluate_symbol,
     fourier_coefficients,
     make_symbol,
@@ -44,5 +43,5 @@ print("values at the factor angles (both should vanish):",
 size = 12
 per = circulant_periodic(coeffs2, size)
 samples = np.sort(evaluate_symbol(coeffs2, TWO_PI * np.arange(1, size + 1) / size))
-print(f"\ncirculant eigenvalues (L={size}):", eigenvalues(per).values)
+print(f"\ncirculant eigenvalues (L={size}):", np.linalg.eigvalsh(per.entries))
 print("sorted symbol samples:        ", samples)

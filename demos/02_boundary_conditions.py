@@ -14,10 +14,8 @@ from toepbrack import (
     BoundaryKind,
     build_restricted,
     corner_block,
-    eigenvalues,
     fourier_coefficients,
     make_symbol,
-    rank_one_sum,
     stencil,
     toeplitz_finite,
 )
@@ -32,22 +30,25 @@ c = stencil(spec)
 print("stencil c_0..c_2:", c)
 print("one rank-one projector |psi><psi|:\n", np.outer(c, c.conj()))
 
-# Summing every placement that fits inside the window gives the
-# both-sided modified Neumann restriction (body plus two corners), up to
-# rounding.
+# Stack every placement that fits inside the window as a row of Psi (row k
+# holds conj(c) in columns k..k+N).  Then Psi* Psi, the sum of their
+# projectors, is the both-sided modified Neumann restriction (body plus
+# two corners), up to rounding.
 size = 8
-soft = rank_one_sum(spec, size, range(0, size - N))
+psi = np.zeros((size - N, size), dtype=complex)
+for k in range(size - N):
+    psi[k, k : k + N + 1] = c.conj()
 built = build_restricted(spec, size, BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.MODIFIED_NEUMANN)
-print("\nrank-one interior sum minus the built restriction, max |entry|:",
-      np.abs(soft.entries - built.entries).max())
+print("\nPsi* Psi minus the built restriction, max |entry|:",
+      np.abs(psi.conj().T @ psi - built.entries).max())
 
 # The corner blocks are the dropped crossing placements, projected to the
 # last N coordinates.  Neumann is <= 0, Dirichlet is >= 0.
 b_soft = corner_block(spec, BoundaryKind.MODIFIED_NEUMANN)
 b_stiff = corner_block(spec, BoundaryKind.MODIFIED_DIRICHLET)
 print("\nright-corner Neumann block:\n", b_soft.entries)
-print("its eigenvalues:", eigenvalues(b_soft).values)
-print("Dirichlet corner eigenvalues:", eigenvalues(b_stiff).values)
+print("its eigenvalues:", np.linalg.eigvalsh(b_soft.entries))
+print("Dirichlet corner eigenvalues:", np.linalg.eigvalsh(b_stiff.entries))
 
 # Left corners are the conjugated anti-diagonal mirror; with a Neumann
 # condition at the left edge only, the top-left 2x2 of the window changes

@@ -14,12 +14,9 @@ from .boundary import (
     build_restricted,
     classic_split_difference,
     corner_block,
-    dirichlet_from_neumann,
-    rank_one_sum,
     stencil,
 )
 from .errors import (
-    DimensionMismatchError,
     DuplicateAngleError,
     DuplicateNodeError,
     InvalidMultiplicityError,
@@ -76,7 +73,6 @@ __all__ = [
     "BandedCoeffs",
     "BoundaryKind",
     "BracketReport",
-    "DimensionMismatchError",
     "DuplicateAngleError",
     "DuplicateNodeError",
     "GapReport",
@@ -102,7 +98,6 @@ __all__ = [
     "confluent_vandermonde_abs",
     "corner_block",
     "decompose_pentadiagonal",
-    "dirichlet_from_neumann",
     "direct_sum",
     "eigenvalues",
     "evaluate_symbol",
@@ -113,7 +108,6 @@ __all__ = [
     "kernel_basis",
     "make_symbol",
     "penta_coefficients",
-    "rank_one_sum",
     "reduce_angle",
     "sampled_gap_floor",
     "spectral_gap",

@@ -34,11 +34,9 @@ top block and factoring the window from both ends.
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatchError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
 from .symbols import BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
 
@@ -74,37 +72,6 @@ def stencil(spec: SymbolSpec) -> np.ndarray:
             c = np.convolve(c, pair)
     c.flags.writeable = False
     return c
-
-
-def _placement(c: np.ndarray, k: int, size: int) -> np.ndarray:
-    """psi_k truncated to the window [0, size)."""
-    v = np.zeros(size, dtype=np.complex128)
-    lo = max(k, 0)
-    hi = min(k + len(c) - 1, size - 1)
-    if lo <= hi:
-        v[lo : hi + 1] = c[lo - k : hi - k + 1]
-    return v
-
-
-def rank_one_sum(spec: SymbolSpec, size: int, k_range: Iterable[int]) -> HermitianMatrix:
-    """Sum of the outer products of the window-truncated stencils psi_k.
-
-    ``k_range`` must consist of placements that intersect the window, i.e.
-    -N <= k <= size-1.  With k_range = range(0, size - N) (all placements
-    contained in the window) this is the Gram form of the both-sided
-    modified Neumann restriction, equal to the :func:`build_restricted`
-    window up to rounding; it is the O(L**3) oracle for that identity.
-    """
-    n = spec.degree
-    _require_size(size, 2 * n + 1)
-    c = stencil(spec)
-    out = np.zeros((size, size), dtype=np.complex128)
-    for k in sorted(int(k) for k in k_range):
-        if not -n <= k <= size - 1:
-            raise ValueError(f"placement {k} does not intersect the window [0, {size})")
-        v = _placement(c, k, size)
-        out += np.outer(v, v.conj())
-    return _wrap(out)
 
 
 def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
@@ -235,24 +202,3 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     out[size1 - n : size1 + n, size1 - n : size1 + n] = block
     return _wrap(out)
 
-
-def dirichlet_from_neumann(
-    a: HermitianMatrix,
-    block11_n: HermitianMatrix,
-    block22_n: HermitianMatrix,
-) -> HermitianMatrix:
-    """diag(2*A11 - N11, 2*A22 - N22) for a 2 x 2 block-partitioned A.
-
-    If A dominates diag(N11, N22) in the operator order, the returned
-    direct sum dominates A; applying the map twice returns the original
-    direct sum.  The block dimensions must add up to the dimension of A.
-    """
-    n1, n2 = block11_n.dim, block22_n.dim
-    if n1 + n2 != a.dim:
-        raise DimensionMismatchError(
-            f"block dims {n1}+{n2} do not add up to the matrix dim {a.dim}"
-        )
-    out = np.zeros((a.dim, a.dim), dtype=np.complex128)
-    out[:n1, :n1] = 2.0 * a.entries[:n1, :n1] - block11_n.entries
-    out[n1:, n1:] = 2.0 * a.entries[n1:, n1:] - block22_n.entries
-    return hermitian(out)

@@ -34,10 +34,11 @@ value.  ``export`` writes a dense window, so there a size above 4096 (for
 ``--split`` the sum L1+L2) is a usage error, refused before anything is
 built; ``gap --sizes`` keeps the same limit, its kernel check holding an
 L x N basis.  ``export`` refuses ``--bc`` with any kind but
-``--matrix restricted`` and ``--split`` with any but ``lap2-diff``, rather
-than drop them.  It builds ``--matrix toeplitz`` as ``--bc 00``: each such
-window is the input's own coefficient row plus two corner blocks, for
-``--penta`` the row's scale times the corners of its product symbol.
+``--matrix restricted``, ``--split`` with any but ``lap2-diff``, and with
+``lap2-diff`` a ``--size`` other than L1+L2, rather than drop them.  It
+builds ``--matrix toeplitz`` as ``--bc 00``: each such window is the
+input's own coefficient row plus two corner blocks, for ``--penta`` the
+row's scale times the corners of its product symbol.
 ``check`` builds no window and takes any split.  A coefficient row outside
 the float64 range is a usage error too: a symbol of degree above 511, or a
 ``--penta`` row with sum |a_k| above 4**511.  A ``gap`` scan whose observed
@@ -343,6 +344,8 @@ def cmd_export(args) -> tuple[int, Optional[dict], str]:
         if not args.split:
             raise CliUsageError("--matrix lap2-diff needs --split L1,L2")
         size1, size2 = _split_sizes(args.split)
+        if args.size is not None and args.size != size1 + size2:
+            raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size1 + size2} of --split")
         _require_dense(size1 + size2, "--split")
         matrix = classic_split_difference(coeffs, size1, size2)
         bc_token = "lap2-diff"
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export", help="write a constructed matrix as CSV")
     add_symbol_opts(p)
-    p.add_argument("--size", type=int, help="window size L")
+    p.add_argument("--size", type=int, help="window size L (for lap2-diff optional, and L1+L2)")
     p.add_argument("--split", help="sizes L1,L2 (for --matrix lap2-diff)")
     p.add_argument(
         "--matrix",

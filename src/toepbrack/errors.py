@@ -29,10 +29,6 @@ class SizeTooSmallError(ToepbrackError):
     """Requested matrix size is below the band-width requirement."""
 
 
-class DimensionMismatchError(ToepbrackError):
-    """Operands have incompatible dimensions."""
-
-
 class NoConvergenceError(ToepbrackError):
     """The eigenvalue iteration did not reach tolerance within its sweep budget."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonHermitianError, SizeTooSmallError
-from .symbols import BandedCoeffs, _freeze
+from .symbols import _HERMITIAN_TOL, BandedCoeffs, _freeze
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,10 @@ def _wrap(entries: np.ndarray) -> HermitianMatrix:
     return HermitianMatrix(_freeze(np.asarray(entries, dtype=np.complex128)))
 
 
-def hermitian(raw, tol: float = 1e-14) -> HermitianMatrix:
+def hermitian(raw) -> HermitianMatrix:
     """Validate a raw square array and symmetrize it exactly.
 
-    The deviation max |H - H*| must not exceed ``tol * max(1, max|H|)``;
+    The deviation max |H - H*| must not exceed 1e-14 * max(1, max|H|);
     afterwards H is replaced by (H + H*)/2 so the Hermitian identity holds
     bitwise and every eigenvalue of the stored matrix is real.
     """
@@ -67,9 +67,9 @@ def hermitian(raw, tol: float = 1e-14) -> HermitianMatrix:
         raise ValueError("matrix dimension must be positive")
     scale = max(1.0, float(np.abs(h).max()))
     dev = float(np.abs(h - h.conj().T).max())
-    if dev > tol * scale:
+    if dev > _HERMITIAN_TOL * scale:
         raise NonHermitianError(
-            f"Hermitian deviation {dev:.3e} exceeds tolerance {tol * scale:.3e}"
+            f"Hermitian deviation {dev:.3e} exceeds tolerance {_HERMITIAN_TOL * scale:.3e}"
         )
     return _wrap(0.5 * (h + h.conj().T))
 

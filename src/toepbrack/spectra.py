@@ -35,9 +35,10 @@ positive definite window), so each certificate window's first pass tests
 a grid of shifts around 0 and usually ends the multisection at once; a
 gap bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
 certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
-diagonalization, :func:`eigenvalues`, stays as the dense reference for
-tests and demos.  The sampled gap floor evaluates the symbol in product
-form, which keeps its relative accuracy near the zeros of g.
+diagonalization, :func:`eigenvalues`, stays as the dense reference of the
+test suite and the benchmark baseline; no command calls it.  The sampled
+gap floor evaluates the symbol in product form, which keeps its relative
+accuracy near the zeros of g.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .symbols import (
 )
 
 _MAX_SWEEPS = 60
+_FLOOR_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def _rotate(h: np.ndarray, p: int, q: int) -> None:
     h[q] = s * row_p + (phase * c) * row_q
 
 
-def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spectrum:
+def eigenvalues(matrix: HermitianMatrix) -> Spectrum:
     """All eigenvalues of a Hermitian matrix, ascending.
 
     Cyclic Jacobi: each sweep goes in order through the rows that hold an
@@ -114,14 +116,15 @@ def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spect
     that threshold of a true eigenvalue.  A rotation mixes two rows and two
     columns, so a matrix supported on a principal block is only ever
     rotated inside it.  The computation is deterministic for identical
-    input.  No certificate or gap uses this engine; it is the dense
-    reference for tests and demos.
+    input.  No certificate, gap or command uses this engine; it is the
+    dense reference of the test suite and the benchmark baseline.
 
     Raises
     ------
     NoConvergenceError
-        If the sweep budget is exhausted, which signals corrupted
-        (non-Hermitian) input rather than a hard problem instance.
+        If the budget of ``_MAX_SWEEPS`` (60) sweeps is exhausted, which
+        signals corrupted (non-Hermitian) input rather than a hard problem
+        instance.
     """
     n = matrix.dim
     if n == 1:
@@ -131,7 +134,7 @@ def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spect
     # Pivots below `skip` cannot push the off-norm above thresh/4 even if
     # every pair sits at the cutoff, so they are left unrotated.
     skip = 0.25 * thresh / n
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         off, off_norm = _off_diagonal(h)
         if off_norm <= thresh:
             vals = np.sort(np.diag(h).real)
@@ -147,7 +150,7 @@ def eigenvalues(matrix: HermitianMatrix, max_sweeps: int = _MAX_SWEEPS) -> Spect
         # input to machine precision, and corrupted (non-Hermitian) input
         # must stall and be reported instead of being silently repaired.
     raise NoConvergenceError(
-        f"off-diagonal norm {_off_diagonal(h)[1]:.3e} above {thresh:.3e} after {max_sweeps} sweeps"
+        f"off-diagonal norm {_off_diagonal(h)[1]:.3e} above {thresh:.3e} after {_MAX_SWEEPS} sweeps"
     )
 
 
@@ -169,10 +172,6 @@ class BracketReport:
     symbol_floor: float
     rel_tol: float
     abs_tol: float
-
-    @property
-    def size(self) -> int:
-        return self.size1 + self.size2
 
     @property
     def delta_upper(self) -> float:
@@ -772,15 +771,13 @@ def gap_scan(spec: SymbolSpec, sizes: Iterable[int]) -> GapReport:
     )
 
 
-def sampled_gap_floor(
-    spec: SymbolSpec, size: int, n_samples: int = 8, seed: int = 0
-) -> float:
+def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     """Best provable gap floor over candidate grid shifts.
 
     Evaluates min_k g(2*pi*k/size - shift) for the constructive
-    :func:`grid_shift` plus ``n_samples`` seeded uniform shifts and returns
-    the largest of these minima; the spectral gap always dominates it.  g
-    is evaluated in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i,
+    :func:`grid_shift` plus ``_FLOOR_SAMPLES`` (8) seeded uniform shifts and
+    returns the largest of these minima; the spectral gap always dominates
+    it.  g is evaluated in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i,
     because the sum over the coefficient row cancels near the zeros of g:
     for 0:3 at L = 4096 the sum gives floor * L**6 = 0.0 and the product
     961.389.  Near a zero the rounding of x - E_i dominates:
@@ -790,7 +787,7 @@ def sampled_gap_floor(
     """
     shifts = [grid_shift(spec.angles, size)]
     rng = np.random.default_rng(seed)
-    shifts.extend(rng.uniform(0.0, TWO_PI, n_samples).tolist())
+    shifts.extend(rng.uniform(0.0, TWO_PI, _FLOOR_SAMPLES).tolist())
     x = TWO_PI * np.arange(1, size + 1) / size - np.array(shifts)[:, None]
     g = np.ones_like(x)
     for e, mult in spec.factors:

@@ -37,6 +37,10 @@ TWO_PI = 2.0 * math.pi
 #: Circular tolerance below which two reduced angles count as the same angle.
 ANGLE_TOL = 1e-12
 
+#: Largest Hermitian deviation, relative to max(1, largest entry), that
+#: :func:`banded_coefficients` and ``matrices.hermitian`` accept from input.
+_HERMITIAN_TOL = 1e-14
+
 
 def reduce_angle(x: float) -> float:
     """Reduce an angle to the half-open interval (0, 2*pi]."""
@@ -163,16 +167,16 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def banded_coefficients(values: Sequence[complex], tol: float = 1e-14) -> BandedCoeffs:
+def banded_coefficients(values: Sequence[complex]) -> BandedCoeffs:
     """Validate and symmetrize a raw ascending coefficient array a_{-N..N}."""
     a = np.asarray(values, dtype=np.complex128)
     if a.ndim != 1 or len(a) % 2 != 1:
         raise ValueError("coefficient array must be one-dimensional of odd length")
     scale = max(1.0, float(np.abs(a).max()))
     dev = float(np.abs(a - np.conj(a[::-1])).max())
-    if dev > tol * scale:
+    if dev > _HERMITIAN_TOL * scale:
         raise NonHermitianError(
-            f"coefficients violate a_k = conj(a_-k) by {dev:.3e} (tol {tol * scale:.3e})"
+            f"coefficients violate a_k = conj(a_-k) by {dev:.3e} (tol {_HERMITIAN_TOL * scale:.3e})"
         )
     a = 0.5 * (a + np.conj(a[::-1]))
     if a[-1] == 0:

@@ -740,6 +740,23 @@ class TestExport:
         assert out == ""
         assert err == f"error: --split applies only to --matrix lap2-diff, not {kind}\n"
 
+    def test_lap2_diff_refuses_a_size_other_than_the_split_total(self, capsys):
+        # Writing the dim=4 split difference would drop --size without a word.
+        code, out, err = run_cli(
+            capsys, "export", "--factors", "0:1", "--size", "6",
+            "--matrix", "lap2-diff", "--split", "2,2",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: --size 6 differs from L1+L2 = 4 of --split\n"
+
+    def test_lap2_diff_takes_the_split_total_as_size(self, capsys):
+        argv = ["export", "--factors", "0:1", "--matrix", "lap2-diff", "--split", "2,2"]
+        code, without, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert without.startswith("# dim=4 ")
+        assert run_cli(capsys, *argv, "--size", "4") == (0, without, "")
+
 
 def _per_cell_csv(matrix, symbol_token, bc_token):
     """Reference formatter: every cell of every row goes through ``_cell``."""

@@ -1,10 +1,15 @@
-"""The library runs on numpy alone: scipy and mpmath are test oracles only."""
+"""The library runs on numpy alone: scipy and mpmath are test oracles only,
+and no certificate, gap or command calls a LAPACK eigen or SVD routine."""
 
 import os
 import subprocess
 import sys
 
+import numpy as np
+import pytest
+
 import toepbrack
+from toepbrack import BoundaryKind, cli
 
 PROBE = """
 import sys
@@ -24,3 +29,49 @@ def test_library_imports_neither_scipy_nor_mpmath():
         [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, check=True
     )
     assert proc.stdout == "[]\n"
+
+
+LAPACK_SOLVERS = ("eigvalsh", "eigh", "eig", "eigvals", "svd")
+
+CLI_RUNS = [
+    ["coeffs", "--factors", "0:2", "--eval", "pi/3"],
+    ["coeffs", "--penta", "6,-4,1", "--format", "csv"],
+    ["check", "--factors", "0:1,2.0:1", "--split", "7,9"],
+    ["check", "--factors", "0:2", "--split", "7,7", "--classic-neumann"],
+    ["check", "--penta", "6,-4,1", "--split", "8,8"],
+    ["gap", "--factors", "0:1", "--sizes", "8,16,32,64,128"],
+    ["export", "--factors", "0:1,2.0:1", "--size", "6", "--bc", "nn"],
+    ["export", "--penta", "5.3,-2.7,0.9", "--size", "7", "--bc", "0d"],
+    ["export", "--factors", "0:2", "--size", "8", "--matrix", "lap2-diff", "--split", "4,4"],
+    ["export", "--factors", "0:1", "--size", "5", "--matrix", "circulant"],
+]
+
+
+@pytest.fixture
+def no_lapack_solvers(monkeypatch):
+    # The demos and the tests call eigvalsh; the library must not.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the library called a LAPACK eigen or SVD routine")
+
+    for name in LAPACK_SOLVERS:
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+def test_certificates_and_gaps_call_no_lapack_solver(no_lapack_solvers):
+    spec = toepbrack.make_symbol([(0.0, 1), (2.0, 2)])
+    assert toepbrack.check_bracketing(spec, 20, 23).all_hold
+    classic = toepbrack.check_bracketing(
+        toepbrack.make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN
+    )
+    assert not classic.all_hold
+    report, _ = toepbrack.check_bracketing_penta(2.0, -1.5, 0.75, 6, 9)
+    assert report.all_hold
+    toepbrack.gap_scan(spec, [12, 24, 48])
+    assert toepbrack.sampled_gap_floor(spec, 24, seed=3) > 0.0
+
+
+@pytest.mark.parametrize("argv", CLI_RUNS, ids=" ".join)
+def test_commands_call_no_lapack_solver(no_lapack_solvers, capsys, argv):
+    expected = 1 if "--classic-neumann" in argv else 0
+    assert cli.main(argv) == expected
+    assert capsys.readouterr().err == ""
