@@ -20,15 +20,16 @@ reproduce.
 Every restricted window, and every Toeplitz or restricted CLI export, is
 one ``_window``: a coefficient row's Toeplitz body plus one N x N block per
 non-simple edge, so all windows keep half-bandwidth N.  Corner orientation:
-``corner_block`` returns the block added at the bottom-right (right
-boundary).  The matching top-left block is the conjugated anti-diagonal
-reflection of it, which equals the direct crossing-placement sum at the
-left edge; a plain (unconjugated) reflection would transpose the block and
-break both the rank-one identity and the operator inequalities for complex
-symbols.  So a window with the same kind at both edges is mirror-symmetric,
-W = J conj(W) J with J the exchange matrix: the identity the eigen engine
-(``spectra._banded_lambda_mins``) takes as given, reading only a window's
-top block and factoring the window from both ends.
+``corner_block``, the one builder of every kind's block, returns the block
+added at the bottom-right (right boundary), symmetrized exactly once.  The
+matching top-left block is the conjugated anti-diagonal reflection of it,
+exactly Hermitian too, which equals the direct crossing-placement sum at
+the left edge; a plain (unconjugated) reflection would transpose the
+block and break both the rank-one identity and the operator inequalities
+for complex symbols.  So a window with the same kind at both edges is
+mirror-symmetric, W = J conj(W) J with J the exchange matrix: the identity
+the eigen engine (``spectra._banded_lambda_mins``) takes as given, reading
+only a window's top block and factoring the window from both ends.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import enum
 
 import numpy as np
 
+from .errors import NonHermitianError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
 from .symbols import BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
 
@@ -80,33 +82,40 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     Modified Neumann subtracts the projectors of the N placements that
     cross the right boundary (negative semidefinite block); modified
     Dirichlet adds them (positive semidefinite).  The placement starting s
-    rows above the last N has its first N - s coefficients on them.  The
-    top-left counterpart is the conjugated anti-diagonal reflection,
-    available through :func:`build_restricted`.
+    rows above the last N has its first N - s coefficients on them.
+    Classic Neumann adds :func:`_classic_corner`.  Each block is made
+    exactly Hermitian by one :func:`hermitian`; its :func:`_mirror` is the
+    top-left counterpart.
     """
+    if kind is BoundaryKind.CLASSIC_NEUMANN:
+        return _classic_corner(fourier_coefficients(spec))
     if kind is BoundaryKind.MODIFIED_NEUMANN:
         sign = -1.0
     elif kind is BoundaryKind.MODIFIED_DIRICHLET:
         sign = 1.0
     else:
-        raise ValueError("corner_block is defined for the modified conditions only")
+        raise ValueError("corner_block is defined for the non-simple conditions only")
     c = stencil(spec)
     n = len(c) - 1
     out = np.zeros((n, n), dtype=np.complex128)
     for s in range(n):
         v = np.concatenate([np.zeros(s, dtype=np.complex128), c[: n - s]])
         out += np.outer(v, v.conj())
-    return _wrap(sign * out)
+    return hermitian(sign * out)
 
 
-def _hankel_block(coeffs: BandedCoeffs) -> np.ndarray:
-    """Classic Neumann corner: H[i][j] = a_{-(i+j+1)}, zero past anti-diagonal N."""
+def _classic_corner(coeffs: BandedCoeffs) -> HermitianMatrix:
+    """The mirror of the top-left Hankel block H[i][j] = a_{-(i+j+1)}, zero
+    past anti-diagonal N; NonHermitianError unless the row is real."""
     n = coeffs.half_bandwidth
     h = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n - i):
             h[i, j] = coeffs[-(i + j + 1)]
-    return h
+    try:
+        return hermitian(_mirror(h))
+    except NonHermitianError as exc:
+        raise NonHermitianError(f"classic Neumann needs a real coefficient row: {exc}") from exc
 
 
 def _mirror(block: np.ndarray) -> np.ndarray:
@@ -119,23 +128,13 @@ def _window_corners(
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
-    None stands for a simple edge.  Each kind's bottom-right block is built
-    once, and the top-left one is its :func:`_mirror`; only a classic edge
-    needs the coefficient row.  Each block is validated and made exactly
-    Hermitian by :func:`hermitian`, so a classic corner of a complex symbol
-    raises NonHermitianError.  :func:`_window` adds them to a body of any
-    size >= 2N+1.
+    None stands for a simple edge.  Each kind's :func:`corner_block` is
+    built once, and the top-left block is its :func:`_mirror`.
+    :func:`_window` adds them to a body of any size >= 2N+1.
     """
     simple = BoundaryKind.SIMPLE
-    right_blocks = {}
-    for kind in {left, right} - {simple}:
-        if kind is BoundaryKind.CLASSIC_NEUMANN:
-            right_blocks[kind] = _mirror(_hankel_block(fourier_coefficients(spec)))
-        else:
-            right_blocks[kind] = corner_block(spec, kind).entries
-    top = None if left is simple else hermitian(_mirror(right_blocks[left])).entries
-    bottom = None if right is simple else hermitian(right_blocks[right]).entries
-    return top, bottom
+    blocks = {kind: corner_block(spec, kind).entries for kind in {left, right} - {simple}}
+    return (None if left is simple else _mirror(blocks[left])), blocks.get(right)
 
 
 def build_restricted(
@@ -183,21 +182,19 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     returned matrix makes that failure inspectable.  It vanishes outside
     the 2N rows at the split, where it is T_2N with its diagonal N x N
     blocks replaced by minus the two classic corners that meet there.
-    Each half may be as small as N+1, where its corner still fits.  Only
-    real-coefficient symbols give a Hermitian Hankel corner; complex
-    coefficients raise NonHermitianError.
+    Each half may be as small as N+1, where its corner still fits.  A
+    complex row raises NonHermitianError (:func:`_classic_corner`).
     """
     n = coeffs.half_bandwidth
     size = size1 + size2
     _require_size(size, 2 * n + 1)
     for half in (size1, size2):
         _require_size(half, n + 1)
-    hankel = _hankel_block(coeffs)
-    top, bottom = hermitian(hankel).entries, hermitian(_mirror(hankel)).entries
+    bottom = _classic_corner(coeffs).entries
     block = _toeplitz_body(coeffs, 2 * n)
     # 0 - corner, not -corner, so that zero cells stay 0+0i.
     block[:n, :n] = 0.0 - bottom
-    block[n:, n:] = 0.0 - top
+    block[n:, n:] = 0.0 - _mirror(bottom)
     out = np.zeros((size, size), dtype=np.complex128)
     out[size1 - n : size1 + n, size1 - n : size1 + n] = block
     return _wrap(out)

@@ -61,6 +61,7 @@ from .symbols import (
     BandedCoeffs,
     PentaDecomposition,
     SymbolSpec,
+    _product_values,
     decompose_pentadiagonal,
     fourier_coefficients,
     penta_coefficients,
@@ -535,7 +536,11 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
         if group:
             _multisection(group)
     mids = [0.5 * (job[5] + job[6]) for job in jobs]
-    return [min(0.0, mid) if job[8] == 0.0 else mid for job, mid in zip(jobs, mids)]
+    # A NaN midpoint stays NaN: min(0.0, nan) would give 0.0.
+    return [
+        min(0.0, mid) if job[8] == 0.0 and not math.isnan(mid) else mid
+        for job, mid in zip(jobs, mids)
+    ]
 
 
 def _open(job: list) -> bool:
@@ -777,7 +782,7 @@ def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     Evaluates min_k g(2*pi*k/size - shift) for the constructive
     :func:`grid_shift` plus ``_FLOOR_SAMPLES`` (8) seeded uniform shifts and
     returns the largest of these minima; the spectral gap always dominates
-    it.  g is evaluated in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i,
+    it.  g is evaluated in product form (``symbols._product_values``),
     because the sum over the coefficient row cancels near the zeros of g:
     for 0:3 at L = 4096 the sum gives floor * L**6 = 0.0 and the product
     961.389.  Near a zero the rounding of x - E_i dominates:
@@ -789,7 +794,4 @@ def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     shifts.extend(rng.uniform(0.0, TWO_PI, _FLOOR_SAMPLES).tolist())
     x = TWO_PI * np.arange(1, size + 1) / size - np.array(shifts)[:, None]
-    g = np.ones_like(x)
-    for e, mult in spec.factors:
-        g *= (4.0 * np.sin(0.5 * (x - e)) ** 2) ** mult
-    return float(g.min(axis=1).max())
+    return float(_product_values(spec, x).min(axis=1).max())

@@ -113,6 +113,8 @@ def make_symbol(factors: Iterable[Tuple[float, int]]) -> SymbolSpec:
 
     Raises
     ------
+    ValueError
+        If an angle is not a finite number.
     InvalidMultiplicityError
         If a multiplicity is not a positive integer.
     DuplicateAngleError
@@ -131,6 +133,8 @@ def make_symbol(factors: Iterable[Tuple[float, int]]) -> SymbolSpec:
             ok = False
         if not ok:
             raise InvalidMultiplicityError(f"multiplicity {m!r} is not a positive integer")
+        if not math.isfinite(float(e)):
+            raise ValueError(f"angle {e!r} is not a finite number")
         reduced.append((reduce_angle(e), int(m)))
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
@@ -203,6 +207,18 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
     return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1]))))
 
 
+def _product_values(spec: SymbolSpec, x: np.ndarray) -> np.ndarray:
+    """g(x) in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i, elementwise.
+
+    Unlike the sum over the coefficient row, which cancels near the zeros
+    of g, the product keeps its relative accuracy there.
+    """
+    g = np.ones_like(x)
+    for e, mult in spec.factors:
+        g *= (4.0 * np.sin(0.5 * (x - e)) ** 2) ** mult
+    return g
+
+
 def evaluate_symbol(coeffs: BandedCoeffs, x):
     """Evaluate sum_k a_k * exp(-i*k*x) and return the real value.
 
@@ -261,10 +277,14 @@ def decompose_pentadiagonal(a0: float, a1: float, a2: float) -> PentaDecompositi
 
     Raises
     ------
+    ValueError
+        If a0, a1 or a2 is not a finite number.
     OutOfClassError
         If a2 <= 0 or |a1/a2| > 4.
     """
     a0, a1, a2 = float(a0), float(a1), float(a2)
+    if not all(math.isfinite(v) for v in (a0, a1, a2)):
+        raise ValueError(f"pentadiagonal values ({a0}, {a1}, {a2}) are not all finite numbers")
     if not a2 > 0.0:
         raise OutOfClassError(f"leading coefficient a2 = {a2} must be positive")
     ratio = a1 / a2

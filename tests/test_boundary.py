@@ -19,7 +19,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
-from toepbrack.boundary import _window_corners
+from toepbrack.boundary import _mirror, _window_corners
 from conftest import random_spec
 from oracles import dirichlet_from_neumann, rank_one_sum
 
@@ -266,6 +266,47 @@ def test_dirichlet_corner_is_minus_the_neumann_corner(spec):
     soft = _window_corners(spec, N_KIND, N_KIND)
     for d, n in zip(stiff, soft):
         assert np.array_equal(d, -n)
+
+
+def random_real_spec(rng):
+    """A random real symbol: a conjugate pair of angles, maybe with 0 or pi."""
+    e = float(rng.uniform(0.3, 2.8))
+    mult = int(rng.integers(1, 3))
+    factors = [(e, mult), (-e, mult)]
+    for extra in (0.0, np.pi):
+        if rng.random() < 0.5:
+            factors.append((extra, int(rng.integers(1, 3))))
+    return make_symbol(factors)
+
+
+@pytest.mark.parametrize("code", "ndc")
+def test_corner_block_is_bitwise_hermitian(rng, code):
+    kind = BoundaryKind.from_code(code)
+    for _ in range(40):
+        spec = random_real_spec(rng) if code == "c" else random_spec(rng, max_mult=3)
+        block = corner_block(spec, kind).entries
+        assert np.array_equal(block, block.conj().T), spec
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
+def test_window_corners_are_the_corner_block_and_its_mirror(pair):
+    # Bit for bit, signs of zeros included: the top block is reflected,
+    # never symmetrized a second time.
+    left, right = (BoundaryKind.from_code(code) for code in pair)
+    for spec in _window_specs(pair):
+        top, bottom = _window_corners(spec, left, right)
+        if left is SIMPLE:
+            assert top is None
+        else:
+            assert _same_bits(top, _mirror(corner_block(spec, left).entries)), spec
+        if right is SIMPLE:
+            assert bottom is None
+        else:
+            assert _same_bits(bottom, corner_block(spec, right).entries), spec
 
 
 def _pad_top_left(block, size):

@@ -299,6 +299,34 @@ class TestCoeffs:
         assert code == 0
         assert payload["eval"]["value"] == pytest.approx(4.0, abs=1e-8)
 
+    @pytest.mark.parametrize(
+        "symbol, x",
+        [
+            (("--factors", "0.3:3,2.0:3"), "0.3001"),
+            (("--factors", "0:3"), "0.001"),
+            (("--factors", "0:2"), "1e-4"),
+            (("--penta", "6,-4,1"), "1e-4"),
+        ],
+    )
+    def test_eval_near_a_zero_of_g(self, capsys, symbol, x):
+        # The sum over the coefficient row cancels there: it gives 4.88e-15,
+        # 1.11e-16, 0.0 and 0.0 at these points.
+        mpmath = pytest.importorskip("mpmath")
+        code, out, _ = run_cli(capsys, "coeffs", *symbol, "--eval", x)
+        value = json.loads(out)["eval"]["value"]
+        with mpmath.workdps(50):
+            t = mpmath.mpf(float(x))
+            if symbol[0] == "--factors":
+                exact = mpmath.mpf(1)
+                for e, m in parse_factors(symbol[1]).factors:
+                    exact *= (2 - 2 * mpmath.cos(t - mpmath.mpf(e))) ** m
+            else:
+                a0, a1, a2 = (mpmath.mpf(v) for v in parse_penta(symbol[1]))
+                exact = a0 + 2 * a1 * mpmath.cos(t) + 2 * a2 * mpmath.cos(2 * t)
+            exact = float(exact)
+        assert code == 0
+        assert abs(value - exact) <= 1e-10 * exact
+
     def test_pi_token_in_factor(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--factors", "pi:1")
         payload = json.loads(out)
@@ -379,13 +407,14 @@ class TestCheck:
         [
             ["check", "--factors", "1.0:1", "--split", "8,8", "--classic-neumann"],
             ["export", "--factors", "1.0:1", "--size", "8", "--bc", "cc"],
+            ["export", "--factors", "1.0:1", "--matrix", "lap2-diff", "--split", "4,4"],
         ],
     )
     def test_classic_corner_of_complex_symbol_is_usage_error(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: Hermitian deviation")
+        assert err.startswith("error: classic Neumann needs a real coefficient row")
 
     def test_degree_seven_symbol_holds(self, capsys):
         # Its convolved row is further from Hermitian than the tolerance for

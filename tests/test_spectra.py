@@ -20,6 +20,7 @@ from toepbrack import (
     check_bracketing,
     check_bracketing_penta,
     circulant_periodic,
+    classic_split_difference,
     confluent_vandermonde_abs,
     build_restricted,
     direct_sum,
@@ -37,12 +38,12 @@ from toepbrack import (
     toeplitz_finite,
 )
 import toepbrack
-from toepbrack import boundary, spectra, symbols
+from toepbrack import boundary, matrices, spectra, symbols
 from toepbrack.boundary import _window_corners
 from toepbrack.spectra import _banded_lambda_mins
 from conftest import random_spec, random_split
 from oracles import dirichlet_from_neumann
-from test_boundary import _window, _window_specs
+from test_boundary import ALL_PAIRS, _window, _window_specs
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
 
@@ -280,17 +281,18 @@ def test_gap_scan_keeps_its_passes_and_values(passes):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of _window_corners and fourier_coefficients, in every module that binds them."""
-    counts = {"_window_corners": 0, "fourier_coefficients": 0}
+    """Calls of the corner, row and symmetrizing builders, in every module that binds them."""
+    counts = {"_window_corners": 0, "fourier_coefficients": 0, "hermitian": 0}
     for name, original in (
         ("_window_corners", boundary._window_corners),
         ("fourier_coefficients", symbols.fourier_coefficients),
+        ("hermitian", matrices.hermitian),
     ):
         def spy(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (toepbrack, symbols, boundary, spectra):
+        for module in (toepbrack, symbols, matrices, boundary, spectra):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
     return counts
@@ -308,7 +310,45 @@ def builds(monkeypatch):
 )
 def test_corners_and_row_built_once_per_call(builds, call):
     call()
-    assert builds == {"_window_corners": 1, "fourier_coefficients": 1}
+    assert builds == {"_window_corners": 1, "fourier_coefficients": 1, "hermitian": 1}
+
+
+_CLASSIC = BoundaryKind.CLASSIC_NEUMANN
+_REAL = make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)])
+
+
+@pytest.mark.parametrize(
+    "call, kinds",
+    [
+        (lambda: check_bracketing(_REAL, 10, 11, neumann=_CLASSIC), 1),
+        (lambda: classic_split_difference(fourier_coefficients(_REAL), 5, 6), 1),
+    ]
+    + [
+        (lambda pair=pair: _window(_REAL, 11, pair), len(set(pair) - {"0"}))
+        for pair in ALL_PAIRS
+    ],
+    ids=["check_classic", "classic_split_difference"] + ["".join(p) for p in ALL_PAIRS],
+)
+def test_each_corner_kind_symmetrized_once(builds, call, kinds):
+    # corner_block symmetrizes each kind once; a top block is its mirror.
+    call()
+    assert builds["hermitian"] == kinds
+
+
+def test_min0_window_keeps_a_nan_midpoint():
+    # min(0.0, nan) is 0.0, which would report a NaN window as a holding
+    # zero margin.
+    spec = make_symbol([(0.0, 1), (2.0, 1)])
+    coeffs = fourier_coefficients(spec)
+    top, bottom = _window_corners(spec, N_KIND, N_KIND)
+    corrupted = top.copy()
+    corrupted[0, 0] = np.nan
+    zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
+    windows = [(zero_row, 4, -bottom, "min0"), (zero_row, 4, corrupted, "min0")]
+    with np.errstate(all="ignore"):
+        healthy, broken, whole = _banded_lambda_mins(windows + [(coeffs, 4, corrupted, "min0")])
+    assert healthy == 0.0
+    assert math.isnan(broken) and math.isnan(whole)
 
 
 def test_nn_vs_0n_is_positive_definite_yet_reports_zero(rng):
@@ -1101,3 +1141,9 @@ class TestPentaBracketing:
             report, deco = check_bracketing_penta(7.0, ratio * 1.5, 1.5, 6, 7)
             assert deco.spec.multiplicities == (2,)
             assert report.all_hold
+
+    @pytest.mark.parametrize("row", [(math.nan, 1.0, 1.0), (math.inf, -4.0, 1.0)])
+    def test_non_finite_row_is_refused(self, row):
+        # A NaN floor must not read as a certificate that holds.
+        with pytest.raises(ValueError, match="not all finite"):
+            check_bracketing_penta(*row, 8, 8)

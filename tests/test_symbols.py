@@ -65,6 +65,11 @@ class TestMakeSymbol:
         with pytest.raises(InvalidMultiplicityError):
             make_symbol([])
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_is_refused(self, angle):
+        with pytest.raises(ValueError, match="not a finite number"):
+            make_symbol([(angle, 1)])
+
     @given(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False))
     @settings(max_examples=200, derandomize=True)
     def test_reduce_angle_range_and_periodicity(self, x):
@@ -176,6 +181,13 @@ class TestPentaDecomposition:
     def test_pi_endpoint_collapses(self):
         deco = decompose_pentadiagonal(6.0, 4.0, 1.0)
         assert deco.spec.factors == ((math.pi, 2),)
+
+    @pytest.mark.parametrize(
+        "row", [(math.nan, 1.0, 1.0), (math.inf, -4.0, 1.0), (6.0, math.nan, 1.0), (6.0, -4.0, math.inf)]
+    )
+    def test_non_finite_row_is_refused(self, row):
+        with pytest.raises(ValueError, match="not all finite"):
+            decompose_pentadiagonal(*row)
 
     def test_out_of_class(self):
         with pytest.raises(OutOfClassError):
