@@ -23,7 +23,6 @@ from .errors import (
     KernelMismatchError,
     NoConvergenceError,
     NonHermitianError,
-    NonRealSymbolError,
     OutOfClassError,
     SizeTooSmallError,
     ToepbrackError,
@@ -81,7 +80,6 @@ __all__ = [
     "KernelMismatchError",
     "NoConvergenceError",
     "NonHermitianError",
-    "NonRealSymbolError",
     "OutOfClassError",
     "PentaDecomposition",
     "SizeTooSmallError",

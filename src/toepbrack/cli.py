@@ -30,9 +30,9 @@ reported as ``verification failure:``); 2 on any other library error, a
 ``ValueError`` or a usage error (``error:``).  ``coeffs``, ``check`` and
 ``gap`` take ``--format json|csv``; ``export`` always writes CSV.
 ``coeffs --eval`` needs JSON output: the CSV row has no place for the
-value; it evaluates g in product form, and a ``--penta`` row as
-scale * g + shift.  ``export`` writes a dense window, so there a size
-above 4096 (for ``--split`` the sum L1+L2) is a usage error, refused
+value; it evaluates g with ``evaluate_symbol``, in product form, and a
+``--penta`` row as scale * g + shift.  ``export`` writes a dense window,
+so there a size above 4096 (for ``--split`` the sum L1+L2) is a usage error, refused
 before anything is built; ``gap --sizes`` keeps the same limit, its
 kernel check holding an L x N basis.  ``export`` refuses ``--bc`` with any kind but
 ``--matrix restricted``, ``--split`` with any but ``lap2-diff``, and with
@@ -67,8 +67,8 @@ from .matrices import HermitianMatrix, _require_size, circulant_periodic
 from .spectra import check_bracketing, check_bracketing_penta, gap_scan, sampled_gap_floor
 from .symbols import (
     SymbolSpec,
-    _product_values,
     decompose_pentadiagonal,
+    evaluate_symbol,
     fourier_coefficients,
     make_symbol,
     penta_coefficients,
@@ -249,10 +249,10 @@ def cmd_coeffs(args) -> tuple[int, Optional[dict], str]:
         }
     if args.eval is not None:
         x = parse_angle(args.eval)
-        value = _product_values(spec if deco is None else deco.spec, np.float64(x))
+        value = evaluate_symbol(spec if deco is None else deco.spec, x)
         if deco is not None:
             value = deco.scale * value + deco.shift
-        report["eval"] = {"x": x, "value": float(value)}
+        report["eval"] = {"x": x, "value": value}
     n = coeffs.half_bandwidth
     lines = [f"# command=coeffs symbol={token}", "k,re,im"]
     for k in range(-n, n + 1):

@@ -13,10 +13,6 @@ class InvalidMultiplicityError(ToepbrackError):
     """A factor multiplicity is not a positive integer."""
 
 
-class NonRealSymbolError(ToepbrackError):
-    """Coefficient data does not describe a real-valued symbol."""
-
-
 class OutOfClassError(ToepbrackError):
     """Pentadiagonal coefficients fall outside the decomposable class."""
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonHermitianError, SizeTooSmallError
-from .symbols import _HERMITIAN_TOL, BandedCoeffs, _freeze
+from .errors import SizeTooSmallError
+from .symbols import BandedCoeffs, _freeze, _hermitian_part
 
 
 @dataclass(frozen=True)
@@ -56,22 +56,17 @@ def _wrap(entries: np.ndarray) -> HermitianMatrix:
 def hermitian(raw) -> HermitianMatrix:
     """Validate a raw square array and symmetrize it exactly.
 
-    The deviation max |H - H*| must not exceed 1e-14 * max(1, max|H|);
-    afterwards H is replaced by (H + H*)/2 so the Hermitian identity holds
-    bitwise and every eigenvalue of the stored matrix is real.
+    The deviation max |H - H*| must not exceed 1e-14 * max(1, max|H|), and
+    a NaN or infinite entry raises ``NonHermitianError`` too; afterwards H
+    is replaced by (H + H*)/2 so the Hermitian identity holds bitwise and
+    every eigenvalue of the stored matrix is real.
     """
     h = np.array(raw, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     if h.shape[0] == 0:
         raise ValueError("matrix dimension must be positive")
-    scale = max(1.0, float(np.abs(h).max()))
-    dev = float(np.abs(h - h.conj().T).max())
-    if dev > _HERMITIAN_TOL * scale:
-        raise NonHermitianError(
-            f"Hermitian deviation {dev:.3e} exceeds tolerance {_HERMITIAN_TOL * scale:.3e}"
-        )
-    return _wrap(0.5 * (h + h.conj().T))
+    return _wrap(_hermitian_part(h, h.conj().T))
 
 
 def _toeplitz_body(coeffs: BandedCoeffs, size: int) -> np.ndarray:

@@ -37,8 +37,8 @@ gap bracket starts at [0, r] and narrows 32-fold per pass.  Neither a
 certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
 diagonalization, :func:`eigenvalues`, stays as the dense reference of the
 test suite and the benchmark baseline; no command calls it.  The sampled
-gap floor evaluates the symbol in product form, which keeps its relative
-accuracy near the zeros of g.
+gap floor evaluates g with ``symbols.evaluate_symbol``, in product form,
+which keeps its relative accuracy near the zeros of g.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ from .symbols import (
     BandedCoeffs,
     PentaDecomposition,
     SymbolSpec,
-    _product_values,
     decompose_pentadiagonal,
+    evaluate_symbol,
     fourier_coefficients,
     penta_coefficients,
     phase_angle,
@@ -381,7 +381,10 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
     Constructive induction: anchor the shift so the first angle sits exactly
     half a grid-gap off the grid, then for each further angle nudge by
     +-2*pi/(2**i * L) whenever it comes too close, accepting whichever sign
-    restores the stage bound for all angles seen so far.
+    restores the stage bound for all angles seen so far.  A nudge can leave
+    an earlier angle exactly at the bound, within the rounding of
+    ``angle + shift``, so the guarantee carries an absolute allowance:
+    every angle lies at least 2*pi/(2**n * L) - 4 * eps * 2*pi off the grid.
     """
     if grid_size < 1:
         raise ValueError("grid size must be positive")
@@ -393,7 +396,7 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
     shift = reduce_angle(-es[0] + math.pi / grid_size)
     for i in range(2, len(es) + 1):
         delta = TWO_PI / (2**i * grid_size)
-        slack = delta * (1.0 - 1e-12)
+        slack = delta - 4.0 * _EPS * TWO_PI
         if _lattice_distance(es[i - 1], shift, grid_size) >= slack:
             continue
         for candidate in (shift + delta, shift - delta):
@@ -782,7 +785,7 @@ def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     Evaluates min_k g(2*pi*k/size - shift) for the constructive
     :func:`grid_shift` plus ``_FLOOR_SAMPLES`` (8) seeded uniform shifts and
     returns the largest of these minima; the spectral gap always dominates
-    it.  g is evaluated in product form (``symbols._product_values``),
+    it.  g is evaluated by ``symbols.evaluate_symbol``, in product form,
     because the sum over the coefficient row cancels near the zeros of g:
     for 0:3 at L = 4096 the sum gives floor * L**6 = 0.0 and the product
     961.389.  Near a zero the rounding of x - E_i dominates:
@@ -794,4 +797,4 @@ def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     rng = np.random.default_rng(seed)
     shifts.extend(rng.uniform(0.0, TWO_PI, _FLOOR_SAMPLES).tolist())
     x = TWO_PI * np.arange(1, size + 1) / size - np.array(shifts)[:, None]
-    return float(_product_values(spec, x).min(axis=1).max())
+    return float(evaluate_symbol(spec, x).min(axis=1).max())

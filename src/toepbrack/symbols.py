@@ -28,7 +28,6 @@ from .errors import (
     DuplicateAngleError,
     InvalidMultiplicityError,
     NonHermitianError,
-    NonRealSymbolError,
     OutOfClassError,
 )
 
@@ -171,18 +170,25 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _hermitian_part(h: np.ndarray, adjoint: np.ndarray) -> np.ndarray:
+    """(h + adjoint) / 2 once max |h - adjoint| <= _HERMITIAN_TOL * max(1, max |h|).
+
+    A NaN or infinite entry has a NaN deviation and fails the test.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf
+        dev = float(np.abs(h - adjoint).max())
+    tol = _HERMITIAN_TOL * max(1.0, float(np.abs(h).max()))
+    if not dev <= tol:
+        raise NonHermitianError(f"Hermitian deviation {dev:.3e} exceeds tolerance {tol:.3e}")
+    return 0.5 * (h + adjoint)
+
+
 def banded_coefficients(values: Sequence[complex]) -> BandedCoeffs:
     """Validate and symmetrize a raw ascending coefficient array a_{-N..N}."""
     a = np.asarray(values, dtype=np.complex128)
     if a.ndim != 1 or len(a) % 2 != 1:
         raise ValueError("coefficient array must be one-dimensional of odd length")
-    scale = max(1.0, float(np.abs(a).max()))
-    dev = float(np.abs(a - np.conj(a[::-1])).max())
-    if dev > _HERMITIAN_TOL * scale:
-        raise NonHermitianError(
-            f"coefficients violate a_k = conj(a_-k) by {dev:.3e} (tol {_HERMITIAN_TOL * scale:.3e})"
-        )
-    a = 0.5 * (a + np.conj(a[::-1]))
+    a = _hermitian_part(a, np.conj(a[::-1]))
     if a[-1] == 0:
         raise ValueError("outermost coefficient a_N must be nonzero (band is tight)")
     return BandedCoeffs(_freeze(a))
@@ -207,50 +213,29 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
     return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1]))))
 
 
-def _product_values(spec: SymbolSpec, x: np.ndarray) -> np.ndarray:
-    """g(x) in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i, elementwise.
+def evaluate_symbol(spec: SymbolSpec, x):
+    """g(x) in product form, prod_i (4 sin^2((x - E_i)/2))**alpha_i.
 
     Unlike the sum over the coefficient row, which cancels near the zeros
-    of g, the product keeps its relative accuracy there.
-    """
-    g = np.ones_like(x)
-    for e, mult in spec.factors:
-        g *= (4.0 * np.sin(0.5 * (x - e)) ** 2) ** mult
-    return g
-
-
-def evaluate_symbol(coeffs: BandedCoeffs, x):
-    """Evaluate sum_k a_k * exp(-i*k*x) and return the real value.
+    of g, the product keeps its relative accuracy there; it is never
+    negative and is exactly 0.0 at each stored factor angle.
 
     Parameters
     ----------
-    coeffs : BandedCoeffs
+    spec : SymbolSpec
     x : float or array_like
         Evaluation angle(s); any real values.
 
     Returns
     -------
     float or ndarray
-        Real symbol values, matching the shape of ``x``.
-
-    Raises
-    ------
-    NonRealSymbolError
-        If the imaginary residue exceeds 1e-12 * sum |a_k|, which signals
-        corrupted coefficient data.
+        A float for scalar ``x``, otherwise an array of the shape of ``x``.
     """
-    n = coeffs.half_bandwidth
-    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    k = np.arange(-n, n + 1)
-    vals = np.exp(-1j * xs[..., None] * k) @ coeffs.a
-    budget = 1e-12 * float(np.abs(coeffs.a).sum())
-    resid = float(np.abs(vals.imag).max()) if vals.size else 0.0
-    if resid > budget:
-        raise NonRealSymbolError(
-            f"imaginary residue {resid:.3e} exceeds tolerance {budget:.3e}"
-        )
-    out = vals.real
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out
+    xs = np.asarray(x, dtype=np.float64)
+    g = np.ones_like(xs)
+    for e, mult in spec.factors:
+        g *= (4.0 * np.sin(0.5 * (xs - e)) ** 2) ** mult
+    return float(g) if g.ndim == 0 else g
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 The library builds every window from a coefficient row and two corner
 blocks.  These oracles build the same objects the way the paper states
 them, as rank-one stencil sums and as the Dirichlet-from-Neumann map, so
-the tests can compare the two routes.
+the tests can compare the two routes.  The symbol itself has a second
+route too: the sum over its coefficient row, the reference for
+``fourier_coefficients``.
 """
 
 from __future__ import annotations
@@ -12,8 +14,23 @@ from typing import Iterable
 
 import numpy as np
 
-from toepbrack import HermitianMatrix, SymbolSpec, hermitian, stencil
+from toepbrack import BandedCoeffs, HermitianMatrix, SymbolSpec, hermitian, stencil
 from toepbrack.matrices import _require_size, _wrap
+
+
+def row_sum_values(coeffs: BandedCoeffs, x) -> np.ndarray:
+    """sum_k a_k * exp(-i*k*x) over the coefficient row, real part, elementwise.
+
+    Its imaginary residue must stay within 1e-12 * sum |a_k|, the bound a
+    real-valued symbol's row meets.  Near the zeros of g the sum cancels,
+    so it serves as a reference only away from them.
+    """
+    n = coeffs.half_bandwidth
+    xs = np.asarray(x, dtype=np.float64)
+    vals = np.exp(-1j * xs[..., None] * np.arange(-n, n + 1)) @ coeffs.a
+    budget = 1e-12 * float(np.abs(coeffs.a).sum())
+    assert np.abs(vals.imag).max(initial=0.0) <= budget, "row is not a real-valued symbol"
+    return vals.real
 
 
 def _placement(c: np.ndarray, k: int, size: int) -> np.ndarray:

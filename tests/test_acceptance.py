@@ -170,7 +170,7 @@ def test_criterion_6_circulant_spectrum_and_rank():
         size = int(rng.integers(2 * n + 1, 65))
         coeffs = fourier_coefficients(spec)
         per = circulant_periodic(coeffs, size)
-        samples = evaluate_symbol(coeffs, TWO_PI * np.arange(1, size + 1) / size)
+        samples = evaluate_symbol(spec, TWO_PI * np.arange(1, size + 1) / size)
         assert_allclose(
             eigenvalues(per).values,
             np.sort(samples),

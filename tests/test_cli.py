@@ -490,6 +490,16 @@ class TestGap:
             exact = (4.0 * math.sin(math.pi / (2 * size)) ** 2) ** 3 * size**6
             assert record["floor"] * size**6 == pytest.approx(exact, rel=1e-10), size
 
+    def test_floor_at_a_size_where_the_grid_shift_rounds_to_its_bound(self, capsys):
+        # At L = 4096 the grid-shift induction leaves the first angle within
+        # rounding of its distance bound; the floor is still computed.
+        code, out, err = run_cli(
+            capsys, "gap", "--factors", "5.218071545681226:1,3.133915468240826:1", "--sizes", "64,4096"
+        )
+        assert (code, err) == (0, "")
+        for record in json.loads(out)["records"]:
+            assert 0.0 < record["floor"] <= record["gap"]
+
     def test_two_factor_kernel_dim(self, capsys):
         code, out, _ = run_cli(
             capsys, "gap", "--factors", "0:1,2.0:1", "--sizes", "16,32,64"

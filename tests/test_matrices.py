@@ -27,6 +27,15 @@ class TestHermitianConstructor:
         with pytest.raises(NonHermitianError):
             hermitian([[1.0, 2.0], [2.5, 3.0]])
 
+    @pytest.mark.parametrize(
+        "raw",
+        [[[1.0, np.nan], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+         [[1.0, 0.0], [0.0, -np.inf]]],
+    )
+    def test_rejects_non_finite(self, raw):
+        with pytest.raises(NonHermitianError, match="Hermitian deviation"):
+            hermitian(raw)
+
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             hermitian(np.zeros((2, 3)))
@@ -112,7 +121,7 @@ class TestCirculant:
             coeffs = fourier_coefficients(spec)
             size = int(rng.integers(2 * spec.degree + 1, 65))
             ev = eigenvalues(circulant_periodic(coeffs, size)).values
-            samples = evaluate_symbol(coeffs, TWO_PI * np.arange(1, size + 1) / size)
+            samples = evaluate_symbol(spec, TWO_PI * np.arange(1, size + 1) / size)
             assert_allclose(ev, np.sort(samples), atol=1e-10 * max(1.0, samples.max()))
 
     def test_smallest_eigenvalue_zero_at_grid_angle(self):

@@ -10,11 +10,9 @@ from numpy.testing import assert_allclose
 
 from toepbrack import (
     TWO_PI,
-    BandedCoeffs,
     DuplicateAngleError,
     InvalidMultiplicityError,
     NonHermitianError,
-    NonRealSymbolError,
     OutOfClassError,
     banded_coefficients,
     circular_distance,
@@ -25,6 +23,7 @@ from toepbrack import (
     reduce_angle,
 )
 from conftest import random_spec
+from oracles import row_sum_values
 
 
 def product_values(spec, x):
@@ -125,35 +124,55 @@ class TestFourierCoefficients:
 
 class TestEvaluateSymbol:
     def test_laplacian_squared_at_pi(self):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
-        assert_allclose(evaluate_symbol(coeffs, math.pi), 16.0, atol=1e-12)
+        value = evaluate_symbol(make_symbol([(0.0, 2)]), math.pi)
+        assert type(value) is float
+        assert_allclose(value, 16.0, atol=1e-12)
+
+    def test_array_keeps_its_shape(self):
+        xs = np.linspace(0.0, TWO_PI, 12).reshape(3, 4)
+        vals = evaluate_symbol(make_symbol([(0.0, 1), (2.0, 1)]), xs)
+        assert vals.shape == (3, 4)
 
     def test_zero_at_factor_angles(self, rng):
         for _ in range(10):
             spec = random_spec(rng)
-            coeffs = fourier_coefficients(spec)
             for e in spec.angles:
-                assert abs(evaluate_symbol(coeffs, e)) < 1e-10
+                value = evaluate_symbol(spec, e)
+                assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            assert evaluate_symbol(spec, np.array(spec.angles)).tolist() == [0.0] * len(spec.angles)
 
     def test_product_evaluation(self):
         e = math.pi / 2
-        coeffs = fourier_coefficients(make_symbol([(0.0, 1), (e, 1)]))
-        assert_allclose(evaluate_symbol(coeffs, math.pi), 8.0, atol=1e-12)
+        assert_allclose(evaluate_symbol(make_symbol([(0.0, 1), (e, 1)]), math.pi), 8.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "factors, x",
+        [([(0.0, 3)], 0.001), ([(0.3, 3), (2.0, 3)], 0.3001), ([(0.0, 1), (2.0, 1)], 2.0 + 1e-9)],
+    )
+    def test_relative_accuracy_near_a_zero(self, factors, x):
+        # The sum over the coefficient row gives 1.11e-16 and 4.88e-15 at the
+        # first two points, where g is 1.0e-18 and 1.15e-23.
+        mpmath = pytest.importorskip("mpmath")
+        spec = make_symbol(factors)
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(1)
+            for e, m in spec.factors:
+                exact *= (2 - 2 * mpmath.cos(mpmath.mpf(x) - mpmath.mpf(e))) ** m
+            exact = float(exact)
+        assert abs(evaluate_symbol(spec, x) - exact) <= 1e-10 * exact
 
     def test_matches_product_oracle_and_nonnegative(self, rng):
+        # Two references: the defining product in cosine form, and the sum
+        # over the row of fourier_coefficients, which this also checks.
         xs = np.linspace(0.0, TWO_PI, 10_000, endpoint=False)
         for _ in range(10):
             spec = random_spec(rng, max_mult=3)
-            vals = evaluate_symbol(fourier_coefficients(spec), xs)
+            vals = evaluate_symbol(spec, xs)
             ref = product_values(spec, xs)
-            assert vals.min() >= -1e-10
-            assert_allclose(vals, ref, rtol=1e-10, atol=1e-10 * max(1.0, ref.max()))
-
-    def test_non_real_symbol_rejected(self):
-        # Bypass validation to simulate corrupted coefficient data.
-        bad = BandedCoeffs(np.array([1.0, 2.0, 5.0j]))
-        with pytest.raises(NonRealSymbolError):
-            evaluate_symbol(bad, 0.3)
+            atol = 1e-10 * max(1.0, ref.max())
+            assert vals.min() >= 0.0
+            assert_allclose(vals, ref, rtol=1e-10, atol=atol)
+            assert_allclose(row_sum_values(fourier_coefficients(spec), xs), vals, rtol=1e-10, atol=atol)
 
     def test_banded_coefficients_validation(self):
         with pytest.raises(NonHermitianError):
@@ -162,6 +181,15 @@ class TestEvaluateSymbol:
             banded_coefficients([0.0, 2.0, 0.0])
         with pytest.raises(ValueError):
             banded_coefficients([1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "row",
+        [[1.0, math.nan, 1.0], [math.nan, 2.0, math.nan], [1.0, math.inf, 1.0], [math.inf, 2.0, math.inf],
+         [1.0, complex(2.0, math.nan), 1.0]],
+    )
+    def test_banded_coefficients_refuse_non_finite(self, row):
+        with pytest.raises(NonHermitianError, match="Hermitian deviation"):
+            banded_coefficients(row)
 
 
 class TestPentaDecomposition:
