@@ -17,9 +17,11 @@ for the tridiagonal symbol 2 + 2*cos(x) (E = pi) its Hankel corner adds
 +1 where the softened corner needs -1, which the counterexample helpers
 reproduce.
 
-Every restricted window, and every Toeplitz or restricted CLI export, is
-one ``_window``: a coefficient row's Toeplitz body plus one N x N block per
-non-simple edge, so all windows keep half-bandwidth N.  Corner orientation:
+Every restricted window is one ``_window``: a coefficient row's Toeplitz
+body plus one N x N block per non-simple edge, so all windows keep
+half-bandwidth N.  A Toeplitz or restricted CLI export takes its 2N edge
+rows from the ``_window`` of size 2N+1, whose rows are made by the same
+additions, and writes the rest from the band.  Corner orientation:
 ``corner_block``, the one builder of every kind's block, returns the block
 added at the bottom-right (right boundary), symmetrized exactly once.  The
 matching top-left block is the conjugated anti-diagonal reflection of it,
@@ -180,14 +182,26 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     2 + 2*cos(x) and for the squared Laplacian it has negative eigenvalues,
     which is exactly why the classic condition cannot bracket.  The
     returned matrix makes that failure inspectable.  It vanishes outside
-    the 2N rows at the split, where it is T_2N with its diagonal N x N
-    blocks replaced by minus the two classic corners that meet there.
-    Each half may be as small as N+1, where its corner still fits.  A
-    complex row raises NonHermitianError (:func:`_classic_corner`).
+    the 2N rows at the split, where it is the :func:`_split_block`.
     """
     n = coeffs.half_bandwidth
+    block = _split_block(coeffs, size1, size2)
     size = size1 + size2
-    _require_size(size, 2 * n + 1)
+    out = np.zeros((size, size), dtype=np.complex128)
+    out[size1 - n : size1 + n, size1 - n : size1 + n] = block
+    return _wrap(out)
+
+
+def _split_block(coeffs: BandedCoeffs, size1: int, size2: int) -> np.ndarray:
+    """The 2N x 2N block of :func:`classic_split_difference` at the split.
+
+    It is T_2N with its diagonal N x N blocks replaced by minus the two
+    classic corners that meet there.  The sizes are checked first: each
+    half may be as small as N+1, where its corner still fits.  A complex
+    row raises NonHermitianError (:func:`_classic_corner`).
+    """
+    n = coeffs.half_bandwidth
+    _require_size(size1 + size2, 2 * n + 1)
     for half in (size1, size2):
         _require_size(half, n + 1)
     bottom = _classic_corner(coeffs).entries
@@ -195,7 +209,4 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     # 0 - corner, not -corner, so that zero cells stay 0+0i.
     block[:n, :n] = 0.0 - bottom
     block[n:, n:] = 0.0 - _mirror(bottom)
-    out = np.zeros((size, size), dtype=np.complex128)
-    out[size1 - n : size1 + n, size1 - n : size1 + n] = block
-    return _wrap(out)
-
+    return block

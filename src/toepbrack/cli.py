@@ -21,9 +21,11 @@ coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
 finite; ``--tol`` must be finite and positive.
 
 Each command reads its input once and returns its exit status, its JSON
-report and its CSV text; ``main`` writes one of the two and maps errors to
-exit statuses in one place; the report is None for ``export`` and for
-``gap --format csv``, which thus computes no sampled floors.  Exit status
+report and its CSV lines; ``main`` writes one of the two, line by line, and
+maps errors to exit statuses in one place; the report is None for
+``export`` and for ``gap --format csv``, which thus computes no sampled
+floors.  Each command imports the library modules it uses when it runs, so
+``coeffs`` loads only ``symbols`` and ``export`` never loads ``spectra``.  Exit status
 is 0 on success with all verdicts true; 1 on a false ``check`` verdict or a
 verification failure (``KernelMismatchError``, ``NoConvergenceError``,
 reported as ``verification failure:``); 2 on any other library error, a
@@ -31,10 +33,13 @@ reported as ``verification failure:``); 2 on any other library error, a
 ``gap`` take ``--format json|csv``; ``export`` always writes CSV.
 ``coeffs --eval`` needs JSON output: the CSV row has no place for the
 value; it evaluates g with ``evaluate_symbol``, in product form, and a
-``--penta`` row as scale * g + shift.  ``export`` writes a dense window,
-so there a size above 4096 (for ``--split`` the sum L1+L2) is a usage error, refused
-before anything is built; ``gap --sizes`` keeps the same limit, its
-kernel check holding an L x N basis.  ``export`` refuses ``--bc`` with any kind but
+``--penta`` row as scale * g + shift.  ``export`` builds no window of its size:
+its lines are generated from the band, the 2N edge rows of a window of
+size 2N+1 or the 2N rows of the split block, and written as they are
+formed, after every check.  Its output grows as L**2, so a size above
+4096 (for ``--split`` the sum L1+L2) is a usage error, refused before
+anything is written; ``gap --sizes`` keeps the same limit, its kernel
+check holding an L x N basis.  ``export`` refuses ``--bc`` with any kind but
 ``--matrix restricted``, ``--split`` with any but ``lap2-diff``, and with
 ``lap2-diff`` a ``--size`` other than L1+L2, rather than drop them.  It
 builds ``--matrix toeplitz`` as ``--bc 00``: each such window is the
@@ -52,20 +57,18 @@ floats, CSV cells carry 17 significant digits.  A zero cell is written
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import re
 import sys
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .boundary import BoundaryKind, _window, _window_corners, classic_split_difference
 from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
-from .matrices import HermitianMatrix, _require_size, circulant_periodic
-from .spectra import check_bracketing, check_bracketing_penta, gap_scan, sampled_gap_floor
 from .symbols import (
+    BandedCoeffs,
     SymbolSpec,
     decompose_pentadiagonal,
     evaluate_symbol,
@@ -79,10 +82,10 @@ class CliUsageError(Exception):
     pass
 
 
-#: Largest window size ``export`` accepts; a dense window of size L takes
-#: 16 * L**2 bytes, 268 MB at this limit.  ``gap`` builds no window but keeps
-#: the limit on ``--sizes`` (its kernel check holds an L x N basis);
-#: ``check`` has none.
+#: Largest window size ``export`` accepts.  It builds no window of that
+#: size but writes L**2 cells, about 84 MB of CSV at this limit.  ``gap``
+#: builds no window either but keeps the limit on ``--sizes`` (its kernel
+#: check holds an L x N basis); ``check`` has none.
 _MAX_DENSE_SIZE = 4096
 
 
@@ -183,31 +186,88 @@ def _cell(z: complex) -> str:
     return f"{format(z.real, '.17g')}{format(z.imag, '+.17g')}i"
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+#: ``_cell(0j)``, the text of every cell outside a row's runs.
+_ZERO = "0+0i"
+
+
+def _emit(lines: Iterable[str], out_path: Optional[str]) -> None:
+    """Write each line, as it is formed, to ``out_path`` or to stdout."""
+    if not out_path:
         try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliUsageError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+            _write_lines(sys.stdout, lines)
+        except BrokenPipeError:
+            # The reader closed the pipe (``| head``) and wants no more rows.
+            # stdout now goes to devnull, so the flush at exit cannot fail too.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            _write_lines(fh, lines)
+    except OSError as exc:
+        raise CliUsageError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _matrix_csv(matrix: HermitianMatrix, symbol_token: str, bc_token: str) -> str:
-    lines = [f"# dim={matrix.dim} symbol={symbol_token} bc={bc_token}"]
-    entries = np.ascontiguousarray(matrix.entries, dtype=np.complex128)
-    # Windows are banded, so most cells are zero.  The test is on the bits,
-    # not on ``!= 0``, so that a signed zero still goes through _cell.
-    nonzero = entries.view(np.uint64).reshape(*entries.shape, 2).any(axis=2)
-    zero_cell = _cell(0j)
-    for row, mask in zip(entries, nonzero):
-        cells = [zero_cell] * len(row)
-        cols = np.flatnonzero(mask)
-        for j, z in zip(cols.tolist(), row[cols].tolist()):
-            cells[j] = _cell(z)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _write_lines(fh, lines: Iterable[str]) -> None:
+    for line in lines:
+        fh.write(line)
+        fh.write("\n")
+
+
+def _cells(values) -> list[str]:
+    """The ``_cell`` text of each value of a row or of a block row."""
+    return [_cell(z) for z in values.tolist()]
+
+
+def _line(size: int, *runs: tuple[int, list[str]]) -> str:
+    """One CSV row of ``size`` cells: ``runs`` are (first column, cell texts)
+    in column order, and every other cell is zero."""
+    parts, col = [], 0
+    for start, cells in runs:
+        parts.append(f"{_ZERO}," * (start - col) + ",".join(cells))
+        col = start + len(cells)
+    return ",".join(parts) + f",{_ZERO}" * (size - col)
+
+
+def _window_lines(coeffs: BandedCoeffs, size: int, edge) -> Iterator[str]:
+    """The rows of ``boundary._window`` at ``size``, from ``edge``, its entries at size 2N+1.
+
+    Rows N..size-N-1 hold only the band.  The first and last N rows of
+    ``edge`` are the edge rows of every larger window, made by the same
+    additions, so only the zeros between band and far edge are added.
+    """
+    n = coeffs.half_bandwidth
+    band = _cells(coeffs.a)
+    for row in edge[:n]:
+        yield _line(size, (0, _cells(row)))
+    for i in range(n, size - n):
+        yield _line(size, (i - n, band))
+    for row in edge[n + 1 :]:
+        yield _line(size, (size - 2 * n - 1, _cells(row)))
+
+
+def _circulant_lines(coeffs: BandedCoeffs, size: int) -> Iterator[str]:
+    """The rows of ``matrices.circulant_periodic``: the band, which wraps
+    round in the first and last N rows.  Its cells are the row's own."""
+    n = coeffs.half_bandwidth
+    band = _cells(coeffs.a)
+    for i in range(n):
+        yield _line(size, (0, band[n - i :]), (size - n + i, band[: n - i]))
+    for i in range(n, size - n):
+        yield _line(size, (i - n, band))
+    for r in range(n):
+        yield _line(size, (0, band[2 * n - r :]), (size - 2 * n + r, band[: 2 * n - r]))
+
+
+def _split_lines(block, size1: int, size2: int) -> Iterator[str]:
+    """The rows of ``boundary.classic_split_difference``: zero but for the
+    2N rows of ``block`` at the split."""
+    n = len(block) // 2
+    size = size1 + size2
+    zero = ",".join([_ZERO] * size)
+    yield from itertools.repeat(zero, size1 - n)
+    for row in block:
+        yield _line(size, (size1 - n, _cells(row)))
+    yield from itertools.repeat(zero, size2 - n)
 
 
 def _resolve_symbol(args):
@@ -229,7 +289,7 @@ def _resolve_symbol(args):
     return None, penta, token, {"penta": list(penta)}
 
 
-def cmd_coeffs(args) -> tuple[int, Optional[dict], str]:
+def cmd_coeffs(args) -> tuple[int, Optional[dict], Iterable[str]]:
     if args.eval is not None and args.format == "csv":
         raise CliUsageError("--eval needs --format json: the CSV row has no place for the value")
     spec, penta, token, symbol = _resolve_symbol(args)
@@ -258,10 +318,13 @@ def cmd_coeffs(args) -> tuple[int, Optional[dict], str]:
     for k in range(-n, n + 1):
         z = coeffs[k]
         lines.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
-    return 0, report, "\n".join(lines) + "\n"
+    return 0, report, lines
 
 
-def cmd_check(args) -> tuple[int, Optional[dict], str]:
+def cmd_check(args) -> tuple[int, Optional[dict], Iterable[str]]:
+    from .boundary import BoundaryKind
+    from .spectra import check_bracketing, check_bracketing_penta
+
     if not (math.isfinite(args.tol) and args.tol > 0.0):
         raise CliUsageError(f"--tol must be a finite positive number, got {args.tol!r}")
     spec, penta, token, symbol = _resolve_symbol(args)
@@ -291,10 +354,12 @@ def cmd_check(args) -> tuple[int, Optional[dict], str]:
     ]
     for name in ("floor_nn", "nn_vs_0n", "lower", "upper"):
         lines.append(f"{name},{_fmt(report.margins[name])},{report.verdicts[name]}")
-    return (0 if report.all_hold else 1), payload, "\n".join(lines) + "\n"
+    return (0 if report.all_hold else 1), payload, lines
 
 
-def cmd_gap(args) -> tuple[int, Optional[dict], str]:
+def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
+    from .spectra import gap_scan, sampled_gap_floor
+
     spec, _, token, symbol = _resolve_symbol(args)
     if spec is None:
         raise CliUsageError("gap scans need --factors (a product symbol)")
@@ -332,10 +397,13 @@ def cmd_gap(args) -> tuple[int, Optional[dict], str]:
     ]
     for s, g in report.records:
         lines.append(f"{s},{_fmt(g)}")
-    return 0, payload, "\n".join(lines) + "\n"
+    return 0, payload, lines
 
 
-def cmd_export(args) -> tuple[int, Optional[dict], str]:
+def cmd_export(args) -> tuple[int, Optional[dict], Iterable[str]]:
+    from .boundary import BoundaryKind, _split_block, _window, _window_corners
+    from .matrices import _require_size
+
     spec, penta, token, _ = _resolve_symbol(args)
     kind = args.matrix or ("restricted" if args.bc else "toeplitz")
     if args.bc is not None and kind != "restricted":
@@ -343,22 +411,28 @@ def cmd_export(args) -> tuple[int, Optional[dict], str]:
     if args.split is not None and kind != "lap2-diff":
         raise CliUsageError(f"--split applies only to --matrix lap2-diff, not {kind}")
     coeffs = fourier_coefficients(spec) if spec is not None else penta_coefficients(*penta)
+    n = coeffs.half_bandwidth
 
+    # Every check, and every block that can raise, comes before the rows,
+    # which are formed only as they are written.
     if kind == "lap2-diff":
         if not args.split:
             raise CliUsageError("--matrix lap2-diff needs --split L1,L2")
         size1, size2 = _split_sizes(args.split)
-        if args.size is not None and args.size != size1 + size2:
-            raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size1 + size2} of --split")
-        _require_dense(size1 + size2, "--split")
-        matrix = classic_split_difference(coeffs, size1, size2)
+        size = size1 + size2
+        if args.size is not None and args.size != size:
+            raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size} of --split")
+        _require_dense(size, "--split")
+        rows = _split_lines(_split_block(coeffs, size1, size2), size1, size2)
         bc_token = "lap2-diff"
     else:
         if args.size is None:
             raise CliUsageError(f"--matrix {kind} needs --size")
-        _require_dense(args.size, "--size")
+        size = args.size
+        _require_dense(size, "--size")
         if kind == "circulant":
-            matrix = circulant_periodic(coeffs, args.size)
+            _require_size(size, 2 * n + 1)
+            rows = _circulant_lines(coeffs, size)
             bc_token = "per"
         else:
             # A toeplitz window is the restricted one with two simple edges.
@@ -369,14 +443,14 @@ def cmd_export(args) -> tuple[int, Optional[dict], str]:
             # A --penta row is scale * g + shift: its window is its own band,
             # the shift on the diagonal, plus scale times the corners of g.
             deco = decompose_pentadiagonal(*penta) if kind == "restricted" and penta else None
-            _require_size(args.size, 2 * coeffs.half_bandwidth + 1)
+            _require_size(size, 2 * n + 1)
             top = bottom = None
             if kind == "restricted":
                 top, bottom = _window_corners(deco.spec if deco else spec, left, right)
             if deco is not None:
                 top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
-            matrix = _window(coeffs, args.size, top, bottom)
-    return 0, None, _matrix_csv(matrix, token, bc_token)
+            rows = _window_lines(coeffs, size, _window(coeffs, 2 * n + 1, top, bottom).entries)
+    return 0, None, itertools.chain([f"# dim={size} symbol={token} bc={bc_token}"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,10 +516,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit status (see the module docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        code, report, text = args.func(args)
+        code, report, lines = args.func(args)
         if report is not None and args.format == "json":
-            text = json.dumps(report, indent=2) + "\n"
-        _emit(text, args.out)
+            lines = [json.dumps(report, indent=2)]
+        _emit(lines, args.out)
         return code
     except (KernelMismatchError, NoConvergenceError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -5,9 +5,10 @@ matching the action (T b)_i = sum_j a_{j-i} b_j of the bi-infinite operator.
 All constructors return matrices that satisfy entries[i][j] ==
 conj(entries[j][i]) exactly.  Every window, the corner-corrected ones
 included, keeps half-bandwidth N.  The matrices here are stored densely,
-for export, the Jacobi engine and the test oracles; the certificates and
-gap computations in ``spectra`` work from the coefficient row and the N x N
-corner blocks instead and build no window.
+for the Jacobi engine and the test oracles; the certificates and gap
+computations in ``spectra``, and the CLI's export, work from the
+coefficient row and the N x N corner blocks instead and build no window
+of their size.
 """
 
 from __future__ import annotations

@@ -57,10 +57,12 @@ from .boundary import BoundaryKind, _window_corners
 from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body
 from .symbols import (
+    ANGLE_TOL,
     TWO_PI,
     BandedCoeffs,
     PentaDecomposition,
     SymbolSpec,
+    circular_distance,
     decompose_pentadiagonal,
     evaluate_symbol,
     fourier_coefficients,
@@ -391,7 +393,7 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
     es = [reduce_angle(e) for e in angles]
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
-            if abs(es[i] - es[j]) <= 1e-12 or TWO_PI - abs(es[i] - es[j]) <= 1e-12:
+            if circular_distance(es[i], es[j]) <= ANGLE_TOL:
                 raise ValueError("angles must be pairwise distinct")
     shift = reduce_angle(-es[0] + math.pi / grid_size)
     for i in range(2, len(es) + 1):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from numpy.testing import assert_allclose
 from toepbrack import (
     BoundaryKind,
     HermitianMatrix,
+    banded_coefficients,
     build_restricted,
     check_bracketing,
     check_bracketing_penta,
@@ -20,9 +24,11 @@ from toepbrack import (
     decompose_pentadiagonal,
     fourier_coefficients,
     make_symbol,
+    penta_coefficients,
     toeplitz_finite,
 )
-from toepbrack import cli, errors
+from toepbrack import boundary, cli, errors, matrices, spectra
+from toepbrack.boundary import _window, _window_corners
 from toepbrack.cli import (
     CliUsageError,
     main,
@@ -394,8 +400,8 @@ class TestCheck:
         def reached(*args, **kwargs):
             pytest.fail("a certificate was started")
 
-        monkeypatch.setattr(cli, "check_bracketing", reached)
-        monkeypatch.setattr(cli, "check_bracketing_penta", reached)
+        monkeypatch.setattr(spectra, "check_bracketing", reached)
+        monkeypatch.setattr(spectra, "check_bracketing_penta", reached)
         argv = ["check", "--factors", "0:2", "--split", "7,7", "--classic-neumann", f"--tol={tol}"]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
@@ -459,7 +465,7 @@ class TestExitCodes:
         def fail(*args, **kwargs):
             raise error("boom")
 
-        monkeypatch.setattr(cli, "check_bracketing", fail)
+        monkeypatch.setattr(spectra, "check_bracketing", fail)
         code, out, err = run_cli(capsys, "check", "--factors", "0:1", "--split", "7,9")
         assert out == ""
         if error in _VERIFICATION_FAILURES:
@@ -530,7 +536,7 @@ class TestGap:
             sampled.append(size)
             return 0.0
 
-        monkeypatch.setattr(cli, "sampled_gap_floor", floor)
+        monkeypatch.setattr(spectra, "sampled_gap_floor", floor)
         code, _, _ = run_cli(
             capsys, "gap", "--factors", "0:1", "--sizes", "8,16,32", "--format", fmt
         )
@@ -574,11 +580,13 @@ class TestDenseSizeGuard:
         def reached(*args, **kwargs):
             pytest.fail("a dense window was requested")
 
-        for name in (
-            "gap_scan", "_window", "_window_corners", "check_bracketing",
-            "check_bracketing_penta", "circulant_periodic", "classic_split_difference",
+        for module, name in (
+            (spectra, "gap_scan"), (boundary, "_window"), (boundary, "_window_corners"),
+            (spectra, "check_bracketing"), (spectra, "check_bracketing_penta"),
+            (matrices, "circulant_periodic"), (boundary, "classic_split_difference"),
+            (boundary, "_split_block"),
         ):
-            monkeypatch.setattr(cli, name, reached)
+            monkeypatch.setattr(module, name, reached)
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
@@ -588,13 +596,13 @@ class TestDenseSizeGuard:
     def test_limit_itself_is_accepted(self, capsys, monkeypatch):
         seen = []
 
-        window = cli._window
+        window_lines = cli._window_lines
 
-        def small_window(coeffs, size, top, bottom):
+        def small_window(coeffs, size, edge):
             seen.append(size)
-            return window(coeffs, 8, top, bottom)
+            return window_lines(coeffs, 8, edge)
 
-        monkeypatch.setattr(cli, "_window", small_window)
+        monkeypatch.setattr(cli, "_window_lines", small_window)
         code, _, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096")
         assert code == 0
         assert seen == [4096]
@@ -797,6 +805,71 @@ class TestExport:
         assert run_cli(capsys, *argv, "--size", "4") == (0, without, "")
 
 
+class TestStreamedExport:
+    def test_no_dense_builder_is_asked_for_the_export_size(self, capsys, monkeypatch):
+        asked = []
+        for name in ("_toeplitz_body", "_window", "circulant_periodic", "classic_split_difference"):
+            for module in (boundary, matrices, cli):
+                original = getattr(module, name, None)
+                if original is None:
+                    continue
+
+                def spy(coeffs, size, *rest, _original=original, _name=name):
+                    total = size + rest[0] if _name == "classic_split_difference" else size
+                    asked.append((_name, total))
+                    return _original(coeffs, size, *rest)
+
+                monkeypatch.setattr(module, name, spy)
+        for argv in (
+            ["--factors", "0:1,2.0:1", "--size", "40"],
+            ["--factors", "0:1,2.0:1", "--size", "40", "--bc", "nn"],
+            ["--factors", "0:2", "--size", "40", "--bc", "cd"],
+            ["--penta", "7.5,-3.25,1", "--size", "40", "--bc", "dn"],
+            ["--factors", "0:1,2.0:1", "--size", "40", "--matrix", "circulant"],
+            ["--factors", "0:2", "--matrix", "lap2-diff", "--split", "18,22"],
+        ):
+            code, _, err = run_cli(capsys, "export", *argv)
+            assert (code, err) == (0, ""), argv
+        assert asked
+        assert all(size < 40 for _, size in asked), asked
+
+    def test_export_at_the_cap_peaks_far_below_a_dense_window(self):
+        # RUSAGE_CHILDREN keeps the largest peak of any waited-for child, so
+        # the export runs as the only child of a fresh wrapper.
+        pytest.importorskip("resource")
+        wrapper = (
+            "import resource, subprocess, sys\n"
+            "subprocess.run([sys.executable, '-m', 'toepbrack', *sys.argv[1:]],"
+            " stdout=subprocess.DEVNULL, check=True)\n"
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        argv = ["export", "--factors", "0:1,2.0:1", "--size", "4096", "--bc", "nn"]
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), check=True,
+        )
+        # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+        peak = int(proc.stdout) * (1 if sys.platform == "darwin" else 1024)
+        assert peak < 100e6
+
+
+    def test_reader_closing_the_pipe_early_ends_the_export_quietly(self):
+        # As when the whole text was written at once: a reader that stops
+        # after the first bytes (``| head``) gets exit 0 and no traceback.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        argv = ["export", "--factors", "0:1", "--size", "4096"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "toepbrack", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.stdout.read(10) == b"# dim=4096"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
+
+
 def _per_cell_csv(matrix, symbol_token, bc_token):
     """Reference formatter: every cell of every row goes through ``_cell``."""
     lines = [f"# dim={matrix.dim} symbol={symbol_token} bc={bc_token}"]
@@ -805,33 +878,73 @@ def _per_cell_csv(matrix, symbol_token, bc_token):
     return "\n".join(lines) + "\n"
 
 
+def _factors_token(spec):
+    return "factors=" + ",".join(f"{format(e, '.17g')}:{m}" for e, m in spec.factors)
+
+
+def _export_text(capsys, symbol_argv, *argv):
+    code, out, err = run_cli(capsys, "export", *symbol_argv, *argv)
+    assert (code, err) == (0, "")
+    return out
+
+
+def _factors_argv(spec):
+    return ["--factors", ",".join(f"{e!r}:{m}" for e, m in spec.factors)]
+
+
+def _rows_text(lines):
+    return "".join(f"{line}\n" for line in lines)
+
+
 class TestMatrixCsv:
+    """``export`` writes each row from the band; the dense builders and a
+    per-cell formatter are the oracle, byte for byte."""
+
     @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
-    def test_boundary_windows_match_per_cell_oracle(self, pair):
+    def test_boundary_windows_match_per_cell_oracle(self, capsys, pair):
         left, right = (BoundaryKind.from_code(code) for code in pair)
+        token = "".join(pair)
         for spec in _window_specs(pair):
             for size in (2 * spec.degree + 1, 40):
                 matrix = build_restricted(spec, size, left, right)
-                token = "".join(pair)
-                assert cli._matrix_csv(matrix, "s", token) == _per_cell_csv(matrix, "s", token)
+                out = _export_text(capsys, _factors_argv(spec), "--size", str(size), "--bc", token)
+                assert out == _per_cell_csv(matrix, _factors_token(spec), token), (spec, size)
 
-    def test_plain_and_difference_matrices_match_per_cell_oracle(self):
-        coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
-        lap2 = fourier_coefficients(make_symbol([(0.0, 2)]))
-        for matrix in (
-            toeplitz_finite(coeffs, 33),
-            circulant_periodic(coeffs, 33),
-            classic_split_difference(lap2, 9, 11),
-        ):
-            assert cli._matrix_csv(matrix, "s", "x") == _per_cell_csv(matrix, "s", "x")
+    def test_plain_and_difference_matrices_match_per_cell_oracle(self, capsys):
+        spec = make_symbol([(1.0, 1), (2.5, 2)])
+        coeffs = fourier_coefficients(spec)
+        for size in (2 * spec.degree + 1, 33, 40):
+            for kind, token, matrix in (
+                ("toeplitz", "00", toeplitz_finite(coeffs, size)),
+                ("circulant", "per", circulant_periodic(coeffs, size)),
+            ):
+                out = _export_text(capsys, _factors_argv(spec), "--size", str(size), "--matrix", kind)
+                assert out == _per_cell_csv(matrix, _factors_token(spec), token), (kind, size)
+        for lap2 in (make_symbol([(0.0, 2)]), make_symbol([(0.0, 1), (np.pi, 1)])):
+            n = lap2.degree
+            for size1, size2 in ((n + 1, n + 1), (9, 11), (20, 20)):
+                matrix = classic_split_difference(fourier_coefficients(lap2), size1, size2)
+                argv = ("--matrix", "lap2-diff", "--split", f"{size1},{size2}")
+                out = _export_text(capsys, _factors_argv(lap2), *argv)
+                assert out == _per_cell_csv(matrix, _factors_token(lap2), "lap2-diff"), (size1, size2)
 
-    def test_scaled_shifted_penta_window_matches_per_cell_oracle(self):
-        deco = decompose_pentadiagonal(7.5, -3.25, 1.0)
-        kind = BoundaryKind.MODIFIED_NEUMANN
-        matrix = build_restricted(deco.spec, 30, kind, kind).scaled(deco.scale).shifted(deco.shift)
-        assert cli._matrix_csv(matrix, "s", "nn") == _per_cell_csv(matrix, "s", "nn")
+    def test_scaled_shifted_penta_window_matches_per_cell_oracle(self, capsys):
+        # The row's own band, its shift on the diagonal, plus scale times
+        # the corners of its product symbol, built densely.
+        row = (7.5, -3.25, 1.0)
+        deco = decompose_pentadiagonal(*row)
+        coeffs = penta_coefficients(*row)
+        for pair in ("nn", "0d", "dn"):
+            left, right = (BoundaryKind.from_code(code) for code in pair)
+            top, bottom = (None if b is None else deco.scale * b for b in _window_corners(deco.spec, left, right))
+            for size in (5, 30, 40):
+                matrix = HermitianMatrix(_window(coeffs, size, top, bottom).entries)
+                out = _export_text(capsys, ["--penta", "7.5,-3.25,1"], "--size", str(size), "--bc", pair)
+                assert out == _per_cell_csv(matrix, "penta=7.5,-3.25,1", pair), (pair, size)
 
     def test_signed_zeros_keep_their_sign(self):
+        # No symbol of the CLI yields a signed zero, so the row writers get
+        # them directly: in the band, in the corners and in a split block.
         entries = np.array(
             [
                 [complex(-0.0, 0.0), complex(0.0, -0.0), 0, complex(-0.0, -0.0)],
@@ -841,10 +954,28 @@ class TestMatrixCsv:
             ]
         )
         matrix = HermitianMatrix(entries)
-        text = cli._matrix_csv(matrix, "s", "x")
-        assert text == _per_cell_csv(matrix, "s", "x")
-        first = text.splitlines()[1]
+        text = _rows_text(cli._split_lines(entries, 2, 2))
+        assert text == _per_cell_csv(matrix, "s", "x").split("\n", 1)[1]
+        first = text.splitlines()[0]
         assert first == "-0+0i,0-0i,0+0i,-0-0i"
+
+        coeffs = banded_coefficients([1, complex(-0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 1])
+        corner = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(0.0, 0.0), complex(-0.0, 0.0)]])
+        for top, bottom in ((None, corner), (corner, None), (corner, corner)):
+            edge = _window(coeffs, 5, top, bottom).entries
+            for size in (5, 9):
+                dense = _window(coeffs, size, top, bottom)
+                rows = _rows_text(cli._window_lines(coeffs, size, edge))
+                assert rows == _per_cell_csv(dense, "s", "x").split("\n", 1)[1]
+                assert "-0+0i" in rows
+        for size in (5, 9):
+            rows = _rows_text(cli._circulant_lines(coeffs, size))
+            assert rows == _per_cell_csv(circulant_periodic(coeffs, size), "s", "x").split("\n", 1)[1]
+            assert "-0+0i" in rows and ",0-0i" in rows
+        padded = np.zeros((9, 9), dtype=complex)
+        padded[2:6, 2:6] = entries
+        rows = _rows_text(cli._split_lines(entries, 4, 5))
+        assert rows == _per_cell_csv(HermitianMatrix(padded), "s", "x").split("\n", 1)[1]
 
     def test_export_at_the_dense_cap(self, capsys):
         code, out, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096", "--bc", "nn")

@@ -4,9 +4,12 @@ Each ``toepbrack ...`` line of the README's "Command line" block runs in
 process; its stdout must equal ``tests/golden/<slug>.out`` byte for byte,
 and its exit status must be 1 exactly when the README comment says
 "exits 1".  Regenerate the files with ``python tests/test_golden.py`` and
-record any bytes that move in CHANGES.md.
+record any bytes that move in CHANGES.md.  The export at the size cap is
+pinned by the sha256 of its 84 MB of output instead.
 """
 
+import contextlib
+import hashlib
 import re
 import sys
 from pathlib import Path
@@ -50,6 +53,31 @@ def test_stdout_matches_golden(capsys, argv, status):
     out = capsys.readouterr().out
     assert code == status
     assert out == (GOLDEN / f"{slug(argv)}.out").read_text(encoding="utf-8")
+
+
+CAP_EXPORT = ["export", "--factors", "0:1,2.0:1", "--size", "4096", "--bc", "nn"]
+
+
+class _Sha256Writer:
+    """A text sink that keeps only the sha256 of what it is given."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode("utf-8"))
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_export_at_the_cap_matches_pinned_hash():
+    sink = _Sha256Writer()
+    with contextlib.redirect_stdout(sink):
+        assert main(CAP_EXPORT) == 0
+    pinned = (GOLDEN / f"{slug(CAP_EXPORT)}.sha256").read_text(encoding="utf-8").strip()
+    assert sink.digest.hexdigest() == pinned
 
 
 if __name__ == "__main__":

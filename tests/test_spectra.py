@@ -562,6 +562,13 @@ class TestGridShift:
         with pytest.raises(ValueError):
             grid_shift([1.0, 1.0], 10)
 
+    @pytest.mark.parametrize("angles", [[1.0, 1.0 + 5e-13], [TWO_PI, 1e-13]], ids=["close", "across-wrap"])
+    def test_angles_within_the_angle_tolerance_rejected(self, angles):
+        # The same circular rule as make_symbol: within ANGLE_TOL, either
+        # way round the circle, two angles count as one.
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            grid_shift(angles, 10)
+
 
 class TestSpectralGap:
     def test_path_laplacian_gap(self):
