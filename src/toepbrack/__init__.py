@@ -40,52 +40,7 @@ _SUBMODULES = (*_EXPORTS, "cli")
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANGLE_TOL",
-    "TWO_PI",
-    "BandedCoeffs",
-    "BoundaryKind",
-    "BracketReport",
-    "DuplicateAngleError",
-    "DuplicateNodeError",
-    "GapReport",
-    "HermitianMatrix",
-    "InvalidMultiplicityError",
-    "KernelMismatchError",
-    "NoConvergenceError",
-    "NonHermitianError",
-    "OutOfClassError",
-    "PentaDecomposition",
-    "SizeTooSmallError",
-    "Spectrum",
-    "SymbolSpec",
-    "ToepbrackError",
-    "banded_coefficients",
-    "build_restricted",
-    "check_bracketing",
-    "check_bracketing_penta",
-    "circulant_periodic",
-    "circular_distance",
-    "classic_split_difference",
-    "confluent_vandermonde_abs",
-    "corner_block",
-    "decompose_pentadiagonal",
-    "direct_sum",
-    "eigenvalues",
-    "evaluate_symbol",
-    "fourier_coefficients",
-    "gap_scan",
-    "grid_shift",
-    "hermitian",
-    "kernel_basis",
-    "make_symbol",
-    "penta_coefficients",
-    "reduce_angle",
-    "sampled_gap_floor",
-    "spectral_gap",
-    "stencil",
-    "toeplitz_finite",
-]
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

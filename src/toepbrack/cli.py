@@ -18,7 +18,9 @@ Usage examples::
 
 Angles are radians; the token ``pi`` is accepted with an optional
 coefficient and divisor (``pi``, ``2pi``, ``pi/3``, ``0.5pi``) and must be
-finite; ``--tol`` must be finite and positive.
+finite.  ``check`` compares each margin with the fixed threshold
+-1e-9 * max(1, sum |a_k|) and ``gap`` samples its floors with seed 0;
+neither can be set.
 
 Each command reads its input once and returns its exit status, its JSON
 report and its CSV lines; ``main`` writes one of the two, line by line, and
@@ -38,13 +40,14 @@ its lines are generated from the band, the 2N edge rows of a window of
 size 2N+1 or the 2N rows of the split block, and written as they are
 formed, after every check.  Its output grows as L**2, so a size above
 4096 (for ``--split`` the sum L1+L2) is a usage error, refused before
-anything is written; ``gap --sizes`` keeps the same limit, its kernel
+anything is written; ``gap --sizes`` keeps the same cap, its kernel
 check holding an L x N basis.  ``export`` refuses ``--bc`` with any kind but
 ``--matrix restricted``, ``--split`` with any but ``lap2-diff``, and with
 ``lap2-diff`` a ``--size`` other than L1+L2, rather than drop them.  It
 builds ``--matrix toeplitz`` as ``--bc 00``: each such window is the
-input's own coefficient row plus two corner blocks, for ``--penta`` the
-row's scale times the corners of its product symbol.
+input's own coefficient row plus a corner block at each edge that is not
+simple, for ``--penta`` the row's scale times the corner of its product
+symbol, so only such an edge needs the row in the pentadiagonal class.
 ``check`` builds no window and takes any split.  A coefficient row outside
 the float64 range is a usage error too: a symbol of degree above 511, or a
 ``--penta`` row with sum |a_k| above 4**511.  A ``gap`` scan whose observed
@@ -82,18 +85,19 @@ class CliUsageError(Exception):
     pass
 
 
-#: Largest window size ``export`` accepts.  It builds no window of that
-#: size but writes L**2 cells, about 84 MB of CSV at this limit.  ``gap``
-#: builds no window either but keeps the limit on ``--sizes`` (its kernel
-#: check holds an L x N basis); ``check`` has none.
-_MAX_DENSE_SIZE = 4096
+#: Largest size of an ``export`` CSV, which has L**2 cells, about 84 MB
+#: at this cap, and of each ``gap --sizes`` entry (its kernel check holds
+#: an L x N basis).  Neither builds an L x L matrix; ``check`` has no cap.
+_SIZE_CAP = 4096
 
 
-def _require_dense(size: int, source: str) -> None:
-    if size > _MAX_DENSE_SIZE:
-        raise CliUsageError(
-            f"window size {size} from {source} exceeds the dense limit {_MAX_DENSE_SIZE}"
-        )
+def _require_within_cap(size: int, source: str) -> None:
+    if size > _SIZE_CAP:
+        raise CliUsageError(f"window size {size} from {source} exceeds the size cap {_SIZE_CAP}")
+
+
+#: The seed of the sampled gap floors that ``gap`` reports.
+_FLOOR_SEED = 0
 
 
 #: Largest symbol degree accepted.  sum |a_k| <= 4**N for a product symbol
@@ -325,19 +329,17 @@ def cmd_check(args) -> tuple[int, Optional[dict], Iterable[str]]:
     from .boundary import BoundaryKind
     from .spectra import check_bracketing, check_bracketing_penta
 
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise CliUsageError(f"--tol must be a finite positive number, got {args.tol!r}")
     spec, penta, token, symbol = _resolve_symbol(args)
     size1, size2 = _split_sizes(args.split)
     if spec is not None:
         neumann = (
             BoundaryKind.CLASSIC_NEUMANN if args.classic_neumann else BoundaryKind.MODIFIED_NEUMANN
         )
-        report = check_bracketing(spec, size1, size2, tol=args.tol, neumann=neumann)
+        report = check_bracketing(spec, size1, size2, neumann=neumann)
     else:
         if args.classic_neumann:
             raise CliUsageError("--classic-neumann is only supported with --factors")
-        report, _ = check_bracketing_penta(*penta, size1, size2, tol=args.tol)
+        report, _ = check_bracketing_penta(*penta, size1, size2)
     payload = {
         "command": "check",
         "symbol": symbol,
@@ -365,7 +367,7 @@ def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
         raise CliUsageError("gap scans need --factors (a product symbol)")
     sizes = parse_int_list(args.sizes, "sizes")
     for size in sizes:
-        _require_dense(size, "--sizes")
+        _require_within_cap(size, "--sizes")
     report = gap_scan(spec, sizes)
     if not math.isfinite(report.c_empirical):
         raise CliUsageError(
@@ -378,7 +380,7 @@ def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
         "symbol": symbol,
         "sizes": [s for s, _ in report.records],
         "records": [
-            {"size": s, "gap": g, "floor": sampled_gap_floor(spec, s, seed=args.seed)}
+            {"size": s, "gap": g, "floor": sampled_gap_floor(spec, s, seed=_FLOOR_SEED)}
             for s, g in report.records
         ],
         "slope": report.slope,
@@ -386,7 +388,7 @@ def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
         "c_empirical": report.c_empirical,
         "alpha_max": report.alpha_max,
         "kernel_dim": spec.degree,
-        "seed": args.seed,
+        "seed": _FLOOR_SEED,
         "version": __version__,
     }
     lines = [
@@ -422,14 +424,14 @@ def cmd_export(args) -> tuple[int, Optional[dict], Iterable[str]]:
         size = size1 + size2
         if args.size is not None and args.size != size:
             raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size} of --split")
-        _require_dense(size, "--split")
+        _require_within_cap(size, "--split")
         rows = _split_lines(_split_block(coeffs, size1, size2), size1, size2)
         bc_token = "lap2-diff"
     else:
         if args.size is None:
             raise CliUsageError(f"--matrix {kind} needs --size")
         size = args.size
-        _require_dense(size, "--size")
+        _require_within_cap(size, "--size")
         if kind == "circulant":
             _require_size(size, 2 * n + 1)
             rows = _circulant_lines(coeffs, size)
@@ -442,11 +444,11 @@ def cmd_export(args) -> tuple[int, Optional[dict], Iterable[str]]:
             left, right = (BoundaryKind.from_code(code) for code in bc_token)
             # A --penta row is scale * g + shift: its window is its own band,
             # the shift on the diagonal, plus scale times the corners of g.
-            deco = decompose_pentadiagonal(*penta) if kind == "restricted" and penta else None
+            # Only an edge that is not simple reads g.
+            simple = (left, right) == (BoundaryKind.SIMPLE,) * 2
+            deco = decompose_pentadiagonal(*penta) if penta and not simple else None
             _require_size(size, 2 * n + 1)
-            top = bottom = None
-            if kind == "restricted":
-                top, bottom = _window_corners(deco.spec if deco else spec, left, right)
+            top, bottom = _window_corners(deco.spec if deco else spec, left, right)
             if deco is not None:
                 top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
             rows = _window_lines(coeffs, size, _window(coeffs, 2 * n + 1, top, bottom).entries)
@@ -481,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="certify the bracketing inequality chain")
     add_symbol_opts(p)
     p.add_argument("--split", required=True, help="window sizes L1,L2")
-    p.add_argument("--tol", type=float, default=1e-9, help="relative margin tolerance")
     p.add_argument(
         "--classic-neumann",
         action="store_true",
@@ -493,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gap", help="spectral-gap scan over window sizes")
     add_symbol_opts(p)
     p.add_argument("--sizes", required=True, help="comma list of window sizes")
-    p.add_argument("--seed", type=int, default=0, help="seed for the sampled gap-floor cross-check")
     add_io_opts(p)
     p.set_defaults(func=cmd_gap)
 

@@ -157,6 +157,11 @@ def eigenvalues(matrix: HermitianMatrix) -> Spectrum:
     )
 
 
+#: Relative threshold of every bracketing verdict, not the engine's
+#: stopping width ``tol`` of :func:`_window_setup`.
+_REL_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class BracketReport:
     """Margins of the four-operator inequality chain, one number each.
@@ -164,7 +169,7 @@ class BracketReport:
     Every margin is a smallest eigenvalue and certifies its inequality when
     it is >= -abs_tol.  ``floor_nn`` is measured relative to the symbol's
     infimum (``symbol_floor``, zero for product symbols), so all four
-    verdicts share the same threshold convention.
+    verdicts share the same threshold convention, abs_tol = rel_tol * max(1, sum|a_k|).
     """
 
     size1: int
@@ -203,7 +208,6 @@ def check_bracketing(
     spec: SymbolSpec,
     size1: int,
     size2: int,
-    tol: float = 1e-9,
     neumann: BoundaryKind = BoundaryKind.MODIFIED_NEUMANN,
 ) -> BracketReport:
     """Certify the full inequality chain for a product symbol at one split.
@@ -212,8 +216,8 @@ def check_bracketing(
     both-sided softened blocks (their floor, relative to inf g = 0), the
     one-sided minus both-sided softened direct sums, the whole window minus
     the softened direct sum, and the stiffened direct sum minus the whole
-    window.  Verdicts compare each margin against -tol * max(1, sum|a_k|),
-    sum|a_k| being the row-sum norm of T.
+    window.  Verdicts compare each margin against the fixed threshold
+    -1e-9 * max(1, sum|a_k|), sum|a_k| being the row-sum norm of T.
 
     No window is built, and one engine call gives all four margins:
     multisection on banded LDL* pivots (:func:`_banded_lambda_mins`), fed
@@ -274,8 +278,8 @@ def check_bracketing(
         delta_nn=delta_nn,
         delta_lower=lower,
         symbol_floor=0.0,
-        rel_tol=tol,
-        abs_tol=tol * max(1.0, float(np.abs(coeffs.a).sum())),
+        rel_tol=_REL_TOL,
+        abs_tol=_REL_TOL * max(1.0, float(np.abs(coeffs.a).sum())),
     )
 
 
@@ -285,7 +289,6 @@ def check_bracketing_penta(
     a2: float,
     size1: int,
     size2: int,
-    tol: float = 1e-9,
 ) -> Tuple[BracketReport, PentaDecomposition]:
     """Bracketing certification for an admissible pentadiagonal row.
 
@@ -293,11 +296,11 @@ def check_bracketing_penta(
     every windowed operator transforms affinely (scale times the g-operator
     plus shift times the identity), so the product-symbol margins carry
     over multiplied by ``scale``, the floor is measured against
-    inf h = shift, and the tolerance scales with the row-sum norm of the
-    row's own window, sum |a_k| (a window of L1 + L2 >= 5 has a full row).
+    inf h = shift, and the threshold takes the row-sum norm of the row's
+    own window, sum |a_k| (a window of L1 + L2 >= 5 has a full row).
     """
     deco = decompose_pentadiagonal(a0, a1, a2)
-    base = check_bracketing(deco.spec, size1, size2, tol=tol)
+    base = check_bracketing(deco.spec, size1, size2)
     row_sum = float(np.abs(penta_coefficients(a0, a1, a2).a).sum())
     return replace(
         base,
@@ -305,7 +308,7 @@ def check_bracketing_penta(
         delta_nn=deco.scale * base.delta_nn,
         delta_lower=deco.scale * base.delta_lower,
         symbol_floor=deco.shift,
-        abs_tol=tol * max(1.0, row_sum),
+        abs_tol=_REL_TOL * max(1.0, row_sum),
     ), deco
 
 

@@ -92,10 +92,6 @@ class SymbolSpec:
     def alpha_max(self) -> int:
         return max(self.multiplicities)
 
-    def shifted(self, delta: float) -> "SymbolSpec":
-        """The symbol with every factor angle moved by ``delta``."""
-        return make_symbol([(e + delta, m) for e, m in self.factors])
-
 
 def make_symbol(factors: Iterable[Tuple[float, int]]) -> SymbolSpec:
     """Build a :class:`SymbolSpec` from (angle, multiplicity) pairs.

@@ -95,7 +95,7 @@ def test_criterion_1_worked_example_regression():
 def test_criterion_2_bracketing_certification():
     started = time.perf_counter()
     for spec, size1, size2 in _criterion2_suite():
-        report = check_bracketing(spec, size1, size2, tol=1e-9)
+        report = check_bracketing(spec, size1, size2)
         assert report.all_hold, (spec.factors, size1, size2, report.margins)
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
@@ -238,7 +238,7 @@ def test_criterion_9_pentadiagonal_end_to_end():
         assert_allclose(rebuilt, [a2, a1, a0, a1, a2], atol=1e-12 * scale)
 
         size1, size2 = int(rng.integers(5, 14)), int(rng.integers(5, 14))
-        report, deco2 = check_bracketing_penta(a0, a1, a2, size1, size2, tol=1e-9)
+        report, deco2 = check_bracketing_penta(a0, a1, a2, size1, size2)
         assert report.symbol_floor == deco2.shift
         assert report.all_hold, ((a0, a1, a2), report.margins)
     _report(9, "pentadiagonal round trip and shifted-floor bracketing", started)

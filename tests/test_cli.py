@@ -395,18 +395,22 @@ class TestCheck:
         assert all(payload["verdicts"].values())
         assert payload["symbol_floor"] == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9"])
+    @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9", "0.1"])
     def test_bad_tol_refused_before_any_build(self, capsys, monkeypatch, tol):
+        # The threshold is fixed, so no --tol can loosen the failing classic
+        # chain into exit 0: every one is a usage error.
         def reached(*args, **kwargs):
             pytest.fail("a certificate was started")
 
         monkeypatch.setattr(spectra, "check_bracketing", reached)
         monkeypatch.setattr(spectra, "check_bracketing_penta", reached)
         argv = ["check", "--factors", "0:2", "--split", "7,7", "--classic-neumann", f"--tol={tol}"]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --tol must be a finite positive number")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tol" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -527,6 +531,20 @@ class TestGap:
         assert lines[2] == "size,gap"
         assert [row.split(",")[0] for row in lines[3:]] == ["8", "16", "32"]
 
+    def test_seed_is_refused_before_any_scan(self, capsys, monkeypatch):
+        # The floors are sampled with the fixed seed 0 that the report prints.
+        def reached(*args, **kwargs):
+            pytest.fail("a scan was started")
+
+        monkeypatch.setattr(spectra, "gap_scan", reached)
+        monkeypatch.setattr(spectra, "sampled_gap_floor", reached)
+        with pytest.raises(SystemExit) as exc:
+            main(["gap", "--factors", "0:1", "--sizes", "8,16", "--seed", "1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --seed" in captured.err
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_floors_are_computed_only_for_the_json_report(self, capsys, monkeypatch, fmt):
         # The CSV rows carry no floor column, so a CSV scan samples none.
@@ -590,7 +608,7 @@ class TestDenseSizeGuard:
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ") and "dense limit 4096" in err
+        assert err.startswith("error: ") and "exceeds the size cap 4096" in err
         assert "Traceback" not in err
 
     def test_limit_itself_is_accepted(self, capsys, monkeypatch):
@@ -616,7 +634,7 @@ class TestDenseSizeGuard:
         ],
     )
     def test_check_is_not_capped(self, capsys, argv):
-        # check builds no window, so the dense limit of export does not bind it.
+        # check builds no window, so the size cap of export does not bind it.
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         size1, size2 = (int(v) for v in argv[-1].split(","))
@@ -702,9 +720,10 @@ class TestExport:
                 affine = build_restricted(deco.spec, 9, left, right).scaled(deco.scale)
                 assert_allclose(matrix, affine.shifted(deco.shift).entries, rtol=0, atol=tol)
 
-    @pytest.mark.parametrize("row", ["5.3,-2.7,0.9", "1.5,0.3,0.8", "7,-4,1"])
+    @pytest.mark.parametrize("row", ["5.3,-2.7,0.9", "1.5,0.3,0.8", "7,-4,1", "1,5,1"])
     def test_penta_simple_edges_equal_the_toeplitz_window(self, capsys, row):
-        # Both are the row's own band, so the two exports agree byte for byte.
+        # Both are the row's own band, so the two exports agree byte for byte,
+        # also for 1,5,1, outside the pentadiagonal class: no edge reads g.
         plain = run_cli(capsys, "export", "--penta", row, "--size", "9", "--matrix", "toeplitz")
         restricted = run_cli(capsys, "export", "--penta", row, "--size", "9", "--bc", "00")
         assert plain[0] == 0

@@ -69,11 +69,6 @@ def test_every_public_name_and_submodule_resolves():
         toepbrack.no_such_name
 
 
-def test_all_is_exactly_the_public_names():
-    assert sorted(toepbrack.__all__) == sorted(toepbrack._HOME)
-    assert len(set(toepbrack.__all__)) == len(toepbrack.__all__)
-
-
 def test_star_import_binds_all():
     namespace = {}
     exec("from toepbrack import *", namespace)

@@ -111,6 +111,13 @@ class TestCheckBracketing:
         report = check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 5, 9)
         assert report.all_hold
 
+    def test_threshold_is_not_a_parameter(self):
+        # The verdict threshold is fixed, so no caller can loosen it.
+        with pytest.raises(TypeError):
+            check_bracketing(make_symbol([(0.0, 2)]), 7, 7, tol=0.1)
+        with pytest.raises(TypeError):
+            check_bracketing_penta(6.0, -4.0, 1.0, 7, 7, tol=0.1)
+
     def test_classic_substitution_fails_lower(self):
         report = check_bracketing(
             make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN
@@ -653,7 +660,9 @@ class TestSpectralGap:
             delta = float(rng.uniform(0.3, 5.5))
             ev = eigenvalues(build_restricted(spec, size, N_KIND, N_KIND)).values
             ev_shifted = eigenvalues(
-                build_restricted(spec.shifted(delta), size, N_KIND, N_KIND)
+                build_restricted(
+                    make_symbol([(e + delta, mult) for e, mult in spec.factors]), size, N_KIND, N_KIND
+                )
             ).values
             assert_allclose(ev, ev_shifted, atol=1e-9 * max(1.0, ev.max()))
 
