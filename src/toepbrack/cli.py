@@ -22,20 +22,22 @@ finite.  ``check`` compares each margin with the fixed threshold
 -1e-9 * max(1, sum |a_k|) and ``gap`` samples its floors with seed 0;
 neither can be set.
 
-Each command reads its input once and returns its exit status, its JSON
-report and its CSV lines; ``main`` writes one of the two, line by line, and
-maps errors to exit statuses in one place; the report is None for
-``export`` and for ``gap --format csv``, which thus computes no sampled
-floors.  Each command imports the library modules it uses when it runs, so
+A value that starts with a minus and is not a plain number must be joined
+to its option by ``=`` (``--factors=-0.5:1``, ``--penta=-1,-4,1``,
+``--eval=-pi/3``): argparse reads a separate ``-0.5:1`` as an option.
+
+Each command reads its input once and returns its exit status and its
+output lines; ``main`` writes them, line by line, and maps errors to exit
+statuses in one place.  ``coeffs``, ``check`` and ``gap`` write one JSON
+report each (``gap`` with the sampled floor of every size); ``export``
+writes CSV.  Each command imports the library modules it uses when it runs, so
 ``coeffs`` loads only ``symbols`` and ``export`` never loads ``spectra``.  Exit status
 is 0 on success with all verdicts true; 1 on a false ``check`` verdict or a
 verification failure (``KernelMismatchError``, ``NoConvergenceError``,
 reported as ``verification failure:``); 2 on any other library error, a
-``ValueError`` or a usage error (``error:``).  ``coeffs``, ``check`` and
-``gap`` take ``--format json|csv``; ``export`` always writes CSV.
-``coeffs --eval`` needs JSON output: the CSV row has no place for the
-value; it evaluates g with ``evaluate_symbol``, in product form, and a
-``--penta`` row as scale * g + shift.  ``export`` builds no window of its size:
+``ValueError`` or a usage error (``error:``).  ``coeffs --eval`` evaluates
+g with ``evaluate_symbol``, in product form, and a ``--penta`` row as
+scale * g + shift.  ``export`` builds no window of its size:
 its lines are generated from the band, the 2N edge rows of a window of
 size 2N+1 or the 2N rows of the split block, and written as they are
 formed, after every check.  Its output grows as L**2, so a size above
@@ -53,7 +55,7 @@ the float64 range is a usage error too: a symbol of degree above 511, or a
 ``--penta`` row with sum |a_k| above 4**511.  A ``gap`` scan whose observed
 constant gap * L**(2*alpha_max) leaves the float64 range exits 2 as well.
 Output is byte-stable for fixed inputs: JSON uses shortest round-trip
-floats, CSV cells carry 17 significant digits.  A zero cell is written
+floats, ``export`` cells carry 17 significant digits.  A zero cell is written
 ``0+0i``; a signed zero keeps its sign (``-0+0i``, ``0-0i``).
 """
 
@@ -279,8 +281,8 @@ def _resolve_symbol(args):
 
     Returns ``(spec, penta, token, symbol_json)``: exactly one of ``spec``
     (a :class:`SymbolSpec`) and ``penta`` (the row a0, a1, a2) is set;
-    ``token`` names the symbol in CSV headers and ``symbol_json`` in JSON
-    reports.
+    ``token`` names the symbol in the ``export`` header and ``symbol_json``
+    in the JSON reports.
     """
     if (args.factors is None) == (args.penta is None):
         raise CliUsageError("provide exactly one of --factors or --penta")
@@ -293,10 +295,8 @@ def _resolve_symbol(args):
     return None, penta, token, {"penta": list(penta)}
 
 
-def cmd_coeffs(args) -> tuple[int, Optional[dict], Iterable[str]]:
-    if args.eval is not None and args.format == "csv":
-        raise CliUsageError("--eval needs --format json: the CSV row has no place for the value")
-    spec, penta, token, symbol = _resolve_symbol(args)
+def cmd_coeffs(args) -> tuple[int, Iterable[str]]:
+    spec, penta, _, symbol = _resolve_symbol(args)
     coeffs = fourier_coefficients(spec) if spec is not None else penta_coefficients(*penta)
     report = {
         "command": "coeffs",
@@ -317,19 +317,14 @@ def cmd_coeffs(args) -> tuple[int, Optional[dict], Iterable[str]]:
         if deco is not None:
             value = deco.scale * value + deco.shift
         report["eval"] = {"x": x, "value": value}
-    n = coeffs.half_bandwidth
-    lines = [f"# command=coeffs symbol={token}", "k,re,im"]
-    for k in range(-n, n + 1):
-        z = coeffs[k]
-        lines.append(f"{k},{_fmt(z.real)},{_fmt(z.imag)}")
-    return 0, report, lines
+    return 0, [json.dumps(report, indent=2)]
 
 
-def cmd_check(args) -> tuple[int, Optional[dict], Iterable[str]]:
+def cmd_check(args) -> tuple[int, Iterable[str]]:
     from .boundary import BoundaryKind
     from .spectra import check_bracketing, check_bracketing_penta
 
-    spec, penta, token, symbol = _resolve_symbol(args)
+    spec, penta, _, symbol = _resolve_symbol(args)
     size1, size2 = _split_sizes(args.split)
     if spec is not None:
         neumann = (
@@ -350,19 +345,13 @@ def cmd_check(args) -> tuple[int, Optional[dict], Iterable[str]]:
         "tol": report.rel_tol,
         "version": __version__,
     }
-    lines = [
-        f"# command=check symbol={token} sizes={report.size1},{report.size2}",
-        "inequality,margin,verdict",
-    ]
-    for name in ("floor_nn", "nn_vs_0n", "lower", "upper"):
-        lines.append(f"{name},{_fmt(report.margins[name])},{report.verdicts[name]}")
-    return (0 if report.all_hold else 1), payload, lines
+    return (0 if report.all_hold else 1), [json.dumps(payload, indent=2)]
 
 
-def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
+def cmd_gap(args) -> tuple[int, Iterable[str]]:
     from .spectra import gap_scan, sampled_gap_floor
 
-    spec, _, token, symbol = _resolve_symbol(args)
+    spec, _, _, symbol = _resolve_symbol(args)
     if spec is None:
         raise CliUsageError("gap scans need --factors (a product symbol)")
     sizes = parse_int_list(args.sizes, "sizes")
@@ -374,8 +363,7 @@ def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
             f"c_empirical = min gap * L**{2 * report.alpha_max} leaves the float64 range;"
             " use smaller sizes"
         )
-    # The sampled floors appear only in the JSON report.
-    payload = None if args.format == "csv" else {
+    payload = {
         "command": "gap",
         "symbol": symbol,
         "sizes": [s for s, _ in report.records],
@@ -391,18 +379,10 @@ def cmd_gap(args) -> tuple[int, Optional[dict], Iterable[str]]:
         "seed": _FLOOR_SEED,
         "version": __version__,
     }
-    lines = [
-        f"# command=gap symbol={token} alpha_max={report.alpha_max}",
-        f"# slope={_fmt(report.slope)} intercept={_fmt(report.intercept)}"
-        f" c_empirical={_fmt(report.c_empirical)}",
-        "size,gap",
-    ]
-    for s, g in report.records:
-        lines.append(f"{s},{_fmt(g)}")
-    return 0, payload, lines
+    return 0, [json.dumps(payload, indent=2)]
 
 
-def cmd_export(args) -> tuple[int, Optional[dict], Iterable[str]]:
+def cmd_export(args) -> tuple[int, Iterable[str]]:
     from .boundary import BoundaryKind, _split_block, _window, _window_corners
     from .matrices import _require_size
 
@@ -452,7 +432,7 @@ def cmd_export(args) -> tuple[int, Optional[dict], Iterable[str]]:
             if deco is not None:
                 top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
             rows = _window_lines(coeffs, size, _window(coeffs, 2 * n + 1, top, bottom).entries)
-    return 0, None, itertools.chain([f"# dim={size} symbol={token} bc={bc_token}"], rows)
+    return 0, itertools.chain([f"# dim={size} symbol={token} bc={bc_token}"], rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,20 +444,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_symbol_opts(p):
-        p.add_argument("--factors", help="comma list of ANGLE:MULTIPLICITY, angles in radians (pi token allowed)")
-        p.add_argument("--penta", help="pentadiagonal coefficients a0,a1,a2")
+        p.add_argument("--factors", help="comma list of ANGLE:MULTIPLICITY, angles in radians (pi token allowed);"
+                       " a leading minus as --factors=-1:1")
+        p.add_argument("--penta", help="pentadiagonal coefficients a0,a1,a2; a leading minus as --penta=-1,-4,1")
 
     def add_out_opt(p):
         p.add_argument("--out", help="write output to this path instead of stdout")
 
-    def add_io_opts(p):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        add_out_opt(p)
-
     p = sub.add_parser("coeffs", help="coefficient row of a symbol")
     add_symbol_opts(p)
-    p.add_argument("--eval", help="also evaluate the symbol at this angle")
-    add_io_opts(p)
+    p.add_argument("--eval", help="also evaluate the symbol at this angle; a leading minus as --eval=-pi/3")
+    add_out_opt(p)
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("check", help="certify the bracketing inequality chain")
@@ -488,13 +465,13 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="substitute the classic Toeplitz-plus-Hankel condition (brackets only the plain Laplacian 0:1)",
     )
-    add_io_opts(p)
+    add_out_opt(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("gap", help="spectral-gap scan over window sizes")
     add_symbol_opts(p)
     p.add_argument("--sizes", required=True, help="comma list of window sizes")
-    add_io_opts(p)
+    add_out_opt(p)
     p.set_defaults(func=cmd_gap)
 
     p = sub.add_parser("export", help="write a constructed matrix as CSV")
@@ -516,9 +493,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Run one command and return its exit status (see the module docstring)."""
     args = build_parser().parse_args(argv)
     try:
-        code, report, lines = args.func(args)
-        if report is not None and args.format == "json":
-            lines = [json.dumps(report, indent=2)]
+        code, lines = args.func(args)
         _emit(lines, args.out)
         return code
     except (KernelMismatchError, NoConvergenceError) as exc:

@@ -355,6 +355,8 @@ def confluent_vandermonde_abs(
     """
     z = np.asarray(nodes, dtype=np.complex128)
     alpha = [int(m) for m in multiplicities]
+    if len(z) == 0:
+        raise ValueError("need at least one node, got none")
     if len(z) != len(alpha) or any(m < 1 for m in alpha):
         raise ValueError("need one positive multiplicity per node")
     if np.abs(np.abs(z) - 1.0).max() > 1e-9:
@@ -394,6 +396,8 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
     if grid_size < 1:
         raise ValueError("grid size must be positive")
     es = [reduce_angle(e) for e in angles]
+    if not es:
+        raise ValueError("need at least one angle, got none")
     for i in range(len(es)):
         for j in range(i + 1, len(es)):
             if circular_distance(es[i], es[j]) <= ANGLE_TOL:

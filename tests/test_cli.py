@@ -340,20 +340,21 @@ class TestCoeffs:
         assert code == 0
         assert_allclose(values, [1, 2, 1], atol=1e-15)
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(capsys, "coeffs", "--factors", "0:1", "--format", "csv")
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[1] == "k,re,im"
-        assert lines[2].startswith("-1,")
-
-    def test_eval_with_csv_is_refused(self, capsys):
-        # The CSV row has no place for the value: refuse rather than drop it.
-        argv = ["coeffs", "--factors", "0:1", "--eval", "3.14159", "--format", "csv"]
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["coeffs", "--factors=-0.5:1"],
+            ["coeffs", "--penta=-1,-4,1"],
+            ["coeffs", "--factors", "0:1", "--eval=-pi/3"],
+        ],
+    )
+    def test_negative_leading_value_joined_by_equals(self, capsys, argv):
+        # argparse reads a separate "-0.5:1" as an option; joined by "=" it
+        # is the option's value, and an angle is reduced as any other.
         code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: --eval needs --format json: the CSV row has no place for the value\n"
+        assert (code, err) == (0, "")
+        if argv[1].startswith("--factors="):
+            assert out == run_cli(capsys, "coeffs", "--factors", "5.783185307179586:1")[1]
 
     def test_byte_stability(self, capsys):
         _, first, _ = run_cli(capsys, "coeffs", "--factors", "0:1,2.0:1")
@@ -439,15 +440,6 @@ class TestCheck:
         assert code == 2
         assert "error" in err
 
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "check", "--factors", "0:2", "--split", "7,7", "--format", "csv"
-        )
-        assert code == 0
-        lines = out.strip().splitlines()
-        assert lines[1] == "inequality,margin,verdict"
-        assert len(lines) == 6
-
 
 _LIBRARY_ERRORS = [
     cls
@@ -519,17 +511,12 @@ class TestGap:
         assert payload["kernel_dim"] == 2
         assert len(payload["records"]) == 3
 
-    def test_csv_rows(self, capsys, tmp_path):
-        out_path = tmp_path / "gap.csv"
-        code, _, _ = run_cli(
-            capsys,
-            "gap", "--factors", "0:1", "--sizes", "8,16,32",
-            "--format", "csv", "--out", str(out_path),
-        )
-        assert code == 0
-        lines = out_path.read_text().strip().splitlines()
-        assert lines[2] == "size,gap"
-        assert [row.split(",")[0] for row in lines[3:]] == ["8", "16", "32"]
+    def test_out_file_holds_the_stdout_bytes(self, capsys, tmp_path):
+        out_path = tmp_path / "gap.json"
+        argv = ["gap", "--factors", "0:1", "--sizes", "8,16,32"]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(out_path))
+        assert (code, out) == (0, "")
+        assert out_path.read_bytes() == run_cli(capsys, *argv)[1].encode()
 
     def test_seed_is_refused_before_any_scan(self, capsys, monkeypatch):
         # The floors are sampled with the fixed seed 0 that the report prints.
@@ -545,9 +532,12 @@ class TestGap:
         assert captured.out == ""
         assert "unrecognized arguments: --seed" in captured.err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_floors_are_computed_only_for_the_json_report(self, capsys, monkeypatch, fmt):
-        # The CSV rows carry no floor column, so a CSV scan samples none.
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_floors_are_computed_only_for_the_json_report(
+        self, capsys, monkeypatch, tmp_path, suffix
+    ):
+        # The JSON report is the only report: whatever the --out file is
+        # called, every gap samples one floor per size and reports it.
         sampled = []
 
         def floor(spec, size, seed):
@@ -555,25 +545,30 @@ class TestGap:
             return 0.0
 
         monkeypatch.setattr(spectra, "sampled_gap_floor", floor)
-        code, _, _ = run_cli(
-            capsys, "gap", "--factors", "0:1", "--sizes", "8,16,32", "--format", fmt
+        out_path = tmp_path / f"gap.{suffix}"
+        code, out, _ = run_cli(
+            capsys, "gap", "--factors", "0:1", "--sizes", "8,16,32", "--out", str(out_path)
         )
-        assert code == 0
-        assert sampled == ([8, 16, 32] if fmt == "json" else [])
+        assert (code, out) == (0, "")
+        assert sampled == [8, 16, 32]
+        records = json.loads(out_path.read_text())["records"]
+        assert [record["floor"] for record in records] == [0.0] * 3
 
     def test_penta_rejected(self, capsys):
         code, _, err = run_cli(capsys, "gap", "--penta", "6,-4,1", "--sizes", "8,16")
         assert code == 2
         assert "factors" in err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_observed_constant_past_float_range_is_usage_error(self, capsys, fmt):
+    @pytest.mark.parametrize("suffix", ["json", "csv"])
+    def test_observed_constant_past_float_range_is_usage_error(self, capsys, tmp_path, suffix):
         # 500**240 has no float64 value, and a power k**119 of the kernel
         # basis would not either before it is normalized.
-        argv = ["gap", "--factors", "0:120", "--sizes", "480,500", "--format", fmt]
+        out_path = tmp_path / f"gap.{suffix}"
+        argv = ["gap", "--factors", "0:120", "--sizes", "480,500", "--out", str(out_path)]
         code, out, err = run_cli(capsys, *argv)
         assert code == 2
         assert out == ""
+        assert not out_path.exists()
         assert err.startswith("error: c_empirical") and err.count("\n") == 1
         assert not any(word in err.lower() for word in ("traceback", "nan", "inf"))
 
@@ -760,14 +755,28 @@ class TestExport:
         assert "/nonexistent-dir/m.csv" in err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_format_is_not_an_export_option(self, capsys, fmt):
-        # export always writes CSV, so it takes no --format it would ignore.
-        with pytest.raises(SystemExit) as exc:
-            main(["export", "--factors", "0:1", "--size", "5", "--format", fmt])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments: --format" in captured.err
+    def test_format_is_not_an_export_option(self, capsys, monkeypatch, fmt):
+        # Nor an option of any command: export always writes CSV and the
+        # others their one JSON report, so each is refused before it reads
+        # the symbol or starts a certificate, scan or floor.
+        def reached(*args, **kwargs):
+            pytest.fail("a command was started")
+
+        monkeypatch.setattr(cli, "_resolve_symbol", reached)
+        for name in ("check_bracketing", "check_bracketing_penta", "gap_scan", "sampled_gap_floor"):
+            monkeypatch.setattr(spectra, name, reached)
+        for argv in (
+            ["coeffs", "--factors", "0:1"],
+            ["check", "--factors", "0:1", "--split", "7,9"],
+            ["gap", "--factors", "0:1", "--sizes", "8,16"],
+            ["export", "--factors", "0:1", "--size", "5"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--format", fmt])
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments: --format" in captured.err
 
     @pytest.mark.parametrize("symbol", [["--factors", "1.0:1,2.5:2"], ["--penta", "5.3,-2.7,0.9"]])
     def test_size_is_checked_before_the_corners(self, capsys, symbol):

@@ -35,7 +35,7 @@ LAPACK_SOLVERS = ("eigvalsh", "eigh", "eig", "eigvals", "svd")
 
 CLI_RUNS = [
     ["coeffs", "--factors", "0:2", "--eval", "pi/3"],
-    ["coeffs", "--penta", "6,-4,1", "--format", "csv"],
+    ["coeffs", "--penta", "6,-4,1"],
     ["check", "--factors", "0:1,2.0:1", "--split", "7,9"],
     ["check", "--factors", "0:2", "--split", "7,7", "--classic-neumann"],
     ["check", "--penta", "6,-4,1", "--split", "8,8"],

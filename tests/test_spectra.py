@@ -525,6 +525,9 @@ class TestConfluentVandermonde:
     def test_off_circle_rejected(self):
         with pytest.raises(ValueError):
             confluent_vandermonde_abs([0.5], [2])
+        # No nodes: refused before the off-circle test reduces an empty array.
+        with pytest.raises(ValueError, match="at least one node"):
+            confluent_vandermonde_abs([], [])
 
 
 def exhaustive_grid_distance(angles, shift, size):
@@ -568,6 +571,9 @@ class TestGridShift:
     def test_duplicate_angles_rejected(self):
         with pytest.raises(ValueError):
             grid_shift([1.0, 1.0], 10)
+        # No angles: refused before the first one is read as the anchor.
+        with pytest.raises(ValueError, match="at least one angle"):
+            grid_shift([], 10)
 
     @pytest.mark.parametrize("angles", [[1.0, 1.0 + 5e-13], [TWO_PI, 1e-13]], ids=["close", "across-wrap"])
     def test_angles_within_the_angle_tolerance_rejected(self, angles):
