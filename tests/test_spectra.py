@@ -264,10 +264,59 @@ def test_modified_certificate_takes_one_pass_per_kind(passes, call):
 
 def test_random_modified_certificates_take_one_pass_per_kind(passes, rng):
     for _ in range(12):
-        spec = random_spec(rng)
+        spec = random_spec(rng, max_factors=4, max_mult=3)
         passes.clear()
-        check_bracketing(spec, *random_split(rng, spec.degree, 60))
+        check_bracketing(spec, *random_split(rng, spec.degree, 300))
         assert passes and len(passes) == len(set(passes)), spec
+
+
+@pytest.mark.parametrize(
+    "call,margins",
+    [
+        (
+            lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
+            ["-0x1.7fae9248e17a6p-45", "0x0.0p+0", "-0x1.7fae9248e17a6p-45"],
+        ),
+        (
+            lambda: check_bracketing(make_symbol([(0.3, 3), (2.0, 3)]), 64, 64),
+            ["-0x1.4fdd27fc555dcp-36", "0x0.0p+0", "0x0.0p+0"],
+        ),
+        (
+            lambda: check_bracketing(
+                make_symbol([(0.34, 3), (1.79, 1), (3.24, 2), (5.07, 2)]), 200, 201
+            ),
+            ["-0x1.4e2dbb2ee1594p-40", "0x0.0p+0", "-0x1.4e2dbb2ee1594p-40"],
+        ),
+        (
+            lambda: check_bracketing(
+                make_symbol([(0.5, 3), (2.1, 2), (3.7, 3), (5.2, 2)]), 150, 151
+            ),
+            ["-0x1.d57395e77cfd0p-39", "0x0.0p+0", "-0x1.38f7b944fdf19p-40"],
+        ),
+        (
+            lambda: check_bracketing_penta(6.0, -4.0, 1.0, 8, 8)[0],
+            ["-0x1.6800000000000p-44", "0x0.0p+0", "-0x1.6800000000000p-44"],
+        ),
+    ],
+    ids=["large", "degree6", "degree8", "degree10", "penta_real"],
+)
+def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, call, margins):
+    # Each of the four windows takes one pass, of the 9 shifts k * w for
+    # |k| <= 4, so a wider grid fails here instead of passing as a silent
+    # slowdown.  The grid also decides where a margin lands within w, so
+    # the bits of floor_nn, nn_vs_0n and lower (upper is lower) are pinned.
+    widths = []
+    one_pass = spectra._pass
+
+    def spy(jobs, shifts):
+        widths.append([len(s) for s in shifts])
+        return one_pass(jobs, shifts)
+
+    monkeypatch.setattr(spectra, "_pass", spy)
+    report = call()
+    assert sum(widths, []) == [9, 9, 9, 9]
+    assert report.all_hold
+    assert [report.floor_nn.hex(), report.delta_nn.hex(), report.delta_lower.hex()] == margins
 
 
 def test_gap_scan_keeps_its_passes_and_values(passes):
@@ -738,12 +787,13 @@ class TestBandedLambdaMin:
         return coeffs, 2, corner, expect
 
     @pytest.mark.parametrize("expect", ["zero", "min0"])
-    @pytest.mark.parametrize("k", [0, 16, -16, 17, -17])
+    @pytest.mark.parametrize("k", [0, 4, -4, 5, -5, 16, -16, 17, -17])
     def test_seeded_first_pass_edges(self, passes, expect, k):
-        # The grid pass tests k * w for |k| <= 16, its end points included:
-        # lambda_min = -16w fails its lowest shift and falls back to
-        # [-r, -16w]; 17w passes its highest and falls back to [16w, r],
-        # except for "min0", which stops there and reports 0.
+        # The grid pass tests k * w for |k| <= 4, its end points included:
+        # lambda_min = -4w fails its lowest shift and falls back to
+        # [-r, -4w]; 5w passes its highest and falls back to [4w, r],
+        # except for "min0", which stops there and reports 0.  |k| = 16
+        # and 17 lie well outside the grid.
         window = self.dyadic_window(k * self.W, expect)
         dense = dense_window(*window)
         assert np.abs(dense).sum(axis=1).max() < 1.0
@@ -756,7 +806,7 @@ class TestBandedLambdaMin:
             assert value == 0.0 or k <= 0
         else:
             assert abs(value - exact) <= self.W
-        one_pass = -16 < k <= 16 or (expect == "min0" and k > 0)
+        one_pass = -4 < k <= 4 or (expect == "min0" and k > 0)
         assert (len(passes) == 1) == one_pass, passes
 
     def test_grid_step_wider_than_w_still_ends_the_pass(self, passes):
