@@ -37,9 +37,11 @@ verification failure (``KernelMismatchError``, ``NoConvergenceError``,
 reported as ``verification failure:``); 2 on any other library error, a
 ``ValueError`` or a usage error (``error:``).  ``coeffs --eval`` evaluates
 g with ``evaluate_symbol``, in product form, and a ``--penta`` row as
-scale * g + shift.  ``export`` builds no window of its size:
-its lines are generated from the band, the 2N edge rows of a window of
-size 2N+1 or the 2N rows of the split block, and written as they are
+scale * g + shift.  ``export`` builds no matrix of its size: one row
+writer lays out every banded export (toeplitz, restricted, ``--penta``,
+circulant) from its model, the same matrix at size 2N+1, which is the
+window with its corners or the circulant with its wrap; ``lap2-diff``
+writes the 2N rows of the split block.  Rows are written as they are
 formed, after every check.  Its output grows as L**2, so a size above
 4096 (for ``--split`` the sum L1+L2) is a usage error, refused before
 anything is written; ``gap --sizes`` keeps the same cap, its kernel
@@ -73,7 +75,6 @@ from typing import Iterable, Iterator, Optional, Sequence
 from . import __version__
 from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
 from .symbols import (
-    BandedCoeffs,
     SymbolSpec,
     decompose_pentadiagonal,
     evaluate_symbol,
@@ -234,34 +235,28 @@ def _line(size: int, *runs: tuple[int, list[str]]) -> str:
     return ",".join(parts) + f",{_ZERO}" * (size - col)
 
 
-def _window_lines(coeffs: BandedCoeffs, size: int, edge) -> Iterator[str]:
-    """The rows of ``boundary._window`` at ``size``, from ``edge``, its entries at size 2N+1.
+def _window_lines(size: int, model) -> Iterator[str]:
+    """The rows of a banded export at ``size`` from ``model``, its matrix at size 2N+1.
 
-    Rows N..size-N-1 hold only the band.  The first and last N rows of
-    ``edge`` are the edge rows of every larger window, made by the same
-    additions, so only the zeros between band and far edge are added.
+    ``model`` is a ``boundary._window`` or a ``matrices.circulant_periodic``.
+    Row i < N of the export is model row i, split after column i+N; rows
+    N..size-N-1 are model row N, the band, at column i-N; row size-N+r is
+    model row N+1+r, split after column r.  The part of a split row after
+    its split moves right by size - (2N+1), and ``_line`` writes the zeros
+    between, so a corner stays at its edge and a wrap reaches round.
     """
-    n = coeffs.half_bandwidth
-    band = _cells(coeffs.a)
-    for row in edge[:n]:
-        yield _line(size, (0, _cells(row)))
-    for i in range(n, size - n):
-        yield _line(size, (i - n, band))
-    for row in edge[n + 1 :]:
-        yield _line(size, (size - 2 * n - 1, _cells(row)))
+    n = model.dim // 2
+    rows = [_cells(row) for row in model.entries]
 
+    def split(row: list[str], col: int) -> str:
+        return _line(size, (0, row[: col + 1]), (size - 2 * n + col, row[col + 1 :]))
 
-def _circulant_lines(coeffs: BandedCoeffs, size: int) -> Iterator[str]:
-    """The rows of ``matrices.circulant_periodic``: the band, which wraps
-    round in the first and last N rows.  Its cells are the row's own."""
-    n = coeffs.half_bandwidth
-    band = _cells(coeffs.a)
     for i in range(n):
-        yield _line(size, (0, band[n - i :]), (size - n + i, band[: n - i]))
+        yield split(rows[i], i + n)
     for i in range(n, size - n):
-        yield _line(size, (i - n, band))
+        yield _line(size, (i - n, rows[n]))
     for r in range(n):
-        yield _line(size, (0, band[2 * n - r :]), (size - 2 * n + r, band[: 2 * n - r]))
+        yield split(rows[n + 1 + r], r)
 
 
 def _split_lines(block, size1: int, size2: int) -> Iterator[str]:
@@ -384,7 +379,7 @@ def cmd_gap(args) -> tuple[int, Iterable[str]]:
 
 def cmd_export(args) -> tuple[int, Iterable[str]]:
     from .boundary import BoundaryKind, _split_block, _window, _window_corners
-    from .matrices import _require_size
+    from .matrices import _require_size, circulant_periodic
 
     spec, penta, token, _ = _resolve_symbol(args)
     kind = args.matrix or ("restricted" if args.bc else "toeplitz")
@@ -414,7 +409,7 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
         _require_within_cap(size, "--size")
         if kind == "circulant":
             _require_size(size, 2 * n + 1)
-            rows = _circulant_lines(coeffs, size)
+            model = circulant_periodic(coeffs, 2 * n + 1)
             bc_token = "per"
         else:
             # A toeplitz window is the restricted one with two simple edges.
@@ -431,7 +426,8 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
             top, bottom = _window_corners(deco.spec if deco else spec, left, right)
             if deco is not None:
                 top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
-            rows = _window_lines(coeffs, size, _window(coeffs, 2 * n + 1, top, bottom).entries)
+            model = _window(coeffs, 2 * n + 1, top, bottom)
+        rows = _window_lines(size, model)
     return 0, itertools.chain([f"# dim={size} symbol={token} bc={bc_token}"], rows)
 
 

@@ -8,7 +8,8 @@ included, keeps half-bandwidth N.  The matrices here are stored densely,
 for the Jacobi engine and the test oracles; the certificates and gap
 computations in ``spectra``, and the CLI's export, work from the
 coefficient row and the N x N corner blocks instead and build no window
-of their size.
+of their size.  A circulant export lays out its rows from the
+``circulant_periodic`` of size 2N+1, whose wrap is the only one.
 """
 
 from __future__ import annotations

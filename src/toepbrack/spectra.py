@@ -374,11 +374,13 @@ def confluent_vandermonde_abs(
 
 
 def _lattice_distance(angle: float, shift: float, grid_size: int) -> float:
-    """Circular distance from ``angle`` to the shifted grid {2*pi*k/L - shift}."""
+    """Circular distance from ``angle`` to the shifted grid {2*pi*k/L - shift}.
+
+    Both angles lie in (0, 2*pi], as ``grid_shift`` reduces them, so the
+    remainder is never negative.
+    """
     step = TWO_PI / grid_size
     r = math.fmod(angle + shift, step)
-    if r < 0.0:
-        r += step
     return min(r, step - r)
 
 

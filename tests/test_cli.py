@@ -396,6 +396,12 @@ class TestCheck:
         assert all(payload["verdicts"].values())
         assert payload["symbol_floor"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_classic_neumann_needs_factors(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", "--penta", "6,-4,1", "--split", "8,8", "--classic-neumann"
+        )
+        assert (code, out, err) == (2, "", "error: --classic-neumann is only supported with --factors\n")
+
     @pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1e-9", "0.1"])
     def test_bad_tol_refused_before_any_build(self, capsys, monkeypatch, tol):
         # The threshold is fixed, so no --tol can loosen the failing classic
@@ -611,9 +617,9 @@ class TestDenseSizeGuard:
 
         window_lines = cli._window_lines
 
-        def small_window(coeffs, size, edge):
+        def small_window(size, model):
             seen.append(size)
-            return window_lines(coeffs, 8, edge)
+            return window_lines(8, model)
 
         monkeypatch.setattr(cli, "_window_lines", small_window)
         code, _, _ = run_cli(capsys, "export", "--factors", "0:1", "--size", "4096")
@@ -794,6 +800,19 @@ class TestExport:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--bc", "n", "--size", "5"], "--bc needs two side codes from {0,n,d,c}, e.g. nn or 0d"),
+            (["--bc", "nnn", "--size", "5"], "--bc needs two side codes from {0,n,d,c}, e.g. nn or 0d"),
+            (["--matrix", "lap2-diff", "--size", "8"], "--matrix lap2-diff needs --split L1,L2"),
+        ],
+        ids=["bc-n", "bc-nnn", "lap2-diff-without-split"],
+    )
+    def test_malformed_export_is_refused_with_its_message(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "export", "--factors", "0:2", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("matrix", ["toeplitz", "circulant", "lap2-diff"])
     def test_bc_needs_the_restricted_matrix(self, capsys, matrix):
         # A boundary code on another kind would be dropped without a word.
@@ -972,7 +991,8 @@ class TestMatrixCsv:
 
     def test_signed_zeros_keep_their_sign(self):
         # No symbol of the CLI yields a signed zero, so the row writers get
-        # them directly: in the band, in the corners and in a split block.
+        # them directly: in the band, in the corners, in the wrap of a
+        # circulant model and in a split block.
         entries = np.array(
             [
                 [complex(-0.0, 0.0), complex(0.0, -0.0), 0, complex(-0.0, -0.0)],
@@ -990,14 +1010,15 @@ class TestMatrixCsv:
         coeffs = banded_coefficients([1, complex(-0.0, 0.0), complex(-0.0, 0.0), complex(-0.0, -0.0), 1])
         corner = np.array([[complex(-0.0, 0.0), complex(0.0, -0.0)], [complex(0.0, 0.0), complex(-0.0, 0.0)]])
         for top, bottom in ((None, corner), (corner, None), (corner, corner)):
-            edge = _window(coeffs, 5, top, bottom).entries
+            model = _window(coeffs, 5, top, bottom)
             for size in (5, 9):
                 dense = _window(coeffs, size, top, bottom)
-                rows = _rows_text(cli._window_lines(coeffs, size, edge))
+                rows = _rows_text(cli._window_lines(size, model))
                 assert rows == _per_cell_csv(dense, "s", "x").split("\n", 1)[1]
                 assert "-0+0i" in rows
+        model = circulant_periodic(coeffs, 5)
         for size in (5, 9):
-            rows = _rows_text(cli._circulant_lines(coeffs, size))
+            rows = _rows_text(cli._window_lines(size, model))
             assert rows == _per_cell_csv(circulant_periodic(coeffs, size), "s", "x").split("\n", 1)[1]
             assert "-0+0i" in rows and ",0-0i" in rows
         padded = np.zeros((9, 9), dtype=complex)

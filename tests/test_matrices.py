@@ -40,6 +40,10 @@ class TestHermitianConstructor:
         with pytest.raises(ValueError):
             hermitian(np.zeros((2, 3)))
 
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="dimension must be positive"):
+            hermitian(np.zeros((0, 0)))
+
     def test_symmetrizes_exactly(self):
         m = hermitian([[1.0, 2.0 + 1.0j], [2.0 - 1.0j, 3.0]])
         assert np.array_equal(m.entries, m.entries.conj().T)
@@ -49,6 +53,15 @@ class TestHermitianConstructor:
     def test_row_sum_norm(self):
         m = hermitian([[2.0, -1.0], [-1.0, 2.0]])
         assert m.row_sum_norm() == 3.0
+
+    def test_sum_is_entrywise_and_read_only(self):
+        a = hermitian([[2.0, 1.0j], [-1.0j, 2.0]])
+        b = hermitian([[1.0, -1.0], [-1.0, 3.0]])
+        s = a + b
+        assert np.array_equal(s.entries, [[3.0, -1.0 + 1.0j], [-1.0 - 1.0j, 5.0]])
+        assert np.array_equal((s - b).entries, a.entries)
+        with pytest.raises(ValueError):
+            s.entries[0, 0] = 0.0
 
 
 class TestToeplitzFinite:

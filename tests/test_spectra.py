@@ -578,6 +578,11 @@ class TestConfluentVandermonde:
         with pytest.raises(ValueError, match="at least one node"):
             confluent_vandermonde_abs([], [])
 
+    @pytest.mark.parametrize("mults", [[1], [1, 0]], ids=["one-too-few", "zero"])
+    def test_one_positive_multiplicity_per_node(self, mults):
+        with pytest.raises(ValueError, match="one positive multiplicity per node"):
+            confluent_vandermonde_abs([1.0, -1.0], mults)
+
 
 def exhaustive_grid_distance(angles, shift, size):
     grid = (TWO_PI * np.arange(1, size + 1) / size - shift) % TWO_PI
@@ -623,6 +628,10 @@ class TestGridShift:
         # No angles: refused before the first one is read as the anchor.
         with pytest.raises(ValueError, match="at least one angle"):
             grid_shift([], 10)
+
+    def test_grid_size_must_be_positive(self):
+        with pytest.raises(ValueError, match="grid size must be positive"):
+            grid_shift([0.5], 0)
 
     @pytest.mark.parametrize("angles", [[1.0, 1.0 + 5e-13], [TWO_PI, 1e-13]], ids=["close", "across-wrap"])
     def test_angles_within_the_angle_tolerance_rejected(self, angles):

@@ -63,6 +63,10 @@ class TestMakeSymbol:
             make_symbol([(1.0, -2)])
         with pytest.raises(InvalidMultiplicityError):
             make_symbol([])
+        # A multiplicity that int() cannot read at all.
+        for mult in (None, "x"):
+            with pytest.raises(InvalidMultiplicityError):
+                make_symbol([(0.0, mult)])
 
     @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
     def test_non_finite_angle_is_refused(self, angle):
