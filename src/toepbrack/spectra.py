@@ -34,7 +34,11 @@ is 0 in exact arithmetic (``nn_vs_0n`` only as min(0, lambda) of a
 positive definite window), so each certificate window's first pass tests
 the 9 shifts k*w, |k| <= 4, around 0, w the stopping width, and usually
 ends the multisection at once; a gap bracket starts at [0, r] and narrows
-32-fold per pass.  Neither a certificate nor a gap builds an L x L matrix.
+32-fold per level.  A row loop after a uniform pass also runs the next
+level, as a twin job on the bracket that the secant through the pass's
+pivots predicts, and keeps it only when the prediction held, so a gap
+takes about 8 row loops instead of 10 with every bit unchanged.  Neither a
+certificate nor a gap builds an L x L matrix.
 A cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
 reference of the test suite and the benchmark baseline; no command calls
 it.  The sampled gap floor evaluates g with ``symbols.evaluate_symbol``, in
@@ -424,6 +428,9 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
 
 
 _SHIFTS = 31
+# A uniform pass tests lo + (hi - lo) * _STEPS, the interior points of 32 equal parts.
+_STEPS = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+_STEPS.flags.writeable = False
 # A window expected at 0 first tests the shifts k*w, |k| <= 4.  Every such
 # window of benchmark seeds 1-20 and of 400 random certificates up to
 # N = 12 lands in [-w, 0] or [0, w], or ("min0") at or above 0, so a wider
@@ -442,6 +449,15 @@ def _band_index(n: int) -> np.ndarray:
     index = n + k[None, :] - k[:, None]
     index.flags.writeable = False
     return index
+
+
+@functools.cache
+def _unit_row(n: int) -> np.ndarray:
+    """Read-only row N of the (N+1) x (N+1) identity, as an (N+1, 1) column
+    of the block: the decoupled row of a meeting."""
+    unit = np.eye(n + 1)[n, :, None]
+    unit.flags.writeable = False
+    return unit
 
 
 def _window_setup(coeffs: BandedCoeffs, top: np.ndarray | None) -> tuple:
@@ -511,6 +527,9 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     with g >= 0.  A uniform pass tests its 31 equispaced interior shifts,
     which shrinks it 32-fold, down to the banded Cholesky backward-error
     scale w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
+    A row loop after a uniform pass may also run the pass after it, on a
+    bracket predicted from the pivots (:func:`_multisection`), which
+    saves row loops and changes no bit of any result.
 
     ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
     (the floors of a bracketing certificate).  The first pass then tests
@@ -531,7 +550,7 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
-    A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap].
+    A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap, pivots].
     """
     jobs, setups = [], {}
     for coeffs, m, top, *expect in windows:
@@ -549,7 +568,7 @@ def _banded_lambda_mins(windows: Sequence[tuple]) -> list[float]:
         # block (rows p..p+N-1).
         p = (m - n + 1) // 2
         cap = 0.0 if expect == "min0" else math.inf
-        jobs.append([template, m - n - p, p, body, tol, lo, hi, None if expect is None else grid, cap])
+        jobs.append([template, m - n - p, p, body, tol, lo, hi, None if expect is None else grid, cap, None])
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
@@ -569,26 +588,93 @@ def _open(job: list) -> bool:
 
 def _multisection(jobs: list[list]) -> None:
     """Narrow the bracket job[5:7] of each job [template, q, p, T_N(g), tol,
-    lo, hi, grid, cap], all of one arithmetic kind, one row loop
-    (:func:`_pass`) per pass.  A pass tests the job's ``grid`` if it has
-    one, else 31 equispaced interior shifts of its bracket.  A job stops
-    when its bracket is no wider than tol, or lies at or above cap, or
-    when its grid pass found the sign change inside the grid."""
-    steps = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
+    lo, hi, grid, cap, pivots], all of one arithmetic kind, one row loop
+    (:func:`_pass`) per pass or, with a twin, per two passes.  A pass
+    tests the job's ``grid`` if it has one, else 31 equispaced interior
+    shifts of its bracket.  A job stops when its bracket is no wider than
+    tol, or lies at or above cap, or when its grid pass found the sign
+    change inside the grid.
+
+    After a uniform pass the secant through the running minimum pivots of
+    the two highest shifts that passed (:func:`_estimate`) may give an
+    estimate of the eigenvalue.  The next row loop then also runs the pass
+    after it, as a twin job (:func:`_twin`) on the bracket that the
+    estimate predicts.  When the window leaves exactly that bracket, the
+    uniform engine would go on, and the twin's first failing shift is one
+    it tested, the twin's count narrows the bracket once more; otherwise
+    the twin is dropped.  Either way every bracket is bitwise that of one
+    uniform pass per row loop: a column's arithmetic does not depend on
+    its batch, the twin's shifts are the floats lo + (hi - lo) * _STEPS
+    that the next uniform pass would test, and a pass reads nothing above
+    its first failing shift.  A grid pass gives no estimate, so a
+    certificate that its grid pass settles runs no twin.  The next
+    estimate comes from the twin when its count was used."""
     jobs = [job for job in jobs if _open(job)]
+    guesses = [None] * len(jobs)
     while jobs:
-        shifts = [lo + (hi - lo) * steps if grid is None else grid for *_, lo, hi, grid, _ in jobs]
-        remaining = []
-        for job, s, count in zip(jobs, shifts, _pass(jobs, shifts)):
-            if count > 0:
-                job[5] = float(s[count - 1])
-            if count < len(s):
-                job[6] = float(s[count])
-            closed = job[7] is not None and 0 < count < len(s)
+        batch, shifts, twins = [], [], []
+        for job, guess in zip(jobs, guesses):
+            lo, hi, grid = job[5:8]
+            batch.append(job)
+            shifts.append(lo + (hi - lo) * _STEPS if grid is None else grid)
+            twin = None if guess is None else _twin(job, shifts[-1], guess)
+            if twin:
+                batch.append(twin[0])
+                shifts.append(twin[1])
+            twins.append(twin)
+        passes = iter(zip(batch, shifts, _pass(batch, shifts)))
+        jobs, guesses = [], []
+        for twin in twins:
+            job, s, count = next(passes)
+            uniform = job[7] is None
+            _narrow(job, s, count)
+            closed = not uniform and 0 < count < len(s)
             job[7] = None
+            last = (job, s, count) if uniform else None
+            if twin:
+                ahead = next(passes)
+                _, s, count = ahead
+                if job[5:7] == twin[0][5:7] and count < len(s) and _open(job):
+                    _narrow(job, s, count)
+                    last = ahead
             if not closed and _open(job):
-                remaining.append(job)
-        jobs = remaining
+                jobs.append(job)
+                guesses.append(None if last is None else _estimate(*last))
+
+
+def _narrow(job: list, shifts: np.ndarray, count: int) -> None:
+    """Set job's bracket to the one a pass over ``shifts`` with ``count`` leaves."""
+    if count > 0:
+        job[5] = float(shifts[count - 1])
+    if count < len(shifts):
+        job[6] = float(shifts[count])
+
+
+def _estimate(job: list, shifts: np.ndarray, count: int) -> float | None:
+    """Where the secant through (shift, running minimum pivot) of the two
+    highest shifts that passed reaches 0, if those pivots fall towards it."""
+    if count < 2:
+        return None
+    second, top = job[9]
+    if not 0.0 < top < second:
+        return None
+    below, at = float(shifts[count - 2]), float(shifts[count - 1])
+    return at + top * (at - below) / (second - top)
+
+
+def _twin(job: list, shifts: np.ndarray, guess: float) -> tuple | None:
+    """The pass after the one over ``shifts``, if the eigenvalue sits at
+    ``guess``: a job on the bracket that pass leaves then, and its uniform
+    shifts up to the first above ``guess``.  None when the uniform engine
+    would stop after this pass."""
+    k = int(np.searchsorted(shifts, guess))  # the shifts below guess pass
+    lo = float(shifts[k - 1]) if k else job[5]
+    hi = float(shifts[k]) if k < len(shifts) else job[6]
+    twin = job[:5] + [lo, hi, None, job[8], None]
+    if not _open(twin):
+        return None
+    twin_shifts = lo + (hi - lo) * _STEPS
+    return twin, twin_shifts[: int(np.searchsorted(twin_shifts, guess, side="right")) + 1]
 
 
 _SWEEP = 16  # rows between drops of retired shifts, besides the end rows
@@ -596,13 +682,17 @@ _SWEEP = 16  # rows between drops of retired shifts, besides the end rows
 
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     """One row loop: for each job [template, q, p, T_N(g), ...], how many
-    of its ascending ``shifts`` s leave W - s*I positive definite.
+    of its ascending ``shifts`` s leave W - s*I positive definite.  A job
+    without a grid (job[7] None) whose count is at least 2 also gets, in
+    job[9], the running minimum pivots of its two highest such shifts.
 
     Each job keeps J conj(S_q) J, its N x N Schur block S_q mirrored, at
     the start of row q, replaces S_p at the start of row p by the meeting
     block S_p + J conj(S_q) J - T_N(g) + s*I and ends at row p+N (see
     :func:`_banded_lambda_mins`); these two event rows touch only the
-    job's own columns and leave the layout as it is.
+    job's own columns and leave the layout as it is.  Neighbouring jobs
+    of one template, q, p and T_N(g), a window and its twin, share their
+    event rows: one copy and one meeting cover their adjacent columns.
 
     The block is (N+1, N+1, S): the S shifts of all jobs, job after job,
     on its last, contiguous axis, so every ufunc of a row runs inner loops
@@ -633,32 +723,50 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     block.reshape(-1, len(least))[:: n + 2] -= column_shifts
     ends = [job[2] + n for job in jobs]
     stops = set(ends)
-    events: dict[int, list[int]] = {}  # row -> the jobs whose q or p it is
+    # Neighbours that share template, q, p and T_N(g), such as a window
+    # and its twin, meet as one group: their columns stay side by side.
+    groups: list[list[int]] = []  # [its first job, one past its last]
+    events: dict[int, list[int]] = {}  # row -> the groups whose q or p it is
+    head = jobs[0]
     for j, job in enumerate(jobs):
+        if j and job[0] is head[0] and job[3] is head[3] and job[1] == head[1] and job[2] == head[2]:
+            groups[-1][1] = j + 1
+            continue
+        head = job
         for row in {job[1], job[2]}:
-            events.setdefault(row, []).append(j)
-    mirrors = [None] * len(jobs)  # each job's J conj(S_q) J, once copied
-    unit = np.eye(n + 1)[n, :, None]
+            events.setdefault(row, []).append(len(groups))
+        groups.append([j, j + 1])
+    mirrors = [None] * len(groups)  # each group's J conj(S_q) J and the layout it was copied in
+    unit = _unit_row(n)
     layout = True
     with np.errstate(all="ignore"):
         # The last end row ends every job left, so the loop breaks there.
         for i in range(max(ends) + 1):
-            for j in events.get(i, ()):
-                start, at = starts[j], starts[j] + width[j]
+            for g in events.get(i, ()):
+                j0, j1 = groups[g]
+                start, at = starts[j0], starts[j1 - 1] + width[j1 - 1]
                 if start == at:
                     continue
-                job = jobs[j]
+                job = jobs[j0]
                 if job[1] == i:
                     mirror = block[n - 1 :: -1, n - 1 :: -1, start:at]
-                    mirrors[j] = mirror.copy() if real else np.conj(mirror)
+                    mirrors[g] = mirror.copy() if real else np.conj(mirror), starts
                 if job[2] == i:
                     # M = S_p + J conj(S_q) J - T_N(g) + s*I, after a unit
-                    # row N; the columns here are a prefix of those at row q.
+                    # row N.  Each job's columns here are a prefix of its
+                    # columns at row q; the layout is the one copied unless
+                    # columns left in between.
                     mine = block[:, :, start:at]
                     mine[n] = unit
                     mine[:n, n] = 0.0
                     middle = mine[:n, :n]
-                    middle += mirrors[j][:, :, : at - start]
+                    copied, copied_starts = mirrors[g]
+                    if copied_starts is starts:
+                        middle += copied
+                    else:
+                        for k in range(j0, j1):
+                            here, there = starts[k] - start, copied_starts[k] - copied_starts[j0]
+                            middle[:, :, here : here + width[k]] += copied[:, :, there : there + width[k]]
                     middle -= job[3][:, :, None]
                     flat[: n * (n + 2) : n + 2, start:at] += column_shifts[start:at]
             if i in stops or (i and i % _SWEEP == 0):
@@ -671,6 +779,8 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
                         counts[j] = width[j] = min(first, start + width[j]) - start
                         if ends[j] == i:
                             width[j] = 0
+                            if counts[j] > 1 and jobs[j][7] is None:
+                                jobs[j][9] = least[start + counts[j] - 2 : start + counts[j]].tolist()
                 if sum(width) < len(least):
                     if not any(width):
                         break

@@ -5,7 +5,8 @@ blocks.  These oracles build the same objects the way the paper states
 them, as rank-one stencil sums and as the Dirichlet-from-Neumann map, so
 the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
-``fourier_coefficients``.
+``fourier_coefficients``.  The multisection engine has one as well: one
+uniform pass per row loop, without the engine's look-ahead.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterable
 
 import numpy as np
 
-from toepbrack import BandedCoeffs, HermitianMatrix, SymbolSpec, hermitian, stencil
+from toepbrack import BandedCoeffs, HermitianMatrix, SymbolSpec, hermitian, spectra, stencil
 from toepbrack.matrices import _require_size, _wrap
 
 
@@ -84,3 +85,28 @@ def dirichlet_from_neumann(
     out[:n1, :n1] = 2.0 * a.entries[:n1, :n1] - block11_n.entries
     out[n1:, n1:] = 2.0 * a.entries[n1:, n1:] - block22_n.entries
     return hermitian(out)
+
+
+def uniform_multisection(jobs: list[list]) -> None:
+    """``spectra._multisection`` without its look-ahead: one level per row loop.
+
+    Each pass of :func:`spectra._pass` tests a job's grid if it has one,
+    else the 31 equispaced interior shifts of its bracket, and narrows the
+    bracket to the two shifts around its count.  A job stops when its
+    bracket is no wider than its tolerance, lies at or above its cap, or
+    its grid pass found the sign change inside the grid.
+    """
+    jobs = [job for job in jobs if spectra._open(job)]
+    while jobs:
+        shifts = [job[5] + (job[6] - job[5]) * spectra._STEPS if job[7] is None else job[7] for job in jobs]
+        remaining = []
+        for job, s, count in zip(jobs, shifts, spectra._pass(jobs, shifts)):
+            if count > 0:
+                job[5] = float(s[count - 1])
+            if count < len(s):
+                job[6] = float(s[count])
+            closed = job[7] is not None and 0 < count < len(s)
+            job[7] = None
+            if not closed and spectra._open(job):
+                remaining.append(job)
+        jobs = remaining

@@ -42,7 +42,7 @@ from toepbrack import boundary, matrices, spectra, symbols
 from toepbrack.boundary import _window_corners
 from toepbrack.spectra import _banded_lambda_mins
 from conftest import random_spec, random_split
-from oracles import dirichlet_from_neumann
+from oracles import dirichlet_from_neumann, uniform_multisection
 from test_boundary import ALL_PAIRS, _window, _window_specs
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -262,12 +262,24 @@ def test_modified_certificate_takes_one_pass_per_kind(passes, call):
     assert passes and len(passes) == len(set(passes))
 
 
-def test_random_modified_certificates_take_one_pass_per_kind(passes, rng):
+def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes, rng):
+    # A grid pass gives no estimate, so no pass carries a twin job: the
+    # passes of a certificate carry its own four windows, each once.
+    jobs = []
+    one_pass = spectra._pass
+
+    def spy(batch, shifts):
+        jobs.extend(batch)
+        return one_pass(batch, shifts)
+
+    monkeypatch.setattr(spectra, "_pass", spy)
     for _ in range(12):
         spec = random_spec(rng, max_factors=4, max_mult=3)
         passes.clear()
+        jobs.clear()
         check_bracketing(spec, *random_split(rng, spec.degree, 300))
         assert passes and len(passes) == len(set(passes)), spec
+        assert len(jobs) == len({id(job) for job in jobs}) == 4, spec
 
 
 @pytest.mark.parametrize(
@@ -320,10 +332,11 @@ def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, ca
 
 
 def test_gap_scan_keeps_its_passes_and_values(passes):
-    # Gap windows have no corners and are not seeded: the pass count and
-    # every bit of each gap are those of the uniform [0, r] multisection.
+    # Gap windows have no corners and are not seeded: every bit of each gap
+    # is that of the uniform [0, r] multisection, which takes 10 row loops
+    # where the look-ahead's twin jobs take 7.
     report = gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
-    assert passes == [False] * 10
+    assert passes == [False] * 7
     assert [g.hex() for _, g in report.records] == [
         "0x1.fb8ccbaa2fa00p-4",
         "0x1.f68a03b80a000p-8",
@@ -331,7 +344,7 @@ def test_gap_scan_keeps_its_passes_and_values(passes):
     ]
     passes.clear()
     _, gap = spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30)
-    assert len(passes) == 10
+    assert len(passes) == 7
     assert gap.hex() == "0x1.ca2aad93147c9p-10"
 
 
@@ -897,6 +910,24 @@ class TestBandedLambdaMin:
         assert results[1] == results[0]
         assert results[2] == results[0]
 
+    @pytest.mark.parametrize("sweep", [16, 1])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_look_ahead_changes_no_result(self, monkeypatch, passes, rng, n, sweep):
+        # Each row loop also runs, as a twin job, the pass after it on the
+        # bracket its pivots predict.  Every result is bitwise that of one
+        # uniform pass per row loop, in fewer row loops, also when retired
+        # columns leave between a twin's rows q and p (sweep 1).
+        monkeypatch.setattr(spectra, "_SWEEP", sweep)
+        batches, _ = seeded_batches(rng, n)
+        results, loops = [], []
+        for engine in (spectra._multisection, uniform_multisection):
+            monkeypatch.setattr(spectra, "_multisection", engine)
+            passes.clear()
+            results.append([[x.hex() for x in _banded_lambda_mins(w)] for w in batches])
+            loops.append(len(passes))
+        assert results[0] == results[1]
+        assert loops[0] < loops[1]
+
     @pytest.mark.parametrize(
         "call",
         [
@@ -931,6 +962,50 @@ class TestBandedLambdaMin:
                     assert not array.flags.writeable
                     with pytest.raises(ValueError):
                         array[(0,) * array.ndim] = 0.0
+
+
+def scan_gaps(factors, sizes):
+    return [g for _, g in gap_scan(make_symbol(factors), sizes).records]
+
+
+@pytest.mark.parametrize(
+    "call,fewer",
+    [
+        (lambda: scan_gaps([(0.0, 3)], [1024, 2048, 4096]), False),
+        (lambda: scan_gaps([(1.0, 2), (1.0001, 1)], [1024, 2048, 4096]), False),
+        # A complex three-factor scan over 8..256, as in the gap-scan
+        # benchmark, on which twins whose shifts all pass are dropped.
+        (
+            lambda: scan_gaps(
+                [(1.4485082373978546, 1), (3.542451982324839, 1), (5.510446367681306, 1)],
+                [8, 16, 32, 64, 128, 256],
+            ),
+            True,
+        ),
+        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=_CLASSIC), True),
+        (lambda: check_bracketing(make_symbol([(0.0, 3)]), 9, 11, neumann=_CLASSIC), True),
+        (lambda: check_bracketing(make_symbol([(1.0, 1), (-1.0, 1)]), 16, 18, neumann=_CLASSIC), True),
+    ],
+    ids=["gap_0_3", "gap_near_confluent", "gap_three_factors", "classic_0_2", "classic_0_3", "classic_pair"],
+)
+def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
+    # Gaps at the engine's stopping width, whose pivots are rounding noise
+    # and predict nothing, a scan whose gaps they do predict, and failing
+    # classic margins (min0 windows included), which fall back to uniform
+    # passes after their grid pass: bitwise the values of one uniform pass
+    # per row loop, all but the first two in fewer row loops.
+    values, loops = [], []
+    for engine in (spectra._multisection, uniform_multisection):
+        monkeypatch.setattr(spectra, "_multisection", engine)
+        passes.clear()
+        out = call()
+        if isinstance(out, spectra.BracketReport):
+            assert not out.all_hold
+            out = list(out.margins.values())
+        values.append([x.hex() for x in out])
+        loops.append(len(passes))
+    assert values[0] == values[1]
+    assert loops[0] < loops[1] if fewer else loops[0] <= loops[1]
 
 
 def seeded_batches(rng, n):
@@ -1114,6 +1189,32 @@ class TestMeetAgainstReference:
         assert shared_end and all_retired
         assert {15, 16, 17, 31, 32, 33} <= hit
         assert {"q", *(f"p+{d}" for d in range(n))} <= hit
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_group_meets_after_its_first_job_lost_columns(self, monkeypatch, n):
+        # A window and its twin share template, q, p and T_N(g), so _pass
+        # copies and meets their columns as one group.  Here the window's
+        # upper shifts retire at row q - 1 and leave at the sweep of row
+        # q, after the copy and before the meeting at row p = q + 1, so
+        # each job must find its own columns in the copy.
+        local = np.random.default_rng(1500 + n)
+        for real in (True, False):
+            m = n + 41  # m - N odd: p = q + 1
+            window = self.mirror_window(local, n, m, real, True, False)
+            job = self.engine_job(monkeypatch, window)
+            q, p = job[1:3]
+            assert p == q + 1 and q >= 2
+            twin = list(job)
+            dense = dense_window(*window)
+            lead = [np.linalg.eigvalsh(dense[:r, :r])[0] for r in (q - 1, q)]
+            lam_min, w = np.linalg.eigvalsh(dense)[0], job[4]
+            below = [lam_min - 1.0, lam_min - 1e-3]
+            own = np.sort(below + [0.5 * (lead[0] + lead[1])] * 3)
+            ahead = np.sort(below + [lam_min + k * w for k in (-4, -2, 2, 4)])
+            expected = [reference_meet(job, own)[0], reference_meet(twin, ahead)[0]]
+            assert expected == [2, 4]
+            monkeypatch.setattr(spectra, "_SWEEP", q)
+            assert spectra._pass([job, twin], [own, ahead]) == expected
 
     def test_corners_must_not_overlap(self):
         # The meet needs the two corners apart: a window with corners and
