@@ -30,7 +30,7 @@ the left edge; a plain (unconjugated) reflection would transpose the
 block and break both the rank-one identity and the operator inequalities
 for complex symbols.  So a window with the same kind at both edges is
 mirror-symmetric, W = J conj(W) J with J the exchange matrix: the identity
-the eigen engine (``spectra._banded_lambda_mins``) takes as given, reading
+the eigen engine (``_multisection.lambda_mins``) takes as given, reading
 only a window's top block and factoring the window from both ends.
 """
 

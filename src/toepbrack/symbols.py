@@ -32,6 +32,7 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+_EPS = float(np.finfo(np.float64).eps)
 
 #: Circular tolerance below which two reduced angles count as the same angle.
 ANGLE_TOL = 1e-12

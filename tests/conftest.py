@@ -14,6 +14,10 @@ import pytest
 
 from toepbrack import TWO_PI, make_symbol
 
+# test_spectra.py imports the tests of test_multisection.py, so that file
+# is collected there and not a second time on its own.
+collect_ignore = ["test_multisection.py"]
+
 
 def random_spec(rng, max_factors=3, max_mult=2, min_sep=0.5):
     """A random product symbol with angle separation >= min_sep."""

@@ -5,8 +5,11 @@ blocks.  These oracles build the same objects the way the paper states
 them, as rank-one stencil sums and as the Dirichlet-from-Neumann map, so
 the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
-``fourier_coefficients``.  The multisection engine has one as well: one
-uniform pass per row loop, without the engine's look-ahead.
+``fourier_coefficients``.  The eigen engine reads a window from its
+coefficient row and top corner; :func:`dense_window` builds the same
+window densely, for LAPACK.  The engine's own oracles, one uniform pass
+per row loop and the plain twisted recurrence, live with its tests in
+``test_multisection.py``.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from typing import Iterable
 
 import numpy as np
 
-from toepbrack import BandedCoeffs, HermitianMatrix, SymbolSpec, hermitian, spectra, stencil
+from toepbrack import (
+    BandedCoeffs,
+    BoundaryKind,
+    HermitianMatrix,
+    SymbolSpec,
+    fourier_coefficients,
+    hermitian,
+    spectra,
+    stencil,
+)
 from toepbrack.matrices import _require_size, _wrap
 
 
@@ -87,26 +99,33 @@ def dirichlet_from_neumann(
     return hermitian(out)
 
 
-def uniform_multisection(jobs: list[list]) -> None:
-    """``spectra._multisection`` without its look-ahead: one level per row loop.
+def dense_toeplitz(coeffs, m):
+    """Oracle: T_m(g) as a plain array for any m >= 1 (toeplitz_finite needs 2N+1)."""
+    n = coeffs.half_bandwidth
+    diff = np.arange(m)[None, :] - np.arange(m)[:, None]
+    return np.where(np.abs(diff) <= n, coeffs.a[np.clip(diff, -n, n) + n], 0.0)
 
-    Each pass of :func:`spectra._pass` tests a job's grid if it has one,
-    else the 31 equispaced interior shifts of its bracket, and narrows the
-    bracket to the two shifts around its count.  A job stops when its
-    bracket is no wider than its tolerance, lies at or above its cap, or
-    its grid pass found the sign change inside the grid.
-    """
-    jobs = [job for job in jobs if spectra._open(job)]
-    while jobs:
-        shifts = [job[5] + (job[6] - job[5]) * spectra._STEPS if job[7] is None else job[7] for job in jobs]
-        remaining = []
-        for job, s, count in zip(jobs, shifts, spectra._pass(jobs, shifts)):
-            if count > 0:
-                job[5] = float(s[count - 1])
-            if count < len(s):
-                job[6] = float(s[count])
-            closed = job[7] is not None and 0 < count < len(s)
-            job[7] = None
-            if not closed and spectra._open(job):
-                remaining.append(job)
-        jobs = remaining
+
+def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMANN):
+    """The four engine windows of check_bracketing: both floors, lower, nn_vs_0n."""
+    n = spec.degree
+    coeffs = fourier_coefficients(spec)
+    top, bottom = spectra._window_corners(spec, neumann, neumann)
+    body = dense_toeplitz(coeffs, n)
+    zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
+    return [
+        (coeffs, size1, top, "zero"),
+        (coeffs, size2, top, "zero"),
+        (coeffs, 2 * n, -body - bottom, "min0"),
+        (zero_row, 2 * n, -bottom, "min0"),
+    ]
+
+
+def dense_window(coeffs, m, top=None, *_):
+    """Oracle: the m x m window T_m(g) with top and its mirror as corners."""
+    n = coeffs.half_bandwidth
+    out = dense_toeplitz(coeffs, m).astype(complex)
+    if top is not None:
+        out[:n, :n] += top
+        out[-n:, -n:] += np.conj(top[::-1, ::-1])
+    return out

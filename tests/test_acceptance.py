@@ -34,7 +34,8 @@ from toepbrack import (
     toeplitz_finite,
 )
 from conftest import random_spec, random_split
-from test_spectra import brute_confluent_det, dense_toeplitz, exhaustive_grid_distance
+from oracles import dense_toeplitz
+from test_spectra import brute_confluent_det, exhaustive_grid_distance
 
 SEED = 20260808
 N_KIND = BoundaryKind.MODIFIED_NEUMANN

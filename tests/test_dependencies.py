@@ -1,6 +1,9 @@
 """The library runs on numpy alone: scipy and mpmath are test oracles only,
-and no certificate, gap or command calls a LAPACK eigen or SVD routine."""
+and no certificate, gap or command calls a LAPACK eigen or SVD routine.
+The multisection engine imports at most the symbol layer, and only
+``spectra`` imports it, and only its entry ``lambda_mins``."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -75,3 +78,42 @@ def test_commands_call_no_lapack_solver(no_lapack_solvers, capsys, argv):
     expected = 1 if "--classic-neumann" in argv else 0
     assert cli.main(argv) == expected
     assert capsys.readouterr().err == ""
+
+
+PACKAGE = os.path.dirname(os.path.abspath(toepbrack.__file__))
+
+
+def package_imports(filename):
+    """(module, imported names) for each import statement of a library file.
+
+    Relative imports resolve against ``toepbrack``, and ``from . import x``
+    counts as an import of the submodule ``toepbrack.x``.
+    """
+    with open(os.path.join(PACKAGE, filename), encoding="utf-8") as f:
+        tree = ast.parse(f.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name, ()) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["toepbrack" if node.level else "", node.module]))
+            if module == "toepbrack":
+                yield from ((f"toepbrack.{alias.name}", ()) for alias in node.names)
+            else:
+                yield module, tuple(alias.name for alias in node.names)
+
+
+def test_engine_imports_nothing_above_the_symbol_layer():
+    # spectra imports the engine, so an engine import of spectra, boundary
+    # or matrices would close a cycle.
+    ours = {module for module, _ in package_imports("_multisection.py") if module.startswith("toepbrack")}
+    assert ours <= {"toepbrack.symbols"}
+
+
+def test_spectra_alone_imports_the_engine_and_only_its_entry():
+    importers = {}
+    for filename in sorted(os.listdir(PACKAGE)):
+        if filename.endswith(".py"):
+            for module, names in package_imports(filename):
+                if module == "toepbrack._multisection":
+                    importers.setdefault(filename, []).extend(names)
+    assert importers == {"spectra.py": ["lambda_mins"]}

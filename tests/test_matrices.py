@@ -19,7 +19,7 @@ from toepbrack import (
 )
 from toepbrack.matrices import _toeplitz_body
 from conftest import random_spec
-from test_spectra import dense_toeplitz
+from oracles import dense_toeplitz
 
 
 class TestHermitianConstructor:

@@ -55,7 +55,15 @@ def test_coeffs_loads_only_the_symbol_layer(argv):
 def test_export_does_not_load_the_eigen_engine(argv):
     loaded = loaded_after(*argv)
     assert "toepbrack.spectra" not in loaded
+    assert "toepbrack._multisection" not in loaded
     assert "toepbrack.boundary" in loaded
+
+
+def test_check_loads_the_eigen_engine():
+    # The control of the test above: a certificate loads both modules it
+    # must not find after an export.
+    loaded = loaded_after("check", "--factors", "0:1", "--split", "7,9")
+    assert {"toepbrack.spectra", "toepbrack._multisection"} <= loaded
 
 
 def test_every_public_name_and_submodule_resolves():
