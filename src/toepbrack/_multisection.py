@@ -16,8 +16,12 @@ scan one call for all its sizes.  A pass holds its shifts on the last,
 contiguous axis of one (N+1) x (N+1) x S Schur block (:func:`_pass`), and
 no result depends on the batch, the layout or when retired shifts leave.
 A uniform pass narrows a bracket 32-fold; a row loop after one also runs
-the next level on the bracket its pivots predict (:func:`_multisection`),
-so a gap takes about 8 row loops instead of 10 with every bit unchanged.
+the next level on the bracket its pivots predict (:func:`_multisection`).
+A gap window comes with an enclosure of its eigenvalue, which decides
+the first uniform passes without a row loop (:func:`_enclose`) and gives
+the first row loop its prediction: the gap-scan ops of
+benchmark seed 1 take 2, 6 and 7 row loops where one pass per row loop
+takes 10, with every bit unchanged.
 
 Every margin of a modified certificate is 0 in exact arithmetic, so each
 certificate window's first pass tests the 9 shifts k*w, |k| <= 4, around
@@ -52,6 +56,9 @@ _STEPS.flags.writeable = False
 _GRID = 4
 _GRID_STEPS = np.arange(-_GRID, _GRID + 1)
 _GRID_STEPS.flags.writeable = False
+# An enclosure decides a uniform pass when, widened by _MARGIN * w on each
+# side, it lies strictly between two of the pass's shifts (:func:`_enclose`).
+_MARGIN = 64
 
 
 @functools.cache
@@ -143,6 +150,12 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     bracket predicted from the pivots (:func:`_multisection`), which
     saves row loops and changes no bit of any result.
 
+    ``expect`` (lower, upper), for a window without corners, is an
+    enclosure of its smallest eigenvalue: every uniform pass whose count
+    it decides once widened by 64 stopping widths on each side is applied
+    without a row loop (:func:`_enclose`), and upper is the first estimate
+    of the look-ahead, so results keep every bit.
+
     ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
     (the floors of a bracketing certificate).  The first pass then tests
     the 9 shifts k*w, |k| <= 4, end points included: a sign change among
@@ -162,7 +175,8 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     All passes run in one row loop per arithmetic kind (:func:`_multisection`;
     complex / real division can round otherwise than real / real), and each
     shift does the arithmetic it does alone: no result depends on the batch.
-    A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap, pivots].
+    A job is [template, q, p, T_N(g), tol, lo, hi, grid, cap, pivots,
+    estimate].
     """
     jobs, setups = [], {}
     for coeffs, m, top, *expect in windows:
@@ -180,7 +194,11 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
         # block (rows p..p+N-1).
         p = (m - n + 1) // 2
         cap = 0.0 if expect == "min0" else math.inf
-        jobs.append([template, m - n - p, p, body, tol, lo, hi, None if expect is None else grid, cap, None])
+        seeded = isinstance(expect, str)
+        job = [template, m - n - p, p, body, tol, lo, hi, grid if seeded else None, cap, None, None]
+        if expect is not None and not seeded:
+            _enclose(job, *expect)
+        jobs.append(job)
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
@@ -198,9 +216,52 @@ def _open(job: list) -> bool:
     return job[6] - job[5] > job[4] and job[5] < job[8]
 
 
+def _enclose(job: list, lower: float, upper: float) -> None:
+    """Apply to job's bracket, without a row loop, every uniform pass whose
+    count the enclosure lower <= lambda_min <= upper decides, and make
+    upper the job's first estimate (job[10]).
+
+    A pass is decided when the enclosure, widened by _MARGIN * w on each
+    side, lies strictly between two consecutive shifts of the pass, the
+    bracket's ends standing for -inf and +inf: the shifts below it pass
+    and the one above it fails.  So the bracket becomes the one the float
+    pass leaves, bit for bit, since its shifts are the same floats
+    lo + (hi - lo) * _STEPS.  This holds as long as the float LDL* misjudges
+    no shift at least _MARGIN * w away from lambda_min.  When every pivot
+    of a shift s in [0, r] comes out positive, the computed factors are
+    the exact LDL* of W - s*I + E with |E| <= gamma_{N+4} |L| |D| |L*|
+    (banded Cholesky, Higham, "Accuracy and Stability of Numerical
+    Algorithms", Thm 10.3, with three more roundings in the meeting
+    block); positive pivots bound each entry of |L| |D| |L*| by its
+    diagonal, at most a_0 - s + |E_ii| <= r, so ||E|| <= (2N+1) *
+    gamma_{N+4} * r, below _MARGIN * w = 512 * (N+1) * eps * max(1, r) for
+    N <= 250.  A shift _MARGIN * w or more above lambda_min therefore
+    fails, and one as far below it passes, because the factorization of a
+    matrix whose smallest eigenvalue exceeds ||E|| cannot break down
+    (Higham, Thm 10.7).  The widening is also the safety margin for the
+    enclosure itself, whose rounding allowances are estimates rather than
+    derived bounds (``spectra._enclosure``): a decided pass is the float
+    pass as long as lambda_min lies within _MARGIN * w - ||E|| of
+    [lower, upper], and for N <= 8 ||E|| takes less than a twentieth of
+    _MARGIN * w.  An enclosure that is not one (lower > upper, or NaN),
+    or a wider band, decides nothing."""
+    n = len(job[0]) - 1
+    if not lower <= upper or (2 * n + 1) * (n + 5) >= 8 * _MARGIN * (n + 1):
+        return
+    slack = _MARGIN * job[4]
+    below, above = lower - slack, upper + slack
+    while _open(job):
+        shifts = job[5] + (job[6] - job[5]) * _STEPS
+        count = int(np.searchsorted(shifts, below))  # the shifts below the enclosure
+        if count < len(shifts) and shifts[count] <= above:
+            break
+        _narrow(job, shifts, count)
+    job[10] = upper
+
+
 def _multisection(jobs: list[list]) -> None:
     """Narrow the bracket job[5:7] of each job [template, q, p, T_N(g), tol,
-    lo, hi, grid, cap, pivots], all of one arithmetic kind, one row loop
+    lo, hi, grid, cap, pivots, estimate], all of one arithmetic kind, one row loop
     (:func:`_pass`) per pass or, with a twin, per two passes.  A pass
     tests the job's ``grid`` if it has one, else 31 equispaced interior
     shifts of its bracket.  A job stops when its bracket is no wider than
@@ -220,9 +281,11 @@ def _multisection(jobs: list[list]) -> None:
     that the next uniform pass would test, and a pass reads nothing above
     its first failing shift.  A grid pass gives no estimate, so a
     certificate that its grid pass settles runs no twin.  The next
-    estimate comes from the twin when its count was used."""
+    estimate comes from the twin when its count was used.  The first
+    row loop takes the job's own estimate, the upper end of its
+    enclosure (:func:`_enclose`), if it has one."""
     jobs = [job for job in jobs if _open(job)]
-    guesses = [None] * len(jobs)
+    guesses = [job[10] for job in jobs]
     while jobs:
         batch, shifts, twins = [], [], []
         for job, guess in zip(jobs, guesses):
@@ -282,7 +345,7 @@ def _twin(job: list, shifts: np.ndarray, guess: float) -> tuple | None:
     k = int(np.searchsorted(shifts, guess))  # the shifts below guess pass
     lo = float(shifts[k - 1]) if k else job[5]
     hi = float(shifts[k]) if k < len(shifts) else job[6]
-    twin = job[:5] + [lo, hi, None, job[8], None]
+    twin = job[:5] + [lo, hi, None, job[8], None, None]
     if not _open(twin):
         return None
     twin_shifts = lo + (hi - lo) * _STEPS

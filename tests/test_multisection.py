@@ -1,5 +1,6 @@
 """The multisection engine behind ``spectra``: pass counts, the grid pass
-around 0, the look-ahead twins, batches, and the meet in the middle.
+around 0, the look-ahead twins, the passes a gap enclosure decides,
+batches, and the meet in the middle.
 
 These are the tests that reach past the engine's one entry,
 ``lambda_mins``, into ``_pass``, ``_multisection``, ``_SWEEP`` and the
@@ -173,11 +174,12 @@ def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, ca
 
 
 def test_gap_scan_keeps_its_passes_and_values(passes):
-    # Gap windows have no corners and are not seeded: every bit of each gap
-    # is that of the uniform [0, r] multisection, which takes 10 row loops
-    # where the look-ahead's twin jobs take 7.
+    # Gap windows have no corners and start inside their enclosure: every
+    # bit of each gap is that of the uniform [0, r] multisection, which
+    # takes 10 row loops where the look-ahead's twin jobs take 7 and the
+    # enclosure and the twins together 6.
     report = gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
-    assert passes == [False] * 7
+    assert passes == [False] * 6
     assert [g.hex() for _, g in report.records] == [
         "0x1.fb8ccbaa2fa00p-4",
         "0x1.f68a03b80a000p-8",
@@ -185,8 +187,96 @@ def test_gap_scan_keeps_its_passes_and_values(passes):
     ]
     passes.clear()
     _, gap = spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30)
-    assert len(passes) == 7
+    assert len(passes) == 5
     assert gap.hex() == "0x1.ca2aad93147c9p-10"
+
+
+@pytest.mark.parametrize(
+    "sizes", [[8, 16, 32, 64, 128, 256], list(range(8, 257))], ids=["doubling", "every_size"]
+)
+def test_laplacian_scan_takes_at_most_three_row_loops(passes, sizes):
+    # For 0:1 the sampling bound and the quotient both equal the gap in
+    # exact arithmetic, so the enclosure decides every pass down to about
+    # 64 w, where the twins take over; without it the scan takes 8.
+    gap_scan(make_symbol([(0.0, 1)]), sizes)
+    assert 0 < len(passes) <= 3
+
+
+def enclosure_symbols():
+    """Gap-scan symbols of the enclosure tests: 100 seeded random symbols
+    with N <= 8 (ties, and angles as close as 0.001, included), the
+    near-confluent pairs, and sizes for each; 0:3 and 1.0:2,1.0001:1 also
+    at L = 1024 and 4096, where the engine returns its stopping width."""
+    local = np.random.default_rng(2700)
+    cases = [
+        (make_symbol([(0.0, 3)]), [16, 64, 1024, 4096]),
+        (make_symbol([(1.0, 2), (1.0001, 1)]), [16, 64, 1024, 4096]),
+        (make_symbol([(1.0, 1), (1.001, 1)]), [8, 64, 256]),
+        (make_symbol([(0.0, 1), (2.0, 1)]), [8, 33, 128]),
+        (make_symbol([(1.0, 1), (2.5, 2), (4.0, 1)]), [16, 64, 256]),
+    ]
+    while len(cases) < 105:
+        spec = random_spec(local, max_factors=4, max_mult=2, min_sep=float(local.choice([0.001, 0.05, 0.5])))
+        low = 2 * spec.degree + 1
+        cases.append((spec, sorted({low, *local.integers(low, 160, 2).tolist()})))
+    return cases
+
+
+def test_enclosed_gaps_match_the_uniform_engine(monkeypatch):
+    # Each gap window starts inside its enclosure, which decides passes
+    # without a row loop, and runs a twin from its first row loop.  Every
+    # gap is bitwise that of the engine without an enclosure, one uniform
+    # pass per row loop from [0, r].
+    decided = []
+    enclose = multisection._enclose
+
+    def spy(job, lower, upper):
+        start = job[5:7]
+        enclose(job, lower, upper)
+        decided.append(job[5:7] != start)
+
+    monkeypatch.setattr(multisection, "_enclose", spy)
+    for spec, sizes in enclosure_symbols():
+        coeffs = fourier_coefficients(spec)
+        enclosed = spectra._gaps(spec, sizes)
+        with monkeypatch.context() as patch:
+            patch.setattr(multisection, "_multisection", uniform_multisection)
+            plain = lambda_mins([(coeffs, size - spec.degree, None) for size in sizes])
+        assert [g.hex() for g in enclosed] == [g.hex() for g in plain], (spec, sizes)
+    # The enclosure decided at least the first pass of 268 of the 316
+    # windows; all but one of the others have the smallest size, L = 2N+1,
+    # and an enclosure that holds a shift r*k/32 of the first pass (for
+    # 0:1 at L = 3, the gap 1 is itself the shift 8 * 4/32).
+    assert sum(decided) > 0.8 * len(decided)
+
+
+def test_an_enclosure_that_is_not_one_decides_nothing(passes):
+    # lower > upper, or NaN, leaves the window to the row loops, which
+    # reach the engine's own bits in as many row loops.
+    coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
+    plain = lambda_mins([(coeffs, 60, None)])[0]
+    loops = len(passes)
+    for enclosure in ((1e-3, 1e-4), (math.nan, 1.0), (0.0, math.nan)):
+        passes.clear()
+        assert lambda_mins([(coeffs, 60, None, enclosure)])[0].hex() == plain.hex()
+        assert len(passes) == loops
+
+
+@pytest.mark.parametrize("factors", [[(0.0, 2)], [(1.0, 1), (2.5, 2)]], ids=["real", "complex"])
+def test_an_enclosure_a_few_widths_off_keeps_every_bit(passes, factors):
+    # The enclosure's rounding allowances are estimates; the engine widens
+    # it by 64 stopping widths w on each side, so one that misses
+    # lambda_min by up to 48 w still leaves every bit, in fewer row loops.
+    # A widening of 16 w or less fails here.
+    coeffs = fourier_coefficients(make_symbol(factors))
+    width = multisection._window_setup(coeffs, None)[2]
+    plain = lambda_mins([(coeffs, 60, None)])[0]
+    loops = len(passes)
+    for k in (-48, -16, -4, 4, 16, 48):
+        passes.clear()
+        off = plain + k * width
+        assert lambda_mins([(coeffs, 60, None, (off, off))])[0].hex() == plain.hex(), k
+        assert len(passes) < loops
 
 
 class TestBandedLambdaMin:

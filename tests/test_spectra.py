@@ -35,6 +35,7 @@ from toepbrack import (
     penta_coefficients,
     sampled_gap_floor,
     spectral_gap,
+    stencil,
     toeplitz_finite,
 )
 import toepbrack
@@ -52,8 +53,13 @@ from test_multisection import (  # noqa: F401
     ENGINE_CALLS,
     TestBandedLambdaMin,
     TestMeetAgainstReference,
+    enclosure_symbols,
     passes,
+    test_an_enclosure_a_few_widths_off_keeps_every_bit,
+    test_an_enclosure_that_is_not_one_decides_nothing,
+    test_enclosed_gaps_match_the_uniform_engine,
     test_gap_scan_keeps_its_passes_and_values,
+    test_laplacian_scan_takes_at_most_three_row_loops,
     test_look_ahead_matches_uniform_passes,
     test_modified_certificate_takes_one_pass_per_kind,
     test_modified_certificates_keep_their_margins_in_nine_shifts,
@@ -600,6 +606,38 @@ class TestSpectralGap:
                 )
             ).values
             assert_allclose(ev, ev_shifted, atol=1e-9 * max(1.0, ev.max()))
+
+    def test_enclosure_holds_the_engine_gap(self):
+        # The engine's midpoint lies within its width w of lambda_min.
+        for spec, sizes in enclosure_symbols():
+            c = stencil(spec)
+            width = 8 * (spec.degree + 1) * symbols._EPS * max(1.0, float(np.abs(fourier_coefficients(spec).a).sum()))
+            for size, gap in zip(sizes, spectra._gaps(spec, sizes)):
+                lower, upper = spectra._enclosure(spec, c, size)
+                assert lower <= upper, (spec, size)
+                assert lower - width <= gap <= upper + width, (spec, size)
+
+    def test_enclosure_holds_the_factor_svd(self):
+        # T_{L-N}(g) = C C*, C the (L-N) x L matrix of the stencil
+        # placements, so the gap is sigma_min(C)**2; LAPACK's sigma is
+        # within about (L-N) * eps * ||C|| <= (L-N) * eps * ||c||_1.
+        linalg = pytest.importorskip("scipy.linalg")
+        checked = 0
+        for spec, sizes in enclosure_symbols():
+            c = stencil(spec)
+            n = spec.degree
+            for size in (s for s in sizes if s <= 512):
+                m = size - n
+                factor = np.zeros((m, size), dtype=complex)
+                for i in range(m):
+                    factor[i, i : i + n + 1] = c
+                sigma = linalg.svdvals(factor)[-1]
+                slack = m * symbols._EPS * float(np.abs(c).sum())
+                lower, upper = spectra._enclosure(spec, c, size)
+                assert lower <= (sigma + slack) ** 2, (spec, size)
+                assert (sigma - slack) ** 2 <= upper, (spec, size)
+                checked += 1
+        assert checked > 300
 
 
 class TestGapScan:
