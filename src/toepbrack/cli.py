@@ -33,8 +33,8 @@ report each (``gap`` with the sampled floor of every size); ``export``
 writes CSV.  Each command imports the library modules it uses when it runs, so
 ``coeffs`` loads only ``symbols`` and ``export`` never loads ``spectra``.  Exit status
 is 0 on success with all verdicts true; 1 on a false ``check`` verdict or a
-verification failure (``KernelMismatchError``, ``NoConvergenceError``,
-reported as ``verification failure:``); 2 on any other library error, a
+verification failure (``KernelMismatchError``, reported as
+``verification failure:``); 2 on any other library error, a
 ``ValueError`` or a usage error (``error:``).  ``coeffs --eval`` evaluates
 g with ``evaluate_symbol``, in product form, and a ``--penta`` row as
 scale * g + shift.  ``export`` builds no matrix of its size: one row
@@ -73,7 +73,7 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
+from .errors import KernelMismatchError, ToepbrackError
 from .symbols import (
     SymbolSpec,
     decompose_pentadiagonal,
@@ -492,7 +492,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, lines = args.func(args)
         _emit(lines, args.out)
         return code
-    except (KernelMismatchError, NoConvergenceError) as exc:
+    except KernelMismatchError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ToepbrackError, ValueError, CliUsageError) as exc:

@@ -7,9 +7,17 @@ the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
 ``fourier_coefficients``.  The eigen engine reads a window from its
 coefficient row and top corner; :func:`dense_window` builds the same
-window densely, for LAPACK.  The engine's own oracles, one uniform pass
-per row loop and the plain twisted recurrence, live with its tests in
-``test_multisection.py``.
+window densely, for LAPACK.  :func:`brute_confluent_det` and
+:func:`exhaustive_grid_distance` are the brute-force references for
+``confluent_vandermonde_abs`` and ``grid_shift``.  The engine's own
+oracles, one uniform pass per row loop and the plain twisted recurrence,
+live with its tests at the end of ``test_spectra.py``.
+
+The inputs that several test files share live here too, so that no test
+module imports another: ``ALL_PAIRS``, the 16 boundary pairs; the symbols
+each pair is tested on (``REAL_SPECS``, ``COMPLEX_SPECS``,
+:func:`_window_specs`); the window of a pair (:func:`_window`); and the
+gap scans of the enclosure tests (:func:`enclosure_symbols`).
 """
 
 from __future__ import annotations
@@ -19,16 +27,20 @@ from typing import Iterable
 import numpy as np
 
 from toepbrack import (
+    TWO_PI,
     BandedCoeffs,
     BoundaryKind,
     HermitianMatrix,
     SymbolSpec,
+    build_restricted,
     fourier_coefficients,
     hermitian,
+    make_symbol,
     spectra,
     stencil,
 )
 from toepbrack.matrices import _require_size, _wrap
+from conftest import random_spec
 
 
 def row_sum_values(coeffs: BandedCoeffs, x) -> np.ndarray:
@@ -129,3 +141,59 @@ def dense_window(coeffs, m, top=None, *_):
         out[:n, :n] += top
         out[-n:, -n:] += np.conj(top[::-1, ::-1])
     return out
+
+
+ALL_PAIRS = [(left, right) for left in "0ndc" for right in "0ndc"]
+REAL_SPECS = [
+    make_symbol([(0.0, 1)]),
+    make_symbol([(np.pi, 1)]),
+    make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)]),
+]
+COMPLEX_SPECS = [make_symbol([(1.0, 1), (2.5, 2)]), make_symbol([(0.3, 3), (4.0, 1)])]
+
+
+def _window_specs(pair):
+    """Real symbols for every pair; complex ones where no classic corner is used."""
+    return REAL_SPECS + ([] if "c" in pair else COMPLEX_SPECS)
+
+
+def _window(spec, size, pair):
+    left, right = (BoundaryKind.from_code(code) for code in pair)
+    return build_restricted(spec, size, left, right).entries
+
+
+def brute_confluent_det(nodes, mults):
+    """Oracle: assemble the moment matrix and take |det| via LU."""
+    n = sum(mults)
+    k = np.arange(1, n + 1)
+    cols = [k**j * z**k for z, m in zip(nodes, mults) for j in range(m)]
+    return abs(np.linalg.det(np.array(cols).T))
+
+
+def exhaustive_grid_distance(angles, shift, size):
+    grid = (TWO_PI * np.arange(1, size + 1) / size - shift) % TWO_PI
+    best = np.inf
+    for e in angles:
+        d = np.abs(grid - e) % TWO_PI
+        best = min(best, float(np.minimum(d, TWO_PI - d).min()))
+    return best
+
+
+def enclosure_symbols():
+    """Gap-scan symbols of the enclosure tests: 100 seeded random symbols
+    with N <= 8 (ties, and angles as close as 0.001, included), the
+    near-confluent pairs, and sizes for each; 0:3 and 1.0:2,1.0001:1 also
+    at L = 1024 and 4096, where the engine returns its stopping width."""
+    local = np.random.default_rng(2700)
+    cases = [
+        (make_symbol([(0.0, 3)]), [16, 64, 1024, 4096]),
+        (make_symbol([(1.0, 2), (1.0001, 1)]), [16, 64, 1024, 4096]),
+        (make_symbol([(1.0, 1), (1.001, 1)]), [8, 64, 256]),
+        (make_symbol([(0.0, 1), (2.0, 1)]), [8, 33, 128]),
+        (make_symbol([(1.0, 1), (2.5, 2), (4.0, 1)]), [16, 64, 256]),
+    ]
+    while len(cases) < 105:
+        spec = random_spec(local, max_factors=4, max_mult=2, min_sep=float(local.choice([0.001, 0.05, 0.5])))
+        low = 2 * spec.degree + 1
+        cases.append((spec, sorted({low, *local.integers(low, 160, 2).tolist()})))
+    return cases

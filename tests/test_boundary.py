@@ -21,7 +21,15 @@ from toepbrack import (
 )
 from toepbrack.boundary import _mirror, _window_corners
 from conftest import random_spec
-from oracles import dirichlet_from_neumann, rank_one_sum
+from oracles import (
+    ALL_PAIRS,
+    COMPLEX_SPECS,
+    REAL_SPECS,
+    _window,
+    _window_specs,
+    dirichlet_from_neumann,
+    rank_one_sum,
+)
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
 D_KIND = BoundaryKind.MODIFIED_DIRICHLET
@@ -219,25 +227,6 @@ class TestBuildRestricted:
             bound = 1e-9 * m.row_sum_norm()
             for phi in kernel_basis(spec, size):
                 assert np.linalg.norm(m.entries @ phi) <= bound
-
-
-ALL_PAIRS = [(left, right) for left in "0ndc" for right in "0ndc"]
-REAL_SPECS = [
-    make_symbol([(0.0, 1)]),
-    make_symbol([(np.pi, 1)]),
-    make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)]),
-]
-COMPLEX_SPECS = [make_symbol([(1.0, 1), (2.5, 2)]), make_symbol([(0.3, 3), (4.0, 1)])]
-
-
-def _window_specs(pair):
-    """Real symbols for every pair; complex ones where no classic corner is used."""
-    return REAL_SPECS + ([] if "c" in pair else COMPLEX_SPECS)
-
-
-def _window(spec, size, pair):
-    left, right = (BoundaryKind.from_code(code) for code in pair)
-    return build_restricted(spec, size, left, right).entries
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)

@@ -1,7 +1,8 @@
 """The library runs on numpy alone: scipy and mpmath are test oracles only,
 and no certificate, gap or command calls a LAPACK eigen or SVD routine.
 The multisection engine imports at most the symbol layer, and only
-``spectra`` imports it, and only its entry ``lambda_mins``."""
+``spectra`` imports it, and only its entry ``lambda_mins``.  No test module
+imports another, so each test is collected from its own file."""
 
 import ast
 import os
@@ -117,3 +118,23 @@ def test_spectra_alone_imports_the_engine_and_only_its_entry():
                 if module == "toepbrack._multisection":
                     importers.setdefault(filename, []).extend(names)
     assert importers == {"spectra.py": ["lambda_mins"]}
+
+
+def test_no_test_module_imports_another():
+    # Shared helpers live in conftest.py and oracles.py.
+    tests = os.path.dirname(os.path.abspath(__file__))
+    importers = {}
+    for filename in sorted(os.listdir(tests)):
+        if filename.endswith(".py"):
+            with open(os.path.join(tests, filename), encoding="utf-8") as f:
+                tree = ast.parse(f.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0].startswith("test_") for module in modules):
+                    importers.setdefault(filename, []).extend(modules)
+    assert importers == {}
