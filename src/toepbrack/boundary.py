@@ -37,12 +37,15 @@ only a window's top block and factoring the window from both ends.
 from __future__ import annotations
 
 import enum
+import functools
+import math
+import operator
 
 import numpy as np
 
 from .errors import NonHermitianError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
-from .symbols import BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
+from .symbols import _EPS, BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
 
 
 class BoundaryKind(enum.Enum):
@@ -91,19 +94,74 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     """
     if kind is BoundaryKind.CLASSIC_NEUMANN:
         return _classic_corner(fourier_coefficients(spec))
+    return _gram_corner(stencil(spec), kind)
+
+
+def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> HermitianMatrix:
+    """The modified Neumann or Dirichlet :func:`corner_block` of the stencil c."""
     if kind is BoundaryKind.MODIFIED_NEUMANN:
         sign = -1.0
     elif kind is BoundaryKind.MODIFIED_DIRICHLET:
         sign = 1.0
     else:
         raise ValueError("corner_block is defined for the non-simple conditions only")
-    c = stencil(spec)
     n = len(c) - 1
+    # Placement s adds c_{i-s} conj(c_{j-s}) at (i, j) for i, j >= s, in
+    # the order of s, and nothing elsewhere.
+    products = np.outer(c[:n], c[:n].conj())
     out = np.zeros((n, n), dtype=np.complex128)
     for s in range(n):
-        v = np.concatenate([np.zeros(s, dtype=np.complex128), c[: n - s]])
-        out += np.outer(v, v.conj())
+        out[s:, s:] += products[: n - s, : n - s]
     return hermitian(sign * out)
+
+
+def _gram_floor(c: np.ndarray, block: np.ndarray) -> float:
+    """A proven lower bound on lambda_min(block), for block the float -bottom
+    of the modified Neumann corner of the stencil c: 1/||d||_1**2 - delta.
+
+    In exact arithmetic -bottom = V V*, the Gram sum of the N placements
+    that cross the edge, V the N x N unit lower-triangular Toeplitz matrix
+    of c_0..c_{N-1}.  Its inverse is the lower-triangular Toeplitz matrix
+    of d_0..d_{N-1}, the first N coefficients of 1/c(z) (d_0 = 1, d_k =
+    -sum_{j=1..k} c_j d_{k-j}, as c_0 == 1), whose column and row sums
+    are at most ||d||_1, so ||V^-1||_2 <= ||d||_1 and lambda_min(V V*) >=
+    1/||d||_1**2.  d is computed in Python floats: by the backward error
+    of a triangular solve (Higham, "Accuracy and Stability of Numerical
+    Algorithms", Thm 8.5) the computed d' has ||d||_1 <= ||d'||_1 / (1 -
+    k), k = 4 * (N+3) * eps * ||c||_1 * ||d'||_1 (||c||_1 over
+    c_0..c_{N-1}), with room for the roundings of forming the bound.
+    delta, by Weyl's inequality, bounds ||block - V V*||_2 <= ||block -
+    V V*||_F: the measured Frobenius distance to the float product V V*,
+    widened by (N+2)**2 * eps for its own rounding, plus 4 * (N+2) * eps *
+    ||c||_1**2 for the rounding of that product.  So the bound is about
+    block as given: a block that is not this Gram form gets a bound below
+    its smallest eigenvalue, often below 0, and a block that is not finite
+    a NaN or -inf one.
+    """
+    n = len(c) - 1
+    cs = c.tolist()[:n]
+    d = [1.0]
+    for k in range(1, n):
+        d.append(-sum(map(operator.mul, cs[1 : k + 1], d[::-1])))
+    c_norm, d_norm = sum(map(abs, cs)), sum(map(abs, d))
+    shrink = max(0.0, 1.0 - 4 * (n + 3) * _EPS * c_norm * d_norm)
+    index, lower = _lower_index(n)
+    v = c[index] * lower  # c is finite, so the wrapped entries above the diagonal become 0
+    residual = block - v @ v.conj().T
+    distance = math.sqrt(np.vdot(residual, residual).real)
+    delta = distance * (1.0 + (n + 2) ** 2 * _EPS) + 4 * (n + 2) * _EPS * c_norm * c_norm
+    return (shrink / d_norm) ** 2 - delta
+
+
+@functools.cache
+def _lower_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (N, N) index i - s into a stencil and the mask i >= s of a
+    lower-triangular Toeplitz matrix."""
+    index = np.subtract.outer(np.arange(n), np.arange(n))
+    lower = index >= 0
+    for x in (index, lower):
+        x.flags.writeable = False
+    return index, lower
 
 
 def _classic_corner(coeffs: BandedCoeffs) -> HermitianMatrix:
@@ -126,17 +184,25 @@ def _mirror(block: np.ndarray) -> np.ndarray:
 
 
 def _window_corners(
-    spec: SymbolSpec, left: BoundaryKind, right: BoundaryKind
+    spec: SymbolSpec, left: BoundaryKind, right: BoundaryKind, c: np.ndarray | None = None
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
-    built once, and the top-left block is its :func:`_mirror`.
-    :func:`_window` adds them to a body of any size >= 2N+1.
+    built once, the modified kinds' from the stencil c of spec (built here
+    when the caller has none), and the top-left block is its
+    :func:`_mirror`.  :func:`_window` adds them to a body of any size >= 2N+1.
     """
-    simple = BoundaryKind.SIMPLE
-    blocks = {kind: corner_block(spec, kind).entries for kind in {left, right} - {simple}}
-    return (None if left is simple else _mirror(blocks[left])), blocks.get(right)
+    simple, classic = BoundaryKind.SIMPLE, BoundaryKind.CLASSIC_NEUMANN
+    kinds = {left, right} - {simple}
+    if c is None and kinds - {classic}:
+        c = stencil(spec)
+    blocks = {
+        kind: _classic_corner(fourier_coefficients(spec)) if kind is classic else _gram_corner(c, kind)
+        for kind in kinds
+    }
+    bottom = None if right is simple else blocks[right].entries
+    return (None if left is simple else _mirror(blocks[left].entries)), bottom
 
 
 def build_restricted(

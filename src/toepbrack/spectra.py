@@ -4,15 +4,16 @@ One engine keeps external eigensolvers out of the verification path;
 LAPACK appears only as an independent cross-check in the test suite.
 Every margin and every gap is the smallest eigenvalue of a banded window,
 read by ``lambda_mins``, the multisection engine's one entry.  What this
-module asks of it: windows (coeffs, m, top[, expect]), each the m x m
-Toeplitz body T_m(g) plus the N x N block top at its top-left corner and
-that block's conjugated reflection at its bottom-right one, as
+module asks of it: windows (coeffs, m, top[, expect[, bound]]), each the
+m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
+corner and that block's conjugated reflection at its bottom-right one, as
 ``boundary._window_corners`` builds them; the smallest eigenvalue of each
 as a midpoint to within the stopping width w; and min(0, .) of it for a
-window flagged "min0".  That gives the floor of the bracketing chain, and
-the spectral gap too: by the Gram identity the softened window of size L
-has an N-dimensional kernel and the rest of its spectrum is that of
-T_{L-N}(g); the kernels of all sizes are checked by one banded product.
+window flagged "min0", which a proven lower bound may settle without a
+job.  That gives the floor of the bracketing chain, and the spectral gap
+too: by the Gram identity the softened window of size L has an
+N-dimensional kernel and the rest of its spectrum is that of T_{L-N}(g);
+the kernels of all sizes are checked by one banded product.
 Each gap window goes in with an enclosure (lower, upper) of its
 eigenvalue, the sampling bound at the constructive grid shift and a
 Gram-form Rayleigh quotient, each with an estimated rounding allowance
@@ -20,8 +21,11 @@ Gram-form Rayleigh quotient, each with an estimated rounding allowance
 with a safety margin of 64 stopping widths, so every gap keeps the bits
 it has without it, and no report shows it.  The other three bracketing
 margins are smallest eigenvalues of differences that vanish outside the
-2N rows at the split, and each is itself a window of size 2N.  Neither a
-certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
+2N rows at the split, and each is itself a window of size 2N.  One of
+them, ``nn_vs_0n`` of a modified certificate, is a Gram matrix whose
+smallest eigenvalue ``boundary._gram_floor`` bounds below; with a bound
+of at least 68 w its margin 0 is proved and the engine runs no job for it.
+Neither a certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
 diagonalization, :func:`eigenvalues`, stays as the dense reference of the
 test suite and the benchmark baseline; no command calls it.  The sampled
 gap floor evaluates g with ``symbols.evaluate_symbol``, in product form,
@@ -38,7 +42,7 @@ from typing import Iterable, Sequence, Tuple
 import numpy as np
 
 from ._multisection import lambda_mins
-from .boundary import BoundaryKind, _window_corners, stencil
+from .boundary import BoundaryKind, _gram_floor, _window_corners, stencil
 from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body
 from .symbols import (
@@ -205,7 +209,7 @@ def check_bracketing(
     window.  Verdicts compare each margin against the fixed threshold
     -1e-9 * max(1, sum|a_k|), sum|a_k| being the row-sum norm of T.
 
-    No window is built, and one :func:`lambda_mins` call gives all four
+    No window is built, and one :func:`lambda_mins` call gives the four
     margins, each from a coefficient row and the top N x N corner of its
     window.  The floor reads each half as the Toeplitz body plus the two
     corners from :func:`boundary._window_corners`.  The three differences
@@ -228,7 +232,12 @@ def check_bracketing(
     placements on its 2N rows.  The ``nn_vs_0n`` window diag(-bottom, -top)
     is positive definite, each block being the Gram sum of the N
     independent crossing placements (lambda_min 1.0 for 0:1, 2.4e-3 for
-    0.3:3,2.0:3), so its margin is 0 only through min(0, .).
+    0.3:3,2.0:3), so its margin is 0 only through min(0, .).  It goes in
+    with the proven lower bound :func:`boundary._gram_floor` of -bottom,
+    built from the same stencil as the corners; the engine then gives it
+    0.0 without a job when the bound clears its grid by 64 stopping
+    widths, which is the result its grid pass would give, and otherwise
+    runs it.  The classic corners are not Gram forms and carry no bound.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
@@ -242,11 +251,14 @@ def check_bracketing(
     for size in (size1, size2):
         _require_size(size, 2 * n + 1)
     coeffs = fourier_coefficients(spec)
-    top, bottom = _window_corners(spec, neumann, neumann)
+    c = stencil(spec) if neumann is BoundaryKind.MODIFIED_NEUMANN else None
+    top, bottom = _window_corners(spec, neumann, neumann, c)
     body = _toeplitz_body(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
+    gram = -bottom
+    proof = () if c is None else (_gram_floor(c, gram),)
     windows = [(coeffs, size, top, "zero") for size in (size1, size2)]
-    windows += [(coeffs, 2 * n, -body - bottom, "min0"), (zero_row, 2 * n, -bottom, "min0")]
+    windows += [(coeffs, 2 * n, -body - bottom, "min0"), (zero_row, 2 * n, gram, "min0", *proof)]
     floor1, floor2, lower, delta_nn = lambda_mins(windows)
     return BracketReport(
         size1=size1,
@@ -482,10 +494,10 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
-    coeffs = fourier_coefficients(spec)
-    top, bottom = _window_corners(spec, nn, nn)
+    coeffs, c = fourier_coefficients(spec), stencil(spec)
+    top, bottom = _window_corners(spec, nn, nn, c)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
-    c, width, enclosures = stencil(spec), max(sizes, default=0), []
+    width, enclosures = max(sizes, default=0), []
     step = max(1, 2**16 // (width * n + 1))
     for chunk in (np.array(sizes[i : i + step]) for i in range(0, len(sizes), step)):
         basis = np.zeros((len(chunk), width, n), dtype=complex)

@@ -16,8 +16,9 @@ live with its tests at the end of ``test_spectra.py``.
 The inputs that several test files share live here too, so that no test
 module imports another: ``ALL_PAIRS``, the 16 boundary pairs; the symbols
 each pair is tested on (``REAL_SPECS``, ``COMPLEX_SPECS``,
-:func:`_window_specs`); the window of a pair (:func:`_window`); and the
-gap scans of the enclosure tests (:func:`enclosure_symbols`).
+:func:`_window_specs`); the window of a pair (:func:`_window`); the gap
+scans of the enclosure tests (:func:`enclosure_symbols`); and the symbols
+of the ``nn_vs_0n`` bound tests (:func:`gram_floor_symbols`).
 """
 
 from __future__ import annotations
@@ -197,3 +198,23 @@ def enclosure_symbols():
         low = 2 * spec.degree + 1
         cases.append((spec, sorted({low, *local.integers(low, 160, 2).tolist()})))
     return cases
+
+
+def gram_floor_symbols():
+    """Symbols of the nn_vs_0n bound tests: 15 seeded random symbols of
+    each degree N = 1..14, multiplicities up to 3 (tied zeros) and factor
+    angles at least 0.001, 0.05 or 0.5 apart (at most 1/n for n factors)."""
+    local = np.random.default_rng(3000)
+    specs = []
+    for degree in range(1, 15):
+        for _ in range(15):
+            mults = []
+            while sum(mults) < degree:
+                mults.append(int(local.integers(1, min(3, degree - sum(mults)) + 1)))
+            min_sep = min(float(local.choice([0.001, 0.05, 0.5])), 1.0 / len(mults))
+            while True:
+                angles = np.sort(local.uniform(0.0, TWO_PI, len(mults)))
+                if len(mults) == 1 or np.diff(angles, append=angles[0] + TWO_PI).min() >= min_sep:
+                    break
+            specs.append(make_symbol(list(zip(angles.tolist(), mults))))
+    return specs

@@ -1,5 +1,7 @@
 """Stencils, corner blocks and boundary-modified restrictions."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -19,7 +21,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
-from toepbrack.boundary import _mirror, _window_corners
+from toepbrack.boundary import _gram_floor, _mirror, _window_corners
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -28,6 +30,7 @@ from oracles import (
     _window,
     _window_specs,
     dirichlet_from_neumann,
+    gram_floor_symbols,
     rank_one_sum,
 )
 
@@ -298,6 +301,55 @@ def test_window_corners_are_the_corner_block_and_its_mirror(pair):
             assert bottom is None
         else:
             assert _same_bits(bottom, corner_block(spec, right).entries), spec
+
+
+@pytest.mark.parametrize("kind", [N_KIND, D_KIND], ids=["n", "d"])
+def test_corner_block_keeps_the_placement_sum_bits(kind):
+    # One outer product of c_0..c_{N-1}, added on shrinking trailing
+    # blocks, adds the same products in the same order as the zero-padded
+    # placements did one by one, so every bit is theirs.
+    sign = -1.0 if kind is N_KIND else 1.0
+    for spec in gram_floor_symbols() + REAL_SPECS + COMPLEX_SPECS:
+        c, n = stencil(spec), spec.degree
+        out = np.zeros((n, n), dtype=complex)
+        for s in range(n):
+            v = np.concatenate([np.zeros(s, dtype=complex), c[: n - s]])
+            out += np.outer(v, v.conj())
+        assert _same_bits(corner_block(spec, kind).entries, hermitian(sign * out).entries), spec
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
+def test_window_corners_take_the_callers_stencil(pair):
+    left, right = (BoundaryKind.from_code(code) for code in pair)
+    for spec in _window_specs(pair):
+        given = _window_corners(spec, left, right, stencil(spec))
+        for ours, built in zip(given, _window_corners(spec, left, right)):
+            assert (ours is None and built is None) or _same_bits(ours, built), spec
+
+
+def test_gram_floor_is_below_the_smallest_eigenvalue():
+    # -bottom is the Gram sum V V* of the N placements that cross the
+    # edge, so 1/||d||_1**2 less the measured distance bounds it below;
+    # checked against LAPACK for every degree up to 14, tied zeros included.
+    for spec in gram_floor_symbols():
+        c = stencil(spec)
+        gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
+        assert _gram_floor(c, gram) <= np.linalg.eigvalsh(gram)[0], spec
+
+
+def test_gram_floor_reads_the_block_it_is_given():
+    # A block that is not the Gram form of c gets a bound below its own
+    # smallest eigenvalue, here negative, and a NaN block a NaN bound.
+    spec = make_symbol([(0.3, 2), (2.0, 1)])
+    c = stencil(spec)
+    gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
+    least = np.linalg.eigvalsh(gram)[0]
+    assert _gram_floor(c, gram) > 0.5 * least > 0.0
+    shifted = gram - 2.0 * least * np.eye(3)
+    assert _gram_floor(c, shifted) <= np.linalg.eigvalsh(shifted)[0] < 0.0
+    poisoned = gram.copy()
+    poisoned[1, 1] = math.nan
+    assert math.isnan(_gram_floor(c, poisoned))
 
 
 def _pad_top_left(block, size):

@@ -45,7 +45,7 @@ import toepbrack
 from toepbrack import boundary, matrices, spectra, symbols
 from toepbrack import _multisection as multisection
 from toepbrack._multisection import lambda_mins
-from toepbrack.boundary import _window_corners
+from toepbrack.boundary import _gram_floor, _window_corners
 from conftest import random_spec, random_split
 from oracles import (
     ALL_PAIRS,
@@ -58,6 +58,7 @@ from oracles import (
     dirichlet_from_neumann,
     enclosure_symbols,
     exhaustive_grid_distance,
+    gram_floor_symbols,
 )
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -206,10 +207,12 @@ class TestCheckBracketing:
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of the corner, row and symmetrizing builders, in every module that binds them."""
-    counts = {"_window_corners": 0, "fourier_coefficients": 0, "hermitian": 0}
+    """Calls of the corner, stencil, row and symmetrizing builders, in every
+    module that binds them."""
+    counts = {"_window_corners": 0, "stencil": 0, "fourier_coefficients": 0, "hermitian": 0}
     for name, original in (
         ("_window_corners", boundary._window_corners),
+        ("stencil", boundary.stencil),
         ("fourier_coefficients", symbols.fourier_coefficients),
         ("hermitian", matrices.hermitian),
     ):
@@ -234,8 +237,10 @@ def builds(monkeypatch):
     ids=["gap_scan", "complex", "real", "penta"],
 )
 def test_corners_and_row_built_once_per_call(builds, call):
+    # One stencil serves the corners and the nn_vs_0n bound of a
+    # certificate, and the corners and the enclosures of a gap scan.
     call()
-    assert builds == {"_window_corners": 1, "fourier_coefficients": 1, "hermitian": 1}
+    assert builds == {"_window_corners": 1, "stencil": 1, "fourier_coefficients": 1, "hermitian": 1}
 
 
 _CLASSIC = BoundaryKind.CLASSIC_NEUMANN
@@ -297,8 +302,8 @@ def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
     # bottom corner reaches the engine, and the window stays a mirror one.
     exact = spectra._window_corners
 
-    def perturbed(spec, left, right):
-        top, bottom = exact(spec, left, right)
+    def perturbed(spec, left, right, *stencil):
+        top, bottom = exact(spec, left, right, *stencil)
         bottom = bottom.copy()
         bottom[0, 0] += 1e-6
         return top, bottom
@@ -539,8 +544,8 @@ class TestSpectralGap:
             assert gap >= floor - 1e-9 * max(1.0, abs(floor))
 
     def test_corrupted_window_fails_kernel_check(self, monkeypatch):
-        def corrupted(spec, left, right):
-            top, bottom = _window_corners(spec, left, right)
+        def corrupted(spec, left, right, *stencil):
+            top, bottom = _window_corners(spec, left, right, *stencil)
             top = top.copy()
             top[0, 0] += 1e-3
             return top, bottom
@@ -593,8 +598,8 @@ class TestSpectralGap:
     def test_kernel_check_names_the_first_size_on_a_corrupt_corner(self, monkeypatch, factors, message):
         # The bottom corner enters on each size's own last rows: every size
         # fails, and the message names the smallest and its worst vector.
-        def corrupted(spec, left, right):
-            top, bottom = _window_corners(spec, left, right)
+        def corrupted(spec, left, right, *stencil):
+            top, bottom = _window_corners(spec, left, right, *stencil)
             bottom = bottom.copy()
             bottom[-1, -1] += 1e-3
             return top, bottom
@@ -831,7 +836,8 @@ def test_modified_certificate_takes_one_pass_per_kind(passes, call):
 
 def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes, rng):
     # A grid pass gives no estimate, so no pass carries a twin job: the
-    # passes of a certificate carry its own four windows, each once.
+    # passes of a certificate carry its own windows, each once, and the
+    # proven bound of nn_vs_0n keeps that one out of them.
     jobs = []
     one_pass = multisection._pass
 
@@ -846,7 +852,7 @@ def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes
         jobs.clear()
         check_bracketing(spec, *random_split(rng, spec.degree, 300))
         assert passes and len(passes) == len(set(passes)), spec
-        assert len(jobs) == len({id(job) for job in jobs}) == 4, spec
+        assert len(jobs) == len({id(job) for job in jobs}) == 3, spec
 
 
 @pytest.mark.parametrize(
@@ -880,10 +886,11 @@ def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes
     ids=["large", "degree6", "degree8", "degree10", "penta_real"],
 )
 def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, call, margins):
-    # Each of the four windows takes one pass, of the 9 shifts k * w for
-    # |k| <= 4, so a wider grid fails here instead of passing as a silent
-    # slowdown.  The grid also decides where a margin lands within w, so
-    # the bits of floor_nn, nn_vs_0n and lower (upper is lower) are pinned.
+    # Each of the three windows the engine runs takes one pass, of the 9
+    # shifts k * w for |k| <= 4, so a wider grid fails here instead of
+    # passing as a silent slowdown; nn_vs_0n is proved and runs none.  The
+    # grid also decides where a margin lands within w, so the bits of
+    # floor_nn, nn_vs_0n and lower (upper is lower) are pinned.
     widths = []
     one_pass = multisection._pass
 
@@ -893,9 +900,124 @@ def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, ca
 
     monkeypatch.setattr(multisection, "_pass", spy)
     report = call()
-    assert sum(widths, []) == [9, 9, 9, 9]
+    assert sum(widths, []) == [9, 9, 9]
     assert report.all_hold
     assert [report.floor_nn.hex(), report.delta_nn.hex(), report.delta_lower.hex()] == margins
+
+
+@pytest.fixture
+def jobs(monkeypatch):
+    """How many jobs each engine row-loop group starts with."""
+    counts = []
+    row_loop = multisection._multisection
+
+    def spy(group):
+        counts.append(len(group))
+        row_loop(group)
+
+    monkeypatch.setattr(multisection, "_multisection", spy)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "call, count",
+    [
+        (lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23), 3),
+        (lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6), 3),
+        (lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9), 3),
+        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN), 4),
+        (lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27), 4),
+    ],
+    ids=["complex", "degree1", "penta", "classic", "undecided"],
+)
+def test_proved_nn_vs_0n_takes_no_job(jobs, call, count):
+    # A modified certificate whose nn_vs_0n bound clears the grid runs
+    # three jobs; a classic one has no bound, and the bound of 0:12 is
+    # below 68 w, so each of those still runs all four windows.
+    call()
+    assert sum(jobs) == count
+
+
+def test_complex_degree_one_certificate_takes_one_row_loop(passes):
+    # Its nn_vs_0n block is [[1]], the one real window of the certificate,
+    # so running it took a second row loop, of the real kind.
+    check_bracketing(make_symbol([(2.0, 1)]), 5, 6)
+    assert passes == [True]
+
+
+def test_proved_nn_vs_0n_windows_are_the_engines_zeros(passes):
+    # Every bound is below LAPACK's eigenvalue, and the bound never changes
+    # what the engine returns: a window it settles gets 0.0 without a row
+    # loop, which is what its grid pass gives when run.  It settles every
+    # symbol up to N = 7.
+    settled = dict.fromkeys(range(1, 15), 0)
+    for spec in gram_floor_symbols():
+        n, c = spec.degree, stencil(spec)
+        gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
+        bound = _gram_floor(c, gram)
+        assert bound <= np.linalg.eigvalsh(gram)[0], spec
+        window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, gram, "min0")
+        passes.clear()
+        proved = lambda_mins([window + (bound,)])[0]
+        if not passes:
+            settled[n] += 1
+            assert proved == 0.0, spec
+        assert proved.hex() == lambda_mins([window])[0].hex(), spec
+    assert [settled[n] for n in range(1, 8)] == [15] * 7
+
+
+def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
+    # For 0:12 the corners reach 2.7e6 and the bound is below 68 w (it is
+    # negative: ||d||_1 = C(23, 11)), so nn_vs_0n goes through the engine,
+    # and every margin is LAPACK's.
+    spec = make_symbol([(0.0, 12)])
+    c = stencil(spec)
+    gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert np.abs(gram).max() > 2.7e6 and _gram_floor(c, gram) < 0.0
+    report = check_bracketing(spec, 25, 27)
+    assert sum(jobs) == 4 and report.all_hold
+    floor1, floor2, lower, delta_nn = (
+        np.linalg.eigvalsh(dense_window(*w))[0] for w in certificate_windows(spec, 25, 27)
+    )
+    expected = {
+        "floor_nn": min(floor1, floor2),
+        "nn_vs_0n": min(0.0, delta_nn),
+        "lower": min(0.0, lower),
+        "upper": min(0.0, lower),
+    }
+    tol = 1e-12 * max(1.0, float(np.abs(fourier_coefficients(spec).a).sum()))
+    for name, value in expected.items():
+        assert abs(report.margins[name] - value) <= tol, name
+
+
+@pytest.mark.parametrize("corruption", ["indefinite", "nan"])
+def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
+    # The bound measures the block it is given, so a -bottom that is not
+    # the Gram form goes through the engine and its margin fails.
+    exact = spectra._window_corners
+    spec = make_symbol([(0.3, 2), (2.0, 1)])
+
+    def corrupted(spec, left, right, *stencil):
+        top, bottom = exact(spec, left, right, *stencil)
+        gram = -bottom
+        if corruption == "nan":
+            gram[1, 1] = math.nan
+        else:
+            gram -= 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(len(gram))
+        return top, -gram
+
+    monkeypatch.setattr(spectra, "_window_corners", corrupted)
+    with np.errstate(all="ignore"):
+        report = check_bracketing(spec, 9, 11)
+    assert sum(jobs) == 4
+    assert not report.verdicts["nn_vs_0n"] and not report.all_hold
+    if corruption == "nan":
+        assert math.isnan(report.delta_nn)
+    else:
+        _, bottom = corrupted(spec, N_KIND, N_KIND)
+        least = np.linalg.eigvalsh(-bottom)[0]
+        tol = 1e-12 * max(1.0, float(np.abs(fourier_coefficients(spec).a).sum()))
+        assert least < 0.0 and abs(report.delta_nn - least) <= tol
 
 
 def test_gap_scan_keeps_its_passes_and_values(passes):
@@ -1228,15 +1350,15 @@ class TestBandedLambdaMin:
         assert loops[0] < loops[1]
 
     @pytest.mark.parametrize(
-        "call",
+        "call, sharing",
         [
-            lambda: check_bracketing(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23),
-            lambda: check_bracketing(make_symbol([(0.0, 2)]), 9, 12),
-            lambda: gap_scan(make_symbol([(1.0, 1), (2.5, 2)]), [16, 24, 40]),
+            (lambda: check_bracketing(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23), 2),
+            (lambda: check_bracketing(make_symbol([(0.0, 2)]), 9, 12), 2),
+            (lambda: gap_scan(make_symbol([(1.0, 1), (2.5, 2)]), [16, 24, 40]), 3),
         ],
         ids=["complex", "real", "gap_scan"],
     )
-    def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call):
+    def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call, sharing):
         # Both floors of a certificate, and all sizes of a gap scan, differ
         # only in m: their jobs share one template, T_N(g) and grid, which
         # no pass may write.
@@ -1250,7 +1372,7 @@ class TestBandedLambdaMin:
 
         monkeypatch.setattr(multisection, "_pass", spy)
         call()
-        shared = first_pass[:2] if len(first_pass) == 4 else first_pass
+        shared = first_pass[:sharing]
         for k in (0, 3, 7):
             if shared[0][k] is None:
                 continue  # a gap window has no grid
