@@ -6,8 +6,11 @@ modified boundary conditions restore it:
     0 <= softened blocks <= one-sided softened sum <= whole window
                                         whole window <= stiffened sum.
 
-Each inequality is certified by the smallest eigenvalue of a difference,
-so a margin of about -1e-16 times the norm is a pass.  The same chain
+Each inequality is certified by a proven lower bound of the smallest
+eigenvalue of a difference, -delta, delta the exact distance of the float
+windows from Gram forms (or, where delta passes the threshold, by the
+eigenvalue itself); a margin of about -1e-16 times the norm, or 0.0 for
+a row of integers, is a pass.  The same chain
 holds for any admissible real pentadiagonal row after an affine reduction
 to a product symbol, with the floor shifted to the row's true infimum.
 """

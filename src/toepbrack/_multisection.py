@@ -1,7 +1,8 @@
 """Smallest eigenvalues of banded mirror windows, by multisection on LDL* pivots.
 
 :func:`lambda_mins` is the one entry: ``spectra`` calls it for the
-margins of a bracketing certificate and for the spectral gap, and nothing
+margins of a classic-Neumann bracketing certificate, or of a modified
+one whose proof does not hold it, and for the spectral gap, and nothing
 else imports this module.  A window is a coefficient row, a size m and a
 top N x N corner; its smallest eigenvalue comes from the signs of banded
 LDL* pivots (Sylvester's law of inertia) in O(m * N**2) per pass, and no
@@ -23,25 +24,12 @@ shifts above it in the first row loop, and gives that row loop its
 prediction: the gap-scan ops of benchmark seed 1 take 2, 6 and 7 row
 loops where one pass per row loop takes 10, with every bit unchanged.
 
-Every margin of a modified certificate is 0 in exact arithmetic, so each
-certificate window's first pass tests the 9 shifts k*w, |k| <= 4, around
-0 and usually ends its multisection at once.  A window flagged "min0"
+Every margin of a certificate that holds is 0 in exact arithmetic, so
+each certificate window's first pass tests the 9 shifts k*w, |k| <= 4,
+around 0 and usually ends its multisection at once.  A window flagged "min0"
 stops as soon as its bracket lies at or above 0, so a positive definite
 one ends after that pass.  A margin outside the grid, such as a
 classic-Neumann failure, falls back to uniform passes.
-
-One rule skips a window altogether: a "min0" window that comes with a
-proven lower bound of its smallest eigenvalue at least (_GRID + _MARGIN)
-* w gets the result 0.0 and no job.  That is the result its grid pass
-would give: every grid shift, at most _GRID * w, then lies _MARGIN * w or
-more below lambda_min and passes by the backward-error argument of
-:func:`_enclose`, and a bracket at or above 0 returns min(0, .) = 0.  Any
-other window, a bound below that line or NaN, or an N too large for the
-argument, runs as before.  ``spectra`` passes such a bound with
-the positive definite ``nn_vs_0n`` window of a modified certificate, so
-that window usually never becomes a job: the certify ops of benchmark
-seeds 401-410 take 1002 row loops, where running every ``nn_vs_0n`` takes
-1105.
 """
 
 from __future__ import annotations
@@ -103,46 +91,27 @@ def _window_setup(coeffs: BandedCoeffs, top: np.ndarray | None) -> tuple:
     a = coeffs.a
     if not (a.imag.any() or top is not None and top.imag.any()):
         a, top = a.real, None if top is None else top.real
-    reach = _reach(a, top)
+    reach = float(np.abs(a).sum())
     template = a[_band_index(n)]
     body = template[:n, :n].copy()
     if top is not None:
+        # The largest absolute row sums of top and of its reflection, the
+        # bottom corner, each summed in its own row order.
+        top_sum, bottom_sum = np.abs([top, top[::-1, ::-1]]).sum(axis=2).max(axis=1).tolist()
+        reach += top_sum + bottom_sum
         template[:n, :n] += top
-    tol = _width(n, reach)
+    tol = 8.0 * (n + 1) * _EPS * max(1.0, reach)
     grid = tol * _GRID_STEPS
     for x in (template, body, grid):
         x.flags.writeable = False
     return template, body, tol, 0.0 if top is None else -reach, reach, grid
 
 
-def _reach(a: np.ndarray, top: np.ndarray | None) -> float:
-    """The row-sum bound r of a window: sum|a_k| plus the largest absolute
-    row sums of top and of its reflection, the bottom corner, each summed
-    in its own row order."""
-    reach = float(np.abs(a).sum())
-    if top is not None:
-        top_sum, bottom_sum = np.abs([top, top[::-1, ::-1]]).sum(axis=2).max(axis=1).tolist()
-        reach += top_sum + bottom_sum
-    return reach
-
-
-def _width(n: int, reach: float) -> float:
-    """The stopping width w = 8 * (N+1) * eps * max(1, r)."""
-    return 8.0 * (n + 1) * _EPS * max(1.0, reach)
-
-
-def _within_margin(n: int) -> bool:
-    """Whether the backward error of a banded LDL* of half-bandwidth n,
-    (2N+1) * gamma_{N+4} * r, stays below _MARGIN * w (:func:`_enclose`)."""
-    return (2 * n + 1) * (n + 5) < 8 * _MARGIN * (n + 1)
-
-
 def lambda_mins(windows: Sequence[tuple]) -> list[float]:
-    """Smallest eigenvalues of windows (coeffs, m, top[, expect[, bound]])
-    of one half-bandwidth N: each is the m x m window T_m(g) plus, unless
-    top is None, the N x N block top at its top-left corner and its
-    conjugated reflection bottom = conj(top[::-1, ::-1]) at its
-    bottom-right one.
+    """Smallest eigenvalues of windows (coeffs, m, top[, expect]) of one
+    half-bandwidth N: each is the m x m window T_m(g) plus, unless top is
+    None, the N x N block top at its top-left corner and its conjugated
+    reflection bottom = conj(top[::-1, ::-1]) at its bottom-right one.
 
     Multisection on Sylvester's law of inertia: W - s*I is positive
     definite iff every pivot of its LDL* factorization is positive.  One
@@ -192,10 +161,8 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     go on from [-r, -4w] or [4w, r].  "min0" does the same and returns
     min(0, lambda_min), stopping as soon as the bracket lies in [0, r]: a
     positive definite window ends after its grid pass without resolving
-    the eigenvalue that min(0, .) discards.  ``bound``, for a "min0"
-    window, is a proven lower bound of its smallest eigenvalue, which may
-    settle it without a job (the rule of the module docstring).  The
-    coefficient row may be zero, for a window that is just its two corners.
+    the eigenvalue that min(0, .) discards.  The coefficient row may be
+    zero, for a window that is just its two corners.
     Needs m >= N+1 (L = 2N+1 gives m = N+1); no windows give an empty list.
 
     Windows that share their row and top corner object share one
@@ -207,15 +174,11 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     lo, hi, grid, cap, pivots, estimate].
     """
     jobs, setups = [], {}
-    for coeffs, m, top, *extra in windows:
+    for coeffs, m, top, *expect in windows:
         n = coeffs.half_bandwidth
-        expect, bound = (*extra, None, None)[:2]
+        expect = expect[0] if expect else None
         if top is not None and m < 2 * n:
             raise ValueError(f"a window with corners needs m >= 2N = {2 * n}, got {m}")
-        if expect == "min0" and bound is not None and _within_margin(n):
-            if bound >= (_GRID + _MARGIN) * _width(n, _reach(coeffs.a, top)):
-                jobs.append(None)
-                continue
         key = (id(coeffs), id(top))
         if key not in setups:
             setups[key] = _window_setup(coeffs, top)
@@ -232,17 +195,15 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
             _enclose(job, *expect)
         jobs.append(job)
     for kind in (False, True):
-        group = [job for job in jobs if job is not None and np.iscomplexobj(job[0]) == kind]
+        group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
             _multisection(group)
-    return [0.0 if job is None else _result(job) for job in jobs]
-
-
-def _result(job: list) -> float:
-    """The midpoint of job's bracket, min(0, .) of it under cap 0."""
-    mid = 0.5 * (job[5] + job[6])
+    mids = [0.5 * (job[5] + job[6]) for job in jobs]
     # A NaN midpoint stays NaN: min(0.0, nan) would give 0.0.
-    return min(0.0, mid) if job[8] == 0.0 and not math.isnan(mid) else mid
+    return [
+        min(0.0, mid) if job[8] == 0.0 and not math.isnan(mid) else mid
+        for job, mid in zip(jobs, mids)
+    ]
 
 
 def _open(job: list) -> bool:
@@ -281,7 +242,7 @@ def _enclose(job: list, lower: float, upper: float) -> None:
     _MARGIN * w.  An enclosure that is not one (lower > upper, or NaN),
     or a wider band, decides nothing."""
     n = len(job[0]) - 1
-    if not (lower <= upper and _within_margin(n)):
+    if not lower <= upper or (2 * n + 1) * (n + 5) >= 8 * _MARGIN * (n + 1):
         return
     below, above, steps = lower - _MARGIN * job[4], upper + _MARGIN * job[4], _STEPS.tolist()
     while _open(job):

@@ -115,28 +115,24 @@ def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> HermitianMatrix:
     return hermitian(sign * out)
 
 
-def _gram_floor(c: np.ndarray, block: np.ndarray) -> float:
-    """A proven lower bound on lambda_min(block), for block the float -bottom
-    of the modified Neumann corner of the stencil c: 1/||d||_1**2 - delta.
+def _gram_floor(c: np.ndarray, residual: float) -> float:
+    """A proven lower bound on lambda_min(-bottom), for bottom the float
+    modified Neumann corner of the stencil c and residual an upper bound
+    of its distance ||Delta||_F from the exact corner (:func:`_gram_residual`):
+    1/||d||_1**2 - residual.
 
-    In exact arithmetic -bottom = V V*, the Gram sum of the N placements
-    that cross the edge, V the N x N unit lower-triangular Toeplitz matrix
-    of c_0..c_{N-1}.  Its inverse is the lower-triangular Toeplitz matrix
-    of d_0..d_{N-1}, the first N coefficients of 1/c(z) (d_0 = 1, d_k =
+    The exact -bottom is V V*, the Gram sum of the N placements that
+    cross the edge, V the N x N unit lower-triangular Toeplitz matrix of
+    c_0..c_{N-1}.  Its inverse is the lower-triangular Toeplitz matrix of
+    d_0..d_{N-1}, the first N coefficients of 1/c(z) (d_0 = 1, d_k =
     -sum_{j=1..k} c_j d_{k-j}, as c_0 == 1), whose column and row sums
     are at most ||d||_1, so ||V^-1||_2 <= ||d||_1 and lambda_min(V V*) >=
-    1/||d||_1**2.  d is computed in Python floats: by the backward error
-    of a triangular solve (Higham, "Accuracy and Stability of Numerical
-    Algorithms", Thm 8.5) the computed d' has ||d||_1 <= ||d'||_1 / (1 -
-    k), k = 4 * (N+3) * eps * ||c||_1 * ||d'||_1 (||c||_1 over
-    c_0..c_{N-1}), with room for the roundings of forming the bound.
-    delta, by Weyl's inequality, bounds ||block - V V*||_2 <= ||block -
-    V V*||_F: the measured Frobenius distance to the float product V V*,
-    widened by (N+2)**2 * eps for its own rounding, plus 4 * (N+2) * eps *
-    ||c||_1**2 for the rounding of that product.  So the bound is about
-    block as given: a block that is not this Gram form gets a bound below
-    its smallest eigenvalue, often below 0, and a block that is not finite
-    a NaN or -inf one.
+    1/||d||_1**2; Weyl's inequality takes off ||Delta||_2 <= ||Delta||_F.
+    d is computed in Python floats: by the backward error of a triangular
+    solve (Higham, "Accuracy and Stability of Numerical Algorithms", Thm
+    8.5) the computed d' has ||d||_1 <= ||d'||_1 / (1 - k), k = 4 * (N+3)
+    * eps * ||c||_1 * ||d'||_1 (||c||_1 over c_0..c_{N-1}), with room for
+    the roundings of forming the bound.  A NaN residual gives a NaN bound.
     """
     n = len(c) - 1
     cs = c.tolist()[:n]
@@ -145,23 +141,187 @@ def _gram_floor(c: np.ndarray, block: np.ndarray) -> float:
         d.append(-sum(map(operator.mul, cs[1 : k + 1], d[::-1])))
     c_norm, d_norm = sum(map(abs, cs)), sum(map(abs, d))
     shrink = max(0.0, 1.0 - 4 * (n + 3) * _EPS * c_norm * d_norm)
-    index, lower = _lower_index(n)
-    v = c[index] * lower  # c is finite, so the wrapped entries above the diagonal become 0
-    residual = block - v @ v.conj().T
-    distance = math.sqrt(np.vdot(residual, residual).real)
-    delta = distance * (1.0 + (n + 2) ** 2 * _EPS) + 4 * (n + 2) * _EPS * c_norm * c_norm
-    return (shrink / d_norm) ** 2 - delta
+    return (shrink / d_norm) ** 2 - residual
 
 
-@functools.cache
-def _lower_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only (N, N) index i - s into a stencil and the mask i >= s of a
-    lower-triangular Toeplitz matrix."""
-    index = np.subtract.outer(np.arange(n), np.arange(n))
-    lower = index >= 0
-    for x in (index, lower):
-        x.flags.writeable = False
-    return index, lower
+# Veltkamp's splitter: x * (2**27 + 1) splits a float into two halves of
+# at most 26 significant bits each, whose products are exact floats.
+_SPLITTER = 2.0**27 + 1.0
+# Between these magnitudes every nonzero product of two halves is a normal
+# float; smaller stencil parts are flushed to zero and bounded apart.
+_SPLIT_RANGE = (2.0**-450, 2.0**500)
+
+
+def _gram_residual(c: np.ndarray, a: np.ndarray, bottom: np.ndarray) -> tuple[float, float]:
+    """Upper bounds (delta, right) of ||a - r||_1 + max(right, left) and of
+    right = ||bottom - E_R||_F, for a the float coefficient row, r the
+    exact autocorrelation of the stencil c, bottom the float modified
+    Neumann corner and top its mirror, and E_R and E_L the exact corners
+    of c: minus the Gram sums of its placements that cross a right and a
+    left edge; left = ||top - E_L||_F.
+
+    Every window a modified certificate reads differs from an exact Gram
+    form of c by T(a - r) and by bottom - E_R and top - E_L on disjoint
+    edge rows, so by at most delta in the 2-norm (``spectra.check_bracketing``).
+    E_L is not the mirror of E_R: that holds only for an exact stencil.
+    The entries r_t = sum_j c_j conj(c_{j+t}), E_R[i][j] = -sum_{s <= j}
+    c_{i-s} conj(c_{j-s}) and E_L[i][j] = -sum_{1 <= m <= N-i} c_{i+m}
+    conj(c_{j+m}), i >= j (both corners are Hermitian, and bottom must be
+    exactly so), are sums of products c_x conj(c_y).  Each real product
+    x * y in them is p + e exactly, p = fl(x * y) and e Dekker's error term
+    from the products of 26-bit halves (Veltkamp's split), for all parts
+    of c at once.  Each residual part, re or im, is one ``math.fsum`` of
+    its float entry and its p and e terms, gathered in one numpy pass
+    (:func:`_residual_layout`): correctly rounded, so below the exact part
+    by at most 2**-53 of itself.  The rest is bounded upward: each |a_t -
+    r_t| by its |re| + |im|, summed by ``math.fsum``; each Frobenius norm
+    by ``math.hypot`` of the parts, off-diagonal ones twice (an error below
+    one ulp); then the sum.  A stencil part below 2**-450 is taken as 0,
+    and the corner norms grow by 2 * (N+1) * ||c - c'||_1 * ||c||_1 (norms
+    over the parts), which bounds what that moves r and each corner by.
+    An exact residual of 0 gives 0.0, a corner that is not exactly
+    Hermitian, or a row or corner that is not finite, NaN, and a stencil
+    part above 2**500, where a product could overflow, inf.
+    """
+    n = len(c) - 1
+    if not np.array_equal(bottom, bottom.conj().T):
+        return math.nan, math.nan
+    low, high = _SPLIT_RANGE
+    parts = c.view(np.float64)
+    sizes = list(map(abs, parts.tolist()))
+    if not all(v <= high for v in sizes):
+        return math.inf, math.inf
+    slack = 0.0
+    tiny = [v for v in sizes if v < low]
+    if any(tiny):
+        parts = np.where(np.abs(parts) < low, 0.0, parts)
+        slack = _up(2 * (n + 1) * math.fsum(tiny) * math.fsum(sizes))
+    signs, order, segments, groups = _residual_layout(n)
+    entries = np.concatenate((a, a.conj(), -bottom.ravel(), bottom.ravel()))
+    values = np.concatenate(((-entries).view(np.float64), (_exact_products(parts) * signs).ravel()))
+    flat = values[order].tolist()
+    residual = [math.fsum(flat[segment]) for segment in segments]
+    row, right_diagonal, right_off, left_diagonal, left_off = (residual[group] for group in groups)
+    right, left = (
+        _up(math.hypot(*diagonal, *off, *off) + slack)
+        for diagonal, off in ((right_diagonal, right_off), (left_diagonal, left_off))
+    )
+    return _up(_up(math.fsum(map(abs, row))) + max(right, left)), right
+
+
+def _affine_residual(row: np.ndarray, scale: float, a: np.ndarray, shift: float) -> float:
+    """An upper bound of ||row - scale * a - shift * e_0||_1, |re| + |im| for
+    each entry, for coefficient rows row and a of one length and e_0 the
+    row's centre.  Each part of each entry is one ``math.fsum`` of its
+    float entry, the exact product scale * a_t as p + e (Dekker) and, at
+    the centre, -shift: correctly rounded, and their sum bounded upward.
+    A scale or a nonzero part of a outside [2**-450, 2**500] gives inf.
+    """
+    parts = a.view(np.float64)
+    low, high = _SPLIT_RANGE
+    if not all(v == 0.0 or low <= abs(v) <= high for v in (scale, *parts.tolist())):
+        return math.inf
+    (scale_up, scale_low), (parts_up, parts_low) = _halves(scale), _halves(parts)
+    products = scale * parts
+    errors = scale_up * parts_up - products
+    errors += scale_up * parts_low
+    errors += scale_low * parts_up
+    errors += scale_low * parts_low
+    columns = list(zip(row.view(np.float64).tolist(), (-products).tolist(), (-errors).tolist()))
+    columns[len(a) - 1] += (-shift,)  # the real part of the centre, a_0
+    return _up(math.fsum(abs(math.fsum(column)) for column in columns))
+
+
+def _exact_products(x: np.ndarray) -> np.ndarray:
+    """(p, e) stacked, with x_i * x_j = p_ij + e_ij exactly, p = fl(x_i *
+    x_j): e is Dekker's error term from the products of 26-bit halves
+    (Veltkamp's split), exact while every nonzero x_i lies in
+    ``_SPLIT_RANGE``."""
+    up, low = _halves(x)
+    out = np.empty((2, len(x), len(x)))
+    products, errors = out
+    np.multiply.outer(x, x, out=products)
+    np.multiply.outer(up, up, out=errors)
+    errors -= products
+    errors += np.multiply.outer(up, low)
+    errors += np.multiply.outer(low, up)
+    errors += np.multiply.outer(low, low)
+    return out
+
+
+def _halves(v):
+    """Veltkamp's split of v, a float or an array of them, into halves of
+    at most 26 significant bits."""
+    scaled = v * _SPLITTER
+    upper = scaled - (scaled - v)
+    return upper, v - upper
+
+
+def _up(x: float) -> float:
+    """An upper bound of the exact value of x >= 0, computed with a few
+    roundings: x * (1 + 4 eps) and one ulp more, or 0.0 for 0.0."""
+    return x if x == 0.0 else math.nextafter(x * (1.0 + 4 * _EPS), math.inf)
+
+
+@functools.lru_cache(maxsize=16)
+def _residual_layout(n: int) -> tuple:
+    """(signs, order, segments, groups) of :func:`_gram_residual` for degree n.
+
+    The gathered values are -a, -conj(a), bottom and -bottom, as float
+    parts, then the products and then the errors of all parts of c, each
+    table signed by ``signs`` as it enters +c_x conj(c_y): re = re*re +
+    im*im, im = im*re - re*im.  On corner diagonal k, with b_j = bottom[j+k][j]
+    and P(q) = c_{q+k} conj(c_q), q = 0..N-k, bottom - E_R at (j+k, j) is
+    b_j + P(0) + .. + P(j), top - E_L at (N-1-j-k, N-1-j) the conjugate of
+    b_j + P(N-k-j) + .. + P(N-k), and all N-k+1 terms less a_{-k} make
+    r_{-k} - a_{-k}, less conj(a_k) conj(r_k - a_k).  So each diagonal's
+    part, re or im, is two runs, the terms P in rising and in falling q,
+    each corner residual a prefix of one: after each P(q) that ends one
+    comes b_j and then -b_j, which cancels it in every longer prefix.
+    The first run ends in -a_{-k}, the second, for k > 0, in -conj(a_k).
+    Each run is O(N), so ``order``, its concatenation, is O(N**2);
+    ``segments`` slices the prefixes out of it, and ``groups`` slices
+    their sums into the row, the right corner's diagonal and off-diagonal
+    parts, and the left corner's.  The last 16 degrees' layouts are kept.
+    """
+    width = 2 * n + 2
+    conj_row = 2 * (2 * n + 1)
+    floats = 2 * conj_row  # bottom[i][j] sits at floats + 2 * (n * i + j), -bottom n * n entries later
+    tables = floats + 4 * n * n
+    # The product of part u of c_x and part v of c_y, and its error, sit at
+    # (2x + u) * width + 2y + v of their tables; re takes (u, v) = (0, 0)
+    # and (1, 1), im (1, 0) and (0, 1).
+    uvs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
+
+    def terms(x: int, y: int, part: int) -> list[int]:
+        at = [tables + (2 * x + u) * width + 2 * y + v for u, v in uvs[part]]
+        return [i for a in at for i in (a, a + width * width)]
+
+    # The row, then the right corner's diagonal and off-diagonal parts,
+    # then the left corner's.
+    order, groups = [], ([], [], [], [], [])
+    for k in range(n + 1):
+        for part in (0, 1):
+            for side, first, step, row_at in ((1, 0, 1, 2 * (n - k)), (3, n - k, -1, conj_row + 2 * (n + k))):
+                start = len(order)
+                for j in range(n - k):
+                    q = first + step * j
+                    order += terms(q + k, q, part)
+                    b = floats + 2 * (n * (j + k) + j) + part
+                    groups[side + (k > 0)].append(slice(start, len(order) + 1))
+                    order += [b, b + 2 * n * n]
+                if side == 1 or k:
+                    q = first + step * (n - k)
+                    order += terms(q + k, q, part)
+                    order.append(row_at + part)
+                    groups[0].append(slice(start, len(order)))
+    edges = np.cumsum([0, *map(len, groups)]).tolist()
+    signs = np.tile([[1.0, -1.0], [1.0, 1.0]], (n + 1, n + 1))
+    order = np.array(order)
+    for array in (signs, order):
+        array.flags.writeable = False
+    segments = tuple(segment for group in groups for segment in group)
+    return signs, order, segments, tuple(map(slice, edges, edges[1:]))
 
 
 def _classic_corner(coeffs: BandedCoeffs) -> HermitianMatrix:

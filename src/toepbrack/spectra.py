@@ -2,30 +2,33 @@
 
 One engine keeps external eigensolvers out of the verification path;
 LAPACK appears only as an independent cross-check in the test suite.
-Every margin and every gap is the smallest eigenvalue of a banded window,
-read by ``lambda_mins``, the multisection engine's one entry.  What this
-module asks of it: windows (coeffs, m, top[, expect[, bound]]), each the
+A modified bracketing certificate is first proved: in exact arithmetic
+each of its windows is a Gram form of stencil placements, and the float
+windows differ from those by one residual delta, computed exactly
+(``boundary._gram_residual``), so when delta is within the verdict
+threshold each margin is a proven lower bound and no eigenvalue is
+computed (:func:`check_bracketing`).  Every other margin, those of a
+certificate the proof does not hold and of a classic one, and every gap
+is the smallest eigenvalue of a banded window, read by ``lambda_mins``,
+the multisection engine's one entry, which this module loads on first
+use.
+What it asks of the engine: windows (coeffs, m, top[, expect]), each the
 m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
-corner and that block's conjugated reflection at its bottom-right one, as
-``boundary._window_corners`` builds them; the smallest eigenvalue of each
-as a midpoint to within the stopping width w; and min(0, .) of it for a
-window flagged "min0", which a proven lower bound may settle without a
-job.  That gives the floor of the bracketing chain, and the spectral gap
-too: by the Gram identity the softened window of size L has an
-N-dimensional kernel and the rest of its spectrum is that of T_{L-N}(g);
-the kernels of all sizes are checked by one banded product.
-Each gap window goes in with an enclosure (lower, upper) of its
-eigenvalue, the sampling bound at the constructive grid shift and a
-Gram-form Rayleigh quotient, each with an estimated rounding allowance
-(:func:`_enclosure`); the engine skips the passes and shifts it decides,
-with a safety margin of 64 stopping widths, so every gap keeps the bits
-it has without it, and no report shows it.  The other three bracketing
-margins are smallest eigenvalues of differences that vanish outside the
-2N rows at the split, and each is itself a window of size 2N.  One of
-them, ``nn_vs_0n`` of a modified certificate, is a Gram matrix whose
-smallest eigenvalue ``boundary._gram_floor`` bounds below; with a bound
-of at least 68 w its margin 0 is proved and the engine runs no job for it.
-Neither a certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
+corner and that block's conjugated reflection at its bottom-right one,
+as ``boundary._window_corners`` builds them; the smallest eigenvalue of
+each as a midpoint to within the stopping width w; and min(0, .) of it
+for a window flagged "min0".  That gives the margins of a classic
+certificate, or of a modified one past its proof, and the spectral
+gap too: by the Gram identity the softened
+window of size L has an N-dimensional kernel and the rest of its
+spectrum is that of T_{L-N}(g); the kernels of all sizes are checked by
+one banded product.  Each gap window goes in with an enclosure (lower,
+upper) of its eigenvalue, the sampling bound at the constructive grid
+shift and a Gram-form Rayleigh quotient, each with an estimated rounding
+allowance (:func:`_enclosure`); the engine skips the passes and shifts
+it decides, with a safety margin of 64 stopping widths, so every gap
+keeps the bits it has without it, and no report shows it.  Neither a
+certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
 diagonalization, :func:`eigenvalues`, stays as the dense reference of the
 test suite and the benchmark baseline; no command calls it.  The sampled
 gap floor evaluates g with ``symbols.evaluate_symbol``, in product form,
@@ -36,13 +39,20 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-from ._multisection import lambda_mins
-from .boundary import BoundaryKind, _gram_floor, _window_corners, stencil
+from .boundary import (
+    BoundaryKind,
+    _affine_residual,
+    _gram_floor,
+    _gram_residual,
+    _up,
+    _window_corners,
+    stencil,
+)
 from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body
 from .symbols import (
@@ -156,10 +166,13 @@ _REL_TOL = 1e-9
 class BracketReport:
     """Margins of the four-operator inequality chain, one number each.
 
-    Every margin is a smallest eigenvalue and certifies its inequality when
-    it is >= -abs_tol.  ``floor_nn`` is measured relative to the symbol's
-    infimum (``symbol_floor``, zero for product symbols), so all four
-    verdicts share the same threshold convention, abs_tol = rel_tol * max(1, sum|a_k|).
+    Every margin is a smallest eigenvalue, or a proven lower bound of it
+    for the modified conditions where the proof holds
+    (:func:`check_bracketing`), and certifies
+    its inequality when it is >= -abs_tol.  ``floor_nn`` is measured
+    relative to the symbol's infimum (``symbol_floor``, zero for product
+    symbols), so all four verdicts share the same threshold convention,
+    abs_tol = rel_tol * max(1, sum|a_k|).
     """
 
     size1: int
@@ -202,74 +215,121 @@ def check_bracketing(
 ) -> BracketReport:
     """Certify the full inequality chain for a product symbol at one split.
 
-    The four margins are the smallest eigenvalues of, in order: the
+    The four margins bound the smallest eigenvalues of, in order: the
     both-sided softened blocks (their floor, relative to inf g = 0), the
     one-sided minus both-sided softened direct sums, the whole window minus
     the softened direct sum, and the stiffened direct sum minus the whole
     window.  Verdicts compare each margin against the fixed threshold
-    -1e-9 * max(1, sum|a_k|), sum|a_k| being the row-sum norm of T.
+    -1e-9 * max(1, sum|a_k|), sum|a_k| being the row-sum norm of T.  No
+    window is built.  The three differences vanish outside the 2N rows at
+    the split, where, with bottom and top the soft corners that meet
+    there, each is a window of size 2N: ``nn_vs_0n`` is diag(-bottom,
+    -top), ``lower`` has body T_2N(g) and corners -T_N(g) - bottom and
+    -T_N(g) - top, and ``upper`` is ``lower`` with its coupling across the
+    split negated, which conjugation by diag(I_N, -I_N) maps back to
+    ``lower``: the two margins are equal.
 
-    No window is built, and one :func:`lambda_mins` call gives the four
-    margins, each from a coefficient row and the top N x N corner of its
-    window.  The floor reads each half as the Toeplitz body plus the two
-    corners from :func:`boundary._window_corners`.  The three differences
-    vanish outside the 2N rows at the split, where, with bottom and top the
-    soft corners that meet there, each is itself such a window of size 2N:
-    ``nn_vs_0n`` (minus the soft corners) has a zero coefficient row and
-    corners -bottom and -top, and ``lower`` (the whole window minus the
-    softened halves) has body T_2N(g) and corners -T_N(g) - bottom and
-    -T_N(g) - top.  The stiff corner is minus the soft one for both kinds,
-    so ``upper`` is the same window with its coupling across the split
-    negated, which conjugation by diag(I_N, -I_N) maps back to ``lower``:
-    the two margins are equal.  min(0, .) adds back the zero eigenvalue of
-    the rows a difference does not touch.  In each window the bottom corner
-    is the conjugated reflection of the top one, so only the top corners
-    are passed: ``top``, -T_N(g) - bottom and -bottom.
-
-    In exact arithmetic every margin of a modified certificate is 0, so
-    the floors go in flagged "zero" and both differences "min0".  Both
-    floor windows have an N-dimensional kernel and ``lower`` is N rank-one
-    placements on its 2N rows.  The ``nn_vs_0n`` window diag(-bottom, -top)
-    is positive definite, each block being the Gram sum of the N
-    independent crossing placements (lambda_min 1.0 for 0:1, 2.4e-3 for
-    0.3:3,2.0:3), so its margin is 0 only through min(0, .).  It goes in
-    with the proven lower bound :func:`boundary._gram_floor` of -bottom,
-    built from the same stencil as the corners; the engine then gives it
-    0.0 without a job when the bound clears its grid by 64 stopping
-    widths, which is the result its grid pass would give, and otherwise
-    runs it.  The classic corners are not Gram forms and carry no bound.
+    With the modified kinds the margins are proven lower bounds whenever
+    the proof holds the certificate.  Let c be the float stencil, r its
+    exact autocorrelation, and E_R and E_L the exact corners that the
+    placements of c crossing a right and a left edge make.  In exact
+    arithmetic each floor window T_L(r) + E_L + E_R is the Gram form Psi*
+    Psi of the L - N interior placements of c, and the ``lower`` window
+    T_2N(r) - diag(T_N(r) + E_R, T_N(r) + E_L) that of the N placements
+    that cross the split: positive semidefinite, with a kernel.  The float
+    windows, whose top corner is the mirror of bottom, differ from these
+    by T(a - r), a the float row (only its coupling blocks, for
+    ``lower``), of 2-norm at most ||a - r||_1, and by bottom - E_R and top
+    - E_L on disjoint edge rows.  By Weyl's inequality each smallest
+    eigenvalue is then within delta = ||a - r||_1 + the larger Frobenius
+    norm of the two corner residuals of 0, and
+    :func:`boundary._gram_residual` bounds delta from the exact residuals.
+    When delta <= abs_tol, floor_nn, ``lower`` and ``upper`` are reported
+    as -delta (0.0, never -0.0, when delta is 0), and no eigenvalue is
+    computed.  ``nn_vs_0n`` is min(0, .) of lambda_min(-bottom), which
+    -top shares, and -E_R is V V*, the Gram sum of the N placements that
+    cross an edge: it is 0.0 when :func:`boundary._gram_floor`,
+    1/||d||_1**2 - ||bottom - E_R||_F, is positive, and otherwise -delta.
+    The split sizes enter none of them.  A delta above abs_tol proves no
+    verdict: the float windows may still hold, and then the certificate
+    falls back on the engine, as a classic one does below, with its
+    ``nn_vs_0n`` window only when the bound above does not prove it, so
+    every verdict is the engine's where the proof has none.  On 8 seeded
+    symbols of each N = 15..40, delta stays below 0.005 * abs_tol up to
+    N = 25 and passes it for some symbols from N = 26 on, whose float
+    windows are already far from the exact ones.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
-    counterpart 2*T - T_classic).  It brackets only the plain Laplacian
-    (E = 0, N = 1); already 2 + 2*cos(x) fails nn_vs_0n and the lower
-    bracket.
+    counterpart 2*T - T_classic).  Its corners are not Gram forms, so the
+    four margins are the smallest eigenvalues themselves, min(0, .) of
+    them for the differences, read by one call of the multisection engine
+    from each window's coefficient row and top corner: ``top``,
+    -T_N(g) - bottom and -bottom (each window's bottom corner is the
+    conjugated reflection of its top one).  The floors go in flagged
+    "zero" and the differences "min0".  The classic condition brackets
+    only the plain Laplacian (E = 0, N = 1); already 2 + 2*cos(x) fails
+    nn_vs_0n and the lower bracket.
     """
     if neumann not in (BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.CLASSIC_NEUMANN):
         raise ValueError("neumann must be the modified or the classic Neumann kind")
+    coeffs = fourier_coefficients(spec)
+    return _certify(spec, size1, size2, neumann, coeffs, coeffs.a, 1.0, 0.0)
+
+
+def _certify(
+    spec: SymbolSpec,
+    size1: int,
+    size2: int,
+    neumann: BoundaryKind,
+    coeffs: BandedCoeffs,
+    row: np.ndarray,
+    scale: float,
+    shift: float,
+) -> BracketReport:
+    """The :func:`check_bracketing` report of the coefficient row ``row``,
+    which stands for scale * g + shift, g = spec with coefficients
+    ``coeffs``: its windows are T(row) with scale times the corners of g,
+    each margin is scale times that of g, and abs_tol takes sum |row_t|.
+    A row other than coeffs.a adds ||row - scale * a - shift * e_0||_1 to
+    scale * delta, so that a proven margin is one of the row's own windows.
+    """
     n = spec.degree
     for size in (size1, size2):
         _require_size(size, 2 * n + 1)
-    coeffs = fourier_coefficients(spec)
-    c = stencil(spec) if neumann is BoundaryKind.MODIFIED_NEUMANN else None
-    top, bottom = _window_corners(spec, neumann, neumann, c)
+    abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
+    proved_nn = False
+    if neumann is BoundaryKind.MODIFIED_NEUMANN:
+        c = stencil(spec)
+        top, bottom = _window_corners(spec, neumann, neumann, c)
+        delta, right = _gram_residual(c, coeffs.a, bottom)
+        proved_nn = _gram_floor(c, right) > 0.0
+        if row is not coeffs.a:
+            delta = _up(_up(scale * delta) + _affine_residual(row, scale, coeffs.a, shift))
+        if delta <= abs_tol:
+            floor = 0.0 - delta  # never -0.0
+            delta_nn = 0.0 if proved_nn else floor
+            return BracketReport(size1, size2, floor, delta_nn, floor, shift, _REL_TOL, abs_tol)
+    else:
+        top, bottom = _window_corners(spec, neumann, neumann)
     body = _toeplitz_body(coeffs, n)
-    zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
-    gram = -bottom
-    proof = () if c is None else (_gram_floor(c, gram),)
     windows = [(coeffs, size, top, "zero") for size in (size1, size2)]
-    windows += [(coeffs, 2 * n, -body - bottom, "min0"), (zero_row, 2 * n, gram, "min0", *proof)]
-    floor1, floor2, lower, delta_nn = lambda_mins(windows)
-    return BracketReport(
-        size1=size1,
-        size2=size2,
-        floor_nn=min(floor1, floor2),
-        delta_nn=delta_nn,
-        delta_lower=lower,
-        symbol_floor=0.0,
-        rel_tol=_REL_TOL,
-        abs_tol=_REL_TOL * max(1.0, float(np.abs(coeffs.a).sum())),
-    )
+    windows.append((coeffs, 2 * n, -body - bottom, "min0"))
+    if not proved_nn:
+        windows.append((BandedCoeffs(np.zeros_like(coeffs.a)), 2 * n, -bottom, "min0"))
+    floor1, floor2, lower, *delta_nn = lambda_mins(windows)
+    delta_nn = delta_nn[0] if delta_nn else 0.0
+    margins = (scale * min(floor1, floor2), scale * delta_nn, scale * lower)
+    return BracketReport(size1, size2, *margins, shift, _REL_TOL, abs_tol)
+
+
+def lambda_mins(windows: Sequence[tuple]) -> list[float]:
+    """``_multisection.lambda_mins``, the engine's entry, loaded on first
+    use, so that a modified certificate that its proof holds, and a CLI
+    ``check`` of one, never loads or compiles the engine."""
+    from ._multisection import lambda_mins as engine
+
+    return engine(windows)
 
 
 def check_bracketing_penta(
@@ -286,19 +346,16 @@ def check_bracketing_penta(
     plus shift times the identity), so the product-symbol margins carry
     over multiplied by ``scale``, the floor is measured against
     inf h = shift, and the threshold takes the row-sum norm of the row's
-    own window, sum |a_k| (a window of L1 + L2 >= 5 has a full row).
+    own window, sum |a_k| (a window of L1 + L2 >= 5 has a full row).  The
+    windows are the row's own, T(row) with ``scale`` times the modified
+    corners of g, and the rounding of the decomposition enters delta, as
+    ||row - scale * a(g) - shift||_1, so a proven margin bounds them.
     """
     deco = decompose_pentadiagonal(a0, a1, a2)
-    base = check_bracketing(deco.spec, size1, size2)
-    row_sum = float(np.abs(penta_coefficients(a0, a1, a2).a).sum())
-    return replace(
-        base,
-        floor_nn=deco.scale * base.floor_nn,
-        delta_nn=deco.scale * base.delta_nn,
-        delta_lower=deco.scale * base.delta_lower,
-        symbol_floor=deco.shift,
-        abs_tol=_REL_TOL * max(1.0, row_sum),
-    ), deco
+    coeffs = fourier_coefficients(deco.spec)
+    row = penta_coefficients(a0, a1, a2).a
+    neumann = BoundaryKind.MODIFIED_NEUMANN
+    return _certify(deco.spec, size1, size2, neumann, coeffs, row, deco.scale, deco.shift), deco
 
 
 def kernel_basis(spec: SymbolSpec, size: int) -> list[np.ndarray]:

@@ -7,7 +7,10 @@ the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
 ``fourier_coefficients``.  The eigen engine reads a window from its
 coefficient row and top corner; :func:`dense_window` builds the same
-window densely, for LAPACK.  :func:`brute_confluent_det` and
+window densely, for LAPACK.  :func:`exact_gram_difference` and
+:func:`exact_residual` form, in exact rationals, what a modified
+certificate's windows differ by from Gram forms, the oracle of its
+proof.  :func:`brute_confluent_det` and
 :func:`exhaustive_grid_distance` are the brute-force references for
 ``confluent_vandermonde_abs`` and ``grid_shift``.  The engine's own
 oracles, one uniform pass per row loop and the plain twisted recurrence,
@@ -23,6 +26,7 @@ of the ``nn_vs_0n`` bound tests (:func:`gram_floor_symbols`).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +46,8 @@ from toepbrack import (
 )
 from toepbrack.matrices import _require_size, _wrap
 from conftest import random_spec
+
+N_KIND = BoundaryKind.MODIFIED_NEUMANN
 
 
 def row_sum_values(coeffs: BandedCoeffs, x) -> np.ndarray:
@@ -120,7 +126,10 @@ def dense_toeplitz(coeffs, m):
 
 
 def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMANN):
-    """The four engine windows of check_bracketing: both floors, lower, nn_vs_0n."""
+    """The four windows of a bracketing certificate, as the engine reads
+    them: both floors, lower, nn_vs_0n.  A classic certificate runs them
+    through the engine; a modified one proves their margins instead, and
+    the engine's tests feed them to it directly."""
     n = spec.degree
     coeffs = fourier_coefficients(spec)
     top, bottom = spectra._window_corners(spec, neumann, neumann)
@@ -132,6 +141,86 @@ def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMAN
         (coeffs, 2 * n, -body - bottom, "min0"),
         (zero_row, 2 * n, -bottom, "min0"),
     ]
+
+
+def _exact(z):
+    """A float complex number as an exact (re, im) pair of Fractions."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _times_conj(x, y):
+    """x * conj(y) for exact (re, im) pairs."""
+    return x[0] * y[0] + x[1] * y[1], x[1] * y[0] - x[0] * y[1]
+
+
+def _plus(x, y, sign=1):
+    return x[0] + sign * y[0], x[1] + sign * y[1]
+
+
+ZERO = (Fraction(0), Fraction(0))
+
+
+def exact_residual(spec):
+    """(x, right, left) in exact (re, im) pairs: x_t = a_t - r_t for t =
+    -N..N, r the autocorrelation sum_j c_j conj(c_{j+t}) of the float
+    stencil c; right = bottom minus the exact corner that the placements
+    of c crossing a right edge make, -sum_{s <= min(i, j)} c_{i-s}
+    conj(c_{j-s}); and left = top minus the one those crossing a left edge
+    make, -sum_{1 <= m <= N - max(i, j)} c_{i+m} conj(c_{j+m})."""
+    n = spec.degree
+    c = [_exact(z) for z in stencil(spec)]
+    a = [_exact(z) for z in fourier_coefficients(spec).a]
+    x = []
+    for t in range(-n, n + 1):
+        r = ZERO
+        for j in range(max(0, -t), min(n, n - t) + 1):
+            r = _plus(r, _times_conj(c[j], c[j + t]))
+        x.append(_plus(a[t + n], r, -1))
+    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND)
+    right, left = [], []
+    for i in range(n):
+        right.append([])
+        left.append([])
+        for j in range(n):
+            entry = _exact(bottom[i, j])
+            for s in range(min(i, j) + 1):
+                entry = _plus(entry, _times_conj(c[i - s], c[j - s]))
+            right[-1].append(entry)
+            entry = _exact(top[i, j])
+            for m in range(1, n + 1 - max(i, j)):
+                entry = _plus(entry, _times_conj(c[i + m], c[j + m]))
+            left[-1].append(entry)
+    return x, right, left
+
+
+def exact_gram_difference(spec, window, size=0):
+    """W - G, exactly, as rows of (re, im) pairs, for a modified
+    certificate's floor window of ``size`` (``window`` "floor") or its
+    ``lower`` window.  W is made from the float row and corners as the
+    certificate reads them: T_L(a) with the top corner at its top-left
+    and the bottom one at its bottom-right, or T_2N(a) with its two
+    diagonal N x N blocks replaced by -bottom and -top.  G is the Gram form
+    sum psi_k psi_k* of the placements of the float stencil c that W
+    stands for: the L - N interior ones, or the N that cross the split."""
+    n = spec.degree
+    c = [_exact(z) for z in stencil(spec)]
+    a = [_exact(z) for z in fourier_coefficients(spec).a]
+    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND)
+    m, placed = (size, range(size - n)) if window == "floor" else (2 * n, range(n))
+    w = [[a[j - i + n] if abs(j - i) <= n else ZERO for j in range(m)] for i in range(m)]
+    for i in range(n):
+        for j in range(n):
+            if window == "floor":
+                w[i][j] = _plus(w[i][j], _exact(top[i, j]))
+                w[m - n + i][m - n + j] = _plus(w[m - n + i][m - n + j], _exact(bottom[i, j]))
+            else:
+                w[i][j] = _plus(ZERO, _exact(bottom[i, j]), -1)
+                w[n + i][n + j] = _plus(ZERO, _exact(top[i, j]), -1)
+    for k in placed:
+        for i in range(k, k + n + 1):
+            for j in range(k, k + n + 1):
+                w[i][j] = _plus(w[i][j], _times_conj(c[i - k], c[j - k]), -1)
+    return w
 
 
 def dense_window(coeffs, m, top=None, *_):

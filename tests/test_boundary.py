@@ -21,7 +21,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
-from toepbrack.boundary import _gram_floor, _mirror, _window_corners
+from toepbrack.boundary import _gram_floor, _gram_residual, _mirror, _window_corners
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -329,27 +329,73 @@ def test_window_corners_take_the_callers_stencil(pair):
 
 def test_gram_floor_is_below_the_smallest_eigenvalue():
     # -bottom is the Gram sum V V* of the N placements that cross the
-    # edge, so 1/||d||_1**2 less the measured distance bounds it below;
-    # checked against LAPACK for every degree up to 14, tied zeros included.
+    # edge plus the residual -Delta, so 1/||d||_1**2 less ||Delta||_F
+    # bounds it below; checked against LAPACK for every degree up to 14,
+    # tied zeros included.
     for spec in gram_floor_symbols():
         c = stencil(spec)
-        gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
-        assert _gram_floor(c, gram) <= np.linalg.eigvalsh(gram)[0], spec
+        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        corner = _gram_residual(c, fourier_coefficients(spec).a, bottom)[1]
+        assert _gram_floor(c, corner) <= np.linalg.eigvalsh(-bottom)[0], spec
 
 
 def test_gram_floor_reads_the_block_it_is_given():
-    # A block that is not the Gram form of c gets a bound below its own
-    # smallest eigenvalue, here negative, and a NaN block a NaN bound.
+    # A block that is not the Gram form of c gets a residual that takes
+    # its bound below its own smallest eigenvalue, here negative, and a
+    # NaN block a NaN residual and bound.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
-    c = stencil(spec)
+    c, a = stencil(spec), fourier_coefficients(spec).a
     gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
     least = np.linalg.eigvalsh(gram)[0]
-    assert _gram_floor(c, gram) > 0.5 * least > 0.0
+
+    def bound(block):
+        return _gram_floor(c, _gram_residual(c, a, -block)[1])
+
+    assert bound(gram) > 0.5 * least > 0.0
     shifted = gram - 2.0 * least * np.eye(3)
-    assert _gram_floor(c, shifted) <= np.linalg.eigvalsh(shifted)[0] < 0.0
+    assert bound(shifted) <= np.linalg.eigvalsh(shifted)[0] < 0.0
     poisoned = gram.copy()
     poisoned[1, 1] = math.nan
-    assert math.isnan(_gram_floor(c, poisoned))
+    assert math.isnan(bound(poisoned))
+
+
+def test_gram_residual_proves_nothing_it_cannot():
+    # The residual reads only the lower triangle of an exactly Hermitian
+    # corner, so a corner that is not gets NaN, and every entry of the row,
+    # so one entry off by 1e-6 moves delta by as much and a NaN makes it
+    # NaN; a stencil part whose product could overflow gets inf.
+    spec = make_symbol([(0.3, 2), (2.0, 1)])
+    c, a = stencil(spec), fourier_coefficients(spec).a
+    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert 0.0 < _gram_residual(c, a, bottom)[0] < 1e-14
+    skew = bottom.copy()
+    skew[0, 2] += 1e-6
+    assert all(math.isnan(x) for x in _gram_residual(c, a, skew))
+    row = a.copy()
+    row[0] += 1e-6
+    assert _gram_residual(c, row, bottom)[0] >= 1e-6
+    row[0] = math.nan
+    assert math.isnan(_gram_residual(c, row, bottom)[0])
+    huge = c.copy()
+    huge[1] = 2.0**501
+    assert _gram_residual(huge, a, bottom) == (math.inf, math.inf)
+
+
+def test_gram_residual_bounds_a_flushed_stencil_part():
+    # A stencil part below 2**-450 is taken as 0 and its share bounded
+    # apart.  The Laplacian's row (-1, 2, -1) and corner [[-1]] are exactly
+    # those of c = (1, -1); with c_0 = 1 + e*i instead, e = 1e-140, the
+    # exact residuals are -e*i and e*i on the off-diagonals of the row, e**2
+    # at its centre and in the right corner and 0 in the left one, so delta
+    # must be at least 2e, and stays far below any threshold.
+    spec = make_symbol([(0.0, 1)])
+    c, a = stencil(spec), fourier_coefficients(spec).a
+    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert _gram_residual(c, a, bottom) == (0.0, 0.0)
+    tiny = c.copy()
+    tiny[0] += 1e-140j
+    delta, right = _gram_residual(tiny, a, bottom)
+    assert 2 * 1e-140 <= delta < 1e-130 and 1e-280 <= right < 1e-130
 
 
 def _pad_top_left(block, size):

@@ -2,9 +2,11 @@
 and the multisection engine behind the certificates and gaps."""
 
 import bisect
+import json
 import math
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from toepbrack import (
     circulant_periodic,
     classic_split_difference,
     confluent_vandermonde_abs,
+    decompose_pentadiagonal,
     build_restricted,
     direct_sum,
     eigenvalues,
@@ -45,7 +48,8 @@ import toepbrack
 from toepbrack import boundary, matrices, spectra, symbols
 from toepbrack import _multisection as multisection
 from toepbrack._multisection import lambda_mins
-from toepbrack.boundary import _gram_floor, _window_corners
+from toepbrack.boundary import _affine_residual, _gram_floor, _gram_residual, _window_corners
+from toepbrack.cli import main
 from conftest import random_spec, random_split
 from oracles import (
     ALL_PAIRS,
@@ -57,6 +61,8 @@ from oracles import (
     dense_window,
     dirichlet_from_neumann,
     enclosure_symbols,
+    exact_gram_difference,
+    exact_residual,
     exhaustive_grid_distance,
     gram_floor_symbols,
 )
@@ -270,13 +276,12 @@ def test_min0_window_keeps_a_nan_midpoint():
     # zero margin.
     spec = make_symbol([(0.0, 1), (2.0, 1)])
     coeffs = fourier_coefficients(spec)
-    top, bottom = _window_corners(spec, N_KIND, N_KIND)
-    corrupted = top.copy()
+    healthy = certificate_windows(spec, 5, 5)[3]  # nn_vs_0n: a zero row, corners -bottom, -top
+    corrupted = healthy[2].copy()
     corrupted[0, 0] = np.nan
-    zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
-    windows = [(zero_row, 4, -bottom, "min0"), (zero_row, 4, corrupted, "min0")]
+    windows = [healthy, healthy[:2] + (corrupted, "min0"), (coeffs, 4, corrupted, "min0")]
     with np.errstate(all="ignore"):
-        healthy, broken, whole = spectra.lambda_mins(windows + [(coeffs, 4, corrupted, "min0")])
+        healthy, broken, whole = lambda_mins(windows)
     assert healthy == 0.0
     assert math.isnan(broken) and math.isnan(whole)
 
@@ -284,7 +289,7 @@ def test_min0_window_keeps_a_nan_midpoint():
 def test_nn_vs_0n_is_positive_definite_yet_reports_zero(rng):
     # diag(-bottom, -top): each block is the Gram sum of the N independent
     # crossing placements, so the window is not singular; the margin is 0
-    # only through min(0, lambda_min).
+    # only through min(0, lambda_min), which the proven bound settles.
     for _ in range(12):
         spec = random_spec(rng)
         split = random_split(rng, spec.degree, 60)
@@ -297,9 +302,11 @@ def test_nn_vs_0n_is_positive_definite_yet_reports_zero(rng):
     "factors", [[(0.0, 1)], [(0.0, 2)], [(1.0, 1), (2.5, 2)], [(0.0, 1), (2.0, 1)]]
 )
 def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
-    # A real negative margin must not hide behind the grid pass around 0.
-    # The lower window's top corner is -T_N(g) - bottom, so an entry of the
-    # bottom corner reaches the engine, and the window stays a mirror one.
+    # A real negative margin must not hide behind a proof: the residual of
+    # the corner, and so delta, reads the perturbed entry, passes abs_tol
+    # and proves nothing, so the engine reads the margins.  The lower
+    # window's top corner is -T_N(g) - bottom, so an entry of the bottom
+    # corner reaches the engine, and the window stays a mirror one.
     exact = spectra._window_corners
 
     def perturbed(spec, left, right, *stencil):
@@ -328,6 +335,178 @@ def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
         assert abs(report.margins[name] - value) <= tol, name
 
 
+def _penta_row(local):
+    """A seeded admissible pentadiagonal row, as the certify benchmark draws them."""
+    a2, ratio = float(local.uniform(0.5, 2.0)), float(local.uniform(-4.0, 4.0))
+    b = math.acos(-ratio / 4.0)
+    return float(local.uniform(0.1, 1.5)) + a2 * (4.0 + 2.0 * math.cos(2.0 * b)), a2 * ratio, a2
+
+
+def test_delta_bounds_what_every_window_differs_by_from_its_gram_form():
+    # W - G, formed exactly for the floor windows at L = 2N+1 and 3N+2 and
+    # for lower, is T_L(x) plus the corner residuals left and right on the
+    # edge rows (for lower, the coupling blocks of T_2N(x) minus right and
+    # left), x = a - r.  So ||W - G||_2 <= ||x||_1 + max of the corners'
+    # Frobenius norms, and that, with |re| + |im| for each |x_t|, is at
+    # most delta, exactly in rationals.  (Not ||W - G||_F: T_L(x) repeats
+    # x on every row and both corners count, so that reads up to 2 delta.)
+    # LAPACK's 2-norm of the exact W - G, rounded once, agrees within its
+    # own rounding.
+    local = np.random.default_rng(3101)
+    specs = [random_spec(local, max_factors=3, max_mult=3) for _ in range(24)]
+    specs += [make_symbol([(0.0, 3)]), make_symbol([(1.0, 2), (1.0001, 1)])]
+    zero = (Fraction(0), Fraction(0))
+    for spec in specs:
+        n, c = spec.degree, stencil(spec)
+        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        delta, bound = _gram_residual(c, fourier_coefficients(spec).a, bottom)
+        x, right, left = exact_residual(spec)
+        for window, m in (("floor", 2 * n + 1), ("floor", 3 * n + 2), ("lower", 2 * n)):
+            expected = [[x[j - i + n] if abs(j - i) <= n else zero for j in range(m)] for i in range(m)]
+            for i in range(n):
+                for j in range(n):
+                    if window == "floor":
+                        expected[i][j] = tuple(map(sum, zip(expected[i][j], left[i][j])))
+                        edge = expected[m - n + i][m - n + j]
+                        expected[m - n + i][m - n + j] = tuple(map(sum, zip(edge, right[i][j])))
+                    else:
+                        expected[i][j] = (-right[i][j][0], -right[i][j][1])
+                        expected[n + i][n + j] = (-left[i][j][0], -left[i][j][1])
+            difference = exact_gram_difference(spec, window, m)
+            assert difference == expected, (spec, window, m)
+            dense = np.array([[complex(float(re), float(im)) for re, im in row] for row in difference])
+            assert np.linalg.norm(dense, 2) <= delta * (1.0 + 64 * m * symbols._EPS), (spec, window, m)
+        row = sum(abs(re) + abs(im) for re, im in x)
+        squares = [sum(re * re + im * im for entries in block for re, im in entries) for block in (right, left)]
+        assert squares[0] <= Fraction(bound) ** 2, spec
+        assert row <= Fraction(delta) and max(squares) <= (Fraction(delta) - row) ** 2, spec
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3, 12])
+def test_integer_rows_have_zero_delta_and_print_plus_zero(capsys, alpha):
+    # The row and corners of 0:alpha are integers, so every residual is
+    # exactly 0 and every margin 0.0, never -0.0, in the report and on
+    # stdout.
+    spec = make_symbol([(0.0, alpha)])
+    c = stencil(spec)
+    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert _gram_residual(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
+    split = (2 * alpha + 1, 2 * alpha + 3)
+    assert main(["check", "--factors", f"0:{alpha}", "--split", "{},{}".format(*split)]) == 0
+    out = capsys.readouterr().out
+    for margins in (check_bracketing(spec, *split).margins, json.loads(out)["margins"]):
+        assert all(m == 0.0 and math.copysign(1.0, m) == 1.0 for m in margins.values()), margins
+    assert "-0.0" not in out
+
+
+def test_no_modified_certificate_runs_the_engine(monkeypatch):
+    # 140 product certificates, ten of each degree up to 14 (ties and
+    # angles 0.001 apart included), and 10 pentadiagonal ones: none calls
+    # lambda_mins, and each holds, as it did on the engine's margins.  The
+    # control: classic 0:2 still fails lower, through one engine call.
+    calls = []
+    engine = multisection.lambda_mins
+
+    def spy(windows):
+        calls.append(len(windows))
+        return engine(windows)
+
+    monkeypatch.setattr(multisection, "lambda_mins", spy)
+    local = np.random.default_rng(3102)
+    products = [spec for k, spec in enumerate(gram_floor_symbols()) if k % 15 < 10]
+    for spec in products:
+        report = check_bracketing(spec, *random_split(local, spec.degree, 8 * spec.degree + 40))
+        assert report.all_hold, (spec, report.margins)
+    for _ in range(10):
+        report, _ = check_bracketing_penta(*_penta_row(local), *random_split(local, 2, 64))
+        assert report.all_hold, report.margins
+    assert calls == []
+    classic = check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN)
+    assert not classic.verdicts["lower"] and calls == [4]
+
+
+def test_unproved_certificate_keeps_the_engines_margins(monkeypatch):
+    # At N = 36 a correct symbol's float windows can lie further from
+    # their Gram forms than abs_tol: delta, 724.7 against abs_tol 136.8,
+    # proves nothing, yet each window holds.  The certificate falls back
+    # on the engine, one call of all four windows (the nn_vs_0n bound is
+    # negative too), and reports its margins as it did before the proof,
+    # bit for bit: every verdict holds.
+    spec = make_symbol(
+        [(0.58561028365405, 1), (1.9983723978976295, 8), (3.9956361898098707, 12), (5.640353704921672, 15)]
+    )
+    c, a = stencil(spec), fourier_coefficients(spec).a
+    delta, right = _gram_residual(c, a, _window_corners(spec, N_KIND, N_KIND, c)[1])
+    assert _gram_floor(c, right) < 0.0
+    results = []
+    engine = multisection.lambda_mins
+
+    def spy(windows):
+        results.append(engine(windows))
+        return results[-1]
+
+    monkeypatch.setattr(multisection, "lambda_mins", spy)
+    report = check_bracketing(spec, 103, 75)
+    assert delta > report.abs_tol and report.all_hold
+    ((floor1, floor2, lower, delta_nn),) = results
+    assert report.margins == {
+        "floor_nn": min(floor1, floor2),
+        "nn_vs_0n": delta_nn,
+        "lower": lower,
+        "upper": lower,
+    }
+    assert list(report.margins.values()) == [
+        -47.533417900803755,
+        -0.007866638988900042,
+        -52.654827602839134,
+        -52.654827602839134,
+    ]
+
+
+def test_tiny_angle_holds_through_the_proof(monkeypatch, capsys):
+    # The angle 1e-140 gives c_1 an imaginary part near 1e-140, below the
+    # range Veltkamp's split keeps exact; it is taken as 0 and its share
+    # bounded, so delta stays tiny and finite, the certificate holds
+    # without the engine, and no margin prints as -Infinity.
+    calls = []
+    monkeypatch.setattr(multisection, "lambda_mins", lambda windows: calls.append(windows))
+    report = check_bracketing(make_symbol([(1e-140, 1)]), 5, 5)
+    assert report.all_hold and all(-1e-130 < m <= 0.0 for m in report.margins.values())
+    assert main(["check", "--factors", "1e-140:1", "--split", "5,5"]) == 0
+    out = capsys.readouterr().out
+    assert "Infinity" not in out and json.loads(out)["margins"] == report.margins
+    assert calls == []
+
+
+def test_penta_delta_takes_in_the_decomposition():
+    # A pentadiagonal row is scale * a(g) + shift only up to the rounding
+    # of its decomposition (acos, cos, the shift); delta takes that in, so
+    # each proven margin lies at or below -(scale * delta_g + ||row -
+    # scale * a(g) - shift||_1), the second term formed in fractions with
+    # |re| + |im| for each entry, and nonzero for most rows; the residual
+    # meets it to within a few roundings.
+    local = np.random.default_rng(3103)
+    rounded = 0
+    for _ in range(10):
+        row = _penta_row(local)
+        report, deco = check_bracketing_penta(*row, 9, 11)
+        coeffs = fourier_coefficients(deco.spec)
+        c = stencil(deco.spec)
+        delta = _gram_residual(c, coeffs.a, _window_corners(deco.spec, N_KIND, N_KIND, c)[1])[0]
+        scale = Fraction(deco.scale)
+        exact = Fraction(0)
+        for t, (mine, theirs) in enumerate(zip(penta_coefficients(*row).a, coeffs.a)):
+            centre = Fraction(deco.shift) if t == 2 else Fraction(0)
+            exact += abs(Fraction(mine.real) - scale * Fraction(theirs.real) - centre)
+            exact += abs(Fraction(mine.imag) - scale * Fraction(theirs.imag))
+        rounded += exact > 0
+        bound = _affine_residual(penta_coefficients(*row).a, deco.scale, coeffs.a, deco.shift)
+        assert exact <= Fraction(bound) <= exact * (1 + Fraction(1, 2**48)), row
+        assert report.all_hold and report.floor_nn == report.delta_lower
+        assert Fraction(-report.floor_nn) >= scale * Fraction(delta) + exact, row
+    assert rounded >= 5
+
+
 def _peak_bytes(call):
     tracemalloc.start()
     try:
@@ -348,6 +527,16 @@ def _peak_bytes(call):
 def test_no_window_is_built(call):
     # A dense window takes 16 MB at size 1024 and 64 MB at size 2048.
     assert _peak_bytes(call) < 4 * 2**20
+
+
+def test_gram_residual_keeps_to_quadratic_memory():
+    # delta sums, for each corner entry, a prefix of its diagonal's terms,
+    # so it holds O(N**2) values: about 9 MB at N = 96, where a table of
+    # every entry's own terms would hold 8 N**3 / 3 of them, about 140 MB.
+    spec = make_symbol([(TWO_PI * (k + 0.5) / 96, 1) for k in range(96)])
+    c, a = stencil(spec), fourier_coefficients(spec).a
+    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert _peak_bytes(lambda: _gram_residual(c, a, bottom)) < 16 * 2**20
 
 
 def test_kernel_check_of_many_sizes_stays_small(monkeypatch):
@@ -761,14 +950,24 @@ class TestPentaBracketing:
 # end of the file tests the engine, and goes with it.
 
 
+def _run_windows(spec, size1, size2):
+    """The three windows of a modified certificate that the engine ran
+    before its margins were proved (both floors and ``lower``), fed to it
+    directly."""
+    return lambda: lambda_mins(certificate_windows(spec, size1, size2)[:3])
+
+
+_PENTA = decompose_pentadiagonal(2.0, -1.5, 0.75).spec
+_PENTA_REAL = decompose_pentadiagonal(6.0, -4.0, 1.0).spec
+
 ENGINE_CALLS = pytest.mark.parametrize(
     "call",
     [
-        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        _run_windows(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
         lambda: check_bracketing(
             make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN
         ),
-        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+        _run_windows(_PENTA, 6, 9),
         lambda: spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30),
         lambda: gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32]),
     ],
@@ -791,9 +990,22 @@ def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
     assert kinds and len(kinds) == len(set(kinds))
 
 
-@ENGINE_CALLS
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        lambda: check_bracketing(
+            make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN
+        ),
+        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+        lambda: spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30),
+        lambda: gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32]),
+    ],
+    ids=["check_bracketing", "check_classic", "check_bracketing_penta", "spectral_gap", "gap_scan"],
+)
 def test_certificates_and_gaps_never_call_jacobi(monkeypatch, call):
-    # The banded engine reads every margin and gap; Jacobi is a test oracle.
+    # The banded engine reads every engine margin and gap, and a modified
+    # certificate computes no eigenvalue; Jacobi is a test oracle.
     calls = []
     monkeypatch.setattr(spectra, "eigenvalues", lambda *args, **kwargs: calls.append(args))
     call()
@@ -817,27 +1029,25 @@ def passes(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
-        lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7),
-        lambda: check_bracketing(make_symbol([(0.3, 3), (2.0, 3)]), 30, 31),
-        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
-        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
-        lambda: check_bracketing_penta(6.0, -4.0, 1.0, 8, 8),
+        _run_windows(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        _run_windows(make_symbol([(0.0, 2)]), 7, 7),
+        _run_windows(make_symbol([(0.3, 3), (2.0, 3)]), 30, 31),
+        _run_windows(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
+        _run_windows(_PENTA, 6, 9),
+        _run_windows(_PENTA_REAL, 8, 8),
     ],
     ids=["complex", "real", "degree6", "large", "penta", "penta_real"],
 )
 def test_modified_certificate_takes_one_pass_per_kind(passes, call):
     # Both floor windows and lower have smallest eigenvalue 0, so the grid
-    # pass around 0 brackets each to one engine width at once; nn_vs_0n is
-    # positive definite and ends after that pass through its min0 stop.
+    # pass around 0 brackets each to one engine width at once.
     call()
     assert passes and len(passes) == len(set(passes))
 
 
 def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes, rng):
     # A grid pass gives no estimate, so no pass carries a twin job: the
-    # passes of a certificate carry its own windows, each once, and the
-    # proven bound of nn_vs_0n keeps that one out of them.
+    # passes of a certificate's windows carry each window once.
     jobs = []
     one_pass = multisection._pass
 
@@ -850,47 +1060,48 @@ def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes
         spec = random_spec(rng, max_factors=4, max_mult=3)
         passes.clear()
         jobs.clear()
-        check_bracketing(spec, *random_split(rng, spec.degree, 300))
+        _run_windows(spec, *random_split(rng, spec.degree, 300))()
         assert passes and len(passes) == len(set(passes)), spec
         assert len(jobs) == len({id(job) for job in jobs}) == 3, spec
 
 
 @pytest.mark.parametrize(
-    "call,margins",
+    "spec,split,margins",
     [
         (
-            lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
+            make_symbol([(0.0, 1), (2.0, 1)]),
+            (2048, 2049),
             ["-0x1.7fae9248e17a6p-45", "0x0.0p+0", "-0x1.7fae9248e17a6p-45"],
         ),
         (
-            lambda: check_bracketing(make_symbol([(0.3, 3), (2.0, 3)]), 64, 64),
+            make_symbol([(0.3, 3), (2.0, 3)]),
+            (64, 64),
             ["-0x1.4fdd27fc555dcp-36", "0x0.0p+0", "0x0.0p+0"],
         ),
         (
-            lambda: check_bracketing(
-                make_symbol([(0.34, 3), (1.79, 1), (3.24, 2), (5.07, 2)]), 200, 201
-            ),
+            make_symbol([(0.34, 3), (1.79, 1), (3.24, 2), (5.07, 2)]),
+            (200, 201),
             ["-0x1.4e2dbb2ee1594p-40", "0x0.0p+0", "-0x1.4e2dbb2ee1594p-40"],
         ),
         (
-            lambda: check_bracketing(
-                make_symbol([(0.5, 3), (2.1, 2), (3.7, 3), (5.2, 2)]), 150, 151
-            ),
+            make_symbol([(0.5, 3), (2.1, 2), (3.7, 3), (5.2, 2)]),
+            (150, 151),
             ["-0x1.d57395e77cfd0p-39", "0x0.0p+0", "-0x1.38f7b944fdf19p-40"],
         ),
         (
-            lambda: check_bracketing_penta(6.0, -4.0, 1.0, 8, 8)[0],
+            _PENTA_REAL,
+            (8, 8),
             ["-0x1.6800000000000p-44", "0x0.0p+0", "-0x1.6800000000000p-44"],
         ),
     ],
     ids=["large", "degree6", "degree8", "degree10", "penta_real"],
 )
-def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, call, margins):
-    # Each of the three windows the engine runs takes one pass, of the 9
-    # shifts k * w for |k| <= 4, so a wider grid fails here instead of
-    # passing as a silent slowdown; nn_vs_0n is proved and runs none.  The
-    # grid also decides where a margin lands within w, so the bits of
-    # floor_nn, nn_vs_0n and lower (upper is lower) are pinned.
+def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, spec, split, margins):
+    # Each of the three windows takes one pass, of the 9 shifts k * w for
+    # |k| <= 4, so a wider grid fails here instead of passing as a silent
+    # slowdown.  The grid also decides where a margin lands within w, so
+    # the bits of the floor and of lower are pinned; nn_vs_0n, proved, is
+    # the certificate's 0.0.
     widths = []
     one_pass = multisection._pass
 
@@ -899,10 +1110,11 @@ def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, ca
         return one_pass(jobs, shifts)
 
     monkeypatch.setattr(multisection, "_pass", spy)
-    report = call()
+    floor1, floor2, lower = lambda_mins(certificate_windows(spec, *split)[:3])
     assert sum(widths, []) == [9, 9, 9]
-    assert report.all_hold
-    assert [report.floor_nn.hex(), report.delta_nn.hex(), report.delta_lower.hex()] == margins
+    assert [min(floor1, floor2).hex(), lower.hex()] == [margins[0], margins[2]]
+    report = check_bracketing(spec, *split)
+    assert report.all_hold and report.delta_nn.hex() == margins[1]
 
 
 @pytest.fixture
@@ -922,60 +1134,61 @@ def jobs(monkeypatch):
 @pytest.mark.parametrize(
     "call, count",
     [
-        (lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23), 3),
-        (lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6), 3),
-        (lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9), 3),
+        (lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23), 0),
+        (lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6), 0),
+        (lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9), 0),
         (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN), 4),
-        (lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27), 4),
+        (lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27), 0),
     ],
     ids=["complex", "degree1", "penta", "classic", "undecided"],
 )
 def test_proved_nn_vs_0n_takes_no_job(jobs, call, count):
-    # A modified certificate whose nn_vs_0n bound clears the grid runs
-    # three jobs; a classic one has no bound, and the bound of 0:12 is
-    # below 68 w, so each of those still runs all four windows.
+    # A modified certificate proves all four margins and runs no job, 0:12
+    # too, whose nn_vs_0n bound is far below the engine's stopping width; a
+    # classic one runs all four windows.
     call()
     assert sum(jobs) == count
 
 
 def test_complex_degree_one_certificate_takes_one_row_loop(passes):
     # Its nn_vs_0n block is [[1]], the one real window of the certificate,
-    # so running it took a second row loop, of the real kind.
-    check_bracketing(make_symbol([(2.0, 1)]), 5, 6)
+    # so running it took a second row loop, of the real kind; the other
+    # three windows are complex.
+    _run_windows(make_symbol([(2.0, 1)]), 5, 6)()
     assert passes == [True]
 
 
 def test_proved_nn_vs_0n_windows_are_the_engines_zeros(passes):
-    # Every bound is below LAPACK's eigenvalue, and the bound never changes
-    # what the engine returns: a window it settles gets 0.0 without a row
-    # loop, which is what its grid pass gives when run.  It settles every
-    # symbol up to N = 7.
-    settled = dict.fromkeys(range(1, 15), 0)
+    # Every bound is below LAPACK's eigenvalue, and a window the bound
+    # proves positive definite, which the certificate reports as 0.0, is
+    # one the engine's grid pass gives 0.0 too.  It proves every symbol up
+    # to N = 7.
+    proved = dict.fromkeys(range(1, 15), 0)
     for spec in gram_floor_symbols():
         n, c = spec.degree, stencil(spec)
-        gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
-        bound = _gram_floor(c, gram)
-        assert bound <= np.linalg.eigvalsh(gram)[0], spec
-        window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, gram, "min0")
-        passes.clear()
-        proved = lambda_mins([window + (bound,)])[0]
-        if not passes:
-            settled[n] += 1
-            assert proved == 0.0, spec
-        assert proved.hex() == lambda_mins([window])[0].hex(), spec
-    assert [settled[n] for n in range(1, 8)] == [15] * 7
+        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        bound = _gram_floor(c, _gram_residual(c, fourier_coefficients(spec).a, bottom)[1])
+        assert bound <= np.linalg.eigvalsh(-bottom)[0], spec
+        if bound > 0.0:
+            proved[n] += 1
+            window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, -bottom, "min0")
+            assert lambda_mins([window])[0] == 0.0, spec
+    assert [proved[n] for n in range(1, 8)] == [15] * 7
 
 
 def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
-    # For 0:12 the corners reach 2.7e6 and the bound is below 68 w (it is
-    # negative: ||d||_1 = C(23, 11)), so nn_vs_0n goes through the engine,
-    # and every margin is LAPACK's.
+    # For 0:12 the corners reach 2.7e6 and 1/||d||_1**2 is 5.5e-13
+    # (||d||_1 = C(23, 11)), far below the engine's stopping width; the
+    # integer row and corners have residual 0, so the bound still proves
+    # nn_vs_0n, every margin is 0.0, and each is within the LAPACK
+    # margin's own error.
     spec = make_symbol([(0.0, 12)])
     c = stencil(spec)
-    gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
-    assert np.abs(gram).max() > 2.7e6 and _gram_floor(c, gram) < 0.0
+    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    assert _gram_residual(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
+    assert np.abs(bottom).max() > 2.7e6 and 0.0 < _gram_floor(c, 0.0) < 1e-12
     report = check_bracketing(spec, 25, 27)
-    assert sum(jobs) == 4 and report.all_hold
+    assert sum(jobs) == 0 and report.all_hold
     floor1, floor2, lower, delta_nn = (
         np.linalg.eigvalsh(dense_window(*w))[0] for w in certificate_windows(spec, 25, 27)
     )
@@ -992,8 +1205,9 @@ def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
 
 @pytest.mark.parametrize("corruption", ["indefinite", "nan"])
 def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
-    # The bound measures the block it is given, so a -bottom that is not
-    # the Gram form goes through the engine and its margin fails.
+    # delta and the bound measure the block they are given, so a -bottom
+    # that is not the Gram form proves nothing: the certificate falls back
+    # on the engine, all four windows, and its nn_vs_0n margin fails.
     exact = spectra._window_corners
     spec = make_symbol([(0.3, 2), (2.0, 1)])
 
@@ -1352,8 +1566,8 @@ class TestBandedLambdaMin:
     @pytest.mark.parametrize(
         "call, sharing",
         [
-            (lambda: check_bracketing(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23), 2),
-            (lambda: check_bracketing(make_symbol([(0.0, 2)]), 9, 12), 2),
+            (_run_windows(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23), 2),
+            (_run_windows(make_symbol([(0.0, 2)]), 9, 12), 2),
             (lambda: gap_scan(make_symbol([(1.0, 1), (2.5, 2)]), [16, 24, 40]), 3),
         ],
         ids=["complex", "real", "gap_scan"],
