@@ -1,9 +1,10 @@
 """Smallest eigenvalues of banded mirror windows, by multisection on LDL* pivots.
 
 :func:`lambda_mins` is the one entry: ``spectra`` calls it for the
-margins of a classic-Neumann bracketing certificate, or of a modified
-one whose proof does not hold it, and for the spectral gap, and nothing
-else imports this module.  A window is a coefficient row, a size m and a
+``nn_vs_0n`` margin of a classic-Neumann bracketing certificate, one
+window of size 2N, for the margins of a modified one whose proof does
+not hold it, and for the spectral gap, and nothing else imports this
+module.  A window is a coefficient row, a size m and a
 top N x N corner; its smallest eigenvalue comes from the signs of banded
 LDL* pivots (Sylvester's law of inertia) in O(m * N**2) per pass, and no
 m x m matrix is built.  Every window is mirror-symmetric, so each pass
@@ -28,8 +29,9 @@ Every margin of a certificate that holds is 0 in exact arithmetic, so
 each certificate window's first pass tests the 9 shifts k*w, |k| <= 4,
 around 0 and usually ends its multisection at once.  A window flagged "min0"
 stops as soon as its bracket lies at or above 0, so a positive definite
-one ends after that pass.  A margin outside the grid, such as a
-classic-Neumann failure, falls back to uniform passes.
+one ends after that pass.  A margin outside the grid, such as the
+``nn_vs_0n`` of a classic-Neumann certificate that fails, falls back to
+uniform passes.
 """
 
 from __future__ import annotations

@@ -45,7 +45,15 @@ import numpy as np
 
 from .errors import NonHermitianError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
-from .symbols import _EPS, BandedCoeffs, SymbolSpec, fourier_coefficients, phase_angle
+from .symbols import (
+    _EPS,
+    ANGLE_TOL,
+    BandedCoeffs,
+    SymbolSpec,
+    circular_distance,
+    fourier_coefficients,
+    phase_angle,
+)
 
 
 class BoundaryKind(enum.Enum):
@@ -93,7 +101,7 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     top-left counterpart.
     """
     if kind is BoundaryKind.CLASSIC_NEUMANN:
-        return _classic_corner(fourier_coefficients(spec))
+        return _classic_corner(fourier_coefficients(spec), spec)
     return _gram_corner(stencil(spec), kind)
 
 
@@ -324,14 +332,38 @@ def _residual_layout(n: int) -> tuple:
     return signs, order, segments, tuple(map(slice, edges, edges[1:]))
 
 
-def _classic_corner(coeffs: BandedCoeffs) -> HermitianMatrix:
+def _is_real(spec: SymbolSpec) -> bool:
+    """Whether g is even, g(-x) = g(x), so that its row is real: each factor
+    (E, alpha) has a factor (E', alpha) with E' within ``ANGLE_TOL`` of -E
+    (E itself at pi and 2*pi)."""
+    return all(
+        any(m == mult and circular_distance(e, -angle) <= ANGLE_TOL for e, m in spec.factors)
+        for angle, mult in spec.factors
+    )
+
+
+def _classic_corner(coeffs: BandedCoeffs, spec: SymbolSpec | None = None) -> HermitianMatrix:
     """The mirror of the top-left Hankel block H[i][j] = a_{-(i+j+1)}, zero
-    past anti-diagonal N; NonHermitianError unless the row is real."""
+    past anti-diagonal N, of a real row; NonHermitianError for any other.
+
+    ``spec``, the row's symbol where it has one, decides first: when g is
+    even (:func:`_is_real`) the corner is Re(H), bitwise what symmetrizing
+    the symmetric H gives, whatever the rounding of the row's imaginary
+    parts, which grows with sum|a_k| and passes 1e-14 * max|H| for some
+    real symbols of degree 6 and more.  Any other row, a bare one too, is
+    tested as outside input (``matrices.hermitian``), so a complex symbol
+    is refused with its Hermitian deviation.  The DCT-II floors of a
+    classic certificate (``spectra._dct_floor``) take g even: this test is
+    their precondition, and a row that passes it only by its tolerance is
+    within 1e-14 * max|H| of real in each entry.
+    """
     n = coeffs.half_bandwidth
     h = np.zeros((n, n), dtype=np.complex128)
     for i in range(n):
         for j in range(n - i):
             h[i, j] = coeffs[-(i + j + 1)]
+    if spec is not None and _is_real(spec):
+        h = h.real
     try:
         return hermitian(_mirror(h))
     except NonHermitianError as exc:
@@ -358,7 +390,7 @@ def _window_corners(
     if c is None and kinds - {classic}:
         c = stencil(spec)
     blocks = {
-        kind: _classic_corner(fourier_coefficients(spec)) if kind is classic else _gram_corner(c, kind)
+        kind: _classic_corner(fourier_coefficients(spec), spec) if kind is classic else _gram_corner(c, kind)
         for kind in kinds
     }
     bottom = None if right is simple else blocks[right].entries
@@ -418,19 +450,22 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     return _wrap(out)
 
 
-def _split_block(coeffs: BandedCoeffs, size1: int, size2: int) -> np.ndarray:
+def _split_block(
+    coeffs: BandedCoeffs, size1: int, size2: int, spec: SymbolSpec | None = None
+) -> np.ndarray:
     """The 2N x 2N block of :func:`classic_split_difference` at the split.
 
     It is T_2N with its diagonal N x N blocks replaced by minus the two
     classic corners that meet there.  The sizes are checked first: each
     half may be as small as N+1, where its corner still fits.  A complex
-    row raises NonHermitianError (:func:`_classic_corner`).
+    row raises NonHermitianError (:func:`_classic_corner`, which ``spec``,
+    the row's symbol where it has one, lets decide by the symbol).
     """
     n = coeffs.half_bandwidth
     _require_size(size1 + size2, 2 * n + 1)
     for half in (size1, size2):
         _require_size(half, n + 1)
-    bottom = _classic_corner(coeffs).entries
+    bottom = _classic_corner(coeffs, spec).entries
     block = _toeplitz_body(coeffs, 2 * n)
     # 0 - corner, not -corner, so that zero cells stay 0+0i.
     block[:n, :n] = 0.0 - bottom

@@ -400,7 +400,7 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
         if args.size is not None and args.size != size:
             raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size} of --split")
         _require_within_cap(size, "--split")
-        rows = _split_lines(_split_block(coeffs, size1, size2), size1, size2)
+        rows = _split_lines(_split_block(coeffs, size1, size2, spec), size1, size2)
         bc_token = "lap2-diff"
     else:
         if args.size is None:

@@ -20,12 +20,14 @@ The inputs that several test files share live here too, so that no test
 module imports another: ``ALL_PAIRS``, the 16 boundary pairs; the symbols
 each pair is tested on (``REAL_SPECS``, ``COMPLEX_SPECS``,
 :func:`_window_specs`); the window of a pair (:func:`_window`); the gap
-scans of the enclosure tests (:func:`enclosure_symbols`); and the symbols
-of the ``nn_vs_0n`` bound tests (:func:`gram_floor_symbols`).
+scans of the enclosure tests (:func:`enclosure_symbols`); the symbols
+of the ``nn_vs_0n`` bound tests (:func:`gram_floor_symbols`); and the real
+symbols of the classic-Neumann tests (:func:`real_symbols`).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable
 
@@ -306,4 +308,26 @@ def gram_floor_symbols():
                 if len(mults) == 1 or np.diff(angles, append=angles[0] + TWO_PI).min() >= min_sep:
                     break
             specs.append(make_symbol(list(zip(angles.tolist(), mults))))
+    return specs
+
+
+def real_symbols(seed, count):
+    """``count`` seeded real product symbols: one to three conjugate angle
+    pairs (E, -E), E in [0.05, pi - 0.05] and at least 0.05 apart, each
+    pair of one multiplicity 1 or 2, and a factor at pi (odd degree) and
+    at 0 each in about half of them, of multiplicity 1 or 2; N <= 16."""
+    local = np.random.default_rng(seed)
+    specs = []
+    while len(specs) < count:
+        angles = np.sort(local.uniform(0.05, math.pi - 0.05, int(local.integers(1, 4))))
+        if np.diff(angles).min(initial=math.inf) < 0.05:
+            continue
+        factors = []
+        for e in angles.tolist():
+            mult = int(local.integers(1, 3))
+            factors += [(e, mult), (-e, mult)]
+        for e in (math.pi, 0.0):
+            if local.random() < 0.5:
+                factors.append((e, int(local.integers(1, 3))))
+        specs.append(make_symbol(factors))
     return specs

@@ -21,7 +21,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
-from toepbrack.boundary import _gram_floor, _gram_residual, _mirror, _window_corners
+from toepbrack.boundary import _classic_corner, _gram_floor, _gram_residual, _mirror, _window_corners
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -32,6 +32,7 @@ from oracles import (
     dirichlet_from_neumann,
     gram_floor_symbols,
     rank_one_sum,
+    real_symbols,
 )
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -464,6 +465,53 @@ class TestClassicNeumann:
             build_restricted(spec, 7, self.C_KIND, SIMPLE)
         with pytest.raises(NonHermitianError):
             classic_split_difference(fourier_coefficients(spec), 7, 7)
+
+    def test_real_symbol_decides_not_the_rows_rounding(self):
+        # The imaginary rounding of a real symbol's convolved row grows with
+        # sum|a_k| and fails the Hermitian tolerance for 42 of these, of
+        # degree 6 to 16; the symbol's corner is Re(H) for each, and bitwise
+        # the corner the row's own test gives wherever that passes.
+        refused = 0
+        for spec in real_symbols(3201, 300):
+            coeffs, n = fourier_coefficients(spec), spec.degree
+            corner = corner_block(spec, self.C_KIND).entries
+            hankel = np.zeros((n, n))
+            for i in range(n):
+                for j in range(n - i):
+                    hankel[i, j] = coeffs[-(i + j + 1)].real
+            assert corner.tobytes() == (_mirror(hankel) + 0j).tobytes(), spec
+            try:
+                bare = _classic_corner(coeffs).entries
+            except NonHermitianError:
+                refused += 1
+                assert n >= 6
+            else:
+                assert bare.tobytes() == corner.tobytes(), spec
+        assert refused == 42
+
+    def test_conjugate_pairs_plus_pi_of_degree_nine(self):
+        factors = [
+            (2.1395283511629204, 2), (4.143656956016666, 2), (0.709480123183981, 2),
+            (5.573705183995605, 2), (3.141592653589793, 1),
+        ]
+        spec = make_symbol(factors)
+        with pytest.raises(NonHermitianError):
+            _classic_corner(fourier_coefficients(spec))
+        top, bottom = _window_corners(spec, self.C_KIND, self.C_KIND)
+        assert not top.imag.any() and not bottom.imag.any()
+        build_restricted(spec, 30, self.C_KIND, self.C_KIND)
+        off_pair = make_symbol([(1.0, 1), (-1.0 + 1e-9, 1)])
+        with pytest.raises(NonHermitianError):
+            corner_block(off_pair, self.C_KIND)
+
+    @pytest.mark.parametrize("spec", COMPLEX_SPECS + [make_symbol([(1.0, 1)]), make_symbol([(0.0, 1), (2.0, 1)])])
+    def test_complex_symbol_keeps_its_message(self, spec):
+        with pytest.raises(NonHermitianError) as by_symbol:
+            corner_block(spec, self.C_KIND)
+        with pytest.raises(NonHermitianError) as by_row:
+            _classic_corner(fourier_coefficients(spec))
+        assert str(by_symbol.value) == str(by_row.value)
+        assert str(by_row.value).startswith("classic Neumann needs a real coefficient row: Hermitian deviation")
 
     def test_minimum_size(self):
         coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))

@@ -1,10 +1,13 @@
 """Command-line surface: parsing, report schemas, exit codes, exports."""
 
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +391,38 @@ class TestCheck:
         assert code == 1
         payload = json.loads(out)
         assert payload["verdicts"]["lower"] is False
+
+    def test_real_symbol_of_degree_nine_is_not_refused(self, capsys):
+        # Conjugate pairs plus pi: the row's imaginary rounding, 4.7e-14,
+        # exceeds the tolerance for outside rows, 2.9e-14, which refused it
+        # before the symbol decided.
+        factors = "2.1395283511629204:2,4.143656956016666:2,0.709480123183981:2,5.573705183995605:2,3.141592653589793:1"
+        code, out, err = run_cli(capsys, "check", "--factors", factors, "--split", "30,30", "--classic-neumann")
+        assert (code, err) == (1, "")
+        assert not json.loads(out)["verdicts"]["lower"]
+        for tail in (["--size", "30", "--bc", "cc"], ["--matrix", "lap2-diff", "--split", "15,15"]):
+            code, out, err = run_cli(capsys, "export", "--factors", factors, *tail)
+            assert (code, err) == (0, "")
+            assert len(out.splitlines()) == 31
+
+    def test_classic_floor_takes_no_time_or_memory_in_the_size(self, capsys):
+        # The floors are g at O(#factors) points of the DCT-II grid and the
+        # engine reads one 2N x 2N window, so a split of 2 * 10**8 is as
+        # quick as 7,7; the engine ran 5 * 10**7 rows a pass on it before.
+        multisection = importlib.import_module("toepbrack._multisection")  # loaded before measuring
+        assert multisection.lambda_mins
+        argv = ["check", "--factors", "0:2", "--split", "100000000,100000001", "--classic-neumann"]
+        tracemalloc.start()
+        try:
+            start = time.process_time()
+            code = main(argv)
+            seconds = time.process_time() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert seconds < 1.0 and peak < 2**20, (seconds, peak)
+        assert json.loads(capsys.readouterr().out)["margins"]["lower"] == -0.4721359549995777
 
     def test_penta_with_shifted_floor(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--penta", "6,-4,1", "--split", "8,8")

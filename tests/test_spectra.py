@@ -65,6 +65,7 @@ from oracles import (
     exact_residual,
     exhaustive_grid_distance,
     gram_floor_symbols,
+    real_symbols,
 )
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -209,6 +210,83 @@ class TestCheckBracketing:
     def test_rejects_other_neumann_kind(self):
         with pytest.raises(ValueError):
             check_bracketing(make_symbol([(0.0, 1)]), 3, 3, neumann=BoundaryKind.SIMPLE)
+
+
+class TestClassicCertificate:
+    """A classic certificate's floors are the DCT-II spectrum g(pi*k/L) of
+    its windows, its ``lower`` twice its ``nn_vs_0n``, and only the latter
+    comes from the engine; LAPACK and the parent's four engine windows
+    (``certificate_windows``) are the oracles."""
+
+    C_KIND = BoundaryKind.CLASSIC_NEUMANN
+
+    def test_floor_is_the_windows_smallest_eigenvalue(self):
+        # Odd degrees (a factor at pi) and multiplicity 2 included.
+        local = np.random.default_rng(3210)
+        specs = real_symbols(3211, 30)
+        assert {spec.degree % 2 for spec in specs} == {0, 1}
+        assert max(spec.alpha_max for spec in specs) == 2
+        for spec in specs:
+            n, scale = spec.degree, float(np.abs(fourier_coefficients(spec).a).sum())
+            sizes = [2 * n + 1, 2 * n + 2, int(local.integers(2 * n + 1, 201))]
+            for size in sizes:
+                window = build_restricted(spec, size, self.C_KIND, self.C_KIND).entries
+                expected = np.linalg.eigvalsh(window)
+                grid = np.sort(evaluate_symbol(spec, np.pi * np.arange(size) / size))
+                assert np.abs(grid - expected).max() <= 1e-12 * scale, (spec, size)
+                assert abs(spectra._dct_floor(spec, [size]) - expected[0]) <= 1e-12 * scale, (spec, size)
+            report = check_bracketing(spec, sizes[0], sizes[2], neumann=self.C_KIND)
+            assert report.floor_nn == spectra._dct_floor(spec, sizes[::2]) >= 0.0
+
+    def test_adjacent_points_give_the_full_grid_minimum(self):
+        # Bit for bit: log g is concave between zeros, so only the grid
+        # points next to a zero can hold the minimum.
+        local = np.random.default_rng(3220)
+        for spec in real_symbols(3221, 300):
+            size = int(local.integers(2 * spec.degree + 1, 4097))
+            full = evaluate_symbol(spec, np.pi * np.arange(size) / size).min()
+            assert spectra._dct_floor(spec, [size]) == full, (spec, size)
+
+    def test_lower_is_the_split_differences_smallest_eigenvalue(self):
+        # Oracle: whole window minus the classic halves, densely.
+        local = np.random.default_rng(3230)
+        simple = BoundaryKind.SIMPLE
+        for spec in real_symbols(3231, 30):
+            size1, size2 = random_split(local, spec.degree, 6 * spec.degree + 20)
+            whole = toeplitz_finite(fourier_coefficients(spec), size1 + size2)
+            halves = direct_sum(
+                build_restricted(spec, size1, simple, self.C_KIND),
+                build_restricted(spec, size2, self.C_KIND, simple),
+            )
+            expected = min(0.0, np.linalg.eigvalsh((whole - halves).entries)[0])
+            report = check_bracketing(spec, size1, size2, neumann=self.C_KIND)
+            scale = float(np.abs(fourier_coefficients(spec).a).sum())
+            assert abs(report.delta_lower - expected) <= 1e-12 * scale, (spec, size1, size2)
+            assert report.delta_lower == report.delta_upper == 2.0 * report.delta_nn
+
+    def test_verdicts_and_nn_vs_0n_match_the_four_engine_windows(self, monkeypatch):
+        # The parent's certificate read all four windows through the
+        # engine; every verdict is the same, nn_vs_0n bit for bit, from one
+        # call with one window.
+        calls = []
+        engine = multisection.lambda_mins
+
+        def spy(windows):
+            calls.append(len(windows))
+            return engine(windows)
+
+        monkeypatch.setattr(multisection, "lambda_mins", spy)
+        local = np.random.default_rng(3240)
+        failing = 0
+        for spec in real_symbols(3241, 100):
+            split = random_split(local, spec.degree, 4 * spec.degree + 40)
+            report = check_bracketing(spec, *split, neumann=self.C_KIND)
+            floor1, floor2, lower, nn = engine(certificate_windows(spec, *split, self.C_KIND))
+            parent = {"floor_nn": min(floor1, floor2), "nn_vs_0n": nn, "lower": lower, "upper": lower}
+            assert report.verdicts == {k: v >= -report.abs_tol for k, v in parent.items()}, spec
+            assert report.delta_nn.hex() == nn.hex(), spec
+            failing += not report.verdicts["lower"]
+        assert calls == [1] * 100 and failing >= 90
 
 
 @pytest.fixture
@@ -403,7 +481,8 @@ def test_no_modified_certificate_runs_the_engine(monkeypatch):
     # 140 product certificates, ten of each degree up to 14 (ties and
     # angles 0.001 apart included), and 10 pentadiagonal ones: none calls
     # lambda_mins, and each holds, as it did on the engine's margins.  The
-    # control: classic 0:2 still fails lower, through one engine call.
+    # control: classic 0:2 still fails lower, from one engine call with
+    # its one nn_vs_0n window.
     calls = []
     engine = multisection.lambda_mins
 
@@ -422,7 +501,7 @@ def test_no_modified_certificate_runs_the_engine(monkeypatch):
         assert report.all_hold, report.margins
     assert calls == []
     classic = check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN)
-    assert not classic.verdicts["lower"] and calls == [4]
+    assert not classic.verdicts["lower"] and calls == [1]
 
 
 def test_unproved_certificate_keeps_the_engines_margins(monkeypatch):
@@ -1137,7 +1216,7 @@ def jobs(monkeypatch):
         (lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23), 0),
         (lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6), 0),
         (lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9), 0),
-        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN), 4),
+        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN), 1),
         (lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27), 0),
     ],
     ids=["complex", "degree1", "penta", "classic", "undecided"],
@@ -1145,7 +1224,7 @@ def jobs(monkeypatch):
 def test_proved_nn_vs_0n_takes_no_job(jobs, call, count):
     # A modified certificate proves all four margins and runs no job, 0:12
     # too, whose nn_vs_0n bound is far below the engine's stopping width; a
-    # classic one runs all four windows.
+    # classic one runs its nn_vs_0n window only.
     call()
     assert sum(jobs) == count
 
@@ -1617,16 +1696,19 @@ def scan_gaps(factors, sizes):
             ),
             True,
         ),
-        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=_CLASSIC), True),
-        (lambda: check_bracketing(make_symbol([(0.0, 3)]), 9, 11, neumann=_CLASSIC), True),
-        (lambda: check_bracketing(make_symbol([(1.0, 1), (-1.0, 1)]), 16, 18, neumann=_CLASSIC), True),
+        # The four windows of failing classic certificates, fed to the
+        # engine directly: their "zero" floors and min0 differences leave
+        # the 9-shift grid, as a modified certificate's past its proof can.
+        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 2)]), 7, 7, _CLASSIC)), True),
+        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 3)]), 9, 11, _CLASSIC)), True),
+        (lambda: lambda_mins(certificate_windows(make_symbol([(1.0, 1), (-1.0, 1)]), 16, 18, _CLASSIC)), True),
     ],
     ids=["gap_0_3", "gap_near_confluent", "gap_three_factors", "classic_0_2", "classic_0_3", "classic_pair"],
 )
 def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
     # Gaps at the engine's stopping width, whose pivots are rounding noise
     # and predict nothing, a scan whose gaps they do predict, and failing
-    # classic margins (min0 windows included), which fall back to uniform
+    # classic windows (min0 windows included), which fall back to uniform
     # passes after their grid pass: bitwise the values of one uniform pass
     # per row loop, all but the first two in fewer row loops.
     values, loops = [], []
@@ -1634,9 +1716,6 @@ def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
         monkeypatch.setattr(multisection, "_multisection", engine)
         passes.clear()
         out = call()
-        if isinstance(out, spectra.BracketReport):
-            assert not out.all_hold
-            out = list(out.margins.values())
         values.append([x.hex() for x in out])
         loops.append(len(passes))
     assert values[0] == values[1]
