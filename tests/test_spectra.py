@@ -2,8 +2,10 @@
 and the multisection engine behind the certificates and gaps."""
 
 import bisect
+import decimal
 import json
 import math
+import time
 import tracemalloc
 import types
 from fractions import Fraction
@@ -48,7 +50,7 @@ import toepbrack
 from toepbrack import boundary, matrices, spectra, symbols
 from toepbrack import _multisection as multisection
 from toepbrack._multisection import lambda_mins
-from toepbrack.boundary import _affine_residual, _gram_floor, _gram_residual, _window_corners
+from toepbrack.boundary import _affine_residual, _classic_corner, _gram_floor, _gram_residual, _window_corners
 from toepbrack.cli import main
 from conftest import random_spec, random_split
 from oracles import (
@@ -214,8 +216,9 @@ class TestCheckBracketing:
 
 class TestClassicCertificate:
     """A classic certificate's floors are the DCT-II spectrum g(pi*k/L) of
-    its windows, its ``lower`` twice its ``nn_vs_0n``, and only the latter
-    comes from the engine; LAPACK and the parent's four engine windows
+    its windows, its ``lower`` twice its ``nn_vs_0n``, and the latter
+    lambda_min of its N x N Hankel corner, from the private corner Jacobi;
+    LAPACK, mpmath and the four engine windows the certificate once read
     (``certificate_windows``) are the oracles."""
 
     C_KIND = BoundaryKind.CLASSIC_NEUMANN
@@ -265,9 +268,9 @@ class TestClassicCertificate:
             assert report.delta_lower == report.delta_upper == 2.0 * report.delta_nn
 
     def test_verdicts_and_nn_vs_0n_match_the_four_engine_windows(self, monkeypatch):
-        # The parent's certificate read all four windows through the
-        # engine; every verdict is the same, nn_vs_0n bit for bit, from one
-        # call with one window.
+        # The certificate once read all four windows through the engine;
+        # every verdict is the same, with no engine call, and nn_vs_0n is
+        # within 4 * N * eps * ||H||_F of LAPACK's min(0, lambda_min(-H)).
         calls = []
         engine = multisection.lambda_mins
 
@@ -284,9 +287,74 @@ class TestClassicCertificate:
             floor1, floor2, lower, nn = engine(certificate_windows(spec, *split, self.C_KIND))
             parent = {"floor_nn": min(floor1, floor2), "nn_vs_0n": nn, "lower": lower, "upper": lower}
             assert report.verdicts == {k: v >= -report.abs_tol for k, v in parent.items()}, spec
-            assert report.delta_nn.hex() == nn.hex(), spec
+            block = -_classic_corner(fourier_coefficients(spec), spec).entries.real
+            bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
+            assert abs(report.delta_nn - min(0.0, np.linalg.eigvalsh(block)[0])) <= bound, spec
             failing += not report.verdicts["lower"]
-        assert calls == [1] * 100 and failing >= 90
+        assert calls == [] and failing >= 90
+
+    def test_corner_jacobi_matches_lapack_and_mpmath(self):
+        # Within 4 * N * eps * ||H||_F of eigvalsh for N = 2..16, and of
+        # mpmath at 30 digits for N <= 6.
+        mpmath = pytest.importorskip("mpmath")
+        specs = real_symbols(3301, 60)
+        assert max(spec.degree for spec in specs) == 16
+        for spec in specs:
+            block = -_classic_corner(fourier_coefficients(spec), spec).entries.real
+            bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
+            value = spectra._corner_lambda_min(block)
+            assert abs(value - np.linalg.eigvalsh(block)[0]) <= bound, spec
+            if spec.degree <= 6:
+                with mpmath.workdps(30):
+                    exact = min(mpmath.eigsy(mpmath.matrix(block.tolist()), eigvals_only=True))
+                assert abs(value - float(exact)) <= bound, spec
+
+    def test_classic_0_2_nn_vs_0n_is_two_minus_root_five(self):
+        # H = [[0, 1], [1, -4]]: lambda_min(-H) = 2 - sqrt(5), to 2 ulps.
+        exact = float(2 - decimal.Context(prec=40).sqrt(5))
+        report = check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=self.C_KIND)
+        assert abs(report.delta_nn - exact) <= 2 * math.ulp(exact)
+        assert report.delta_lower == report.delta_upper == 2.0 * report.delta_nn
+
+    @pytest.mark.parametrize(
+        "block, expected",
+        [
+            ([[3.5]], 3.5),
+            ([[2.0, 0.0, 0.0], [0.0, -1.25, 0.0], [0.0, 0.0, 5.0]], -1.25),
+            (np.ones((3, 3)) + np.eye(3), 1.0),  # eigenvalues 1, 1, 4
+            (np.ones((4, 4)) - 2.0 * np.eye(4), -2.0),  # eigenvalues -2 (three times), 2
+        ],
+        ids=["one_by_one", "diagonal", "tied_pair", "tied_triple"],
+    )
+    def test_corner_jacobi_edge_blocks(self, block, expected):
+        block = np.array(block, dtype=float)
+        value = spectra._corner_lambda_min(block)
+        assert abs(value - expected) <= 4 * len(block) * symbols._EPS * np.linalg.norm(block)
+        if np.count_nonzero(block - np.diag(np.diag(block))) == 0:
+            assert value == expected  # nothing to rotate: the diagonal itself
+
+    def test_laplacian_nn_vs_0n_stays_plus_zero(self):
+        # N = 1: -H = [[1]], so min(0, 1) is 0.0, never -0.0, and so are
+        # lower and upper.
+        report = check_bracketing(make_symbol([(0.0, 1)]), 5, 6, neumann=self.C_KIND)
+        for margin in (report.delta_nn, report.delta_lower, report.delta_upper):
+            assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_corner_jacobi_refuses_a_non_finite_block_at_once(self, monkeypatch, bad):
+        # Raised before any sweep: with a budget of 10**6 sweeps, a loop
+        # would take seconds.
+        monkeypatch.setattr(spectra, "_MAX_SWEEPS", 10**6)
+        start = time.process_time()
+        with pytest.raises(NoConvergenceError, match="non-finite"):
+            spectra._corner_lambda_min(np.array([[1.0, bad], [bad, 2.0]]))
+        assert time.process_time() - start < 0.1
+
+    def test_corner_jacobi_raises_past_its_sweep_budget(self, monkeypatch):
+        monkeypatch.setattr(spectra, "_MAX_SWEEPS", 1)
+        block = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        with pytest.raises(NoConvergenceError, match="after 1 sweeps"):
+            spectra._corner_lambda_min(block)
 
 
 @pytest.fixture
@@ -325,6 +393,13 @@ def test_corners_and_row_built_once_per_call(builds, call):
     # certificate, and the corners and the enclosures of a gap scan.
     call()
     assert builds == {"_window_corners": 1, "stencil": 1, "fourier_coefficients": 1, "hermitian": 1}
+
+
+def test_classic_certificate_builds_its_row_once(builds):
+    # The classic corner takes the certificate's own row, so the row is
+    # made once and no stencil at all.
+    check_bracketing(make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)]), 10, 11, neumann=BoundaryKind.CLASSIC_NEUMANN)
+    assert builds == {"_window_corners": 0, "stencil": 0, "fourier_coefficients": 1, "hermitian": 1}
 
 
 _CLASSIC = BoundaryKind.CLASSIC_NEUMANN
@@ -480,9 +555,9 @@ def test_integer_rows_have_zero_delta_and_print_plus_zero(capsys, alpha):
 def test_no_modified_certificate_runs_the_engine(monkeypatch):
     # 140 product certificates, ten of each degree up to 14 (ties and
     # angles 0.001 apart included), and 10 pentadiagonal ones: none calls
-    # lambda_mins, and each holds, as it did on the engine's margins.  The
-    # control: classic 0:2 still fails lower, from one engine call with
-    # its one nn_vs_0n window.
+    # lambda_mins, and each holds, as it did on the engine's margins;
+    # neither does a classic one, 0:2, which still fails lower.  The
+    # control: a gap scan's one engine call, with its three windows.
     calls = []
     engine = multisection.lambda_mins
 
@@ -499,9 +574,10 @@ def test_no_modified_certificate_runs_the_engine(monkeypatch):
     for _ in range(10):
         report, _ = check_bracketing_penta(*_penta_row(local), *random_split(local, 2, 64))
         assert report.all_hold, report.margins
-    assert calls == []
     classic = check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN)
-    assert not classic.verdicts["lower"] and calls == [1]
+    assert not classic.verdicts["lower"] and calls == []
+    gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
+    assert calls == [3]
 
 
 def test_unproved_certificate_keeps_the_engines_margins(monkeypatch):
@@ -1043,14 +1119,11 @@ ENGINE_CALLS = pytest.mark.parametrize(
     "call",
     [
         _run_windows(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
-        lambda: check_bracketing(
-            make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN
-        ),
         _run_windows(_PENTA, 6, 9),
         lambda: spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30),
         lambda: gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32]),
     ],
-    ids=["check_bracketing", "check_classic", "check_bracketing_penta", "spectral_gap", "gap_scan"],
+    ids=["check_bracketing", "check_bracketing_penta", "spectral_gap", "gap_scan"],
 )
 
 
@@ -1083,8 +1156,11 @@ def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
     ids=["check_bracketing", "check_classic", "check_bracketing_penta", "spectral_gap", "gap_scan"],
 )
 def test_certificates_and_gaps_never_call_jacobi(monkeypatch, call):
-    # The banded engine reads every engine margin and gap, and a modified
-    # certificate computes no eigenvalue; Jacobi is a test oracle.
+    # The banded engine reads every gap and the margins of a modified
+    # certificate past its proof, a modified certificate that its proof
+    # holds computes no eigenvalue, and a classic one reads its nn_vs_0n
+    # from the private corner Jacobi (spectra._corner_lambda_min); the
+    # public Jacobi, eigenvalues, is a test oracle.
     calls = []
     monkeypatch.setattr(spectra, "eigenvalues", lambda *args, **kwargs: calls.append(args))
     call()
@@ -1211,22 +1287,22 @@ def jobs(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "call, count",
+    "call",
     [
-        (lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23), 0),
-        (lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6), 0),
-        (lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9), 0),
-        (lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN), 1),
-        (lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27), 0),
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        lambda: check_bracketing(make_symbol([(0.0, 1)]), 5, 6),
+        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+        lambda: check_bracketing(make_symbol([(0.0, 2)]), 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN),
+        lambda: check_bracketing(make_symbol([(0.0, 12)]), 25, 27),
     ],
     ids=["complex", "degree1", "penta", "classic", "undecided"],
 )
-def test_proved_nn_vs_0n_takes_no_job(jobs, call, count):
+def test_proved_nn_vs_0n_takes_no_job(jobs, call):
     # A modified certificate proves all four margins and runs no job, 0:12
     # too, whose nn_vs_0n bound is far below the engine's stopping width; a
-    # classic one runs its nn_vs_0n window only.
+    # classic one reads its nn_vs_0n from the corner Jacobi and runs none.
     call()
-    assert sum(jobs) == count
+    assert sum(jobs) == 0
 
 
 def test_complex_degree_one_certificate_takes_one_row_loop(passes):
