@@ -22,8 +22,10 @@ body plus one N x N block per non-simple edge, so all windows keep
 half-bandwidth N.  A Toeplitz or restricted CLI export takes its 2N edge
 rows from the ``_window`` of size 2N+1, whose rows are made by the same
 additions, and writes the rest from the band.  Corner orientation:
-``corner_block``, the one builder of every kind's block, returns the block
-added at the bottom-right (right boundary), symmetrized exactly once.  The
+``corner_block`` returns the block of a kind added at the bottom-right
+(right boundary), a modified kind's symmetrized exactly once
+(:func:`_gram_corner`), the classic one exactly symmetric as read from
+the row (:func:`_classic_corner`).  The
 matching top-left block is the conjugated anti-diagonal reflection of it,
 exactly Hermitian too, which equals the direct crossing-placement sum at
 the left edge; a plain (unconjugated) reflection would transpose the
@@ -50,9 +52,10 @@ from .symbols import (
     ANGLE_TOL,
     BandedCoeffs,
     SymbolSpec,
+    _freeze,
+    _hermitian_part,
+    _row_and_stencil,
     circular_distance,
-    fourier_coefficients,
-    phase_angle,
 )
 
 
@@ -78,15 +81,9 @@ def stencil(spec: SymbolSpec) -> np.ndarray:
     Returns the stencil c_0..c_N as a read-only array, c_0 == 1.  The
     autocorrelation sum_j c_j * conj(c_{j+t}) reproduces the symbol
     coefficient a_t, which is the identity all boundary constructions here
-    rely on.
+    rely on.  It is the stencil of ``symbols._row_and_stencil``.
     """
-    c = np.array([1.0 + 0.0j])
-    for e, mult in spec.factors:
-        pair = np.array([1.0, -np.exp(-1j * phase_angle(e))])
-        for _ in range(mult):
-            c = np.convolve(c, pair)
-    c.flags.writeable = False
-    return c
+    return _row_and_stencil(spec)[1]
 
 
 def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
@@ -96,17 +93,22 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     cross the right boundary (negative semidefinite block); modified
     Dirichlet adds them (positive semidefinite).  The placement starting s
     rows above the last N has its first N - s coefficients on them.
-    Classic Neumann adds :func:`_classic_corner`.  Each block is made
-    exactly Hermitian by one :func:`hermitian`; its :func:`_mirror` is the
+    Classic Neumann adds :func:`_classic_corner`, which is exactly real
+    and symmetric; a modified block is made exactly Hermitian by one
+    symmetrization (:func:`_gram_corner`).  Its :func:`_mirror` is the
     top-left counterpart.
     """
+    row, c = _row_and_stencil(spec)
     if kind is BoundaryKind.CLASSIC_NEUMANN:
-        return _classic_corner(fourier_coefficients(spec), spec)
-    return _gram_corner(stencil(spec), kind)
+        return _wrap(np.array(_classic_corner(row, spec), dtype=np.complex128))
+    return _wrap(_gram_corner(c, kind))
 
 
-def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> HermitianMatrix:
-    """The modified Neumann or Dirichlet :func:`corner_block` of the stencil c."""
+def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> np.ndarray:
+    """The modified Neumann or Dirichlet :func:`corner_block` of the stencil
+    c, as a read-only array.  It passes the tolerance test of
+    ``matrices.hermitian`` and is symmetrized as that does, through
+    ``symbols._hermitian_part``."""
     if kind is BoundaryKind.MODIFIED_NEUMANN:
         sign = -1.0
     elif kind is BoundaryKind.MODIFIED_DIRICHLET:
@@ -116,11 +118,13 @@ def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> HermitianMatrix:
     n = len(c) - 1
     # Placement s adds c_{i-s} conj(c_{j-s}) at (i, j) for i, j >= s, in
     # the order of s, and nothing elsewhere.
-    products = np.outer(c[:n], c[:n].conj())
+    head = c[:n]
+    products = head[:, None] * head.conj()
     out = np.zeros((n, n), dtype=np.complex128)
     for s in range(n):
         out[s:, s:] += products[: n - s, : n - s]
-    return hermitian(sign * out)
+    h = sign * out
+    return _freeze(_hermitian_part(h, h.conj().T))
 
 
 def _gram_floor(c: np.ndarray, residual: float) -> float:
@@ -192,7 +196,7 @@ def _gram_residual(c: np.ndarray, a: np.ndarray, bottom: np.ndarray) -> tuple[fl
     part above 2**500, where a product could overflow, inf.
     """
     n = len(c) - 1
-    if not np.array_equal(bottom, bottom.conj().T):
+    if not (bottom == bottom.conj().T).all():
         return math.nan, math.nan
     low, high = _SPLIT_RANGE
     parts = c.view(np.float64)
@@ -342,32 +346,35 @@ def _is_real(spec: SymbolSpec) -> bool:
     )
 
 
-def _classic_corner(coeffs: BandedCoeffs, spec: SymbolSpec | None = None) -> HermitianMatrix:
-    """The mirror of the top-left Hankel block H[i][j] = a_{-(i+j+1)}, zero
-    past anti-diagonal N, of a real row; NonHermitianError for any other.
+def _classic_corner(coeffs: BandedCoeffs, spec: SymbolSpec | None = None) -> list[list[float]]:
+    """The rows, in Python floats, of the mirror of the top-left Hankel
+    block H[i][j] = a_{-(i+j+1)}, zero past anti-diagonal N, of a real row:
+    entry (i, j) is Re a_{i+j+1-N} for i + j >= N - 1 and 0.0 elsewhere.
 
     ``spec``, the row's symbol where it has one, decides first: when g is
-    even (:func:`_is_real`) the corner is Re(H), bitwise what symmetrizing
-    the symmetric H gives, whatever the rounding of the row's imaginary
-    parts, which grows with sum|a_k| and passes 1e-14 * max|H| for some
-    real symbols of degree 6 and more.  Any other row, a bare one too, is
-    tested as outside input (``matrices.hermitian``), so a complex symbol
-    is refused with its Hermitian deviation.  The DCT-II floors of a
-    classic certificate (``spectra._dct_floor``) take g even: this test is
-    their precondition, and a row that passes it only by its tolerance is
-    within 1e-14 * max|H| of real in each entry.
+    even (:func:`_is_real`) the rows are read from the real parts of the
+    row, whatever the rounding of its imaginary parts, which grows with
+    sum|a_k| and passes 1e-14 * max|H| for some real symbols of degree 6
+    and more.  Any other row, a bare one too, is tested as outside input
+    (``matrices.hermitian``): a complex one raises NonHermitianError with
+    its Hermitian deviation, and the symmetrized block of a real one is the
+    same Re(H) mirrored, bitwise, as H is symmetric.  The DCT-II floors of
+    a classic certificate (``spectra._dct_floor``) take g even: this test
+    is their precondition, and a row that passes it only by its tolerance
+    is within 1e-14 * max|H| of real in each entry.
     """
     n = coeffs.half_bandwidth
-    h = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n - i):
-            h[i, j] = coeffs[-(i + j + 1)]
-    if spec is not None and _is_real(spec):
-        h = h.real
-    try:
-        return hermitian(_mirror(h))
-    except NonHermitianError as exc:
-        raise NonHermitianError(f"classic Neumann needs a real coefficient row: {exc}") from exc
+    if spec is None or not _is_real(spec):
+        h = np.zeros((n, n), dtype=np.complex128)
+        for i in range(n):
+            for j in range(n - i):
+                h[i, j] = coeffs[-(i + j + 1)]
+        try:
+            return hermitian(_mirror(h)).entries.real.tolist()
+        except NonHermitianError as exc:
+            raise NonHermitianError(f"classic Neumann needs a real coefficient row: {exc}") from exc
+    re = coeffs.a.real.tolist()
+    return [[re[i + j + 1 - n] if i + j >= n - 1 else 0.0 for j in range(n)] for i in range(n)]
 
 
 def _mirror(block: np.ndarray) -> np.ndarray:
@@ -381,20 +388,25 @@ def _window_corners(
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
-    built once, the modified kinds' from the stencil c of spec (built here
-    when the caller has none), and the top-left block is its
-    :func:`_mirror`.  :func:`_window` adds them to a body of any size >= 2N+1.
+    built once: a modified kind's by :func:`_gram_corner` from the stencil
+    c of spec (the caller's where it has one), the classic one by
+    :func:`_classic_corner` from the row of spec; what the caller does not
+    give is made here by one ``symbols._row_and_stencil``.  The top-left
+    block is its :func:`_mirror`.  :func:`_window` adds them to a body of
+    any size >= 2N+1.
     """
     simple, classic = BoundaryKind.SIMPLE, BoundaryKind.CLASSIC_NEUMANN
     kinds = {left, right} - {simple}
-    if c is None and kinds - {classic}:
-        c = stencil(spec)
+    if classic in kinds or (c is None and kinds):
+        coeffs, c = _row_and_stencil(spec)
     blocks = {
-        kind: _classic_corner(fourier_coefficients(spec), spec) if kind is classic else _gram_corner(c, kind)
+        kind: np.array(_classic_corner(coeffs, spec), dtype=np.complex128)
+        if kind is classic
+        else _gram_corner(c, kind)
         for kind in kinds
     }
-    bottom = None if right is simple else blocks[right].entries
-    return (None if left is simple else _mirror(blocks[left].entries)), bottom
+    bottom = None if right is simple else blocks[right]
+    return (None if left is simple else _mirror(blocks[left])), bottom
 
 
 def build_restricted(
@@ -412,8 +424,9 @@ def build_restricted(
     returns the unmodified window.
     """
     _require_size(size, 2 * spec.degree + 1)
-    top, bottom = _window_corners(spec, left, right)
-    return _window(fourier_coefficients(spec), size, top, bottom)
+    coeffs, c = _row_and_stencil(spec)
+    top, bottom = _window_corners(spec, left, right, c)
+    return _window(coeffs, size, top, bottom)
 
 
 def _window(
@@ -433,7 +446,9 @@ def _window(
     return _wrap(out)
 
 
-def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> HermitianMatrix:
+def classic_split_difference(
+    coeffs: BandedCoeffs, size1: int, size2: int, spec: SymbolSpec | None = None
+) -> HermitianMatrix:
     """T_{L1+L2} minus the direct sum of classic-Neumann halves.
 
     For the plain Laplacian this difference is positive semidefinite; for
@@ -441,9 +456,12 @@ def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> He
     which is exactly why the classic condition cannot bracket.  The
     returned matrix makes that failure inspectable.  It vanishes outside
     the 2N rows at the split, where it is the :func:`_split_block`.
+    ``spec``, the row's symbol where it has one, decides whether the row
+    is real (:func:`_classic_corner`), as for ``check --classic-neumann``;
+    a bare row is tested as outside input.
     """
     n = coeffs.half_bandwidth
-    block = _split_block(coeffs, size1, size2)
+    block = _split_block(coeffs, size1, size2, spec)
     size = size1 + size2
     out = np.zeros((size, size), dtype=np.complex128)
     out[size1 - n : size1 + n, size1 - n : size1 + n] = block
@@ -465,7 +483,7 @@ def _split_block(
     _require_size(size1 + size2, 2 * n + 1)
     for half in (size1, size2):
         _require_size(half, n + 1)
-    bottom = _classic_corner(coeffs, spec).entries
+    bottom = np.array(_classic_corner(coeffs, spec), dtype=np.complex128)
     block = _toeplitz_body(coeffs, 2 * n)
     # 0 - corner, not -corner, so that zero cells stay 0+0i.
     block[:n, :n] = 0.0 - bottom

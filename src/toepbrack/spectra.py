@@ -52,11 +52,12 @@ from .boundary import (
     BoundaryKind,
     _affine_residual,
     _classic_corner,
+    _gram_corner,
     _gram_floor,
     _gram_residual,
+    _mirror,
     _up,
     _window_corners,
-    stencil,
 )
 from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body
@@ -67,10 +68,10 @@ from .symbols import (
     BandedCoeffs,
     PentaDecomposition,
     SymbolSpec,
+    _row_and_stencil,
     circular_distance,
     decompose_pentadiagonal,
     evaluate_symbol,
-    fourier_coefficients,
     penta_coefficients,
     phase_angle,
     reduce_angle,
@@ -281,15 +282,19 @@ def check_bracketing(
     a_{i+j+1}, so its eigenvalues are 0 and -2 times those of H, and
     ``lower`` = ``upper`` = 2 * ``nn_vs_0n``.  ``nn_vs_0n`` is min(0, .) of
     lambda_min(-bottom), an N x N eigenvalue that :func:`_corner_lambda_min`
-    reads by cyclic Jacobi, so a classic certificate runs no engine job and
-    builds its row once, for its corner and its threshold.  The classic
+    reads by cyclic Jacobi from the corner's rows in Python floats
+    (``boundary._classic_corner``), so a classic certificate runs no engine
+    job.  Either kind makes its row and stencil once, in one pass over the
+    factors (``symbols._row_and_stencil``), and a modified one builds its
+    bottom corner once (``boundary._gram_corner``), its top one, the
+    mirror, only for the engine.  The classic
     condition brackets only the plain Laplacian (E = 0, N = 1); already
     2 + 2*cos(x) fails nn_vs_0n and the lower bracket.
     """
     if neumann not in (BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.CLASSIC_NEUMANN):
         raise ValueError("neumann must be the modified or the classic Neumann kind")
-    coeffs = fourier_coefficients(spec)
-    return _certify(spec, size1, size2, neumann, coeffs, coeffs.a, 1.0, 0.0)
+    built = _row_and_stencil(spec)
+    return _certify(spec, size1, size2, neumann, built, built[0].a, 1.0, 0.0)
 
 
 def _certify(
@@ -297,29 +302,30 @@ def _certify(
     size1: int,
     size2: int,
     neumann: BoundaryKind,
-    coeffs: BandedCoeffs,
+    built: tuple[BandedCoeffs, np.ndarray],
     row: np.ndarray,
     scale: float,
     shift: float,
 ) -> BracketReport:
     """The :func:`check_bracketing` report of the coefficient row ``row``,
-    which stands for scale * g + shift, g = spec with coefficients
-    ``coeffs``: its windows are T(row) with scale times the corners of g,
-    each margin is scale times that of g, and abs_tol takes sum |row_t|.
-    A row other than coeffs.a adds ||row - scale * a - shift * e_0||_1 to
-    scale * delta, so that a proven margin is one of the row's own windows.
+    which stands for scale * g + shift, g = spec with coefficients and
+    stencil ``built`` (``symbols._row_and_stencil``): its windows are
+    T(row) with scale times the corners of g, each margin is scale times
+    that of g, and abs_tol takes sum |row_t|.  A row other than g's adds
+    ||row - scale * a - shift * e_0||_1 to scale * delta, so that a proven
+    margin is one of the row's own windows.
     """
     n = spec.degree
     for size in (size1, size2):
         _require_size(size, 2 * n + 1)
     abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
+    coeffs, c = built
     if neumann is BoundaryKind.CLASSIC_NEUMANN:
-        bottom = _classic_corner(coeffs, spec).entries  # refuses a complex row first
-        delta_nn = min(0.0, _corner_lambda_min(-bottom.real))
+        bottom = _classic_corner(coeffs, spec)  # refuses a complex row first
+        delta_nn = min(0.0, _corner_lambda_min([[-x for x in r] for r in bottom]))
         floor, lower = _dct_floor(spec, (size1, size2)), 2.0 * delta_nn
     else:
-        c = stencil(spec)
-        top, bottom = _window_corners(spec, neumann, neumann, c)
+        bottom = _gram_corner(c, neumann)
         delta, right = _gram_residual(c, coeffs.a, bottom)
         proved_nn = _gram_floor(c, right) > 0.0
         if row is not coeffs.a:
@@ -328,7 +334,7 @@ def _certify(
             floor = 0.0 - delta  # never -0.0
             delta_nn = 0.0 if proved_nn else floor
             return BracketReport(size1, size2, floor, delta_nn, floor, shift, _REL_TOL, abs_tol)
-        body = _toeplitz_body(coeffs, n)
+        body, top = _toeplitz_body(coeffs, n), _mirror(bottom)
         windows = [(coeffs, size, top, "zero") for size in (size1, size2)]
         windows.append((coeffs, 2 * n, -body - bottom, "min0"))
         if not proved_nn:
@@ -354,25 +360,32 @@ def _dct_floor(spec: SymbolSpec, sizes: Sequence[int]) -> float:
     eigenvalue; g is even about pi, so both neighbours carry the same value).
     Only those are evaluated: for each zero z in [0, pi], the folded factor
     angle, k = floor(z*L/pi) - 1 .. + 2, clipped to 0..L-1, which also
-    covers an index one off by the rounding of z*L/pi.  g is evaluated
-    with ``symbols.evaluate_symbol``, in product form, at the same floats
-    pi * k / L as a full grid would be, and its minimum was that grid's,
-    bitwise, on every case tested (L <= 4096); no array of length L is
-    made, so a classic floor costs the same at any size.  The float
+    covers an index one off by the rounding of z*L/pi; the indices are
+    Python ints, and each distinct one is evaluated once.  g is evaluated
+    with ``symbols.evaluate_symbol``, in product form, by one call on the
+    flat list of the same floats pi * k / L as a full grid would be, and
+    its minimum was that grid's, bitwise, on every case tested (L <= 4096);
+    no array of length L is made, so a classic floor costs the same at
+    any size.  The float
     window, whose row rounds g's coefficients, has eigenvalues within
     about 4**N * eps of these: at most 0.77 * 4**N * eps from LAPACK's on
     900 windows of 300 seeded real symbols with N <= 15.
     """
-    folded = np.array([min(e, TWO_PI - e) for e in spec.angles])
-    sizes = np.array(sizes)[:, None, None]
-    k = np.floor(folded[:, None] * sizes / math.pi) + np.arange(-1, 3)
-    k = np.clip(k, 0, sizes - 1)
-    return float(evaluate_symbol(spec, math.pi * k / sizes).min())
+    folded = {min(e, TWO_PI - e) for e in spec.angles}
+    x = []
+    for size in sizes:
+        ks = set()
+        for z in folded:
+            base = math.floor(z * size / math.pi)
+            ks.update(min(max(k, 0), size - 1) for k in range(base - 1, base + 3))
+        x += [math.pi * k / size for k in ks]
+    return float(evaluate_symbol(spec, x).min())
 
 
-def _corner_lambda_min(block: np.ndarray) -> float:
-    """lambda_min of a real symmetric N x N block, by cyclic Jacobi in
-    Python floats: a classic ``nn_vs_0n`` is min(0, .) of it for -bottom.
+def _corner_lambda_min(block: list[list[float]]) -> float:
+    """lambda_min of a real symmetric N x N block, given as its rows of
+    Python floats, by cyclic Jacobi on those rows, in place: a classic
+    ``nn_vs_0n`` is min(0, .) of it for -bottom.
 
     Each sweep takes the pairs p < q row by row and rotates rows and
     columns p and q of each pair whose entry is above eps * ||block||_F / N,
@@ -398,13 +411,12 @@ def _corner_lambda_min(block: np.ndarray) -> float:
         For a NaN or infinite entry, before any sweep, or when ``_MAX_SWEEPS``
         sweeps leave an entry above the cutoff.
     """
-    a = block.tolist()
-    n = len(a)
-    norm = math.hypot(*(x for row in a for x in row))
+    n = len(block)
+    norm = math.hypot(*(x for row in block for x in row))
     if not math.isfinite(norm):
         raise NoConvergenceError(f"the corner block has a non-finite entry (Frobenius norm {norm})")
     cutoff = _EPS * norm / n
-    pairs = [(a[p], a[q], p, q) for p in range(n) for q in range(p + 1, n)]
+    pairs = [(block[p], block[q], p, q) for p in range(n) for q in range(p + 1, n)]
     for _ in range(_MAX_SWEEPS):
         rotated = False
         for row_p, row_q, p, q in pairs:
@@ -419,14 +431,14 @@ def _corner_lambda_min(block: np.ndarray) -> float:
             row_p[p] -= t * apq
             row_q[q] += t * apq
             row_p[q] = row_q[p] = 0.0
-            for r, row_r in enumerate(a):
+            for r, row_r in enumerate(block):
                 if r != p and r != q:
                     x, y = row_r[p], row_r[q]
                     row_r[p] = row_p[r] = x - s * (y + tau * x)
                     row_r[q] = row_q[r] = y + s * (x - tau * y)
             rotated = True
         if not rotated:
-            return min(row[p] for p, row in enumerate(a))
+            return min(row[p] for p, row in enumerate(block))
     raise NoConvergenceError(f"corner entries above {cutoff:.3e} after {_MAX_SWEEPS} sweeps")
 
 
@@ -460,10 +472,10 @@ def check_bracketing_penta(
     ||row - scale * a(g) - shift||_1, so a proven margin bounds them.
     """
     deco = decompose_pentadiagonal(a0, a1, a2)
-    coeffs = fourier_coefficients(deco.spec)
+    built = _row_and_stencil(deco.spec)
     row = penta_coefficients(a0, a1, a2).a
     neumann = BoundaryKind.MODIFIED_NEUMANN
-    return _certify(deco.spec, size1, size2, neumann, coeffs, row, deco.scale, deco.shift), deco
+    return _certify(deco.spec, size1, size2, neumann, built, row, deco.scale, deco.shift), deco
 
 
 def kernel_basis(spec: SymbolSpec, size: int) -> list[np.ndarray]:
@@ -659,7 +671,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
-    coeffs, c = fourier_coefficients(spec), stencil(spec)
+    coeffs, c = _row_and_stencil(spec)
     top, bottom = _window_corners(spec, nn, nn, c)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     width, enclosures = max(sizes, default=0), []

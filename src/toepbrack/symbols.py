@@ -199,15 +199,30 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
     after symmetrization.  The row is Hermitian by construction, so it skips
     the tolerance test that :func:`banded_coefficients` applies to outside
     input: repeated convolution can round it further from Hermitian than
-    that test allows.  Its outermost coefficient has modulus 1.
+    that test allows.  Its outermost coefficient has modulus 1.  It is the
+    row of :func:`_row_and_stencil`.
     """
-    a = np.array([1.0 + 0.0j])
+    return _row_and_stencil(spec)[0]
+
+
+def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray]:
+    """The row of :func:`fourier_coefficients` and the stencil of
+    ``boundary.stencil``, read-only, in one pass over the factors.
+
+    Each factor (E, alpha) takes one ``np.exp`` of each phase, p = -exp(-i*E)
+    and q = -exp(+i*E); the stencil is convolved alpha times with the pair
+    (1, p) and the row with the triple (p, 2, q).  A caller that needs both,
+    a certificate, a gap scan or a window with a corner, makes them here once.
+    """
+    a = c = np.array([1.0 + 0.0j])
     for e, mult in spec.factors:
         theta = phase_angle(e)
-        triple = np.array([-np.exp(-1j * theta), 2.0, -np.exp(1j * theta)])
+        low, high = -np.exp(-1j * theta), -np.exp(1j * theta)
+        pair, triple = np.array([1.0, low]), np.array([low, 2.0, high])
         for _ in range(mult):
+            c = np.convolve(c, pair)
             a = np.convolve(a, triple)
-    return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1]))))
+    return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1])))), _freeze(c)
 
 
 def evaluate_symbol(spec: SymbolSpec, x):

@@ -7,7 +7,10 @@ the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
 ``fourier_coefficients``.  The eigen engine reads a window from its
 coefficient row and top corner; :func:`dense_window` builds the same
-window densely, for LAPACK.  :func:`exact_gram_difference` and
+window densely, for LAPACK.  :func:`outer_sum_corner` and
+:func:`hankel_corner` build the corner blocks as they were first built,
+by a generic symmetrization, and :func:`dct_grid_floor` reads a classic
+floor from the full DCT-II grid.  :func:`exact_gram_difference` and
 :func:`exact_residual` form, in exact rationals, what a modified
 certificate's windows differ by from Gram forms, the oracle of its
 proof.  :func:`brute_confluent_det` and
@@ -40,6 +43,7 @@ from toepbrack import (
     HermitianMatrix,
     SymbolSpec,
     build_restricted,
+    evaluate_symbol,
     fourier_coefficients,
     hermitian,
     make_symbol,
@@ -125,6 +129,37 @@ def dense_toeplitz(coeffs, m):
     n = coeffs.half_bandwidth
     diff = np.arange(m)[None, :] - np.arange(m)[:, None]
     return np.where(np.abs(diff) <= n, coeffs.a[np.clip(diff, -n, n) + n], 0.0)
+
+
+def outer_sum_corner(spec, kind):
+    """Oracle: the modified Neumann or Dirichlet corner block as first
+    built, the outer product of c_0..c_{N-1} accumulated on shrinking
+    trailing blocks in the order of the placements, signed, and then made
+    exactly Hermitian by ``matrices.hermitian``."""
+    c, n = stencil(spec), spec.degree
+    products = np.outer(c[:n], c[:n].conj())
+    out = np.zeros((n, n), dtype=np.complex128)
+    for s in range(n):
+        out[s:, s:] += products[: n - s, : n - s]
+    return hermitian((-1.0 if kind is N_KIND else 1.0) * out)
+
+
+def hankel_corner(coeffs):
+    """Oracle: the classic corner block of an even symbol's row as first
+    built, ``matrices.hermitian`` of the conjugated mirror of the real
+    Hankel block H[i][j] = Re a_{-(i+j+1)}, zero past anti-diagonal N."""
+    n = coeffs.half_bandwidth
+    h = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n - i):
+            h[i, j] = coeffs[-(i + j + 1)].real
+    return hermitian(np.conj(h[::-1, ::-1]))
+
+
+def dct_grid_floor(spec, sizes):
+    """Oracle: min over the sizes L of g(pi*k/L) over the full grid k =
+    0..L-1, the DCT-II spectrum of the classic window of size L."""
+    return min(evaluate_symbol(spec, np.pi * np.arange(size) / size).min() for size in sizes)
 
 
 def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMANN):

@@ -21,7 +21,7 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
-from toepbrack.boundary import _classic_corner, _gram_floor, _gram_residual, _mirror, _window_corners
+from toepbrack.boundary import _classic_corner, _gram_floor, _gram_residual, _mirror, _split_block, _window_corners
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -31,6 +31,8 @@ from oracles import (
     _window_specs,
     dirichlet_from_neumann,
     gram_floor_symbols,
+    hankel_corner,
+    outer_sum_corner,
     rank_one_sum,
     real_symbols,
 )
@@ -319,6 +321,23 @@ def test_corner_block_keeps_the_placement_sum_bits(kind):
         assert _same_bits(corner_block(spec, kind).entries, hermitian(sign * out).entries), spec
 
 
+@pytest.mark.parametrize("code", "ndc")
+def test_corner_block_keeps_the_first_builders_bits(code):
+    # Byte for byte the corners as first built, by a generic hermitian:
+    # the modified ones on 15 seeded symbols of each degree N = 1..14, the
+    # classic one on the seeded real symbols with N <= 14, those whose row
+    # fails the Hermitian tolerance (N >= 6) included.
+    kind = BoundaryKind.from_code(code)
+    if code == "c":
+        specs = [spec for spec in real_symbols(3201, 300) if spec.degree <= 14]
+        assert {spec.degree for spec in specs} >= set(range(2, 15))
+    else:
+        specs = gram_floor_symbols()
+    for spec in specs:
+        expected = hankel_corner(fourier_coefficients(spec)) if code == "c" else outer_sum_corner(spec, kind)
+        assert _same_bits(corner_block(spec, kind).entries, expected.entries), spec
+
+
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
 def test_window_corners_take_the_callers_stencil(pair):
     left, right = (BoundaryKind.from_code(code) for code in pair)
@@ -481,12 +500,33 @@ class TestClassicNeumann:
                     hankel[i, j] = coeffs[-(i + j + 1)].real
             assert corner.tobytes() == (_mirror(hankel) + 0j).tobytes(), spec
             try:
-                bare = _classic_corner(coeffs).entries
+                bare = np.array(_classic_corner(coeffs), dtype=complex)
             except NonHermitianError:
                 refused += 1
                 assert n >= 6
             else:
                 assert bare.tobytes() == corner.tobytes(), spec
+        assert refused == 42
+
+    def test_split_difference_decides_by_the_symbol(self):
+        # Given its symbol, the public split difference refuses none of the
+        # 300 seeded real symbols, 42 of which it refuses as bare rows, as
+        # check --classic-neumann does; at the split it is _split_block's
+        # block, bit for bit, and zero elsewhere.
+        local = np.random.default_rng(3402)
+        refused = 0
+        for spec in real_symbols(3201, 300):
+            coeffs, n = fourier_coefficients(spec), spec.degree
+            size1, size2 = local.integers(n + 1, 3 * n + 4, 2).tolist()
+            diff = classic_split_difference(coeffs, size1, size2, spec).entries.copy()
+            split = slice(size1 - n, size1 + n)
+            assert diff[split, split].tobytes() == _split_block(coeffs, size1, size2, spec).tobytes(), spec
+            diff[split, split] = 0.0
+            assert not diff.any(), spec
+            try:
+                classic_split_difference(coeffs, size1, size2)
+            except NonHermitianError:
+                refused += 1
         assert refused == 42
 
     def test_conjugate_pairs_plus_pi_of_degree_nine(self):

@@ -59,6 +59,7 @@ from oracles import (
     _window_specs,
     brute_confluent_det,
     certificate_windows,
+    dct_grid_floor,
     dense_toeplitz,
     dense_window,
     dirichlet_from_neumann,
@@ -250,6 +251,23 @@ class TestClassicCertificate:
             full = evaluate_symbol(spec, np.pi * np.arange(size) / size).min()
             assert spectra._dct_floor(spec, [size]) == full, (spec, size)
 
+    def test_floor_of_several_sizes_is_the_full_grids(self):
+        # Bit for bit the full-grid minimum for L <= 4096, one size at a
+        # time and all together, as a certificate passes its two: the
+        # smallest size 2N+1, the largest 4096, a power of two and seeded
+        # sizes between, on symbols with conjugate pairs and zeros at 0
+        # and pi, and on the benchmark's kind (pairs b and 2*pi - b).
+        local = np.random.default_rng(3403)
+        specs = real_symbols(3404, 100) + [
+            make_symbol([(b, 1), (TWO_PI - b, 1), (math.pi, 1)]) for b in local.uniform(0.3, 2.8, 20).tolist()
+        ]
+        for spec in specs:
+            low = 2 * spec.degree + 1
+            sizes = [low, 4096, 1024, *local.integers(low, 4097, 3).tolist()]
+            for size in sizes:
+                assert spectra._dct_floor(spec, [size]) == dct_grid_floor(spec, [size]), (spec, size)
+            assert spectra._dct_floor(spec, sizes) == dct_grid_floor(spec, sizes), spec
+
     def test_lower_is_the_split_differences_smallest_eigenvalue(self):
         # Oracle: whole window minus the classic halves, densely.
         local = np.random.default_rng(3230)
@@ -287,7 +305,7 @@ class TestClassicCertificate:
             floor1, floor2, lower, nn = engine(certificate_windows(spec, *split, self.C_KIND))
             parent = {"floor_nn": min(floor1, floor2), "nn_vs_0n": nn, "lower": lower, "upper": lower}
             assert report.verdicts == {k: v >= -report.abs_tol for k, v in parent.items()}, spec
-            block = -_classic_corner(fourier_coefficients(spec), spec).entries.real
+            block = -np.array(_classic_corner(fourier_coefficients(spec), spec))
             bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
             assert abs(report.delta_nn - min(0.0, np.linalg.eigvalsh(block)[0])) <= bound, spec
             failing += not report.verdicts["lower"]
@@ -300,9 +318,9 @@ class TestClassicCertificate:
         specs = real_symbols(3301, 60)
         assert max(spec.degree for spec in specs) == 16
         for spec in specs:
-            block = -_classic_corner(fourier_coefficients(spec), spec).entries.real
+            block = -np.array(_classic_corner(fourier_coefficients(spec), spec))
             bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
-            value = spectra._corner_lambda_min(block)
+            value = spectra._corner_lambda_min(block.tolist())
             assert abs(value - np.linalg.eigvalsh(block)[0]) <= bound, spec
             if spec.degree <= 6:
                 with mpmath.workdps(30):
@@ -328,7 +346,7 @@ class TestClassicCertificate:
     )
     def test_corner_jacobi_edge_blocks(self, block, expected):
         block = np.array(block, dtype=float)
-        value = spectra._corner_lambda_min(block)
+        value = spectra._corner_lambda_min(block.tolist())
         assert abs(value - expected) <= 4 * len(block) * symbols._EPS * np.linalg.norm(block)
         if np.count_nonzero(block - np.diag(np.diag(block))) == 0:
             assert value == expected  # nothing to rotate: the diagonal itself
@@ -347,32 +365,38 @@ class TestClassicCertificate:
         monkeypatch.setattr(spectra, "_MAX_SWEEPS", 10**6)
         start = time.process_time()
         with pytest.raises(NoConvergenceError, match="non-finite"):
-            spectra._corner_lambda_min(np.array([[1.0, bad], [bad, 2.0]]))
+            spectra._corner_lambda_min([[1.0, bad], [bad, 2.0]])
         assert time.process_time() - start < 0.1
 
     def test_corner_jacobi_raises_past_its_sweep_budget(self, monkeypatch):
         monkeypatch.setattr(spectra, "_MAX_SWEEPS", 1)
-        block = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+        block = [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]]
         with pytest.raises(NoConvergenceError, match="after 1 sweeps"):
             spectra._corner_lambda_min(block)
 
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Calls of the corner, stencil, row and symmetrizing builders, in every
-    module that binds them."""
-    counts = {"_window_corners": 0, "stencil": 0, "fourier_coefficients": 0, "hermitian": 0}
-    for name, original in (
-        ("_window_corners", boundary._window_corners),
-        ("stencil", boundary.stencil),
-        ("fourier_coefficients", symbols.fourier_coefficients),
-        ("hermitian", matrices.hermitian),
+    """Calls of the row-and-stencil pass, the corner builders and the
+    generic symmetrizer ``hermitian``, in every module that binds them, and
+    of the symmetrization of a corner (``_hermitian_part``, as bound in
+    ``boundary``; ``banded_coefficients`` symmetrizes outside rows too)."""
+    counts = {name: 0 for name in ("_row_and_stencil", "_window_corners", "_gram_corner", "_classic_corner")}
+    counts.update(hermitian=0, _hermitian_part=0)
+    modules = (toepbrack, symbols, matrices, boundary, spectra)
+    for name, original, where in (
+        ("_row_and_stencil", symbols._row_and_stencil, modules),
+        ("_window_corners", boundary._window_corners, modules),
+        ("_gram_corner", boundary._gram_corner, modules),
+        ("_classic_corner", boundary._classic_corner, modules),
+        ("hermitian", matrices.hermitian, modules),
+        ("_hermitian_part", symbols._hermitian_part, (boundary,)),
     ):
         def spy(*args, _name=name, _original=original, **kwargs):
             counts[_name] += 1
             return _original(*args, **kwargs)
 
-        for module in (toepbrack, symbols, matrices, boundary, spectra):
+        for module in where:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, spy)
     return counts
@@ -388,18 +412,29 @@ def builds(monkeypatch):
     ],
     ids=["gap_scan", "complex", "real", "penta"],
 )
-def test_corners_and_row_built_once_per_call(builds, call):
-    # One stencil serves the corners and the nn_vs_0n bound of a
-    # certificate, and the corners and the enclosures of a gap scan.
+def test_corners_and_row_built_once_per_call(builds, call, request):
+    # One pass makes the row and the stencil, which serves the corner and
+    # the nn_vs_0n bound of a certificate, and the corners and the
+    # enclosures of a gap scan; the corner is built and symmetrized once,
+    # with no generic hermitian.  A certificate takes its bottom corner
+    # from the corner builder itself, a gap scan through _window_corners.
     call()
-    assert builds == {"_window_corners": 1, "stencil": 1, "fourier_coefficients": 1, "hermitian": 1}
+    window_corners = int(request.node.callspec.id == "gap_scan")
+    assert builds == {
+        "_row_and_stencil": 1, "_window_corners": window_corners, "_gram_corner": 1,
+        "_classic_corner": 0, "hermitian": 0, "_hermitian_part": 1,
+    }
 
 
 def test_classic_certificate_builds_its_row_once(builds):
     # The classic corner takes the certificate's own row, so the row is
-    # made once and no stencil at all.
+    # made once, by the one pass, and no modified corner at all; an even
+    # symbol's corner is read from the row and symmetrized by nothing.
     check_bracketing(make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)]), 10, 11, neumann=BoundaryKind.CLASSIC_NEUMANN)
-    assert builds == {"_window_corners": 0, "stencil": 0, "fourier_coefficients": 1, "hermitian": 1}
+    assert builds == {
+        "_row_and_stencil": 1, "_window_corners": 0, "_gram_corner": 0,
+        "_classic_corner": 1, "hermitian": 0, "_hermitian_part": 0,
+    }
 
 
 _CLASSIC = BoundaryKind.CLASSIC_NEUMANN
@@ -409,19 +444,22 @@ _REAL = make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)])
 @pytest.mark.parametrize(
     "call, kinds",
     [
-        (lambda: check_bracketing(_REAL, 10, 11, neumann=_CLASSIC), 1),
-        (lambda: classic_split_difference(fourier_coefficients(_REAL), 5, 6), 1),
+        (lambda: check_bracketing(_REAL, 10, 11, neumann=_CLASSIC), {"c"}),
+        (lambda: classic_split_difference(fourier_coefficients(_REAL), 5, 6, _REAL), {"c"}),
     ]
     + [
-        (lambda pair=pair: _window(_REAL, 11, pair), len(set(pair) - {"0"}))
+        (lambda pair=pair: _window(_REAL, 11, pair), set(pair) - {"0"})
         for pair in ALL_PAIRS
     ],
     ids=["check_classic", "classic_split_difference"] + ["".join(p) for p in ALL_PAIRS],
 )
 def test_each_corner_kind_symmetrized_once(builds, call, kinds):
-    # corner_block symmetrizes each kind once; a top block is its mirror.
+    # Each kind's corner is built once, a top block is its mirror, and each
+    # modified corner is symmetrized once; the classic corner of an even
+    # symbol is read from its row, exactly symmetric, with no hermitian.
     call()
-    assert builds["hermitian"] == kinds
+    assert builds["_gram_corner"] + builds["_classic_corner"] == len(kinds)
+    assert builds["_hermitian_part"] == len(kinds - {"c"}) and builds["hermitian"] == 0
 
 
 def test_min0_window_keeps_a_nan_midpoint():
@@ -459,16 +497,18 @@ def test_corner_entry_off_by_1e_6_fails(monkeypatch, factors):
     # the corner, and so delta, reads the perturbed entry, passes abs_tol
     # and proves nothing, so the engine reads the margins.  The lower
     # window's top corner is -T_N(g) - bottom, so an entry of the bottom
-    # corner reaches the engine, and the window stays a mirror one.
-    exact = spectra._window_corners
+    # corner reaches the engine, and the window stays a mirror one.  The
+    # modified corner builder is perturbed wherever it is bound, so the
+    # oracle's windows carry the same corner.
+    exact = boundary._gram_corner
 
-    def perturbed(spec, left, right, *stencil):
-        top, bottom = exact(spec, left, right, *stencil)
-        bottom = bottom.copy()
+    def perturbed(c, kind):
+        bottom = exact(c, kind).copy()
         bottom[0, 0] += 1e-6
-        return top, bottom
+        return bottom
 
-    monkeypatch.setattr(spectra, "_window_corners", perturbed)
+    for module in (boundary, spectra):
+        monkeypatch.setattr(module, "_gram_corner", perturbed)
     spec = make_symbol(factors)
     report = check_bracketing(spec, 9, 11)
     assert not report.verdicts["lower"] and not report.all_hold
@@ -1363,19 +1403,18 @@ def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
     # delta and the bound measure the block they are given, so a -bottom
     # that is not the Gram form proves nothing: the certificate falls back
     # on the engine, all four windows, and its nn_vs_0n margin fails.
-    exact = spectra._window_corners
+    exact = boundary._gram_corner
     spec = make_symbol([(0.3, 2), (2.0, 1)])
 
-    def corrupted(spec, left, right, *stencil):
-        top, bottom = exact(spec, left, right, *stencil)
-        gram = -bottom
+    def corrupted(c, kind):
+        gram = -exact(c, kind)
         if corruption == "nan":
             gram[1, 1] = math.nan
         else:
             gram -= 2.0 * np.linalg.eigvalsh(gram)[0] * np.eye(len(gram))
-        return top, -gram
+        return -gram
 
-    monkeypatch.setattr(spectra, "_window_corners", corrupted)
+    monkeypatch.setattr(spectra, "_gram_corner", corrupted)
     with np.errstate(all="ignore"):
         report = check_bracketing(spec, 9, 11)
     assert sum(jobs) == 4
@@ -1383,7 +1422,7 @@ def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
     if corruption == "nan":
         assert math.isnan(report.delta_nn)
     else:
-        _, bottom = corrupted(spec, N_KIND, N_KIND)
+        bottom = corrupted(stencil(spec), N_KIND)
         least = np.linalg.eigvalsh(-bottom)[0]
         tol = 1e-12 * max(1.0, float(np.abs(fourier_coefficients(spec).a).sum()))
         assert least < 0.0 and abs(report.delta_nn - least) <= tol
