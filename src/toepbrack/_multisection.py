@@ -1,13 +1,12 @@
 """Smallest eigenvalues of banded mirror windows, by multisection on LDL* pivots.
 
 :func:`lambda_mins` is the one entry: ``spectra`` calls it for the
-``nn_vs_0n`` margin of a classic-Neumann bracketing certificate, one
-window of size 2N, for the margins of a modified one whose proof does
-not hold it, and for the spectral gap, and nothing else imports this
-module.  A window is a coefficient row, a size m and a
-top N x N corner; its smallest eigenvalue comes from the signs of banded
-LDL* pivots (Sylvester's law of inertia) in O(m * N**2) per pass, and no
-m x m matrix is built.  Every window is mirror-symmetric, so each pass
+margins of a modified bracketing certificate whose proof does not hold
+it and for the spectral gap, and nothing else imports this module.  A
+window is a coefficient row, a size m and a top N x N corner; its
+smallest eigenvalue comes from the signs of banded LDL* pivots
+(Sylvester's law of inertia) in O(m * N**2) per pass, and no m x m
+matrix is built.  Every window is mirror-symmetric, so each pass
 factors it from both ends and meets in the middle, in about half its rows
 (the double factorization of Parlett and Dhillon, "Fernando's solution to
 Wilkinson's problem", LAA 267, 1997).
@@ -24,14 +23,6 @@ the first uniform passes without a row loop (:func:`_enclose`), and the
 shifts above it in the first row loop, and gives that row loop its
 prediction: the gap-scan ops of benchmark seed 1 take 2, 6 and 7 row
 loops where one pass per row loop takes 10, with every bit unchanged.
-
-Every margin of a certificate that holds is 0 in exact arithmetic, so
-each certificate window's first pass tests the 9 shifts k*w, |k| <= 4,
-around 0 and usually ends its multisection at once.  A window flagged "min0"
-stops as soon as its bracket lies at or above 0, so a positive definite
-one ends after that pass.  A margin outside the grid, such as the
-``nn_vs_0n`` of a classic-Neumann certificate that fails, falls back to
-uniform passes.
 """
 
 from __future__ import annotations
@@ -39,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-import math
 from typing import Sequence
 
 import numpy as np
@@ -50,14 +40,6 @@ _SHIFTS = 31
 # A uniform pass tests lo + (hi - lo) * _STEPS, the interior points of 32 equal parts.
 _STEPS = np.arange(1, _SHIFTS + 1) / (_SHIFTS + 1)
 _STEPS.flags.writeable = False
-# A window expected at 0 first tests the shifts k*w, |k| <= 4.  Every such
-# window of benchmark seeds 1-20 and of 400 random certificates up to
-# N = 12 lands in [-w, 0] or [0, w], or ("min0") at or above 0, so a wider
-# grid only adds columns, each costing rows; 4 keeps the inexact grid
-# point 3w, whose sign change still ends the pass.
-_GRID = 4
-_GRID_STEPS = np.arange(-_GRID, _GRID + 1)
-_GRID_STEPS.flags.writeable = False
 # An enclosure decides a uniform pass when, widened by _MARGIN * w on each
 # side, it lies strictly between two of the pass's shifts (:func:`_enclose`).
 _MARGIN = 64
@@ -83,7 +65,7 @@ def _unit_row(n: int) -> np.ndarray:
 
 def _window_setup(coeffs: BandedCoeffs, top: np.ndarray | None) -> tuple:
     """What every window of one coefficient row and top corner shares:
-    (template, T_N(g), tol, lo, hi, grid), the arrays read-only.
+    (template, T_N(g), tol, lo, hi), the arrays read-only.
 
     Rows 0..N of T - s*I: the first N form the starting Schur block, and
     row N (entries a_N..a_1 above its diagonal) is the template of every
@@ -103,14 +85,13 @@ def _window_setup(coeffs: BandedCoeffs, top: np.ndarray | None) -> tuple:
         reach += top_sum + bottom_sum
         template[:n, :n] += top
     tol = 8.0 * (n + 1) * _EPS * max(1.0, reach)
-    grid = tol * _GRID_STEPS
-    for x in (template, body, grid):
+    for x in (template, body):
         x.flags.writeable = False
-    return template, body, tol, 0.0 if top is None else -reach, reach, grid
+    return template, body, tol, 0.0 if top is None else -reach, reach
 
 
 def lambda_mins(windows: Sequence[tuple]) -> list[float]:
-    """Smallest eigenvalues of windows (coeffs, m, top[, expect]) of one
+    """Smallest eigenvalues of windows (coeffs, m, top[, enclosure]) of one
     half-bandwidth N: each is the m x m window T_m(g) plus, unless top is
     None, the N x N block top at its top-left corner and its conjugated
     reflection bottom = conj(top[::-1, ::-1]) at its bottom-right one.
@@ -149,23 +130,15 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     which shrinks it 32-fold, down to the banded Cholesky backward-error
     scale w = 8 * (N+1) * eps * max(1, r), and its midpoint is returned.
 
-    ``expect`` (lower, upper), for a window without corners, is an
-    enclosure of its smallest eigenvalue: every uniform pass whose count
-    it decides once widened by 64 stopping widths on each side is applied
-    without a row loop (:func:`_enclose`), the first row loop runs no shift
-    above upper + 64 widths, which would fail, and upper is the first
-    estimate of the look-ahead, so results keep every bit.
-
-    ``expect`` "zero" says the smallest eigenvalue is 0 in exact arithmetic
-    (the floors of a bracketing certificate).  The first pass then tests
-    the 9 shifts k*w, |k| <= 4, end points included: a sign change among
-    them leaves a bracket of width w at once, and otherwise uniform passes
-    go on from [-r, -4w] or [4w, r].  "min0" does the same and returns
-    min(0, lambda_min), stopping as soon as the bracket lies in [0, r]: a
-    positive definite window ends after its grid pass without resolving
-    the eigenvalue that min(0, .) discards.  The coefficient row may be
-    zero, for a window that is just its two corners.
-    Needs m >= N+1 (L = 2N+1 gives m = N+1); no windows give an empty list.
+    An ``enclosure`` (lower, upper) of the smallest eigenvalue comes only
+    with top None, a window without corners: every uniform pass whose
+    count it decides once widened by 64 stopping widths on each side is
+    applied without a row loop (:func:`_enclose`), the first row loop runs
+    no shift above upper + 64 widths, which would fail, and upper is the
+    first estimate of the look-ahead, so results keep every bit.  The
+    coefficient row may be zero, for a window that is just its two
+    corners.  Needs m >= N+1 (L = 2N+1 gives m = N+1); no windows give an
+    empty list.
 
     Windows that share their row and top corner object share one
     :func:`_window_setup`, built once per call with read-only arrays: the
@@ -173,50 +146,42 @@ def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     of a gap scan.  Each arithmetic kind has its own row loop
     (:func:`_multisection`), since complex / real division can round
     otherwise than real / real.  A job is [template, q, p, T_N(g), tol,
-    lo, hi, grid, cap, pivots, estimate].
+    lo, hi, pivots, estimate].
     """
     jobs, setups = [], {}
-    for coeffs, m, top, *expect in windows:
+    for coeffs, m, top, *enclosure in windows:
         n = coeffs.half_bandwidth
-        expect = expect[0] if expect else None
         if top is not None and m < 2 * n:
             raise ValueError(f"a window with corners needs m >= 2N = {2 * n}, got {m}")
         key = (id(coeffs), id(top))
         if key not in setups:
             setups[key] = _window_setup(coeffs, top)
-        template, body, tol, lo, hi, grid = setups[key]
+        template, body, tol, lo, hi = setups[key]
         # The update rewrites only the leading N x N block, so the entering
         # row stays in place until the middle row p, where it becomes a
         # decoupled unit row and the leading block becomes the meeting
         # block (rows p..p+N-1).
         p = (m - n + 1) // 2
-        cap = 0.0 if expect == "min0" else math.inf
-        seeded = isinstance(expect, str)
-        job = [template, m - n - p, p, body, tol, lo, hi, grid if seeded else None, cap, None, None]
-        if expect is not None and not seeded:
-            _enclose(job, *expect)
+        job = [template, m - n - p, p, body, tol, lo, hi, None, None]
+        if enclosure:
+            _enclose(job, *enclosure[0])
         jobs.append(job)
     for kind in (False, True):
         group = [job for job in jobs if np.iscomplexobj(job[0]) == kind]
         if group:
             _multisection(group)
-    mids = [0.5 * (job[5] + job[6]) for job in jobs]
-    # A NaN midpoint stays NaN: min(0.0, nan) would give 0.0.
-    return [
-        min(0.0, mid) if job[8] == 0.0 and not math.isnan(mid) else mid
-        for job, mid in zip(jobs, mids)
-    ]
+    return [0.5 * (job[5] + job[6]) for job in jobs]
 
 
 def _open(job: list) -> bool:
-    """Whether a job's bracket is still wider than tol and below its cap."""
-    return job[6] - job[5] > job[4] and job[5] < job[8]
+    """Whether a job's bracket is still wider than tol."""
+    return job[6] - job[5] > job[4]
 
 
 def _enclose(job: list, lower: float, upper: float) -> None:
     """Apply to job's bracket, without a row loop, every uniform pass whose
     count the enclosure lower <= lambda_min <= upper decides, and make
-    upper the job's first estimate (job[10]).
+    upper the job's first estimate (job[8]).
 
     A pass is decided when the enclosure, widened by _MARGIN * w on each
     side, lies strictly between two consecutive shifts of the pass, the
@@ -256,17 +221,15 @@ def _enclose(job: list, lower: float, upper: float) -> None:
             job[5] = lo + span * steps[count - 1]
         if count < _SHIFTS:
             job[6] = lo + span * steps[count]
-    job[10] = upper
+    job[8] = upper
 
 
 def _multisection(jobs: list[list]) -> None:
     """Narrow the bracket job[5:7] of each job [template, q, p, T_N(g), tol,
-    lo, hi, grid, cap, pivots, estimate], all of one arithmetic kind, one row loop
+    lo, hi, pivots, estimate], all of one arithmetic kind, one row loop
     (:func:`_pass`) per pass or, with a twin, per two passes.  A pass
-    tests the job's ``grid`` if it has one, else 31 equispaced interior
-    shifts of its bracket.  A job stops when its bracket is no wider than
-    tol, or lies at or above cap, or when its grid pass found the sign
-    change inside the grid.
+    tests 31 equispaced interior shifts of its bracket, and a job stops
+    when its bracket is no wider than tol.
 
     After a uniform pass the secant through the running minimum pivots of
     the two highest shifts that passed (:func:`_estimate`) may give an
@@ -279,21 +242,20 @@ def _multisection(jobs: list[list]) -> None:
     uniform pass per row loop: a column's arithmetic does not depend on
     its batch, the twin's shifts are the floats lo + (hi - lo) * _STEPS
     that the next uniform pass would test, and a pass reads nothing above
-    its first failing shift.  A grid pass gives no estimate, so a
-    certificate that its grid pass settles runs no twin.  The next
-    estimate comes from the twin when its count was used.  The first
-    row loop takes the job's own estimate, the upper end of its
-    enclosure (:func:`_enclose`), if it has one, and runs none of the
-    job's shifts above upper + _MARGIN * w: the enclosure decides that
-    each fails, and the bracket's new upper end is the first of them."""
+    its first failing shift.  The next estimate comes from the twin when
+    its count was used.  The first row loop takes the job's own estimate,
+    the upper end of its enclosure (:func:`_enclose`), if it has one, and
+    runs none of the job's shifts above upper + _MARGIN * w: the enclosure
+    decides that each fails, and the bracket's new upper end is the first
+    of them."""
     jobs = [job for job in jobs if _open(job)]
-    guesses = [job[10] for job in jobs]
+    guesses = [job[8] for job in jobs]
     ceilings = [None if guess is None else guess + _MARGIN * job[4] for job, guess in zip(jobs, guesses)]
     while jobs:
         batch, shifts, twins = [], [], []
         for job, guess, ceiling in zip(jobs, guesses, ceilings):
-            lo, hi, grid = job[5:8]
-            s = lo + (hi - lo) * _STEPS if grid is None else grid
+            lo, hi = job[5:7]
+            s = lo + (hi - lo) * _STEPS
             batch.append(job)
             shifts.append(s if ceiling is None else s[: np.searchsorted(s, ceiling, "right")])
             twin = None if guess is None else _twin(job, s, guess)
@@ -305,20 +267,17 @@ def _multisection(jobs: list[list]) -> None:
         jobs, guesses = [], []
         for s, twin in twins:
             job, _, count = next(passes)
-            uniform = job[7] is None
             _narrow(job, s, count)
-            closed = not uniform and 0 < count < len(s)
-            job[7] = None
-            last = (job, s, count) if uniform else None
+            last = (job, s, count)
             if twin:
                 ahead = next(passes)
                 _, s, count = ahead
                 if job[5:7] == twin[0][5:7] and count < len(s) and _open(job):
                     _narrow(job, s, count)
                     last = ahead
-            if not closed and _open(job):
+            if _open(job):
                 jobs.append(job)
-                guesses.append(None if last is None else _estimate(*last))
+                guesses.append(_estimate(*last))
         ceilings = [None] * len(jobs)
 
 
@@ -335,7 +294,7 @@ def _estimate(job: list, shifts: np.ndarray, count: int) -> float | None:
     highest shifts that passed reaches 0, if those pivots fall towards it."""
     if count < 2:
         return None
-    second, top = job[9]
+    second, top = job[7]
     if not 0.0 < top < second:
         return None
     below, at = float(shifts[count - 2]), float(shifts[count - 1])
@@ -350,7 +309,7 @@ def _twin(job: list, shifts: np.ndarray, guess: float) -> tuple | None:
     k = int(np.searchsorted(shifts, guess))  # the shifts below guess pass
     lo = float(shifts[k - 1]) if k else job[5]
     hi = float(shifts[k]) if k < len(shifts) else job[6]
-    twin = job[:5] + [lo, hi, None, job[8], None, None]
+    twin = job[:5] + [lo, hi, None, None]
     if not _open(twin):
         return None
     twin_shifts = lo + (hi - lo) * _STEPS
@@ -363,8 +322,8 @@ _SWEEP = 16  # rows between drops of retired shifts, besides the end rows
 def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
     """One row loop: for each job [template, q, p, T_N(g), ...], how many
     of its ascending ``shifts`` s leave W - s*I positive definite.  A job
-    without a grid (job[7] None) whose count is at least 2 also gets, in
-    job[9], the running minimum pivots of its two highest such shifts.
+    whose count is at least 2 also gets, in job[7], the running minimum
+    pivots of its two highest such shifts.
 
     Each job keeps J conj(S_q) J, its N x N Schur block S_q mirrored, at
     the start of row q, replaces S_p at the start of row p by the meeting
@@ -459,8 +418,8 @@ def _pass(jobs: list[list], shifts: list[np.ndarray]) -> list[int]:
                         counts[j] = width[j] = min(first, start + width[j]) - start
                         if ends[j] == i:
                             width[j] = 0
-                            if counts[j] > 1 and jobs[j][7] is None:
-                                jobs[j][9] = least[start + counts[j] - 2 : start + counts[j]].tolist()
+                            if counts[j] > 1:
+                                jobs[j][7] = least[start + counts[j] - 2 : start + counts[j]].tolist()
                 if sum(width) < len(least):
                     if not any(width):
                         break

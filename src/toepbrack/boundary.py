@@ -383,26 +383,27 @@ def _mirror(block: np.ndarray) -> np.ndarray:
 
 
 def _window_corners(
-    spec: SymbolSpec, left: BoundaryKind, right: BoundaryKind, c: np.ndarray | None = None
+    spec: SymbolSpec | None,
+    left: BoundaryKind,
+    right: BoundaryKind,
+    built: tuple[BandedCoeffs, np.ndarray] | None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
-    built once: a modified kind's by :func:`_gram_corner` from the stencil
-    c of spec (the caller's where it has one), the classic one by
-    :func:`_classic_corner` from the row of spec; what the caller does not
-    give is made here by one ``symbols._row_and_stencil``.  The top-left
+    built once from the caller's ``built``, the row and stencil (coeffs,
+    c) of spec (``symbols._row_and_stencil``), which only an edge that is
+    not simple reads: a modified kind's by :func:`_gram_corner` from c,
+    the classic one by :func:`_classic_corner` from coeffs.  The top-left
     block is its :func:`_mirror`.  :func:`_window` adds them to a body of
     any size >= 2N+1.
     """
     simple, classic = BoundaryKind.SIMPLE, BoundaryKind.CLASSIC_NEUMANN
     kinds = {left, right} - {simple}
-    if classic in kinds or (c is None and kinds):
-        coeffs, c = _row_and_stencil(spec)
     blocks = {
-        kind: np.array(_classic_corner(coeffs, spec), dtype=np.complex128)
+        kind: np.array(_classic_corner(built[0], spec), dtype=np.complex128)
         if kind is classic
-        else _gram_corner(c, kind)
+        else _gram_corner(built[1], kind)
         for kind in kinds
     }
     bottom = None if right is simple else blocks[right]
@@ -424,9 +425,9 @@ def build_restricted(
     returns the unmodified window.
     """
     _require_size(size, 2 * spec.degree + 1)
-    coeffs, c = _row_and_stencil(spec)
-    top, bottom = _window_corners(spec, left, right, c)
-    return _window(coeffs, size, top, bottom)
+    built = _row_and_stencil(spec)
+    top, bottom = _window_corners(spec, left, right, built)
+    return _window(built[0], size, top, bottom)
 
 
 def _window(

@@ -76,6 +76,7 @@ from . import __version__
 from .errors import KernelMismatchError, ToepbrackError
 from .symbols import (
     SymbolSpec,
+    _row_and_stencil,
     decompose_pentadiagonal,
     evaluate_symbol,
     fourier_coefficients,
@@ -387,7 +388,8 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
         raise CliUsageError(f"--bc applies only to --matrix restricted, not {kind}")
     if args.split is not None and kind != "lap2-diff":
         raise CliUsageError(f"--split applies only to --matrix lap2-diff, not {kind}")
-    coeffs = fourier_coefficients(spec) if spec is not None else penta_coefficients(*penta)
+    built = _row_and_stencil(spec) if spec is not None else None
+    coeffs = built[0] if built else penta_coefficients(*penta)
     n = coeffs.half_bandwidth
 
     # Every check, and every block that can raise, comes before the rows,
@@ -423,9 +425,11 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
             simple = (left, right) == (BoundaryKind.SIMPLE,) * 2
             deco = decompose_pentadiagonal(*penta) if penta and not simple else None
             _require_size(size, 2 * n + 1)
-            top, bottom = _window_corners(deco.spec if deco else spec, left, right)
-            if deco is not None:
-                top, bottom = (None if b is None else deco.scale * b for b in (top, bottom))
+            if deco is None:
+                top, bottom = _window_corners(spec, left, right, built)
+            else:
+                corners = _window_corners(deco.spec, left, right, _row_and_stencil(deco.spec))
+                top, bottom = (None if b is None else deco.scale * b for b in corners)
             model = _window(coeffs, 2 * n + 1, top, bottom)
         rows = _window_lines(size, model)
     return 0, itertools.chain([f"# dim={size} symbol={token} bc={bc_token}"], rows)

@@ -16,16 +16,16 @@ and ``upper`` as twice that; it runs no engine job.  The margins of a
 modified certificate the proof does not hold, and every gap, are the
 smallest eigenvalue of a banded window, read by ``lambda_mins``, the
 multisection engine's one entry, which this module loads on first use.
-What it asks of the engine: windows (coeffs, m, top[, expect]), each the
-m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
+What it asks of the engine: windows (coeffs, m, top[, enclosure]), each
+the m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
 corner and that block's conjugated reflection at its bottom-right one,
-as ``boundary._window_corners`` builds them; the smallest eigenvalue of
-each as a midpoint to within the stopping width w; and min(0, .) of it
-for a window flagged "min0".  That gives the margins of a modified
-certificate past its proof, and the spectral gap too: by the Gram
-identity the softened window of size L has an N-dimensional kernel and
-the rest of its spectrum is that of T_{L-N}(g); the kernels of all sizes
-are checked by one banded product.  Each gap window goes in with an
+as ``boundary._window_corners`` builds them, and the smallest eigenvalue
+of each as a midpoint to within the stopping width w; a certificate
+takes min(0, .) of those of its differences itself (:func:`_min0`).
+That gives the margins of a modified certificate past its proof, and
+the spectral gap too: by the Gram identity the softened window of size
+L has an N-dimensional kernel and the rest of its spectrum is that of
+T_{L-N}(g); the kernels of all sizes are checked by one banded product.  Each gap window goes in with an
 enclosure (lower, upper) of its eigenvalue, the sampling bound at the
 constructive grid shift and a Gram-form Rayleigh quotient, each with an
 estimated rounding allowance (:func:`_enclosure`); the engine skips the
@@ -259,23 +259,24 @@ def check_bracketing(
     The split sizes enter none of them.  A delta above abs_tol proves no
     verdict: the float windows may still hold, and then the certificate
     falls back on the engine, which reads the smallest eigenvalues of its
-    two floor windows (flagged "zero"), of its ``lower`` window T_2N(g)
-    with corners -T_N(g) - bottom and -top ("min0"), and of its
-    ``nn_vs_0n`` window only when the bound above does not prove it, so
-    every verdict is the engine's where the proof has none.  On 8 seeded
-    symbols of each N = 15..40, delta stays below 0.005 * abs_tol up to
-    N = 25 and passes it for some symbols from N = 26 on, whose float
-    windows are already far from the exact ones.
+    two floor windows, of its ``lower`` window T_2N(g) with corners
+    -T_N(g) - bottom and -top, and of its ``nn_vs_0n`` window only when
+    the bound above does not prove it; the certificate reports min(0, .)
+    of the last two (:func:`_min0`, which keeps a NaN), so every verdict
+    is the engine's where the proof has none.  On 8 seeded symbols of
+    each N = 15..40, delta stays below 0.005 * abs_tol up to N = 25 and
+    passes it for some symbols from N = 26 on, whose float windows are
+    already far from the exact ones.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
     counterpart 2*T - T_classic), for a real row only: the symbol must be
     even (``boundary._classic_corner``).  Its corners are not Gram forms,
     so the margins are the smallest eigenvalues themselves, min(0, .) of
-    them for the differences, each from an exact identity.  A classic
-    window of size L is diagonalized by the DCT-II, with the eigenvalues
-    g(pi*k/L), k = 0..L-1, so floor_nn is the smallest of them over both
-    sizes, read at a few grid points next to the zeros of g
+    them for the differences (:func:`_min0`), each from an exact identity.
+    A classic window of size L is diagonalized by the DCT-II, with the
+    eigenvalues g(pi*k/L), k = 0..L-1, so floor_nn is the smallest of
+    them over both sizes, read at a few grid points next to the zeros of g
     (:func:`_dct_floor`), never negative and with no work in L.  In the
     coordinates (J x_left, x_right), J the exchange matrix, the split
     difference is [[-1, 1], [1, -1]] (x) H, H the real N x N Hankel corner
@@ -322,7 +323,7 @@ def _certify(
     coeffs, c = built
     if neumann is BoundaryKind.CLASSIC_NEUMANN:
         bottom = _classic_corner(coeffs, spec)  # refuses a complex row first
-        delta_nn = min(0.0, _corner_lambda_min([[-x for x in r] for r in bottom]))
+        delta_nn = _min0(_corner_lambda_min([[-x for x in r] for r in bottom]))
         floor, lower = _dct_floor(spec, (size1, size2)), 2.0 * delta_nn
     else:
         bottom = _gram_corner(c, neumann)
@@ -335,14 +336,21 @@ def _certify(
             delta_nn = 0.0 if proved_nn else floor
             return BracketReport(size1, size2, floor, delta_nn, floor, shift, _REL_TOL, abs_tol)
         body, top = _toeplitz_body(coeffs, n), _mirror(bottom)
-        windows = [(coeffs, size, top, "zero") for size in (size1, size2)]
-        windows.append((coeffs, 2 * n, -body - bottom, "min0"))
+        windows = [(coeffs, size, top) for size in (size1, size2)]
+        windows.append((coeffs, 2 * n, -body - bottom))
         if not proved_nn:
-            windows.append((BandedCoeffs(np.zeros_like(coeffs.a)), 2 * n, -bottom, "min0"))
+            windows.append((BandedCoeffs(np.zeros_like(coeffs.a)), 2 * n, -bottom))
         floor1, floor2, lower, *delta_nn = lambda_mins(windows)
-        floor, delta_nn = min(floor1, floor2), (delta_nn[0] if delta_nn else 0.0)
+        floor, lower = 0.0 + min(floor1, floor2), _min0(lower)  # never -0.0
+        delta_nn = _min0(delta_nn[0]) if delta_nn else 0.0
     margins = (scale * floor, scale * delta_nn, scale * lower)
     return BracketReport(size1, size2, *margins, shift, _REL_TOL, abs_tol)
+
+
+def _min0(x: float) -> float:
+    """min(0, x), the margin of a difference, as 0.0, never -0.0, for x >= 0;
+    a NaN stays NaN, where min(0.0, nan) would report a holding 0.0."""
+    return 0.0 + min(x, 0.0)
 
 
 def _dct_floor(spec: SymbolSpec, sizes: Sequence[int]) -> float:
@@ -671,8 +679,8 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
-    coeffs, c = _row_and_stencil(spec)
-    top, bottom = _window_corners(spec, nn, nn, c)
+    coeffs, c = built = _row_and_stencil(spec)
+    top, bottom = _window_corners(spec, nn, nn, built)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     width, enclosures = max(sizes, default=0), []
     step = max(1, 2**16 // (width * n + 1))

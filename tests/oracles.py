@@ -51,6 +51,7 @@ from toepbrack import (
     stencil,
 )
 from toepbrack.matrices import _require_size, _wrap
+from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
@@ -164,19 +165,19 @@ def dct_grid_floor(spec, sizes):
 
 def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMANN):
     """The four windows of a bracketing certificate, as the engine reads
-    them: both floors, lower, nn_vs_0n.  A classic certificate runs them
-    through the engine; a modified one proves their margins instead, and
-    the engine's tests feed them to it directly."""
+    them: both floors, lower, nn_vs_0n.  A modified certificate runs them
+    through the engine only when its proof does not hold it, a classic
+    one never, and the engine's tests feed them to it directly."""
     n = spec.degree
     coeffs = fourier_coefficients(spec)
-    top, bottom = spectra._window_corners(spec, neumann, neumann)
+    top, bottom = spectra._window_corners(spec, neumann, neumann, _row_and_stencil(spec))
     body = dense_toeplitz(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
     return [
-        (coeffs, size1, top, "zero"),
-        (coeffs, size2, top, "zero"),
-        (coeffs, 2 * n, -body - bottom, "min0"),
-        (zero_row, 2 * n, -bottom, "min0"),
+        (coeffs, size1, top),
+        (coeffs, size2, top),
+        (coeffs, 2 * n, -body - bottom),
+        (zero_row, 2 * n, -bottom),
     ]
 
 
@@ -213,7 +214,7 @@ def exact_residual(spec):
         for j in range(max(0, -t), min(n, n - t) + 1):
             r = _plus(r, _times_conj(c[j], c[j + t]))
         x.append(_plus(a[t + n], r, -1))
-    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND)
+    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
     right, left = [], []
     for i in range(n):
         right.append([])
@@ -242,7 +243,7 @@ def exact_gram_difference(spec, window, size=0):
     n = spec.degree
     c = [_exact(z) for z in stencil(spec)]
     a = [_exact(z) for z in fourier_coefficients(spec).a]
-    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND)
+    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
     m, placed = (size, range(size - n)) if window == "floor" else (2 * n, range(n))
     w = [[a[j - i + n] if abs(j - i) <= n else ZERO for j in range(m)] for i in range(m)]
     for i in range(n):

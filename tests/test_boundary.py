@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from toepbrack import (
+    BandedCoeffs,
     BoundaryKind,
     NonHermitianError,
     SizeTooSmallError,
@@ -21,7 +22,9 @@ from toepbrack import (
     stencil,
     toeplitz_finite,
 )
+from toepbrack import boundary
 from toepbrack.boundary import _classic_corner, _gram_floor, _gram_residual, _mirror, _split_block, _window_corners
+from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -259,8 +262,8 @@ def test_dirichlet_corner_is_minus_the_neumann_corner(spec):
     # Exactly equal (only the sign of a zero may differ), so a check can
     # take the stiff corners as -(soft corners).
     assert np.array_equal(corner_block(spec, D_KIND).entries, -corner_block(spec, N_KIND).entries)
-    stiff = _window_corners(spec, D_KIND, D_KIND)
-    soft = _window_corners(spec, N_KIND, N_KIND)
+    stiff = _window_corners(spec, D_KIND, D_KIND, _row_and_stencil(spec))
+    soft = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
     for d, n in zip(stiff, soft):
         assert np.array_equal(d, -n)
 
@@ -295,7 +298,7 @@ def test_window_corners_are_the_corner_block_and_its_mirror(pair):
     # never symmetrized a second time.
     left, right = (BoundaryKind.from_code(code) for code in pair)
     for spec in _window_specs(pair):
-        top, bottom = _window_corners(spec, left, right)
+        top, bottom = _window_corners(spec, left, right, _row_and_stencil(spec))
         if left is SIMPLE:
             assert top is None
         else:
@@ -339,12 +342,22 @@ def test_corner_block_keeps_the_first_builders_bits(code):
 
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
-def test_window_corners_take_the_callers_stencil(pair):
+def test_window_corners_take_the_callers_stencil(monkeypatch, pair):
+    # The corners come from the caller's row and stencil and from nothing
+    # else: twice the stencil gives exactly four times a modified corner,
+    # twice the row exactly twice the classic one, and no pass of its own.
+    def refuse(spec):
+        raise AssertionError("_window_corners made its own row and stencil")
+
+    monkeypatch.setattr(boundary, "_row_and_stencil", refuse)
     left, right = (BoundaryKind.from_code(code) for code in pair)
+    scale = {SIMPLE: None, BoundaryKind.CLASSIC_NEUMANN: 2.0, N_KIND: 4.0, D_KIND: 4.0}
     for spec in _window_specs(pair):
-        given = _window_corners(spec, left, right, stencil(spec))
-        for ours, built in zip(given, _window_corners(spec, left, right)):
-            assert (ours is None and built is None) or _same_bits(ours, built), spec
+        coeffs, c = _row_and_stencil(spec)
+        own = _window_corners(spec, left, right, (coeffs, c))
+        doubled = _window_corners(spec, left, right, (BandedCoeffs(2.0 * coeffs.a), 2.0 * c))
+        for kind, ours, twice in zip((left, right), own, doubled):
+            assert (ours is None and twice is None) or np.array_equal(twice, scale[kind] * ours), spec
 
 
 def test_gram_floor_is_below_the_smallest_eigenvalue():
@@ -354,7 +367,7 @@ def test_gram_floor_is_below_the_smallest_eigenvalue():
     # tied zeros included.
     for spec in gram_floor_symbols():
         c = stencil(spec)
-        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
         corner = _gram_residual(c, fourier_coefficients(spec).a, bottom)[1]
         assert _gram_floor(c, corner) <= np.linalg.eigvalsh(-bottom)[0], spec
 
@@ -365,7 +378,7 @@ def test_gram_floor_reads_the_block_it_is_given():
     # NaN block a NaN residual and bound.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
     c, a = stencil(spec), fourier_coefficients(spec).a
-    gram = -_window_corners(spec, N_KIND, N_KIND, c)[1]
+    gram = -_window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
     least = np.linalg.eigvalsh(gram)[0]
 
     def bound(block):
@@ -386,7 +399,7 @@ def test_gram_residual_proves_nothing_it_cannot():
     # NaN; a stencil part whose product could overflow gets inf.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
     c, a = stencil(spec), fourier_coefficients(spec).a
-    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
     assert 0.0 < _gram_residual(c, a, bottom)[0] < 1e-14
     skew = bottom.copy()
     skew[0, 2] += 1e-6
@@ -410,7 +423,7 @@ def test_gram_residual_bounds_a_flushed_stencil_part():
     # must be at least 2e, and stays far below any threshold.
     spec = make_symbol([(0.0, 1)])
     c, a = stencil(spec), fourier_coefficients(spec).a
-    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
     assert _gram_residual(c, a, bottom) == (0.0, 0.0)
     tiny = c.copy()
     tiny[0] += 1e-140j
@@ -537,7 +550,7 @@ class TestClassicNeumann:
         spec = make_symbol(factors)
         with pytest.raises(NonHermitianError):
             _classic_corner(fourier_coefficients(spec))
-        top, bottom = _window_corners(spec, self.C_KIND, self.C_KIND)
+        top, bottom = _window_corners(spec, self.C_KIND, self.C_KIND, _row_and_stencil(spec))
         assert not top.imag.any() and not bottom.imag.any()
         build_restricted(spec, 30, self.C_KIND, self.C_KIND)
         off_pair = make_symbol([(1.0, 1), (-1.0 + 1e-9, 1)])

@@ -31,6 +31,7 @@ from toepbrack import (
 )
 from toepbrack import boundary, cli, errors, matrices, spectra
 from toepbrack.boundary import _window, _window_corners
+from toepbrack.symbols import _row_and_stencil
 from toepbrack.cli import (
     CliUsageError,
     main,
@@ -472,6 +473,23 @@ class TestCheck:
         code, out, err = run_cli(capsys, *argv)
         assert code == 0 and err == ""
         assert all(json.loads(out)["verdicts"].values())
+
+    def test_certificate_past_its_proof_exits_one(self, capsys, monkeypatch):
+        # At N = 40 the residual delta exceeds abs_tol, so the margins come
+        # from one engine call of all four windows; the float windows lie
+        # far from their Gram forms, and three margins fail.
+        calls = []
+        engine = spectra.lambda_mins
+
+        def spy(windows):
+            calls.append(len(windows))
+            return engine(windows)
+
+        monkeypatch.setattr(spectra, "lambda_mins", spy)
+        code, out, err = run_cli(capsys, "check", "--factors", "0.8402:24,4.1623:16", "--split", "81,81")
+        assert code == 1 and err == "" and calls == [4]
+        verdicts = json.loads(out)["verdicts"]
+        assert verdicts == {"floor_nn": False, "nn_vs_0n": True, "lower": False, "upper": False}
 
     def test_size_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--factors", "0:2", "--split", "4,7")
@@ -1015,7 +1033,8 @@ class TestMatrixCsv:
         coeffs = penta_coefficients(*row)
         for pair in ("nn", "0d", "dn"):
             left, right = (BoundaryKind.from_code(code) for code in pair)
-            top, bottom = (None if b is None else deco.scale * b for b in _window_corners(deco.spec, left, right))
+            corners = _window_corners(deco.spec, left, right, _row_and_stencil(deco.spec))
+            top, bottom = (None if b is None else deco.scale * b for b in corners)
             for size in (5, 30, 40):
                 matrix = HermitianMatrix(_window(coeffs, size, top, bottom).entries)
                 out = _export_text(capsys, ["--penta", "7.5,-3.25,1"], "--size", str(size), "--bc", pair)

@@ -3,6 +3,7 @@ and the multisection engine behind the certificates and gaps."""
 
 import bisect
 import decimal
+import itertools
 import json
 import math
 import time
@@ -47,11 +48,12 @@ from toepbrack import (
     toeplitz_finite,
 )
 import toepbrack
-from toepbrack import boundary, matrices, spectra, symbols
+from toepbrack import boundary, cli, matrices, spectra, symbols
 from toepbrack import _multisection as multisection
 from toepbrack._multisection import lambda_mins
 from toepbrack.boundary import _affine_residual, _classic_corner, _gram_floor, _gram_residual, _window_corners
 from toepbrack.cli import main
+from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec, random_split
 from oracles import (
     ALL_PAIRS,
@@ -375,6 +377,11 @@ class TestClassicCertificate:
             spectra._corner_lambda_min(block)
 
 
+def _nn_bottom(spec):
+    """The modified Neumann bottom corner of spec, as a window takes it."""
+    return _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Calls of the row-and-stencil pass, the corner builders and the
@@ -383,7 +390,7 @@ def builds(monkeypatch):
     ``boundary``; ``banded_coefficients`` symmetrizes outside rows too)."""
     counts = {name: 0 for name in ("_row_and_stencil", "_window_corners", "_gram_corner", "_classic_corner")}
     counts.update(hermitian=0, _hermitian_part=0)
-    modules = (toepbrack, symbols, matrices, boundary, spectra)
+    modules = (toepbrack, symbols, matrices, boundary, spectra, cli)
     for name, original, where in (
         ("_row_and_stencil", symbols._row_and_stencil, modules),
         ("_window_corners", boundary._window_corners, modules),
@@ -450,31 +457,42 @@ _REAL = make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)])
     + [
         (lambda pair=pair: _window(_REAL, 11, pair), set(pair) - {"0"})
         for pair in ALL_PAIRS
+    ]
+    + [
+        (lambda bc=bc: main(["export", "--factors", "0:2,2.0:1,-2.0:1", "--size", "11", "--bc", bc]), {bc[0]})
+        for bc in ("cc", "nn")
     ],
-    ids=["check_classic", "classic_split_difference"] + ["".join(p) for p in ALL_PAIRS],
+    ids=["check_classic", "classic_split_difference"]
+    + ["".join(p) for p in ALL_PAIRS]
+    + ["export_cc", "export_nn"],
 )
 def test_each_corner_kind_symmetrized_once(builds, call, kinds):
-    # Each kind's corner is built once, a top block is its mirror, and each
-    # modified corner is symmetrized once; the classic corner of an even
-    # symbol is read from its row, exactly symmetric, with no hermitian.
+    # One pass makes the row and the stencil, which the window's corners
+    # take from the caller.  Each kind's corner is built once, a top block
+    # is its mirror, and each modified corner is symmetrized once; the
+    # classic corner of an even symbol is read from its row, exactly
+    # symmetric, with no hermitian.
     call()
+    assert builds["_row_and_stencil"] == 1
     assert builds["_gram_corner"] + builds["_classic_corner"] == len(kinds)
     assert builds["_hermitian_part"] == len(kinds - {"c"}) and builds["hermitian"] == 0
 
 
 def test_min0_window_keeps_a_nan_midpoint():
-    # min(0.0, nan) is 0.0, which would report a NaN window as a holding
-    # zero margin.
+    # A window with a NaN corner entry has a NaN midpoint, and the
+    # certificate's min(0, .) keeps it: min(0.0, nan) is 0.0, which would
+    # report a NaN window as a holding zero margin.
     spec = make_symbol([(0.0, 1), (2.0, 1)])
     coeffs = fourier_coefficients(spec)
     healthy = certificate_windows(spec, 5, 5)[3]  # nn_vs_0n: a zero row, corners -bottom, -top
     corrupted = healthy[2].copy()
     corrupted[0, 0] = np.nan
-    windows = [healthy, healthy[:2] + (corrupted, "min0"), (coeffs, 4, corrupted, "min0")]
+    windows = [healthy, healthy[:2] + (corrupted,), (coeffs, 4, corrupted)]
     with np.errstate(all="ignore"):
-        healthy, broken, whole = lambda_mins(windows)
-    assert healthy == 0.0
+        healthy, broken, whole = (spectra._min0(x) for x in lambda_mins(windows))
+    assert healthy == 0.0 and math.copysign(1.0, healthy) == 1.0
     assert math.isnan(broken) and math.isnan(whole)
+    assert min(0.0, broken) == 0.0
 
 
 def test_nn_vs_0n_is_positive_definite_yet_reports_zero(rng):
@@ -551,7 +569,7 @@ def test_delta_bounds_what_every_window_differs_by_from_its_gram_form():
     zero = (Fraction(0), Fraction(0))
     for spec in specs:
         n, c = spec.degree, stencil(spec)
-        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        bottom = _nn_bottom(spec)
         delta, bound = _gram_residual(c, fourier_coefficients(spec).a, bottom)
         x, right, left = exact_residual(spec)
         for window, m in (("floor", 2 * n + 1), ("floor", 3 * n + 2), ("lower", 2 * n)):
@@ -582,7 +600,7 @@ def test_integer_rows_have_zero_delta_and_print_plus_zero(capsys, alpha):
     # stdout.
     spec = make_symbol([(0.0, alpha)])
     c = stencil(spec)
-    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    bottom = _nn_bottom(spec)
     assert _gram_residual(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
     split = (2 * alpha + 1, 2 * alpha + 3)
     assert main(["check", "--factors", f"0:{alpha}", "--split", "{},{}".format(*split)]) == 0
@@ -625,13 +643,13 @@ def test_unproved_certificate_keeps_the_engines_margins(monkeypatch):
     # their Gram forms than abs_tol: delta, 724.7 against abs_tol 136.8,
     # proves nothing, yet each window holds.  The certificate falls back
     # on the engine, one call of all four windows (the nn_vs_0n bound is
-    # negative too), and reports its margins as it did before the proof,
-    # bit for bit: every verdict holds.
+    # negative too), and reports its floor and min(0, .) of its
+    # differences, pinned bit for bit: every verdict holds.
     spec = make_symbol(
         [(0.58561028365405, 1), (1.9983723978976295, 8), (3.9956361898098707, 12), (5.640353704921672, 15)]
     )
     c, a = stencil(spec), fourier_coefficients(spec).a
-    delta, right = _gram_residual(c, a, _window_corners(spec, N_KIND, N_KIND, c)[1])
+    delta, right = _gram_residual(c, a, _nn_bottom(spec))
     assert _gram_floor(c, right) < 0.0
     results = []
     engine = multisection.lambda_mins
@@ -646,16 +664,74 @@ def test_unproved_certificate_keeps_the_engines_margins(monkeypatch):
     ((floor1, floor2, lower, delta_nn),) = results
     assert report.margins == {
         "floor_nn": min(floor1, floor2),
-        "nn_vs_0n": delta_nn,
-        "lower": lower,
-        "upper": lower,
+        "nn_vs_0n": min(0.0, delta_nn),
+        "lower": min(0.0, lower),
+        "upper": min(0.0, lower),
     }
     assert list(report.margins.values()) == [
-        -47.533417900803755,
-        -0.007866638988900042,
-        -52.654827602839134,
-        -52.654827602839134,
+        -47.52539899209992,
+        -0.006803579666075699,
+        -52.65750057242489,
+        -52.65750057242489,
     ]
+
+
+def test_no_fallback_margin_is_negative_zero(monkeypatch):
+    # A certificate past its proof reports its floor as it is and min(0, .)
+    # of its differences; an engine value -0.0 comes out as 0.0 in each.
+    spec = make_symbol([(0.3, 2), (2.0, 1)])
+    calls = []
+
+    def engine(windows):
+        calls.append(len(windows))
+        return [-0.0] * len(windows)
+
+    monkeypatch.setattr(spectra, "_gram_corner", lambda c, kind: 2.0 * boundary._gram_corner(c, kind))
+    monkeypatch.setattr(spectra, "lambda_mins", engine)
+    report = check_bracketing(spec, 9, 11)
+    assert calls == [4] and report.all_hold
+    assert all(m == 0.0 and math.copysign(1.0, m) == 1.0 for m in report.margins.values()), report.margins
+
+
+# Modified certificates past their proof, N = 26..40, pinned to the
+# verdicts an engine with a grid pass around 0 and a cap at 0 recorded:
+# plain uniform passes move each margin by less than one stopping width,
+# so a verdict that changes points at the engine or the fallback.
+FALLBACK_VERDICTS = [
+    (
+        [(4.338468494523859, 17), (1.1359372276660105, 11)],
+        (59, 104),
+        {"floor_nn": False, "nn_vs_0n": True, "lower": True, "upper": True},
+    ),
+    (
+        [(6.203191391733828, 1), (6.047891104489918, 18), (3.5242280085734583, 4), (2.7285165860094676, 6)],
+        (62, 115),
+        {"floor_nn": True, "nn_vs_0n": True, "lower": True, "upper": True},
+    ),
+    (
+        [(6.152638671038473, 6), (0.021047906498687863, 11), (2.4610444256671187, 3), (3.5141993142003196, 9)],
+        (86, 82),
+        {"floor_nn": False, "nn_vs_0n": True, "lower": False, "upper": False},
+    ),
+    (
+        [(1.2496708429813363, 14), (4.607705661805448, 19)],
+        (137, 133),
+        {"floor_nn": True, "nn_vs_0n": True, "lower": False, "upper": False},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "factors,split,verdicts",
+    FALLBACK_VERDICTS,
+    ids=["n28_floor_fails", "n29_holds", "n29_fails", "n33_lower_fails"],
+)
+def test_fallback_certificates_keep_their_verdicts(factors, split, verdicts):
+    spec = make_symbol(factors)
+    c, a = stencil(spec), fourier_coefficients(spec).a
+    report = check_bracketing(spec, *split)
+    assert _gram_residual(c, a, _nn_bottom(spec))[0] > report.abs_tol
+    assert report.verdicts == verdicts
 
 
 def test_tiny_angle_holds_through_the_proof(monkeypatch, capsys):
@@ -687,7 +763,7 @@ def test_penta_delta_takes_in_the_decomposition():
         report, deco = check_bracketing_penta(*row, 9, 11)
         coeffs = fourier_coefficients(deco.spec)
         c = stencil(deco.spec)
-        delta = _gram_residual(c, coeffs.a, _window_corners(deco.spec, N_KIND, N_KIND, c)[1])[0]
+        delta = _gram_residual(c, coeffs.a, _nn_bottom(deco.spec))[0]
         scale = Fraction(deco.scale)
         exact = Fraction(0)
         for t, (mine, theirs) in enumerate(zip(penta_coefficients(*row).a, coeffs.a)):
@@ -730,7 +806,7 @@ def test_gram_residual_keeps_to_quadratic_memory():
     # every entry's own terms would hold 8 N**3 / 3 of them, about 140 MB.
     spec = make_symbol([(TWO_PI * (k + 0.5) / 96, 1) for k in range(96)])
     c, a = stencil(spec), fourier_coefficients(spec).a
-    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    bottom = _nn_bottom(spec)
     assert _peak_bytes(lambda: _gram_residual(c, a, bottom)) < 16 * 2**20
 
 
@@ -1136,9 +1212,9 @@ class TestPentaBracketing:
 
 # The multisection engine behind ``spectra``, through its one entry,
 # ``lambda_mins``, and past it into ``_pass``, ``_multisection``,
-# ``_SWEEP`` and the jobs they share: pass counts, the grid pass around 0,
-# the look-ahead twins, the passes a gap enclosure decides, batches and
-# the meet in the middle, with the engine's two oracles, one uniform pass
+# ``_SWEEP`` and the jobs they share: pass counts, the look-ahead twins,
+# the passes a gap enclosure decides, batches and the meet in the
+# middle, with the engine's two oracles, one uniform pass
 # per row loop (:func:`uniform_multisection`) and the plain twisted
 # recurrence (:func:`reference_meet`); and the check that no certificate
 # or gap calls the dense Jacobi reference.  Everything from here to the
@@ -1153,7 +1229,6 @@ def _run_windows(spec, size1, size2):
 
 
 _PENTA = decompose_pentadiagonal(2.0, -1.5, 0.75).spec
-_PENTA_REAL = decompose_pentadiagonal(6.0, -4.0, 1.0).spec
 
 ENGINE_CALLS = pytest.mark.parametrize(
     "call",
@@ -1221,97 +1296,6 @@ def passes(monkeypatch):
     return kinds
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        _run_windows(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
-        _run_windows(make_symbol([(0.0, 2)]), 7, 7),
-        _run_windows(make_symbol([(0.3, 3), (2.0, 3)]), 30, 31),
-        _run_windows(make_symbol([(0.0, 1), (2.0, 1)]), 2048, 2049),
-        _run_windows(_PENTA, 6, 9),
-        _run_windows(_PENTA_REAL, 8, 8),
-    ],
-    ids=["complex", "real", "degree6", "large", "penta", "penta_real"],
-)
-def test_modified_certificate_takes_one_pass_per_kind(passes, call):
-    # Both floor windows and lower have smallest eigenvalue 0, so the grid
-    # pass around 0 brackets each to one engine width at once.
-    call()
-    assert passes and len(passes) == len(set(passes))
-
-
-def test_random_modified_certificates_take_one_pass_per_kind(monkeypatch, passes, rng):
-    # A grid pass gives no estimate, so no pass carries a twin job: the
-    # passes of a certificate's windows carry each window once.
-    jobs = []
-    one_pass = multisection._pass
-
-    def spy(batch, shifts):
-        jobs.extend(batch)
-        return one_pass(batch, shifts)
-
-    monkeypatch.setattr(multisection, "_pass", spy)
-    for _ in range(12):
-        spec = random_spec(rng, max_factors=4, max_mult=3)
-        passes.clear()
-        jobs.clear()
-        _run_windows(spec, *random_split(rng, spec.degree, 300))()
-        assert passes and len(passes) == len(set(passes)), spec
-        assert len(jobs) == len({id(job) for job in jobs}) == 3, spec
-
-
-@pytest.mark.parametrize(
-    "spec,split,margins",
-    [
-        (
-            make_symbol([(0.0, 1), (2.0, 1)]),
-            (2048, 2049),
-            ["-0x1.7fae9248e17a6p-45", "0x0.0p+0", "-0x1.7fae9248e17a6p-45"],
-        ),
-        (
-            make_symbol([(0.3, 3), (2.0, 3)]),
-            (64, 64),
-            ["-0x1.4fdd27fc555dcp-36", "0x0.0p+0", "0x0.0p+0"],
-        ),
-        (
-            make_symbol([(0.34, 3), (1.79, 1), (3.24, 2), (5.07, 2)]),
-            (200, 201),
-            ["-0x1.4e2dbb2ee1594p-40", "0x0.0p+0", "-0x1.4e2dbb2ee1594p-40"],
-        ),
-        (
-            make_symbol([(0.5, 3), (2.1, 2), (3.7, 3), (5.2, 2)]),
-            (150, 151),
-            ["-0x1.d57395e77cfd0p-39", "0x0.0p+0", "-0x1.38f7b944fdf19p-40"],
-        ),
-        (
-            _PENTA_REAL,
-            (8, 8),
-            ["-0x1.6800000000000p-44", "0x0.0p+0", "-0x1.6800000000000p-44"],
-        ),
-    ],
-    ids=["large", "degree6", "degree8", "degree10", "penta_real"],
-)
-def test_modified_certificates_keep_their_margins_in_nine_shifts(monkeypatch, spec, split, margins):
-    # Each of the three windows takes one pass, of the 9 shifts k * w for
-    # |k| <= 4, so a wider grid fails here instead of passing as a silent
-    # slowdown.  The grid also decides where a margin lands within w, so
-    # the bits of the floor and of lower are pinned; nn_vs_0n, proved, is
-    # the certificate's 0.0.
-    widths = []
-    one_pass = multisection._pass
-
-    def spy(jobs, shifts):
-        widths.append([len(s) for s in shifts])
-        return one_pass(jobs, shifts)
-
-    monkeypatch.setattr(multisection, "_pass", spy)
-    floor1, floor2, lower = lambda_mins(certificate_windows(spec, *split)[:3])
-    assert sum(widths, []) == [9, 9, 9]
-    assert [min(floor1, floor2).hex(), lower.hex()] == [margins[0], margins[2]]
-    report = check_bracketing(spec, *split)
-    assert report.all_hold and report.delta_nn.hex() == margins[1]
-
-
 @pytest.fixture
 def jobs(monkeypatch):
     """How many jobs each engine row-loop group starts with."""
@@ -1345,29 +1329,21 @@ def test_proved_nn_vs_0n_takes_no_job(jobs, call):
     assert sum(jobs) == 0
 
 
-def test_complex_degree_one_certificate_takes_one_row_loop(passes):
-    # Its nn_vs_0n block is [[1]], the one real window of the certificate,
-    # so running it took a second row loop, of the real kind; the other
-    # three windows are complex.
-    _run_windows(make_symbol([(2.0, 1)]), 5, 6)()
-    assert passes == [True]
-
-
-def test_proved_nn_vs_0n_windows_are_the_engines_zeros(passes):
+def test_proved_nn_vs_0n_windows_are_the_engines_zeros():
     # Every bound is below LAPACK's eigenvalue, and a window the bound
     # proves positive definite, which the certificate reports as 0.0, is
-    # one the engine's grid pass gives 0.0 too.  It proves every symbol up
-    # to N = 7.
+    # one whose engine eigenvalue min(0, .) makes 0.0 too.  It proves every
+    # symbol up to N = 7.
     proved = dict.fromkeys(range(1, 15), 0)
     for spec in gram_floor_symbols():
         n, c = spec.degree, stencil(spec)
-        bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+        bottom = _nn_bottom(spec)
         bound = _gram_floor(c, _gram_residual(c, fourier_coefficients(spec).a, bottom)[1])
         assert bound <= np.linalg.eigvalsh(-bottom)[0], spec
         if bound > 0.0:
             proved[n] += 1
-            window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, -bottom, "min0")
-            assert lambda_mins([window])[0] == 0.0, spec
+            window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, -bottom)
+            assert spectra._min0(lambda_mins([window])[0]) == 0.0, spec
     assert [proved[n] for n in range(1, 8)] == [15] * 7
 
 
@@ -1379,7 +1355,7 @@ def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
     # margin's own error.
     spec = make_symbol([(0.0, 12)])
     c = stencil(spec)
-    bottom = _window_corners(spec, N_KIND, N_KIND, c)[1]
+    bottom = _nn_bottom(spec)
     assert _gram_residual(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
     assert np.abs(bottom).max() > 2.7e6 and 0.0 < _gram_floor(c, 0.0) < 1e-12
     report = check_bracketing(spec, 25, 27)
@@ -1420,7 +1396,9 @@ def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
     assert sum(jobs) == 4
     assert not report.verdicts["nn_vs_0n"] and not report.all_hold
     if corruption == "nan":
-        assert math.isnan(report.delta_nn)
+        # The NaN reaches lower's window too, and min(0, .) keeps both NaN.
+        assert math.isnan(report.delta_nn) and math.isnan(report.delta_lower)
+        assert not report.verdicts["lower"] and not report.verdicts["upper"]
     else:
         bottom = corrupted(stencil(spec), N_KIND)
         least = np.linalg.eigvalsh(-bottom)[0]
@@ -1496,7 +1474,7 @@ def test_first_row_loop_runs_no_shift_its_enclosure_decides(monkeypatch, factors
     one_pass = multisection._pass
 
     def spy(jobs, shifts):
-        calls.append([(job[10], job[4], s) for job, s in zip(jobs, shifts)])
+        calls.append([(job[8], job[4], s) for job, s in zip(jobs, shifts)])
         return one_pass(jobs, shifts)
 
     monkeypatch.setattr(multisection, "_pass", spy)
@@ -1600,7 +1578,7 @@ class TestBandedLambdaMin:
         kind = BoundaryKind.from_code(pair[0])
         for spec in _window_specs(pair):
             coeffs = fourier_coefficients(spec)
-            top, _ = _window_corners(spec, kind, kind)
+            top, _ = _window_corners(spec, kind, kind, _row_and_stencil(spec))
             for size in (2 * spec.degree + 1, 2 * spec.degree + 2, 33):
                 window = hermitian(_window(spec, size, pair))
                 ref = np.linalg.eigvalsh(window.entries)[0]
@@ -1632,48 +1610,32 @@ class TestBandedLambdaMin:
     W = 2.0**-48
 
     @staticmethod
-    def dyadic_window(t, expect):
+    def dyadic_window(t):
         coeffs = BandedCoeffs(np.array([-0.125, 0.25 + t, -0.125]))
         corner = np.array([[-0.125]])
-        return coeffs, 2, corner, expect
+        return coeffs, 2, corner
 
     @pytest.mark.parametrize("expect", ["zero", "min0"])
     @pytest.mark.parametrize("k", [0, 4, -4, 5, -5, 16, -16, 17, -17])
-    def test_seeded_first_pass_edges(self, passes, expect, k):
-        # The grid pass tests k * w for |k| <= 4, its end points included:
-        # lambda_min = -4w fails its lowest shift and falls back to
-        # [-r, -4w]; 5w passes its highest and falls back to [4w, r],
-        # except for "min0", which stops there and reports 0.  |k| = 16
-        # and 17 lie well outside the grid.
-        window = self.dyadic_window(k * self.W, expect)
+    def test_seeded_first_pass_edges(self, expect, k):
+        # Windows seeded at k * w, a few widths on either side of 0, where
+        # every margin of a certificate lies in exact arithmetic: uniform
+        # passes bracket each to within w, a floor ("zero") as it is and a
+        # difference ("min0") through the certificate's min(0, .), which
+        # reports 0.0, never -0.0, for every k >= 0.
+        window = self.dyadic_window(k * self.W)
         dense = dense_window(*window)
         assert np.abs(dense).sum(axis=1).max() < 1.0
         exact = k * self.W
         ref = np.linalg.eigvalsh(dense)[0]
         value = lambda_mins([window])[0]
         assert abs(value - ref) <= 1e-12
+        assert abs(value - exact) <= self.W
         if expect == "min0":
-            assert abs(value - min(0.0, exact)) <= self.W
-            assert value == 0.0 or k <= 0
-        else:
-            assert abs(value - exact) <= self.W
-        one_pass = -4 < k <= 4 or (expect == "min0" and k > 0)
-        assert (len(passes) == 1) == one_pass, passes
-
-    def test_grid_step_wider_than_w_still_ends_the_pass(self, passes):
-        # At r = 2.25 the grid points 2w and 3w round apart by more than w;
-        # a sign change between them still ends the multisection.
-        t = 2.5 * 16 * np.finfo(np.float64).eps * 2.25
-        coeffs = BandedCoeffs(np.array([-0.375, 0.75 + t, -0.375]))
-        corner = np.array([[-0.375]])
-        w = 16 * np.finfo(np.float64).eps * (float(np.abs(coeffs.a).sum()) + 0.75)
-        grid = w * np.arange(-16, 17)
-        assert grid[19] - grid[18] > w
-        window = (coeffs, 2, corner, "zero")
-        value = lambda_mins([window])[0]
-        assert len(passes) == 1
-        assert value == 0.5 * (grid[18] + grid[19])
-        assert abs(value - np.linalg.eigvalsh(dense_window(*window))[0]) <= 1e-12 * 2.25
+            margin = spectra._min0(value)
+            assert abs(margin - min(0.0, exact)) <= self.W
+            assert margin < 0.0 or (margin == 0.0 and math.copysign(1.0, margin) == 1.0)
+            assert margin == 0.0 or k <= 0
 
     def test_seeded_window_far_below_zero(self, passes):
         # The classic lower window of (2 - 2cos x)**2 at 7,7 sits near -0.4721.
@@ -1685,14 +1647,16 @@ class TestBandedLambdaMin:
         assert abs(lambda_mins([window])[0] - ref) <= tol
         assert len(passes) > 2
 
-    def test_full_rank_min0_window_reports_zero(self, passes):
+    def test_full_rank_min0_window_reports_zero(self):
         # nn_vs_0n of (2 - 2cos x)(2 - 2cos(x - 2)) is positive definite on
-        # its 2N rows: only min(0, lambda_min) = 0 is wanted, in one pass.
+        # its 2N rows: only min(0, lambda_min) = 0 is wanted, as the proof
+        # reports it.
         spec = make_symbol([(0.0, 1), (2.0, 1)])
         window = certificate_windows(spec, 7, 9)[3]
-        assert np.linalg.eigvalsh(dense_window(*window))[0] > 0.3
-        assert lambda_mins([window])[0] == 0.0
-        assert len(passes) == 1
+        ref = np.linalg.eigvalsh(dense_window(*window))[0]
+        assert ref > 0.3
+        value = lambda_mins([window])[0]
+        assert abs(value - ref) <= 1e-12 and spectra._min0(value) == 0.0
         assert check_bracketing(spec, 7, 9).delta_nn == 0.0
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -1744,15 +1708,20 @@ class TestBandedLambdaMin:
     def test_look_ahead_changes_no_result(self, monkeypatch, passes, rng, n, sweep):
         # Each row loop also runs, as a twin job, the pass after it on the
         # bracket its pivots predict.  Every result is bitwise that of one
-        # uniform pass per row loop, in fewer row loops, also when retired
-        # columns leave between a twin's rows q and p (sweep 1).
+        # uniform pass per row loop, also when retired columns leave between
+        # a twin's rows q and p (sweep 1), and the windows, each run alone,
+        # take fewer row loops.  A batch takes as many row loops as its
+        # slowest window, here one whose eigenvalue lies at 0 within
+        # rounding, whose pivots predict nothing.
         monkeypatch.setattr(multisection, "_SWEEP", sweep)
         batches, _ = seeded_batches(rng, n)
         results, loops = [], []
         for engine in (multisection._multisection, uniform_multisection):
             monkeypatch.setattr(multisection, "_multisection", engine)
-            passes.clear()
             results.append([[x.hex() for x in lambda_mins(w)] for w in batches])
+            passes.clear()
+            for window in itertools.chain(*batches):
+                lambda_mins([window])
             loops.append(len(passes))
         assert results[0] == results[1]
         assert loops[0] < loops[1]
@@ -1768,8 +1737,8 @@ class TestBandedLambdaMin:
     )
     def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call, sharing):
         # Both floors of a certificate, and all sizes of a gap scan, differ
-        # only in m: their jobs share one template, T_N(g) and grid, which
-        # no pass may write.
+        # only in m: their jobs share one template and T_N(g), which no
+        # pass may write.
         first_pass = []
         one_pass = multisection._pass
 
@@ -1781,16 +1750,13 @@ class TestBandedLambdaMin:
         monkeypatch.setattr(multisection, "_pass", spy)
         call()
         shared = first_pass[:sharing]
-        for k in (0, 3, 7):
-            if shared[0][k] is None:
-                continue  # a gap window has no grid
+        for k in (0, 3):
             assert all(job[k] is shared[0][k] for job in shared)
         for job in first_pass:
-            for array in (job[0], job[3], job[7]):
-                if array is not None:
-                    assert not array.flags.writeable
-                    with pytest.raises(ValueError):
-                        array[(0,) * array.ndim] = 0.0
+            for array in (job[0], job[3]):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[(0,) * array.ndim] = 0.0
 
 
 def scan_gaps(factors, sizes):
@@ -1812,9 +1778,11 @@ def scan_gaps(factors, sizes):
             True,
         ),
         # The four windows of failing classic certificates, fed to the
-        # engine directly: their "zero" floors and min0 differences leave
-        # the 9-shift grid, as a modified certificate's past its proof can.
-        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 2)]), 7, 7, _CLASSIC)), True),
+        # engine directly: margins far from 0, as a modified certificate's
+        # past its proof can be.  The floors of 0:2 lie at 0 within
+        # rounding, so that batch takes as many row loops as the uniform
+        # engine.
+        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 2)]), 7, 7, _CLASSIC)), False),
         (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 3)]), 9, 11, _CLASSIC)), True),
         (lambda: lambda_mins(certificate_windows(make_symbol([(1.0, 1), (-1.0, 1)]), 16, 18, _CLASSIC)), True),
     ],
@@ -1823,9 +1791,9 @@ def scan_gaps(factors, sizes):
 def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
     # Gaps at the engine's stopping width, whose pivots are rounding noise
     # and predict nothing, a scan whose gaps they do predict, and failing
-    # classic windows (min0 windows included), which fall back to uniform
-    # passes after their grid pass: bitwise the values of one uniform pass
-    # per row loop, all but the first two in fewer row loops.
+    # classic windows: bitwise the values of one uniform pass per row
+    # loop, and in fewer row loops unless a window whose pivots predict
+    # nothing sets the pace (``fewer`` False).
     values, loops = [], []
     for engine in (multisection._multisection, uniform_multisection):
         monkeypatch.setattr(multisection, "_multisection", engine)
@@ -1839,8 +1807,8 @@ def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
 
 def seeded_batches(rng, n):
     """Two batches of windows of half-bandwidth n, real and complex, without
-    corners, with corners and with corners on a zero row, each also seeded
-    at 0, plus certificate windows; and the generator that drew the latter."""
+    corners, with corners and with corners on a zero row, plus certificate
+    windows; and the generator that drew the latter."""
 
     def hermitian_block(real):
         x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
@@ -1868,9 +1836,7 @@ def seeded_batches(rng, n):
             if shape == 3:
                 coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
             windows.append((coeffs, int(m), top))
-        # The same windows seeded at 0, and certificate windows, whose
-        # grid pass closes at once, next to ones that fall back.
-        windows += [w + (("zero", "min0")[j % 2],) for j, w in enumerate(windows)]
+        # Certificate windows, whose smallest eigenvalues lie near 0.
         for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
             split = local.integers(2 * n + 1, 60, 2)
             windows += certificate_windows(make_symbol(factors), *split)
@@ -1881,24 +1847,21 @@ def seeded_batches(rng, n):
 def uniform_multisection(jobs: list[list]) -> None:
     """``multisection._multisection`` without its look-ahead: one level per row loop.
 
-    Each pass of :func:`multisection._pass` tests a job's grid if it has one,
-    else the 31 equispaced interior shifts of its bracket, and narrows the
-    bracket to the two shifts around its count.  A job stops when its
-    bracket is no wider than its tolerance, lies at or above its cap, or
-    its grid pass found the sign change inside the grid.
+    Each pass of :func:`multisection._pass` tests the 31 equispaced
+    interior shifts of a job's bracket and narrows the bracket to the two
+    shifts around its count.  A job stops when its bracket is no wider
+    than its tolerance.
     """
     jobs = [job for job in jobs if multisection._open(job)]
     while jobs:
-        shifts = [job[5] + (job[6] - job[5]) * multisection._STEPS if job[7] is None else job[7] for job in jobs]
+        shifts = [job[5] + (job[6] - job[5]) * multisection._STEPS for job in jobs]
         remaining = []
         for job, s, count in zip(jobs, shifts, multisection._pass(jobs, shifts)):
             if count > 0:
                 job[5] = float(s[count - 1])
             if count < len(s):
                 job[6] = float(s[count])
-            closed = job[7] is not None and 0 < count < len(s)
-            job[7] = None
-            if not closed and multisection._open(job):
+            if multisection._open(job):
                 remaining.append(job)
         jobs = remaining
 
