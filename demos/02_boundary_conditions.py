@@ -27,7 +27,9 @@ spec = make_symbol([(0.0, 1), (E, 1)])
 N = spec.degree
 
 c = stencil(spec)
-print("stencil c_0..c_2:", c)
+# The pairs' convolution (1, -1 - exp(-iE), exp(-iE)) times exp(iE/2):
+# exactly conjugate-palindromic, which no Gram form below notices.
+print("stencil c_0..c_2 (palindromic, |c_0| = 1):", c)
 print("one rank-one projector |psi><psi|:\n", np.outer(c, c.conj()))
 
 # Stack every placement that fits inside the window as a row of Psi (row k

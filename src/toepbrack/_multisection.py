@@ -1,8 +1,7 @@
 """Smallest eigenvalues of banded mirror windows, by multisection on LDL* pivots.
 
 :func:`lambda_mins` is the one entry: ``spectra`` calls it for the
-margins of a modified bracketing certificate whose proof does not hold
-it and for the spectral gap, and nothing else imports this module.  A
+spectral gap, and nothing else imports this module.  A
 window is a coefficient row, a size m and a top N x N corner; its
 smallest eigenvalue comes from the signs of banded LDL* pivots
 (Sylvester's law of inertia) in O(m * N**2) per pass, and no m x m

@@ -1,8 +1,9 @@
 """Boundary-corrected Toeplitz restrictions via rank-one stencil sums.
 
 Every product symbol of degree N factors through a stencil vector
-``c_0..c_N`` (the convolution of the per-factor pairs (1, -exp(-i*E))),
-whose shifted copies psi_k (supported on [k, k+N]) satisfy
+``c_0..c_N`` (the convolution of the per-factor pairs (1, -exp(-i*E)),
+made exactly conjugate-palindromic by one unimodular factor), whose
+shifted copies psi_k (supported on [k, k+N]) satisfy
 
     T[i][j] = sum_k psi_k(i) * conj(psi_k(j)),
 
@@ -23,13 +24,15 @@ half-bandwidth N.  A Toeplitz or restricted CLI export takes its 2N edge
 rows from the ``_window`` of size 2N+1, whose rows are made by the same
 additions, and writes the rest from the band.  Corner orientation:
 ``corner_block`` returns the block of a kind added at the bottom-right
-(right boundary), a modified kind's symmetrized exactly once
-(:func:`_gram_corner`), the classic one exactly symmetric as read from
-the row (:func:`_classic_corner`).  The
-matching top-left block is the conjugated anti-diagonal reflection of it,
-exactly Hermitian too, which equals the direct crossing-placement sum at
-the left edge; a plain (unconjugated) reflection would transpose the
-block and break both the rank-one identity and the operator inequalities
+(right boundary), a modified kind's as the correctly rounded exact Gram
+sums that ``symbols._row_and_stencil`` makes with the row, exactly
+Hermitian, the Dirichlet one its exact negation (:func:`_gram_corner`),
+and the classic one exactly symmetric as read from the row
+(:func:`_classic_corner`).  The matching top-left block is the
+conjugated anti-diagonal reflection of it, exactly Hermitian too, which
+equals the direct crossing-placement sum at the left edge (for a modified
+kind, that sum correctly rounded, as the stencil is palindromic); a plain
+(unconjugated) reflection would transpose the block and break both the rank-one identity and the operator inequalities
 for complex symbols.  So a window with the same kind at both edges is
 mirror-symmetric, W = J conj(W) J with J the exchange matrix: the identity
 the eigen engine (``_multisection.lambda_mins``) takes as given, reading
@@ -39,7 +42,6 @@ only a window's top block and factoring the window from both ends.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import operator
 
@@ -52,8 +54,9 @@ from .symbols import (
     ANGLE_TOL,
     BandedCoeffs,
     SymbolSpec,
+    _as_integers,
     _freeze,
-    _hermitian_part,
+    _gram_exact,
     _row_and_stencil,
     circular_distance,
 )
@@ -76,9 +79,12 @@ class BoundaryKind(enum.Enum):
 
 
 def stencil(spec: SymbolSpec) -> np.ndarray:
-    """Convolve the per-factor pairs (1, -exp(-i*E_i)), each alpha_i times.
+    """Convolve the per-factor pairs (1, -exp(-i*E_i)), each alpha_i times,
+    and make the result conjugate-palindromic.
 
-    Returns the stencil c_0..c_N as a read-only array, c_0 == 1.  The
+    Returns the stencil c_0..c_N as a read-only array with c_{N-k} ==
+    conj(c_k) exactly and c_0 unimodular (the convolution times one
+    unimodular factor, exactly +-1j or 1 for a real stencil).  The
     autocorrelation sum_j c_j * conj(c_{j+t}) reproduces the symbol
     coefficient a_t, which is the identity all boundary constructions here
     rely on.  It is the stencil of ``symbols._row_and_stencil``.
@@ -94,246 +100,136 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     Dirichlet adds them (positive semidefinite).  The placement starting s
     rows above the last N has its first N - s coefficients on them.
     Classic Neumann adds :func:`_classic_corner`, which is exactly real
-    and symmetric; a modified block is made exactly Hermitian by one
-    symmetrization (:func:`_gram_corner`).  Its :func:`_mirror` is the
-    top-left counterpart.
+    and symmetric; a modified block is each entry's correctly rounded
+    exact Gram sum, exactly Hermitian (:func:`_gram_corner`).  Its
+    :func:`_mirror` is the top-left counterpart.
     """
-    row, c = _row_and_stencil(spec)
+    row, _, bottom = _row_and_stencil(spec)
     if kind is BoundaryKind.CLASSIC_NEUMANN:
         return _wrap(np.array(_classic_corner(row, spec), dtype=np.complex128))
-    return _wrap(_gram_corner(c, kind))
+    return _wrap(_gram_corner(bottom, kind))
 
 
-def _gram_corner(c: np.ndarray, kind: BoundaryKind) -> np.ndarray:
-    """The modified Neumann or Dirichlet :func:`corner_block` of the stencil
-    c, as a read-only array.  It passes the tolerance test of
-    ``matrices.hermitian`` and is symmetrized as that does, through
-    ``symbols._hermitian_part``."""
+def _gram_corner(bottom: np.ndarray, kind: BoundaryKind) -> np.ndarray:
+    """The modified Neumann or Dirichlet :func:`corner_block`, as a
+    read-only array, from ``bottom``, the Neumann one that
+    ``symbols._row_and_stencil`` makes: that block itself, or its exact
+    negation (0 - bottom, so that no zero part becomes -0.0)."""
     if kind is BoundaryKind.MODIFIED_NEUMANN:
-        sign = -1.0
-    elif kind is BoundaryKind.MODIFIED_DIRICHLET:
-        sign = 1.0
-    else:
-        raise ValueError("corner_block is defined for the non-simple conditions only")
-    n = len(c) - 1
-    # Placement s adds c_{i-s} conj(c_{j-s}) at (i, j) for i, j >= s, in
-    # the order of s, and nothing elsewhere.
-    head = c[:n]
-    products = head[:, None] * head.conj()
-    out = np.zeros((n, n), dtype=np.complex128)
-    for s in range(n):
-        out[s:, s:] += products[: n - s, : n - s]
-    h = sign * out
-    return _freeze(_hermitian_part(h, h.conj().T))
+        return bottom
+    if kind is BoundaryKind.MODIFIED_DIRICHLET:
+        return _freeze(0.0 - bottom)
+    raise ValueError("corner_block is defined for the non-simple conditions only")
 
 
 def _gram_floor(c: np.ndarray, residual: float) -> float:
     """A proven lower bound on lambda_min(-bottom), for bottom the float
     modified Neumann corner of the stencil c and residual an upper bound
-    of its distance ||Delta||_F from the exact corner (:func:`_gram_residual`):
+    of its distance ||Delta||_F from the exact corner (:func:`_gram_delta`):
     1/||d||_1**2 - residual.
 
     The exact -bottom is V V*, the Gram sum of the N placements that
-    cross the edge, V the N x N unit lower-triangular Toeplitz matrix of
+    cross the edge, V the N x N lower-triangular Toeplitz matrix of
     c_0..c_{N-1}.  Its inverse is the lower-triangular Toeplitz matrix of
-    d_0..d_{N-1}, the first N coefficients of 1/c(z) (d_0 = 1, d_k =
-    -sum_{j=1..k} c_j d_{k-j}, as c_0 == 1), whose column and row sums
-    are at most ||d||_1, so ||V^-1||_2 <= ||d||_1 and lambda_min(V V*) >=
-    1/||d||_1**2; Weyl's inequality takes off ||Delta||_2 <= ||Delta||_F.
-    d is computed in Python floats: by the backward error of a triangular
-    solve (Higham, "Accuracy and Stability of Numerical Algorithms", Thm
-    8.5) the computed d' has ||d||_1 <= ||d'||_1 / (1 - k), k = 4 * (N+3)
-    * eps * ||c||_1 * ||d'||_1 (||c||_1 over c_0..c_{N-1}), with room for
-    the roundings of forming the bound.  A NaN residual gives a NaN bound.
+    d_0..d_{N-1}, the first N coefficients of 1/c(z) (d_0 = 1/c_0, d_k =
+    -(sum_{j=1..k} c_j d_{k-j}) / c_0, c_0 unimodular), whose column and
+    row sums are at most ||d||_1, so ||V^-1||_2 <= ||d||_1 and
+    lambda_min(V V*) >= 1/||d||_1**2; Weyl's inequality takes off
+    ||Delta||_2 <= ||Delta||_F.  d is computed in Python complex floats:
+    by the backward error of a triangular solve (Higham, "Accuracy and
+    Stability of Numerical Algorithms", Thm 8.5) the computed d' has
+    ||d||_1 <= ||d'||_1 / (1 - k), k = 4 * (N+3) * eps * ||c||_1 * ||d'||_1
+    (||c||_1 over c_0..c_{N-1}), with room for the complex roundings and
+    those of forming the bound.  A NaN residual gives a NaN bound.
     """
     n = len(c) - 1
     cs = c.tolist()[:n]
-    d = [1.0]
+    d = [1.0 / cs[0]]
     for k in range(1, n):
-        d.append(-sum(map(operator.mul, cs[1 : k + 1], d[::-1])))
+        d.append(-sum(map(operator.mul, cs[1 : k + 1], d[::-1])) / cs[0])
     c_norm, d_norm = sum(map(abs, cs)), sum(map(abs, d))
     shrink = max(0.0, 1.0 - 4 * (n + 3) * _EPS * c_norm * d_norm)
     return (shrink / d_norm) ** 2 - residual
 
 
-# Veltkamp's splitter: x * (2**27 + 1) splits a float into two halves of
-# at most 26 significant bits each, whose products are exact floats.
-_SPLITTER = 2.0**27 + 1.0
-# Between these magnitudes every nonzero product of two halves is a normal
-# float; smaller stencil parts are flushed to zero and bounded apart.
-_SPLIT_RANGE = (2.0**-450, 2.0**500)
-
-
-def _gram_residual(c: np.ndarray, a: np.ndarray, bottom: np.ndarray) -> tuple[float, float]:
-    """Upper bounds (delta, right) of ||a - r||_1 + max(right, left) and of
-    right = ||bottom - E_R||_F, for a the float coefficient row, r the
-    exact autocorrelation of the stencil c, bottom the float modified
-    Neumann corner and top its mirror, and E_R and E_L the exact corners
-    of c: minus the Gram sums of its placements that cross a right and a
-    left edge; left = ||top - E_L||_F.
+def _gram_delta(c: np.ndarray, a: np.ndarray, bottom: np.ndarray) -> tuple[float, float]:
+    """Upper bounds (delta, right) of ||a - r||_1 + right and of right =
+    ||bottom - E_R||_F, for a the float coefficient row, r the exact
+    autocorrelation of the palindromic stencil c, bottom the float
+    modified Neumann corner and E_R the exact one, minus the Gram sum of
+    the placements of c that cross a right edge (``symbols._gram_exact``).
 
     Every window a modified certificate reads differs from an exact Gram
-    form of c by T(a - r) and by bottom - E_R and top - E_L on disjoint
-    edge rows, so by at most delta in the 2-norm (``spectra.check_bracketing``).
-    E_L is not the mirror of E_R: that holds only for an exact stencil.
-    The entries r_t = sum_j c_j conj(c_{j+t}), E_R[i][j] = -sum_{s <= j}
-    c_{i-s} conj(c_{j-s}) and E_L[i][j] = -sum_{1 <= m <= N-i} c_{i+m}
-    conj(c_{j+m}), i >= j (both corners are Hermitian, and bottom must be
-    exactly so), are sums of products c_x conj(c_y).  Each real product
-    x * y in them is p + e exactly, p = fl(x * y) and e Dekker's error term
-    from the products of 26-bit halves (Veltkamp's split), for all parts
-    of c at once.  Each residual part, re or im, is one ``math.fsum`` of
-    its float entry and its p and e terms, gathered in one numpy pass
-    (:func:`_residual_layout`): correctly rounded, so below the exact part
-    by at most 2**-53 of itself.  The rest is bounded upward: each |a_t -
-    r_t| by its |re| + |im|, summed by ``math.fsum``; each Frobenius norm
-    by ``math.hypot`` of the parts, off-diagonal ones twice (an error below
-    one ulp); then the sum.  A stencil part below 2**-450 is taken as 0,
-    and the corner norms grow by 2 * (N+1) * ||c - c'||_1 * ||c||_1 (norms
-    over the parts), which bounds what that moves r and each corner by.
-    An exact residual of 0 gives 0.0, a corner that is not exactly
-    Hermitian, or a row or corner that is not finite, NaN, and a stencil
-    part above 2**500, where a product could overflow, inf.
+    form of c by T(a - r) and by bottom - E_R and its mirror on disjoint
+    edge rows: as c is palindromic, the exact left corner E_L is the
+    mirror of E_R, and the float top corner is the mirror of bottom.  So
+    each window is within delta of its Gram form in the 2-norm
+    (``spectra.check_bracketing``).  The row and corner that
+    ``symbols._row_and_stencil`` makes are the correctly rounded exact
+    parts, so for them ||a - r||_1 <= 2**-53 * ||a||_1 (|re| + |im| for
+    each entry, in both) and right <= 2**-53 * ||bottom||_F, up to an
+    underflow of 2**-1075 a part, whatever the degree: delta is known in
+    advance.  It is still evaluated, exactly, on the row and corner that
+    are read, so a row or corner that is not the correctly rounded Gram
+    sum (a corrupted one) shows by its own distance: every part and the
+    exact sums are integers over one power of two, |re| + |im| of each row
+    entry and the square of every corner part are summed exactly (over
+    one triangle, the other counted twice, as the row and the corner must
+    be exactly Hermitian), and each sum is rounded once, upward.  An exact
+    residual of 0 gives 0.0, one past the float range inf; a row or
+    corner that is not exactly Hermitian, or not finite, gives NaN.
     """
     n = len(c) - 1
-    if not (bottom == bottom.conj().T).all():
+    hermitian = (bottom == bottom.conj().T).all() and (a == a[::-1].conj()).all()
+    if not (hermitian and np.isfinite(a).all() and np.isfinite(bottom).all()):
         return math.nan, math.nan
-    low, high = _SPLIT_RANGE
-    parts = c.view(np.float64)
-    sizes = list(map(abs, parts.tolist()))
-    if not all(v <= high for v in sizes):
-        return math.inf, math.inf
-    slack = 0.0
-    tiny = [v for v in sizes if v < low]
-    if any(tiny):
-        parts = np.where(np.abs(parts) < low, 0.0, parts)
-        slack = _up(2 * (n + 1) * math.fsum(tiny) * math.fsum(sizes))
-    signs, order, segments, groups = _residual_layout(n)
-    entries = np.concatenate((a, a.conj(), -bottom.ravel(), bottom.ravel()))
-    values = np.concatenate(((-entries).view(np.float64), (_exact_products(parts) * signs).ravel()))
-    flat = values[order].tolist()
-    residual = [math.fsum(flat[segment]) for segment in segments]
-    row, right_diagonal, right_off, left_diagonal, left_off = (residual[group] for group in groups)
-    right, left = (
-        _up(math.hypot(*diagonal, *off, *off) + slack)
-        for diagonal, off in ((right_diagonal, right_off), (left_diagonal, left_off))
-    )
-    return _up(_up(math.fsum(map(abs, row))) + max(right, left)), right
+    sums, shift = _gram_exact(c)
+    lower, row = (0.0 - bottom).tolist(), a.tolist()
+    read = []
+    for k in range(n + 1):
+        read += [x for q in range(n - k) for x in (lower[q + k][q].real, lower[q + k][q].imag)]
+        read += (row[n - k].real, row[n - k].imag)
+    ints, scale = _as_integers(read)
+    top = max(shift, scale)
+    diffs = [(x << (top - scale)) - (y << (top - shift)) for x, y in zip(ints, sums)]
+    row_sum = square = at = 0
+    for k in range(n + 1):
+        weight, end = 1 + (k > 0), at + 2 * (n - k)  # the mirror entry and r_k = conj(r_{-k})
+        square += weight * sum(d * d for d in diffs[at:end])
+        row_sum += weight * (abs(diffs[end]) + abs(diffs[end + 1]))
+        at = end + 2
+    right = _up_ratio(math.isqrt(square - 1) + 1 if square else 0, top)
+    return _up(_up_ratio(row_sum, top) + right), right
 
 
 def _affine_residual(row: np.ndarray, scale: float, a: np.ndarray, shift: float) -> float:
     """An upper bound of ||row - scale * a - shift * e_0||_1, |re| + |im| for
     each entry, for coefficient rows row and a of one length and e_0 the
-    row's centre.  Each part of each entry is one ``math.fsum`` of its
-    float entry, the exact product scale * a_t as p + e (Dekker) and, at
-    the centre, -shift: correctly rounded, and their sum bounded upward.
-    A scale or a nonzero part of a outside [2**-450, 2**500] gives inf.
+    row's centre.  Every part of row and of a, scale and shift are
+    integers over one power of two, so each part of the residual is an
+    exact integer; their absolute sum is rounded once, upward.
     """
-    parts = a.view(np.float64)
-    low, high = _SPLIT_RANGE
-    if not all(v == 0.0 or low <= abs(v) <= high for v in (scale, *parts.tolist())):
+    centre = len(a) - 1  # the real part of a_0
+    (scale_int, shift_int, *ints), power = _as_integers([scale, shift, *row.view(np.float64).tolist()])
+    parts, exponent = _as_integers(a.view(np.float64).tolist())
+    exact = [scale_int * x for x in parts]
+    exact[centre] += shift_int << exponent
+    return _up_ratio(sum(abs((x << exponent) - y) for x, y in zip(ints, exact)), power + exponent)
+
+
+def _up_ratio(numerator: int, shift: int) -> float:
+    """An upper bound of numerator / 2**shift >= 0 as a float: the
+    correctly rounded quotient, then :func:`_up`; inf past the float range."""
+    try:
+        return _up(numerator / (1 << shift))
+    except OverflowError:
         return math.inf
-    (scale_up, scale_low), (parts_up, parts_low) = _halves(scale), _halves(parts)
-    products = scale * parts
-    errors = scale_up * parts_up - products
-    errors += scale_up * parts_low
-    errors += scale_low * parts_up
-    errors += scale_low * parts_low
-    columns = list(zip(row.view(np.float64).tolist(), (-products).tolist(), (-errors).tolist()))
-    columns[len(a) - 1] += (-shift,)  # the real part of the centre, a_0
-    return _up(math.fsum(abs(math.fsum(column)) for column in columns))
-
-
-def _exact_products(x: np.ndarray) -> np.ndarray:
-    """(p, e) stacked, with x_i * x_j = p_ij + e_ij exactly, p = fl(x_i *
-    x_j): e is Dekker's error term from the products of 26-bit halves
-    (Veltkamp's split), exact while every nonzero x_i lies in
-    ``_SPLIT_RANGE``."""
-    up, low = _halves(x)
-    out = np.empty((2, len(x), len(x)))
-    products, errors = out
-    np.multiply.outer(x, x, out=products)
-    np.multiply.outer(up, up, out=errors)
-    errors -= products
-    errors += np.multiply.outer(up, low)
-    errors += np.multiply.outer(low, up)
-    errors += np.multiply.outer(low, low)
-    return out
-
-
-def _halves(v):
-    """Veltkamp's split of v, a float or an array of them, into halves of
-    at most 26 significant bits."""
-    scaled = v * _SPLITTER
-    upper = scaled - (scaled - v)
-    return upper, v - upper
 
 
 def _up(x: float) -> float:
     """An upper bound of the exact value of x >= 0, computed with a few
     roundings: x * (1 + 4 eps) and one ulp more, or 0.0 for 0.0."""
     return x if x == 0.0 else math.nextafter(x * (1.0 + 4 * _EPS), math.inf)
-
-
-@functools.lru_cache(maxsize=16)
-def _residual_layout(n: int) -> tuple:
-    """(signs, order, segments, groups) of :func:`_gram_residual` for degree n.
-
-    The gathered values are -a, -conj(a), bottom and -bottom, as float
-    parts, then the products and then the errors of all parts of c, each
-    table signed by ``signs`` as it enters +c_x conj(c_y): re = re*re +
-    im*im, im = im*re - re*im.  On corner diagonal k, with b_j = bottom[j+k][j]
-    and P(q) = c_{q+k} conj(c_q), q = 0..N-k, bottom - E_R at (j+k, j) is
-    b_j + P(0) + .. + P(j), top - E_L at (N-1-j-k, N-1-j) the conjugate of
-    b_j + P(N-k-j) + .. + P(N-k), and all N-k+1 terms less a_{-k} make
-    r_{-k} - a_{-k}, less conj(a_k) conj(r_k - a_k).  So each diagonal's
-    part, re or im, is two runs, the terms P in rising and in falling q,
-    each corner residual a prefix of one: after each P(q) that ends one
-    comes b_j and then -b_j, which cancels it in every longer prefix.
-    The first run ends in -a_{-k}, the second, for k > 0, in -conj(a_k).
-    Each run is O(N), so ``order``, its concatenation, is O(N**2);
-    ``segments`` slices the prefixes out of it, and ``groups`` slices
-    their sums into the row, the right corner's diagonal and off-diagonal
-    parts, and the left corner's.  The last 16 degrees' layouts are kept.
-    """
-    width = 2 * n + 2
-    conj_row = 2 * (2 * n + 1)
-    floats = 2 * conj_row  # bottom[i][j] sits at floats + 2 * (n * i + j), -bottom n * n entries later
-    tables = floats + 4 * n * n
-    # The product of part u of c_x and part v of c_y, and its error, sit at
-    # (2x + u) * width + 2y + v of their tables; re takes (u, v) = (0, 0)
-    # and (1, 1), im (1, 0) and (0, 1).
-    uvs = (((0, 0), (1, 1)), ((1, 0), (0, 1)))
-
-    def terms(x: int, y: int, part: int) -> list[int]:
-        at = [tables + (2 * x + u) * width + 2 * y + v for u, v in uvs[part]]
-        return [i for a in at for i in (a, a + width * width)]
-
-    # The row, then the right corner's diagonal and off-diagonal parts,
-    # then the left corner's.
-    order, groups = [], ([], [], [], [], [])
-    for k in range(n + 1):
-        for part in (0, 1):
-            for side, first, step, row_at in ((1, 0, 1, 2 * (n - k)), (3, n - k, -1, conj_row + 2 * (n + k))):
-                start = len(order)
-                for j in range(n - k):
-                    q = first + step * j
-                    order += terms(q + k, q, part)
-                    b = floats + 2 * (n * (j + k) + j) + part
-                    groups[side + (k > 0)].append(slice(start, len(order) + 1))
-                    order += [b, b + 2 * n * n]
-                if side == 1 or k:
-                    q = first + step * (n - k)
-                    order += terms(q + k, q, part)
-                    order.append(row_at + part)
-                    groups[0].append(slice(start, len(order)))
-    edges = np.cumsum([0, *map(len, groups)]).tolist()
-    signs = np.tile([[1.0, -1.0], [1.0, 1.0]], (n + 1, n + 1))
-    order = np.array(order)
-    for array in (signs, order):
-        array.flags.writeable = False
-    segments = tuple(segment for group in groups for segment in group)
-    return signs, order, segments, tuple(map(slice, edges, edges[1:]))
 
 
 def _is_real(spec: SymbolSpec) -> bool:
@@ -386,15 +282,16 @@ def _window_corners(
     spec: SymbolSpec | None,
     left: BoundaryKind,
     right: BoundaryKind,
-    built: tuple[BandedCoeffs, np.ndarray] | None,
+    built: tuple[BandedCoeffs, np.ndarray, np.ndarray] | None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
-    built once from the caller's ``built``, the row and stencil (coeffs,
-    c) of spec (``symbols._row_and_stencil``), which only an edge that is
-    not simple reads: a modified kind's by :func:`_gram_corner` from c,
-    the classic one by :func:`_classic_corner` from coeffs.  The top-left
+    taken once from the caller's ``built``, the row, stencil and Neumann
+    corner (coeffs, c, bottom) of spec (``symbols._row_and_stencil``),
+    which only an edge that is not simple reads: a modified kind's by
+    :func:`_gram_corner` from bottom, the classic one by
+    :func:`_classic_corner` from coeffs.  The top-left
     block is its :func:`_mirror`.  :func:`_window` adds them to a body of
     any size >= 2N+1.
     """
@@ -403,7 +300,7 @@ def _window_corners(
     blocks = {
         kind: np.array(_classic_corner(built[0], spec), dtype=np.complex128)
         if kind is classic
-        else _gram_corner(built[1], kind)
+        else _gram_corner(built[2], kind)
         for kind in kinds
     }
     bottom = None if right is simple else blocks[right]

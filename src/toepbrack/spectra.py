@@ -2,30 +2,29 @@
 
 One engine keeps external eigensolvers out of the verification path;
 LAPACK appears only as an independent cross-check in the test suite.
-A modified bracketing certificate is first proved: in exact arithmetic
-each of its windows is a Gram form of stencil placements, and the float
-windows differ from those by one residual delta, computed exactly
-(``boundary._gram_residual``), so when delta is within the verdict
-threshold each margin is a proven lower bound and no eigenvalue is
-computed (:func:`check_bracketing`).  A classic certificate reads its
+A modified bracketing certificate is proved: in exact arithmetic each
+of its windows is a Gram form of stencil placements, and the float
+windows differ from those by one residual delta, which is at most
+2**-53 of the row's and the corner's norms because both are built as
+correctly rounded exact sums (``symbols._row_and_stencil``), and which
+is evaluated exactly (``boundary._gram_delta``); each margin is a proven
+lower bound and no eigenvalue is computed (:func:`check_bracketing`).
+A classic certificate reads its
 floors from the DCT-II spectrum g(pi*k/L) of its windows, at a few grid
 points next to the zeros of g (:func:`_dct_floor`), its ``nn_vs_0n``
 from the smallest eigenvalue of its N x N Hankel corner, by a cyclic
 Jacobi in Python floats (:func:`_corner_lambda_min`), and its ``lower``
-and ``upper`` as twice that; it runs no engine job.  The margins of a
-modified certificate the proof does not hold, and every gap, are the
-smallest eigenvalue of a banded window, read by ``lambda_mins``, the
-multisection engine's one entry, which this module loads on first use.
-What it asks of the engine: windows (coeffs, m, top[, enclosure]), each
-the m x m Toeplitz body T_m(g) plus the N x N block top at its top-left
-corner and that block's conjugated reflection at its bottom-right one,
-as ``boundary._window_corners`` builds them, and the smallest eigenvalue
-of each as a midpoint to within the stopping width w; a certificate
-takes min(0, .) of those of its differences itself (:func:`_min0`).
-That gives the margins of a modified certificate past its proof, and
-the spectral gap too: by the Gram identity the softened window of size
-L has an N-dimensional kernel and the rest of its spectrum is that of
-T_{L-N}(g); the kernels of all sizes are checked by one banded product.  Each gap window goes in with an
+and ``upper`` as twice that.  No certificate runs an engine job.  Every
+gap is the smallest eigenvalue of a banded window, read by
+``lambda_mins``, the multisection engine's one entry, which this module
+loads on first use.  What it asks of the engine: windows (coeffs, m,
+top[, enclosure]), each the m x m Toeplitz body T_m(g) plus the N x N
+block top at its top-left corner and that block's conjugated reflection
+at its bottom-right one, and the smallest eigenvalue of each as a
+midpoint to within the stopping width w.  By the Gram identity the
+softened window of size L has an N-dimensional kernel and the rest of
+its spectrum is that of T_{L-N}(g), so a gap window has no corners; the
+kernels of all sizes are checked by one banded product.  Each gap window goes in with an
 enclosure (lower, upper) of its eigenvalue, the sampling bound at the
 constructive grid shift and a Gram-form Rayleigh quotient, each with an
 estimated rounding allowance (:func:`_enclosure`); the engine skips the
@@ -53,14 +52,13 @@ from .boundary import (
     _affine_residual,
     _classic_corner,
     _gram_corner,
+    _gram_delta,
     _gram_floor,
-    _gram_residual,
-    _mirror,
     _up,
     _window_corners,
 )
 from .errors import DuplicateNodeError, KernelMismatchError, NoConvergenceError
-from .matrices import HermitianMatrix, _require_size, _toeplitz_body
+from .matrices import HermitianMatrix, _require_size
 from .symbols import (
     _EPS,
     ANGLE_TOL,
@@ -235,38 +233,33 @@ def check_bracketing(
     split negated, which conjugation by diag(I_N, -I_N) maps back to
     ``lower``: the two margins are equal.
 
-    With the modified kinds the margins are proven lower bounds whenever
-    the proof holds the certificate.  Let c be the float stencil, r its
-    exact autocorrelation, and E_R and E_L the exact corners that the
-    placements of c crossing a right and a left edge make.  In exact
-    arithmetic each floor window T_L(r) + E_L + E_R is the Gram form Psi*
-    Psi of the L - N interior placements of c, and the ``lower`` window
-    T_2N(r) - diag(T_N(r) + E_R, T_N(r) + E_L) that of the N placements
-    that cross the split: positive semidefinite, with a kernel.  The float
-    windows, whose top corner is the mirror of bottom, differ from these
-    by T(a - r), a the float row (only its coupling blocks, for
-    ``lower``), of 2-norm at most ||a - r||_1, and by bottom - E_R and top
-    - E_L on disjoint edge rows.  By Weyl's inequality each smallest
-    eigenvalue is then within delta = ||a - r||_1 + the larger Frobenius
-    norm of the two corner residuals of 0, and
-    :func:`boundary._gram_residual` bounds delta from the exact residuals.
-    When delta <= abs_tol, floor_nn, ``lower`` and ``upper`` are reported
-    as -delta (0.0, never -0.0, when delta is 0), and no eigenvalue is
-    computed.  ``nn_vs_0n`` is min(0, .) of lambda_min(-bottom), which
-    -top shares, and -E_R is V V*, the Gram sum of the N placements that
-    cross an edge: it is 0.0 when :func:`boundary._gram_floor`,
-    1/||d||_1**2 - ||bottom - E_R||_F, is positive, and otherwise -delta.
-    The split sizes enter none of them.  A delta above abs_tol proves no
-    verdict: the float windows may still hold, and then the certificate
-    falls back on the engine, which reads the smallest eigenvalues of its
-    two floor windows, of its ``lower`` window T_2N(g) with corners
-    -T_N(g) - bottom and -top, and of its ``nn_vs_0n`` window only when
-    the bound above does not prove it; the certificate reports min(0, .)
-    of the last two (:func:`_min0`, which keeps a NaN), so every verdict
-    is the engine's where the proof has none.  On 8 seeded symbols of
-    each N = 15..40, delta stays below 0.005 * abs_tol up to N = 25 and
-    passes it for some symbols from N = 26 on, whose float windows are
-    already far from the exact ones.
+    With the modified kinds every margin is a proven lower bound.  Let c
+    be the float stencil, exactly conjugate-palindromic, r its exact
+    autocorrelation, and E_R and E_L the exact corners that the
+    placements of c crossing a right and a left edge make; E_L is the
+    mirror of E_R.  In exact arithmetic each floor window T_L(r) + E_L +
+    E_R is the Gram form Psi* Psi of the L - N interior placements of c,
+    and the ``lower`` window T_2N(r) - diag(T_N(r) + E_R, T_N(r) + E_L)
+    that of the N placements that cross the split: positive
+    semidefinite, with a kernel.  The float windows, whose top corner is
+    the mirror of bottom, differ from these by T(a - r), a the float row
+    (only its coupling blocks, for ``lower``), of 2-norm at most ||a -
+    r||_1, and by bottom - E_R and its mirror on disjoint edge rows.  By
+    Weyl's inequality each smallest eigenvalue is then within delta =
+    ||a - r||_1 + ||bottom - E_R||_F of 0.  Row and corner are the
+    correctly rounded exact sums (``symbols._row_and_stencil``), so delta
+    is at most 2**-53 * (||a||_1 + ||bottom||_F) plus underflow, at every
+    degree: at most 2e-7 * abs_tol on seeded symbols from N = 28 to 511.
+    :func:`boundary._gram_delta` evaluates it exactly on the row and the
+    corner the certificate reads, so a corner that is not the correctly
+    rounded Gram sum fails by its own distance.  floor_nn, ``lower`` and
+    ``upper`` are reported as -delta (0.0, never -0.0, when delta is 0),
+    and no eigenvalue is computed.  ``nn_vs_0n`` is min(0, .) of
+    lambda_min(-bottom), which -top shares, and -E_R is V V*, the Gram sum
+    of the N placements that cross an edge: it is 0.0 when
+    :func:`boundary._gram_floor`, 1/||d||_1**2 - ||bottom - E_R||_F, is
+    positive, and otherwise -delta.  The split sizes enter none of them.
+    A delta above abs_tol, or a NaN one, fails every verdict it reports.
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
@@ -285,10 +278,10 @@ def check_bracketing(
     lambda_min(-bottom), an N x N eigenvalue that :func:`_corner_lambda_min`
     reads by cyclic Jacobi from the corner's rows in Python floats
     (``boundary._classic_corner``), so a classic certificate runs no engine
-    job.  Either kind makes its row and stencil once, in one pass over the
-    factors (``symbols._row_and_stencil``), and a modified one builds its
-    bottom corner once (``boundary._gram_corner``), its top one, the
-    mirror, only for the engine.  The classic
+    job.  Either kind makes its row, stencil and Neumann corner once, in
+    one pass (``symbols._row_and_stencil``); a modified one reads that
+    corner through ``boundary._gram_corner``, as every window does.  The
+    classic
     condition brackets only the plain Laplacian (E = 0, N = 1); already
     2 + 2*cos(x) fails nn_vs_0n and the lower bracket.
     """
@@ -303,48 +296,38 @@ def _certify(
     size1: int,
     size2: int,
     neumann: BoundaryKind,
-    built: tuple[BandedCoeffs, np.ndarray],
+    built: tuple[BandedCoeffs, np.ndarray, np.ndarray],
     row: np.ndarray,
     scale: float,
     shift: float,
 ) -> BracketReport:
     """The :func:`check_bracketing` report of the coefficient row ``row``,
-    which stands for scale * g + shift, g = spec with coefficients and
-    stencil ``built`` (``symbols._row_and_stencil``): its windows are
-    T(row) with scale times the corners of g, each margin is scale times
-    that of g, and abs_tol takes sum |row_t|.  A row other than g's adds
-    ||row - scale * a - shift * e_0||_1 to scale * delta, so that a proven
-    margin is one of the row's own windows.
+    which stands for scale * g + shift, g = spec with coefficients,
+    stencil and Neumann corner ``built`` (``symbols._row_and_stencil``):
+    its windows are T(row) with scale times the corners of g, each margin
+    is scale times that of g, and abs_tol takes sum |row_t|.  A modified
+    certificate reports -delta for floor_nn, ``lower`` and ``upper`` and
+    computes no eigenvalue; a row other than g's adds ||row - scale * a -
+    shift * e_0||_1 to scale * delta, so that a proven margin is one of the
+    row's own windows.  A delta above abs_tol, which only a corrupted
+    corner or a --penta row far from its decomposition can give, fails.
     """
     n = spec.degree
     for size in (size1, size2):
         _require_size(size, 2 * n + 1)
     abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
-    coeffs, c = built
-    if neumann is BoundaryKind.CLASSIC_NEUMANN:
-        bottom = _classic_corner(coeffs, spec)  # refuses a complex row first
-        delta_nn = _min0(_corner_lambda_min([[-x for x in r] for r in bottom]))
-        floor, lower = _dct_floor(spec, (size1, size2)), 2.0 * delta_nn
-    else:
-        bottom = _gram_corner(c, neumann)
-        delta, right = _gram_residual(c, coeffs.a, bottom)
-        proved_nn = _gram_floor(c, right) > 0.0
-        if row is not coeffs.a:
-            delta = _up(_up(scale * delta) + _affine_residual(row, scale, coeffs.a, shift))
-        if delta <= abs_tol:
-            floor = 0.0 - delta  # never -0.0
-            delta_nn = 0.0 if proved_nn else floor
-            return BracketReport(size1, size2, floor, delta_nn, floor, shift, _REL_TOL, abs_tol)
-        body, top = _toeplitz_body(coeffs, n), _mirror(bottom)
-        windows = [(coeffs, size, top) for size in (size1, size2)]
-        windows.append((coeffs, 2 * n, -body - bottom))
-        if not proved_nn:
-            windows.append((BandedCoeffs(np.zeros_like(coeffs.a)), 2 * n, -bottom))
-        floor1, floor2, lower, *delta_nn = lambda_mins(windows)
-        floor, lower = 0.0 + min(floor1, floor2), _min0(lower)  # never -0.0
-        delta_nn = _min0(delta_nn[0]) if delta_nn else 0.0
-    margins = (scale * floor, scale * delta_nn, scale * lower)
-    return BracketReport(size1, size2, *margins, shift, _REL_TOL, abs_tol)
+    coeffs, c, bottom = built
+    if neumann is BoundaryKind.CLASSIC_NEUMANN:  # only for g itself: scale 1, shift 0
+        hankel = _classic_corner(coeffs, spec)  # refuses a complex row first
+        delta_nn = _min0(_corner_lambda_min([[-x for x in r] for r in hankel]))
+        floor = _dct_floor(spec, (size1, size2))
+        return BracketReport(size1, size2, floor, delta_nn, 2.0 * delta_nn, shift, _REL_TOL, abs_tol)
+    delta, right = _gram_delta(c, coeffs.a, _gram_corner(bottom, neumann))
+    if row is not coeffs.a:
+        delta = _up(_up(scale * delta) + _affine_residual(row, scale, coeffs.a, shift))
+    floor = 0.0 - delta  # never -0.0
+    delta_nn = 0.0 if _gram_floor(c, right) > 0.0 else floor
+    return BracketReport(size1, size2, floor, delta_nn, floor, shift, _REL_TOL, abs_tol)
 
 
 def _min0(x: float) -> float:
@@ -452,9 +435,8 @@ def _corner_lambda_min(block: list[list[float]]) -> float:
 
 def lambda_mins(windows: Sequence[tuple]) -> list[float]:
     """``_multisection.lambda_mins``, the engine's entry, loaded on first
-    use, so that a classic certificate, a modified one that its proof
-    holds, and a CLI ``check`` of either, never load or compile the engine:
-    its callers are :func:`_gaps` and a modified certificate past its proof."""
+    use, so that no certificate, and no CLI ``check``, loads or compiles
+    the engine: its one caller is :func:`_gaps`."""
     from ._multisection import lambda_mins as engine
 
     return engine(windows)
@@ -665,7 +647,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
 
     W of size L is the Gram matrix Psi* Psi of the L - N stencil
     placements, and Psi has full row rank because the stencil's first
-    coefficient is 1.  So W has an exactly N-dimensional kernel and its
+    coefficient is nonzero.  So W has an exactly N-dimensional kernel and its
     nonzero spectrum is that of T_{L-N}(g): the gap is lambda_min(T_{L-N}(g)),
     every size in one batch of the banded engine, each window passed with
     its :func:`_enclosure` (every gap bit is that of the engine without
@@ -679,7 +661,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
-    coeffs, c = built = _row_and_stencil(spec)
+    coeffs, c, _ = built = _row_and_stencil(spec)
     top, bottom = _window_corners(spec, nn, nn, built)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     width, enclosures = max(sizes, default=0), []

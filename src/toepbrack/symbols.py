@@ -11,13 +11,17 @@ multiplicities ``alpha_i``.  Each factor contributes the coefficient triple
     g(x) = sum_k a_k * exp(-i*k*x),       a_k = conj(a_{-k}),
 
 and the coefficients of a product of factors are the convolution of the
-per-factor triples.  The module also decomposes an arbitrary admissible
+per-factor triples.  That triple is the autocorrelation of the pair
+(1, -exp(-i*E)), so the row is made as the autocorrelation of the
+stencil, the convolution of the pairs, in exact integers and rounded once
+(:func:`_row_and_stencil`).  The module also decomposes an arbitrary admissible
 pentadiagonal coefficient row (a0, a1, a2) into ``scale * g + shift`` with
 g a two-angle (or one confluent-angle) product symbol.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
@@ -194,35 +198,88 @@ def banded_coefficients(values: Sequence[complex]) -> BandedCoeffs:
 def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
     """Fourier coefficients of a product symbol.
 
-    Convolves the per-factor triples (-exp(-i*E), 2, -exp(+i*E)); the result
-    has half-bandwidth equal to ``spec.degree`` and is exactly Hermitian
-    after symmetrization.  The row is Hermitian by construction, so it skips
-    the tolerance test that :func:`banded_coefficients` applies to outside
-    input: repeated convolution can round it further from Hermitian than
-    that test allows.  Its outermost coefficient has modulus 1.  It is the
-    row of :func:`_row_and_stencil`.
+    The row of :func:`_row_and_stencil`: each coefficient is the correctly
+    rounded autocorrelation sum_j c_j * conj(c_{j+t}) of the stencil c, so
+    the row is exactly Hermitian and skips the tolerance test that
+    :func:`banded_coefficients` applies to outside input.  Its outermost
+    coefficient has modulus 1.
     """
     return _row_and_stencil(spec)[0]
 
 
-def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray]:
-    """The row of :func:`fourier_coefficients` and the stencil of
-    ``boundary.stencil``, read-only, in one pass over the factors.
+def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.ndarray]:
+    """The row of :func:`fourier_coefficients`, the stencil of
+    ``boundary.stencil`` and the modified Neumann corner of
+    ``boundary.corner_block``, read-only, from one exact pass.
 
-    Each factor (E, alpha) takes one ``np.exp`` of each phase, p = -exp(-i*E)
-    and q = -exp(+i*E); the stencil is convolved alpha times with the pair
-    (1, p) and the row with the triple (p, 2, q).  A caller that needs both,
-    a certificate, a gap scan or a window with a corner, makes them here once.
+    The stencil is the convolution of the pairs (1, -exp(-i*E)), each
+    factor alpha times, turned exactly conjugate-palindromic: rotated by w
+    = sqrt(conj(c_N) / c_0), which is exactly 1 or +-1j for a real stencil,
+    and then c_k = fl((c_k + conj(c_{N-k})) / 2), which rounds the two ends
+    of each pair alike.  A unimodular factor changes no Gram form, and
+    c_0 is unimodular rather than 1.  The row and the corner are then the
+    sums :func:`_gram_exact` makes exactly, each part rounded once, so
+    every part is the correctly rounded exact one: the corner is exactly
+    Hermitian, and its conjugated mirror is the rounded left corner, as
+    the stencil is palindromic.  A certificate, a gap scan or a window
+    with a corner takes all three from here once.
     """
-    a = c = np.array([1.0 + 0.0j])
+    c = [1.0 + 0.0j]
     for e, mult in spec.factors:
-        theta = phase_angle(e)
-        low, high = -np.exp(-1j * theta), -np.exp(1j * theta)
-        pair, triple = np.array([1.0, low]), np.array([low, 2.0, high])
+        low = -cmath.exp(-1j * phase_angle(e))
         for _ in range(mult):
-            c = np.convolve(c, pair)
-            a = np.convolve(a, triple)
-    return BandedCoeffs(_freeze(0.5 * (a + np.conj(a[::-1])))), _freeze(c)
+            c = [x + low * y for x, y in zip(c + [0j], [0j] + c)]
+    n = len(c) - 1
+    w = cmath.sqrt(c[n].conjugate() / c[0])
+    c = [w * x for x in c]
+    c = np.array([0.5 * (x + y.conjugate()) for x, y in zip(c, c[::-1])])
+    sums, shift = _gram_exact(c)
+    unit = 1 << shift
+    parts = iter([v / unit for v in sums])
+    row, corner = [0j] * (2 * n + 1), [[0j] * n for _ in range(n)]
+    # 0.0 - x rather than -x, so that no zero part becomes -0.0.
+    for k in range(n + 1):
+        for q in range(n - k):
+            x, y = next(parts), next(parts)
+            corner[q + k][q] = complex(0.0 - x, 0.0 - y)
+            corner[q][q + k] = complex(0.0 - x, y)
+        x, y = next(parts), next(parts)
+        row[n - k], row[n + k] = complex(x, y), complex(x, 0.0 - y)
+    return BandedCoeffs(_freeze(np.array(row))), _freeze(c), _freeze(np.array(corner, dtype=np.complex128))
+
+
+def _as_integers(values) -> Tuple[list, int]:
+    """Integers m_i and one shift s >= 0 with values_i == m_i / 2**s
+    exactly, for finite floats: each is its 53-bit significand times a
+    power of two."""
+    significands, exponents = np.frexp(np.asarray(values, dtype=np.float64))
+    exponents = (exponents - 53).tolist()
+    shift = max(0, -min(exponents))
+    ints = (significands * 2.0**53).astype(np.int64).tolist()
+    return [m << (e + shift) for m, e in zip(ints, exponents)], shift
+
+
+def _gram_exact(c: np.ndarray) -> Tuple[list, int]:
+    """Exact Gram sums of the stencil c, as integers over 2**shift: the
+    real and imaginary parts of minus its modified Neumann corner E and of
+    its autocorrelation r, diagonal by diagonal.
+
+    On diagonal k = 0..N the running sum of P(q) = c_{q+k} conj(c_q), q =
+    0..N-k, is -E[q+k][q] = P(0) + .. + P(q) at each q < N - k, whose
+    conjugate is -E[q][q+k], and r_{-k} = conj(r_k) at q = N - k.  The
+    parts of c are Python integers over one common power of two, so every
+    sum is exact, from O(N**2) products.
+    """
+    ints, shift = _as_integers(c.view(np.float64))
+    re, im = ints[0::2], ints[1::2]
+    sums = []
+    for k in range(len(c)):
+        sr = si = 0
+        for xr, xi, yr, yi in zip(re[k:], im[k:], re, im):
+            sr += xr * yr + xi * yi
+            si += xi * yr - xr * yi
+            sums += (sr, si)
+    return sums, 2 * shift
 
 
 def evaluate_symbol(spec: SymbolSpec, x):

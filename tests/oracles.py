@@ -7,9 +7,10 @@ the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
 ``fourier_coefficients``.  The eigen engine reads a window from its
 coefficient row and top corner; :func:`dense_window` builds the same
-window densely, for LAPACK.  :func:`outer_sum_corner` and
-:func:`hankel_corner` build the corner blocks as they were first built,
-by a generic symmetrization, and :func:`dct_grid_floor` reads a classic
+window densely, for LAPACK.  :func:`outer_sum_corner` sums the
+modified corner blocks' placements exactly and rounds each part once,
+:func:`hankel_corner` builds the classic one as it was first built, by a
+generic symmetrization, and :func:`dct_grid_floor` reads a classic
 floor from the full DCT-II grid.  :func:`exact_gram_difference` and
 :func:`exact_residual` form, in exact rationals, what a modified
 certificate's windows differ by from Gram forms, the oracle of its
@@ -135,14 +136,15 @@ def dense_toeplitz(coeffs, m):
 def outer_sum_corner(spec, kind):
     """Oracle: the modified Neumann or Dirichlet corner block as first
     built, the outer product of c_0..c_{N-1} accumulated on shrinking
-    trailing blocks in the order of the placements, signed, and then made
-    exactly Hermitian by ``matrices.hermitian``."""
-    c, n = stencil(spec), spec.degree
-    products = np.outer(c[:n], c[:n].conj())
-    out = np.zeros((n, n), dtype=np.complex128)
+    trailing blocks in the order of the placements and signed, but summed
+    exactly, in Fractions, and rounded once per part."""
+    c, n = [_exact(z) for z in stencil(spec)], spec.degree
+    out = [[ZERO] * n for _ in range(n)]
     for s in range(n):
-        out[s:, s:] += products[: n - s, : n - s]
-    return hermitian((-1.0 if kind is N_KIND else 1.0) * out)
+        for i in range(s, n):
+            for j in range(s, n):
+                out[i][j] = _plus(out[i][j], _times_conj(c[i - s], c[j - s]), -1 if kind is N_KIND else 1)
+    return hermitian(np.array([[complex(float(re), float(im)) for re, im in row] for row in out]))
 
 
 def hankel_corner(coeffs):
@@ -165,9 +167,9 @@ def dct_grid_floor(spec, sizes):
 
 def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMANN):
     """The four windows of a bracketing certificate, as the engine reads
-    them: both floors, lower, nn_vs_0n.  A modified certificate runs them
-    through the engine only when its proof does not hold it, a classic
-    one never, and the engine's tests feed them to it directly."""
+    them: both floors, lower, nn_vs_0n.  No certificate runs them through
+    the engine; the engine's tests feed them to it directly, and the
+    corrupted-corner tests read them by LAPACK."""
     n = spec.degree
     coeffs = fourier_coefficients(spec)
     top, bottom = spectra._window_corners(spec, neumann, neumann, _row_and_stencil(spec))

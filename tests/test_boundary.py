@@ -1,6 +1,7 @@
 """Stencils, corner blocks and boundary-modified restrictions."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from toepbrack import (
     toeplitz_finite,
 )
 from toepbrack import boundary
-from toepbrack.boundary import _classic_corner, _gram_floor, _gram_residual, _mirror, _split_block, _window_corners
+from toepbrack.boundary import _classic_corner, _gram_delta, _gram_floor, _mirror, _split_block, _window_corners
 from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec
 from oracles import (
@@ -57,7 +58,8 @@ def paper_corner(e):
 
 class TestStencil:
     def test_laplacian(self):
-        assert_allclose(stencil(make_symbol([(0.0, 1)])), [1.0, -1.0], atol=0)
+        # (1, -1) rotated by sqrt(-1), exactly 1j, into a palindrome.
+        assert stencil(make_symbol([(0.0, 1)])).tolist() == [1j, -1j]
 
     def test_laplacian_squared(self):
         assert_allclose(stencil(make_symbol([(0.0, 2)])), [1.0, -2.0, 1.0], atol=0)
@@ -65,14 +67,20 @@ class TestStencil:
     def test_two_factor(self):
         e = 2.0
         c = stencil(make_symbol([(0.0, 1), (e, 1)]))
-        assert_allclose(c, [1.0, -1.0 - np.exp(-1j * e), np.exp(-1j * e)], atol=1e-15)
+        # (1, -1 - exp(-ie), exp(-ie)) times exp(ie/2).
+        half = np.exp(0.5j * e)
+        assert_allclose(c, [half, -2.0 * np.cos(0.5 * e), np.conj(half)], atol=1e-15)
 
-    def test_leading_coefficient_one(self, rng):
+    def test_leading_coefficient_unimodular(self, rng):
+        # The convolution has c_0 = 1; one unimodular factor makes the
+        # stencil exactly conjugate-palindromic.
         for _ in range(10):
             spec = random_spec(rng, max_mult=3)
             c = stencil(spec)
-            assert c[0] == 1.0
-            assert len(c) == spec.degree + 1
+            n = spec.degree
+            assert abs(abs(c[0]) - 1.0) <= 4 * np.finfo(float).eps
+            assert len(c) == n + 1
+            assert all(c[k] == np.conj(c[n - k]) for k in range(n + 1)), spec
 
     def test_autocorrelation_reproduces_coefficients(self, rng):
         for _ in range(20):
@@ -311,25 +319,30 @@ def test_window_corners_are_the_corner_block_and_its_mirror(pair):
 
 @pytest.mark.parametrize("kind", [N_KIND, D_KIND], ids=["n", "d"])
 def test_corner_block_keeps_the_placement_sum_bits(kind):
-    # One outer product of c_0..c_{N-1}, added on shrinking trailing
-    # blocks, adds the same products in the same order as the zero-padded
-    # placements did one by one, so every bit is theirs.
-    sign = -1.0 if kind is N_KIND else 1.0
-    for spec in gram_floor_symbols() + REAL_SPECS + COMPLEX_SPECS:
-        c, n = stencil(spec), spec.degree
-        out = np.zeros((n, n), dtype=complex)
-        for s in range(n):
-            v = np.concatenate([np.zeros(s, dtype=complex), c[: n - s]])
-            out += np.outer(v, v.conj())
-        assert _same_bits(corner_block(spec, kind).entries, hermitian(sign * out).entries), spec
+    # Each part of the block is the exact sum of the zero-padded
+    # placements' outer products, rounded once (float(Fraction) rounds
+    # correctly); the Dirichlet block is the exact negation, and both are
+    # exactly Hermitian.
+    sign = -1 if kind is N_KIND else 1
+    for spec in gram_floor_symbols()[::3] + REAL_SPECS + COMPLEX_SPECS:
+        c, n = [Fraction(x) for x in stencil(spec).view(float).tolist()], spec.degree
+        block = corner_block(spec, kind).entries
+        for i in range(n):
+            for j in range(n):
+                re = im = Fraction(0)
+                for s in range(min(i, j) + 1):
+                    (a, b), (x, y) = c[2 * (i - s) : 2 * (i - s) + 2], c[2 * (j - s) : 2 * (j - s) + 2]
+                    re, im = re + a * x + b * y, im + b * x - a * y
+                assert block[i, j] == complex(float(sign * re), float(sign * im)), (spec, i, j)
+        assert (block == block.conj().T).all()
 
 
 @pytest.mark.parametrize("code", "ndc")
 def test_corner_block_keeps_the_first_builders_bits(code):
-    # Byte for byte the corners as first built, by a generic hermitian:
-    # the modified ones on 15 seeded symbols of each degree N = 1..14, the
-    # classic one on the seeded real symbols with N <= 14, those whose row
-    # fails the Hermitian tolerance (N >= 6) included.
+    # Byte for byte the corners as first built: the modified ones on 15
+    # seeded symbols of each degree N = 1..14, their placements summed
+    # exactly and rounded once; the classic one by a generic hermitian on
+    # the seeded real symbols with N <= 14.
     kind = BoundaryKind.from_code(code)
     if code == "c":
         specs = [spec for spec in real_symbols(3201, 300) if spec.degree <= 14]
@@ -343,9 +356,10 @@ def test_corner_block_keeps_the_first_builders_bits(code):
 
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids="".join)
 def test_window_corners_take_the_callers_stencil(monkeypatch, pair):
-    # The corners come from the caller's row and stencil and from nothing
-    # else: twice the stencil gives exactly four times a modified corner,
-    # twice the row exactly twice the classic one, and no pass of its own.
+    # The corners come from the caller's row and Neumann corner and from
+    # nothing else: four times that corner gives exactly four times a
+    # modified corner, twice the row exactly twice the classic one, and
+    # no pass of its own.
     def refuse(spec):
         raise AssertionError("_window_corners made its own row and stencil")
 
@@ -353,9 +367,9 @@ def test_window_corners_take_the_callers_stencil(monkeypatch, pair):
     left, right = (BoundaryKind.from_code(code) for code in pair)
     scale = {SIMPLE: None, BoundaryKind.CLASSIC_NEUMANN: 2.0, N_KIND: 4.0, D_KIND: 4.0}
     for spec in _window_specs(pair):
-        coeffs, c = _row_and_stencil(spec)
-        own = _window_corners(spec, left, right, (coeffs, c))
-        doubled = _window_corners(spec, left, right, (BandedCoeffs(2.0 * coeffs.a), 2.0 * c))
+        coeffs, c, bottom = built = _row_and_stencil(spec)
+        own = _window_corners(spec, left, right, built)
+        doubled = _window_corners(spec, left, right, (BandedCoeffs(2.0 * coeffs.a), c, 4.0 * bottom))
         for kind, ours, twice in zip((left, right), own, doubled):
             assert (ours is None and twice is None) or np.array_equal(twice, scale[kind] * ours), spec
 
@@ -366,9 +380,8 @@ def test_gram_floor_is_below_the_smallest_eigenvalue():
     # bounds it below; checked against LAPACK for every degree up to 14,
     # tied zeros included.
     for spec in gram_floor_symbols():
-        c = stencil(spec)
-        bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
-        corner = _gram_residual(c, fourier_coefficients(spec).a, bottom)[1]
+        coeffs, c, bottom = _row_and_stencil(spec)
+        corner = _gram_delta(c, coeffs.a, bottom)[1]
         assert _gram_floor(c, corner) <= np.linalg.eigvalsh(-bottom)[0], spec
 
 
@@ -377,12 +390,12 @@ def test_gram_floor_reads_the_block_it_is_given():
     # its bound below its own smallest eigenvalue, here negative, and a
     # NaN block a NaN residual and bound.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
-    c, a = stencil(spec), fourier_coefficients(spec).a
-    gram = -_window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
+    coeffs, c, bottom = _row_and_stencil(spec)
+    gram = -bottom
     least = np.linalg.eigvalsh(gram)[0]
 
     def bound(block):
-        return _gram_floor(c, _gram_residual(c, a, -block)[1])
+        return _gram_floor(c, _gram_delta(c, coeffs.a, -block)[1])
 
     assert bound(gram) > 0.5 * least > 0.0
     shifted = gram - 2.0 * least * np.eye(3)
@@ -393,42 +406,43 @@ def test_gram_floor_reads_the_block_it_is_given():
 
 
 def test_gram_residual_proves_nothing_it_cannot():
-    # The residual reads only the lower triangle of an exactly Hermitian
-    # corner, so a corner that is not gets NaN, and every entry of the row,
-    # so one entry off by 1e-6 moves delta by as much and a NaN makes it
-    # NaN; a stencil part whose product could overflow gets inf.
+    # delta reads every part of an exactly Hermitian row and corner, so a
+    # row or corner that is not Hermitian gets NaN, a pair of row entries
+    # off by 1e-6 moves delta by as much and a NaN makes it NaN; a stencil
+    # part whose products leave the float range gives inf.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
-    c, a = stencil(spec), fourier_coefficients(spec).a
-    bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
-    assert 0.0 < _gram_residual(c, a, bottom)[0] < 1e-14
+    coeffs, c, bottom = _row_and_stencil(spec)
+    a = coeffs.a
+    assert 0.0 < _gram_delta(c, a, bottom)[0] < 1e-14
     skew = bottom.copy()
     skew[0, 2] += 1e-6
-    assert all(math.isnan(x) for x in _gram_residual(c, a, skew))
+    assert all(math.isnan(x) for x in _gram_delta(c, a, skew))
     row = a.copy()
     row[0] += 1e-6
-    assert _gram_residual(c, row, bottom)[0] >= 1e-6
-    row[0] = math.nan
-    assert math.isnan(_gram_residual(c, row, bottom)[0])
+    assert math.isnan(_gram_delta(c, row, bottom)[0])  # no longer Hermitian
+    row[-1] = np.conj(row[0])
+    assert _gram_delta(c, row, bottom)[0] >= 2e-6
+    row[0] = row[-1] = math.nan
+    assert math.isnan(_gram_delta(c, row, bottom)[0])
     huge = c.copy()
-    huge[1] = 2.0**501
-    assert _gram_residual(huge, a, bottom) == (math.inf, math.inf)
+    huge[1] = 2.0**600
+    assert _gram_delta(huge, a, bottom) == (math.inf, math.inf)
 
 
-def test_gram_residual_bounds_a_flushed_stencil_part():
-    # A stencil part below 2**-450 is taken as 0 and its share bounded
-    # apart.  The Laplacian's row (-1, 2, -1) and corner [[-1]] are exactly
-    # those of c = (1, -1); with c_0 = 1 + e*i instead, e = 1e-140, the
-    # exact residuals are -e*i and e*i on the off-diagonals of the row, e**2
-    # at its centre and in the right corner and 0 in the left one, so delta
-    # must be at least 2e, and stays far below any threshold.
+def test_gram_delta_counts_a_tiny_stencil_part_exactly():
+    # Every part of c enters the exact sums, however small.  The
+    # Laplacian's row (2 at the centre, -1 beside it) and corner [[-1]]
+    # are exactly those of c = (1j, -1j); with c_0 = e + 1j instead, e =
+    # 1e-140, the exact residuals are e*i and -e*i on the row's
+    # off-diagonals, -e**2 at its centre and e**2 in the corner, so delta
+    # is at least 2e, and far below any threshold.
     spec = make_symbol([(0.0, 1)])
-    c, a = stencil(spec), fourier_coefficients(spec).a
-    bottom = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
-    assert _gram_residual(c, a, bottom) == (0.0, 0.0)
+    coeffs, c, bottom = _row_and_stencil(spec)
+    assert _gram_delta(c, coeffs.a, bottom) == (0.0, 0.0)
     tiny = c.copy()
-    tiny[0] += 1e-140j
-    delta, right = _gram_residual(tiny, a, bottom)
-    assert 2 * 1e-140 <= delta < 1e-130 and 1e-280 <= right < 1e-130
+    tiny[0] += 1e-140
+    delta, right = _gram_delta(tiny, coeffs.a, bottom)
+    assert 2 * 1e-140 <= delta < 1e-130 and 1e-280 <= right < 1e-279
 
 
 def _pad_top_left(block, size):
@@ -499,10 +513,11 @@ class TestClassicNeumann:
             classic_split_difference(fourier_coefficients(spec), 7, 7)
 
     def test_real_symbol_decides_not_the_rows_rounding(self):
-        # The imaginary rounding of a real symbol's convolved row grows with
-        # sum|a_k| and fails the Hermitian tolerance for 42 of these, of
-        # degree 6 to 16; the symbol's corner is Re(H) for each, and bitwise
-        # the corner the row's own test gives wherever that passes.
+        # The imaginary rounding of a real symbol's row grows with sum|a_k|
+        # (the stencil's own rounding) and fails the Hermitian tolerance for
+        # one of these, of degree 12; the symbol's corner is Re(H) for
+        # each, and bitwise the corner the row's own test gives wherever
+        # that passes.
         refused = 0
         for spec in real_symbols(3201, 300):
             coeffs, n = fourier_coefficients(spec), spec.degree
@@ -519,11 +534,11 @@ class TestClassicNeumann:
                 assert n >= 6
             else:
                 assert bare.tobytes() == corner.tobytes(), spec
-        assert refused == 42
+        assert refused == 1
 
     def test_split_difference_decides_by_the_symbol(self):
         # Given its symbol, the public split difference refuses none of the
-        # 300 seeded real symbols, 42 of which it refuses as bare rows, as
+        # 300 seeded real symbols, one of which it refuses as a bare row, as
         # check --classic-neumann does; at the split it is _split_block's
         # block, bit for bit, and zero elsewhere.
         local = np.random.default_rng(3402)
@@ -540,7 +555,7 @@ class TestClassicNeumann:
                 classic_split_difference(coeffs, size1, size2)
             except NonHermitianError:
                 refused += 1
-        assert refused == 42
+        assert refused == 1
 
     def test_conjugate_pairs_plus_pi_of_degree_nine(self):
         factors = [
@@ -548,10 +563,12 @@ class TestClassicNeumann:
             (5.573705183995605, 2), (3.141592653589793, 1),
         ]
         spec = make_symbol(factors)
-        with pytest.raises(NonHermitianError):
-            _classic_corner(fourier_coefficients(spec))
+        # Its convolved row failed the Hermitian tolerance; the rounded
+        # Gram row passes it, with the corner the symbol gives.
+        bare = np.array(_classic_corner(fourier_coefficients(spec)), dtype=complex)
         top, bottom = _window_corners(spec, self.C_KIND, self.C_KIND, _row_and_stencil(spec))
         assert not top.imag.any() and not bottom.imag.any()
+        assert bare.tobytes() == bottom.tobytes()
         build_restricted(spec, 30, self.C_KIND, self.C_KIND)
         off_pair = make_symbol([(1.0, 1), (-1.0 + 1e-9, 1)])
         with pytest.raises(NonHermitianError):

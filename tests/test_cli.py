@@ -475,21 +475,42 @@ class TestCheck:
         assert all(json.loads(out)["verdicts"].values())
 
     def test_certificate_past_its_proof_exits_one(self, capsys, monkeypatch):
-        # At N = 40 the residual delta exceeds abs_tol, so the margins come
-        # from one engine call of all four windows; the float windows lie
-        # far from their Gram forms, and three margins fail.
+        # A corner off its correctly rounded Gram sum by 1e-6 puts delta past
+        # abs_tol: the certificate reports -delta, runs no engine window,
+        # and floor_nn, lower and upper fail.
         calls = []
-        engine = spectra.lambda_mins
+        exact = spectra._gram_corner
 
-        def spy(windows):
-            calls.append(len(windows))
-            return engine(windows)
+        def corrupted(bottom, kind):
+            out = exact(bottom, kind).copy()
+            out[0, 0] += 1e-6
+            return out
 
-        monkeypatch.setattr(spectra, "lambda_mins", spy)
-        code, out, err = run_cli(capsys, "check", "--factors", "0.8402:24,4.1623:16", "--split", "81,81")
-        assert code == 1 and err == "" and calls == [4]
+        monkeypatch.setattr(spectra, "_gram_corner", corrupted)
+        monkeypatch.setattr(spectra, "lambda_mins", lambda windows: calls.append(windows))
+        code, out, err = run_cli(capsys, "check", "--factors", "0:1,2.0:1", "--split", "7,9")
+        assert code == 1 and err == "" and calls == []
         verdicts = json.loads(out)["verdicts"]
         assert verdicts == {"floor_nn": False, "nn_vs_0n": True, "lower": False, "upper": False}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--factors", "0.8402:24,4.1623:16", "--split", "81,81"],
+            ["check", "--factors", "1.1:64,4.0:64", "--split", "300,300"],
+            ["gap", "--factors", "0.8402:24,4.1623:16", "--sizes", "128,160,256"],
+        ],
+        ids=["check_n40", "check_n128", "gap_n40"],
+    )
+    def test_high_degree_symbol_exits_zero(self, capsys, argv):
+        # Valid symbols of degree 40 and 128 that exited 1 while the row was
+        # convolved from triples: the certificate holds with no engine call,
+        # and the gap's kernels pass their check (160 = 4N is there for the
+        # slope fit, which needs two sizes >= 4N).
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        if argv[0] == "check":
+            assert all(json.loads(out)["verdicts"].values())
 
     def test_size_too_small_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "check", "--factors", "0:2", "--split", "4,7")

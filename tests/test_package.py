@@ -77,6 +77,33 @@ def test_check_does_not_load_the_eigen_engine(argv):
     assert "toepbrack._multisection" not in loaded
 
 
+HEAVY = ("fractions", "decimal", "toepbrack._multisection")
+
+HEAVY_PROBE = """
+import contextlib, io, sys
+import toepbrack.cli
+argv = sys.argv[1:]
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert toepbrack.cli.main(argv) == 0
+print(" ".join(m for m in {heavy!r} if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv", [[], ["check", "--factors", "0.3:2,2.0:1", "--split", "9,11"]], ids=["import", "check"]
+)
+def test_cli_and_a_modified_check_load_no_rationals_and_no_engine(argv):
+    # The exact Gram sums and delta work in Python integers, not in
+    # fractions, whose import loads decimal, a few ms of every start-up.
+    env = dict(os.environ, PYTHONPATH=SRC)
+    probe = HEAVY_PROBE.format(heavy=HEAVY)
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == []
+
+
 def test_gap_loads_the_eigen_engine():
     # The control of the two tests above: a gap scan loads both modules
     # that an export loads neither of.

@@ -1,6 +1,7 @@
 """Symbol construction, coefficient expansion and pentadiagonal decomposition."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from toepbrack import (
     make_symbol,
     reduce_angle,
 )
+from toepbrack.boundary import _mirror, _window_corners
+from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec
-from oracles import row_sum_values
+from oracles import N_KIND, exact_residual, gram_floor_symbols, row_sum_values
 
 
 def product_values(spec, x):
@@ -253,3 +256,30 @@ class TestPentaDecomposition:
             # The infimum is attained (at the factor angles of the product part),
             # so a fine sampling should get close to it from above.
             assert h.real.min() - deco.shift <= 1e-2 * max(1.0, a2)
+
+
+def test_row_and_corner_are_correctly_rounded_gram_sums():
+    # Against exact rationals, for seeded symbols of every degree up to 14:
+    # the stencil is exactly conjugate-palindromic, each part of the row
+    # and of the Neumann corner is its exact Gram sum correctly rounded
+    # (float(Fraction) rounds correctly), the corner is exactly Hermitian,
+    # and the top corner, its bitwise mirror, is the correctly rounded
+    # left corner.
+    specs = gram_floor_symbols()[::5]
+    assert {spec.degree for spec in specs} == set(range(1, 15))
+    for spec in specs:
+        n = spec.degree
+        coeffs, c, bottom = built = _row_and_stencil(spec)
+        assert all(c[k].real == c[n - k].real and c[k].imag == -c[n - k].imag for k in range(n + 1)), spec
+        assert (bottom == bottom.conj().T).all()
+        top, right_corner = _window_corners(spec, N_KIND, N_KIND, built)
+        assert right_corner is bottom and top.tobytes() == _mirror(bottom).tobytes()
+        x, right, left = exact_residual(spec)
+        for value, (re, im) in zip(coeffs.a.tolist(), x):
+            assert (float(Fraction(value.real) - re), float(Fraction(value.imag) - im)) == (value.real, value.imag)
+        for block, residual in ((bottom, right), (top, left)):
+            for i in range(n):
+                for j in range(n):
+                    value, (re, im) = complex(block[i, j]), residual[i][j]
+                    exact = (float(Fraction(value.real) - re), float(Fraction(value.imag) - im))
+                    assert exact == (value.real, value.imag), (spec, i, j)
