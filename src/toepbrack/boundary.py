@@ -56,7 +56,6 @@ from .symbols import (
     SymbolSpec,
     _as_integers,
     _freeze,
-    _gram_exact,
     _row_and_stencil,
     circular_distance,
 )
@@ -104,7 +103,7 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     exact Gram sum, exactly Hermitian (:func:`_gram_corner`).  Its
     :func:`_mirror` is the top-left counterpart.
     """
-    row, _, bottom = _row_and_stencil(spec)
+    row, _, bottom, _ = _row_and_stencil(spec)
     if kind is BoundaryKind.CLASSIC_NEUMANN:
         return _wrap(np.array(_classic_corner(row, spec), dtype=np.complex128))
     return _wrap(_gram_corner(bottom, kind))
@@ -152,43 +151,45 @@ def _gram_floor(c: np.ndarray, residual: float) -> float:
     return (shrink / d_norm) ** 2 - residual
 
 
-def _gram_delta(c: np.ndarray, a: np.ndarray, bottom: np.ndarray) -> tuple[float, float]:
+def _gram_delta(exact: tuple[list, int], a: np.ndarray, bottom: np.ndarray) -> tuple[float, float]:
     """Upper bounds (delta, right) of ||a - r||_1 + right and of right =
     ||bottom - E_R||_F, for a the float coefficient row, r the exact
     autocorrelation of the palindromic stencil c, bottom the float
     modified Neumann corner and E_R the exact one, minus the Gram sum of
-    the placements of c that cross a right edge (``symbols._gram_exact``).
+    the placements of c that cross a right edge; ``exact`` is (sums,
+    shift), the parts of -E_R and r as integers over 2**shift, that
+    ``symbols._row_and_stencil`` rounds its row and corner from.
 
     Every window a modified certificate reads differs from an exact Gram
     form of c by T(a - r) and by bottom - E_R and its mirror on disjoint
     edge rows: as c is palindromic, the exact left corner E_L is the
     mirror of E_R, and the float top corner is the mirror of bottom.  So
     each window is within delta of its Gram form in the 2-norm
-    (``spectra.check_bracketing``).  The row and corner that
-    ``symbols._row_and_stencil`` makes are the correctly rounded exact
-    parts, so for them ||a - r||_1 <= 2**-53 * ||a||_1 (|re| + |im| for
-    each entry, in both) and right <= 2**-53 * ||bottom||_F, up to an
-    underflow of 2**-1075 a part, whatever the degree: delta is known in
-    advance.  It is still evaluated, exactly, on the row and corner that
-    are read, so a row or corner that is not the correctly rounded Gram
-    sum (a corrupted one) shows by its own distance: every part and the
-    exact sums are integers over one power of two, |re| + |im| of each row
-    entry and the square of every corner part are summed exactly (over
-    one triangle, the other counted twice, as the row and the corner must
-    be exactly Hermitian), and each sum is rounded once, upward.  An exact
-    residual of 0 gives 0.0, one past the float range inf; a row or
-    corner that is not exactly Hermitian, or not finite, gives NaN.
+    (``spectra.check_bracketing``).  The build's row and corner are the
+    correctly rounded exact parts, so for them ||a - r||_1 <= 2**-53 *
+    ||a||_1 (|re| + |im| for each entry, in both) and right <= 2**-53 *
+    ||bottom||_F, up to an underflow of 2**-1075 a part, whatever the
+    degree: delta is known in advance.  It is still evaluated, exactly,
+    on the row and corner read, against the build's sums (no second
+    pass), so a corrupted one shows by its own distance: every read part
+    is an integer over one power of two, |re| + |im| of each row entry
+    and the square of every corner part are summed exactly (over one
+    triangle, the other counted twice), and each sum is rounded once,
+    upward.  An exact residual of 0 gives 0.0, one past the float range
+    inf; a row or corner that is not exactly Hermitian, part by part on
+    its Python list (a NaN fails its own mirror), or not finite, NaN.
     """
-    n = len(c) - 1
-    hermitian = (bottom == bottom.conj().T).all() and (a == a[::-1].conj()).all()
-    if not (hermitian and np.isfinite(a).all() and np.isfinite(bottom).all()):
-        return math.nan, math.nan
-    sums, shift = _gram_exact(c)
-    lower, row = (0.0 - bottom).tolist(), a.tolist()
-    read = []
+    sums, shift = exact
+    n = len(a) // 2
+    row, corner = a.tolist(), bottom.tolist()
+    mirrors = [x.conjugate() for x in reversed(row)] + [y.conjugate() for col in zip(*corner) for y in col]
+    read = []  # the parts of -bottom's lower triangle and of a_{-k}, in the order of the sums
     for k in range(n + 1):
-        read += [x for q in range(n - k) for x in (lower[q + k][q].real, lower[q + k][q].imag)]
+        read += [-x for q in range(n - k) for x in (corner[q + k][q].real, corner[q + k][q].imag)]
         read += (row[n - k].real, row[n - k].imag)
+    hermitian = all(map(operator.eq, row + [x for r in corner for x in r], mirrors))
+    if not (hermitian and all(map(math.isfinite, read))):
+        return math.nan, math.nan
     ints, scale = _as_integers(read)
     top = max(shift, scale)
     diffs = [(x << (top - scale)) - (y << (top - shift)) for x, y in zip(ints, sums)]
@@ -282,18 +283,17 @@ def _window_corners(
     spec: SymbolSpec | None,
     left: BoundaryKind,
     right: BoundaryKind,
-    built: tuple[BandedCoeffs, np.ndarray, np.ndarray] | None,
+    built: tuple[BandedCoeffs, np.ndarray, np.ndarray, tuple[list, int]] | None,
 ) -> tuple[np.ndarray | None, np.ndarray | None]:
     """The N x N blocks a window adds at its top-left and bottom-right corners.
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
-    taken once from the caller's ``built``, the row, stencil and Neumann
-    corner (coeffs, c, bottom) of spec (``symbols._row_and_stencil``),
-    which only an edge that is not simple reads: a modified kind's by
-    :func:`_gram_corner` from bottom, the classic one by
-    :func:`_classic_corner` from coeffs.  The top-left
-    block is its :func:`_mirror`.  :func:`_window` adds them to a body of
-    any size >= 2N+1.
+    taken once from the caller's ``built``, the build (coeffs, c, bottom,
+    exact) of spec (``symbols._row_and_stencil``), which only an edge
+    that is not simple reads: a modified kind's by :func:`_gram_corner`
+    from bottom, the classic one by :func:`_classic_corner` from coeffs.
+    The top-left block is its :func:`_mirror`.  :func:`_window` adds them
+    to a body of any size >= 2N+1.
     """
     simple, classic = BoundaryKind.SIMPLE, BoundaryKind.CLASSIC_NEUMANN
     kinds = {left, right} - {simple}

@@ -4,12 +4,12 @@ One engine keeps external eigensolvers out of the verification path;
 LAPACK appears only as an independent cross-check in the test suite.
 A modified bracketing certificate is proved: in exact arithmetic each
 of its windows is a Gram form of stencil placements, and the float
-windows differ from those by one residual delta, which is at most
-2**-53 of the row's and the corner's norms because both are built as
-correctly rounded exact sums (``symbols._row_and_stencil``), and which
-is evaluated exactly (``boundary._gram_delta``); each margin is a proven
-lower bound and no eigenvalue is computed (:func:`check_bracketing`).
-A classic certificate reads its
+windows differ from those by one residual delta, at most 2**-53 of the
+row's and the corner's norms as both are the correctly rounded exact
+sums of one pass (``symbols._row_and_stencil``), and evaluated exactly
+against those sums, with no second pass (``boundary._gram_delta``); each
+margin is a proven lower bound and no eigenvalue is computed
+(:func:`check_bracketing`).  A classic certificate reads its
 floors from the DCT-II spectrum g(pi*k/L) of its windows, at a few grid
 points next to the zeros of g (:func:`_dct_floor`), its ``nn_vs_0n``
 from the smallest eigenvalue of its N x N Hankel corner, by a cyclic
@@ -251,7 +251,7 @@ def check_bracketing(
     is at most 2**-53 * (||a||_1 + ||bottom||_F) plus underflow, at every
     degree: at most 2e-7 * abs_tol on seeded symbols from N = 28 to 511.
     :func:`boundary._gram_delta` evaluates it exactly on the row and the
-    corner the certificate reads, so a corner that is not the correctly
+    corner read, against the build's sums, so a corner that is not the correctly
     rounded Gram sum fails by its own distance.  floor_nn, ``lower`` and
     ``upper`` are reported as -delta (0.0, never -0.0, when delta is 0),
     and no eigenvalue is computed.  ``nn_vs_0n`` is min(0, .) of
@@ -279,11 +279,11 @@ def check_bracketing(
     reads by cyclic Jacobi from the corner's rows in Python floats
     (``boundary._classic_corner``), so a classic certificate runs no engine
     job.  Either kind makes its row, stencil and Neumann corner once, in
-    one pass (``symbols._row_and_stencil``); a modified one reads that
-    corner through ``boundary._gram_corner``, as every window does.  The
-    classic
-    condition brackets only the plain Laplacian (E = 0, N = 1); already
-    2 + 2*cos(x) fails nn_vs_0n and the lower bracket.
+    one exact pass (``symbols._row_and_stencil``); a modified one reads
+    that corner through ``boundary._gram_corner``, as every window does,
+    and its delta the pass's sums.  The classic condition brackets only
+    the plain Laplacian (E = 0, N = 1); already 2 + 2*cos(x) fails
+    nn_vs_0n and the lower bracket.
     """
     if neumann not in (BoundaryKind.MODIFIED_NEUMANN, BoundaryKind.CLASSIC_NEUMANN):
         raise ValueError("neumann must be the modified or the classic Neumann kind")
@@ -296,33 +296,33 @@ def _certify(
     size1: int,
     size2: int,
     neumann: BoundaryKind,
-    built: tuple[BandedCoeffs, np.ndarray, np.ndarray],
+    built: tuple[BandedCoeffs, np.ndarray, np.ndarray, tuple[list, int]],
     row: np.ndarray,
     scale: float,
     shift: float,
 ) -> BracketReport:
     """The :func:`check_bracketing` report of the coefficient row ``row``,
-    which stands for scale * g + shift, g = spec with coefficients,
-    stencil and Neumann corner ``built`` (``symbols._row_and_stencil``):
-    its windows are T(row) with scale times the corners of g, each margin
-    is scale times that of g, and abs_tol takes sum |row_t|.  A modified
-    certificate reports -delta for floor_nn, ``lower`` and ``upper`` and
+    which stands for scale * g + shift, g = spec with its build ``built``
+    (``symbols._row_and_stencil``): its windows are T(row) with scale
+    times the corners of g, each margin is scale times that of g, and
+    abs_tol takes sum |row_t|.  A modified certificate reports -delta,
+    from the build's exact sums, for floor_nn, ``lower`` and ``upper`` and
     computes no eigenvalue; a row other than g's adds ||row - scale * a -
-    shift * e_0||_1 to scale * delta, so that a proven margin is one of the
-    row's own windows.  A delta above abs_tol, which only a corrupted
+    shift * e_0||_1 to scale * delta, so that a proven margin is one of
+    the row's own windows.  A delta above abs_tol, which only a corrupted
     corner or a --penta row far from its decomposition can give, fails.
     """
     n = spec.degree
     for size in (size1, size2):
         _require_size(size, 2 * n + 1)
     abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
-    coeffs, c, bottom = built
+    coeffs, c, bottom, exact = built
     if neumann is BoundaryKind.CLASSIC_NEUMANN:  # only for g itself: scale 1, shift 0
         hankel = _classic_corner(coeffs, spec)  # refuses a complex row first
         delta_nn = _min0(_corner_lambda_min([[-x for x in r] for r in hankel]))
         floor = _dct_floor(spec, (size1, size2))
         return BracketReport(size1, size2, floor, delta_nn, 2.0 * delta_nn, shift, _REL_TOL, abs_tol)
-    delta, right = _gram_delta(c, coeffs.a, _gram_corner(bottom, neumann))
+    delta, right = _gram_delta(exact, coeffs.a, _gram_corner(bottom, neumann))
     if row is not coeffs.a:
         delta = _up(_up(scale * delta) + _affine_residual(row, scale, coeffs.a, shift))
     floor = 0.0 - delta  # never -0.0
@@ -661,7 +661,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
-    coeffs, c, _ = built = _row_and_stencil(spec)
+    coeffs, c, _, _ = built = _row_and_stencil(spec)
     top, bottom = _window_corners(spec, nn, nn, built)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     width, enclosures = max(sizes, default=0), []

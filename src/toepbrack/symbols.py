@@ -207,10 +207,10 @@ def fourier_coefficients(spec: SymbolSpec) -> BandedCoeffs:
     return _row_and_stencil(spec)[0]
 
 
-def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.ndarray]:
+def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.ndarray, Tuple[list, int]]:
     """The row of :func:`fourier_coefficients`, the stencil of
-    ``boundary.stencil`` and the modified Neumann corner of
-    ``boundary.corner_block``, read-only, from one exact pass.
+    ``boundary.stencil``, the modified Neumann corner of
+    ``boundary.corner_block``, read-only, and their exact sums, in one pass.
 
     The stencil is the convolution of the pairs (1, -exp(-i*E)), each
     factor alpha times, turned exactly conjugate-palindromic: rotated by w
@@ -222,7 +222,7 @@ def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.nda
     every part is the correctly rounded exact one: the corner is exactly
     Hermitian, and its conjugated mirror is the rounded left corner, as
     the stencil is palindromic.  A certificate, a gap scan or a window
-    with a corner takes all three from here once.
+    with a corner takes them here once, and ``boundary._gram_delta`` the sums.
     """
     c = [1.0 + 0.0j]
     for e, mult in spec.factors:
@@ -245,7 +245,7 @@ def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.nda
             corner[q][q + k] = complex(0.0 - x, y)
         x, y = next(parts), next(parts)
         row[n - k], row[n + k] = complex(x, y), complex(x, 0.0 - y)
-    return BandedCoeffs(_freeze(np.array(row))), _freeze(c), _freeze(np.array(corner, dtype=np.complex128))
+    return BandedCoeffs(_freeze(np.array(row))), _freeze(c), _freeze(np.array(corner, dtype=complex)), (sums, shift)
 
 
 def _as_integers(values) -> Tuple[list, int]:

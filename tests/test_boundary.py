@@ -25,7 +25,7 @@ from toepbrack import (
 )
 from toepbrack import boundary
 from toepbrack.boundary import _classic_corner, _gram_delta, _gram_floor, _mirror, _split_block, _window_corners
-from toepbrack.symbols import _row_and_stencil
+from toepbrack.symbols import _gram_exact, _row_and_stencil
 from conftest import random_spec
 from oracles import (
     ALL_PAIRS,
@@ -367,7 +367,7 @@ def test_window_corners_take_the_callers_stencil(monkeypatch, pair):
     left, right = (BoundaryKind.from_code(code) for code in pair)
     scale = {SIMPLE: None, BoundaryKind.CLASSIC_NEUMANN: 2.0, N_KIND: 4.0, D_KIND: 4.0}
     for spec in _window_specs(pair):
-        coeffs, c, bottom = built = _row_and_stencil(spec)
+        coeffs, c, bottom, _ = built = _row_and_stencil(spec)
         own = _window_corners(spec, left, right, built)
         doubled = _window_corners(spec, left, right, (BandedCoeffs(2.0 * coeffs.a), c, 4.0 * bottom))
         for kind, ours, twice in zip((left, right), own, doubled):
@@ -380,8 +380,8 @@ def test_gram_floor_is_below_the_smallest_eigenvalue():
     # bounds it below; checked against LAPACK for every degree up to 14,
     # tied zeros included.
     for spec in gram_floor_symbols():
-        coeffs, c, bottom = _row_and_stencil(spec)
-        corner = _gram_delta(c, coeffs.a, bottom)[1]
+        coeffs, c, bottom, exact = _row_and_stencil(spec)
+        corner = _gram_delta(exact, coeffs.a, bottom)[1]
         assert _gram_floor(c, corner) <= np.linalg.eigvalsh(-bottom)[0], spec
 
 
@@ -390,12 +390,12 @@ def test_gram_floor_reads_the_block_it_is_given():
     # its bound below its own smallest eigenvalue, here negative, and a
     # NaN block a NaN residual and bound.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
-    coeffs, c, bottom = _row_and_stencil(spec)
+    coeffs, c, bottom, exact = _row_and_stencil(spec)
     gram = -bottom
     least = np.linalg.eigvalsh(gram)[0]
 
     def bound(block):
-        return _gram_floor(c, _gram_delta(c, coeffs.a, -block)[1])
+        return _gram_floor(c, _gram_delta(exact, coeffs.a, -block)[1])
 
     assert bound(gram) > 0.5 * least > 0.0
     shifted = gram - 2.0 * least * np.eye(3)
@@ -411,22 +411,22 @@ def test_gram_residual_proves_nothing_it_cannot():
     # off by 1e-6 moves delta by as much and a NaN makes it NaN; a stencil
     # part whose products leave the float range gives inf.
     spec = make_symbol([(0.3, 2), (2.0, 1)])
-    coeffs, c, bottom = _row_and_stencil(spec)
+    coeffs, c, bottom, exact = _row_and_stencil(spec)
     a = coeffs.a
-    assert 0.0 < _gram_delta(c, a, bottom)[0] < 1e-14
+    assert 0.0 < _gram_delta(exact, a, bottom)[0] < 1e-14
     skew = bottom.copy()
     skew[0, 2] += 1e-6
-    assert all(math.isnan(x) for x in _gram_delta(c, a, skew))
+    assert all(math.isnan(x) for x in _gram_delta(exact, a, skew))
     row = a.copy()
     row[0] += 1e-6
-    assert math.isnan(_gram_delta(c, row, bottom)[0])  # no longer Hermitian
+    assert math.isnan(_gram_delta(exact, row, bottom)[0])  # no longer Hermitian
     row[-1] = np.conj(row[0])
-    assert _gram_delta(c, row, bottom)[0] >= 2e-6
+    assert _gram_delta(exact, row, bottom)[0] >= 2e-6
     row[0] = row[-1] = math.nan
-    assert math.isnan(_gram_delta(c, row, bottom)[0])
+    assert math.isnan(_gram_delta(exact, row, bottom)[0])
     huge = c.copy()
     huge[1] = 2.0**600
-    assert _gram_delta(huge, a, bottom) == (math.inf, math.inf)
+    assert _gram_delta(_gram_exact(huge), a, bottom) == (math.inf, math.inf)
 
 
 def test_gram_delta_counts_a_tiny_stencil_part_exactly():
@@ -437,12 +437,28 @@ def test_gram_delta_counts_a_tiny_stencil_part_exactly():
     # off-diagonals, -e**2 at its centre and e**2 in the corner, so delta
     # is at least 2e, and far below any threshold.
     spec = make_symbol([(0.0, 1)])
-    coeffs, c, bottom = _row_and_stencil(spec)
-    assert _gram_delta(c, coeffs.a, bottom) == (0.0, 0.0)
+    coeffs, c, bottom, exact = _row_and_stencil(spec)
+    assert _gram_delta(exact, coeffs.a, bottom) == (0.0, 0.0)
     tiny = c.copy()
     tiny[0] += 1e-140
-    delta, right = _gram_delta(tiny, coeffs.a, bottom)
+    delta, right = _gram_delta(_gram_exact(tiny), coeffs.a, bottom)
     assert 2 * 1e-140 <= delta < 1e-130 and 1e-280 <= right < 1e-279
+
+
+@pytest.mark.parametrize("part", ["row", "corner", "diagonal"])
+def test_gram_delta_refuses_an_infinite_part(part):
+    # An infinite part equals its own mirror, so the row and the corner
+    # stay exactly Hermitian; delta still gives NaN, not inf, for each.
+    spec = make_symbol([(0.3, 2), (2.0, 1)])
+    coeffs, _, bottom, exact = _row_and_stencil(spec)
+    row, corner = coeffs.a.copy(), bottom.copy()
+    if part == "row":
+        row[1] = row[-2] = complex(math.inf, 0.0)
+    elif part == "corner":
+        corner[2, 0] = corner[0, 2] = -math.inf
+    else:
+        corner[1, 1] = math.inf
+    assert all(math.isnan(x) for x in _gram_delta(exact, row, corner))
 
 
 def _pad_top_left(block, size):

@@ -53,7 +53,7 @@ from toepbrack import _multisection as multisection
 from toepbrack._multisection import lambda_mins
 from toepbrack.boundary import _affine_residual, _classic_corner, _gram_delta, _gram_floor, _window_corners
 from toepbrack.cli import main
-from toepbrack.symbols import _row_and_stencil
+from toepbrack.symbols import _gram_exact, _row_and_stencil
 from conftest import random_spec, random_split
 from oracles import (
     ALL_PAIRS,
@@ -445,6 +445,60 @@ def test_classic_certificate_builds_its_row_once(builds):
     }
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_bracketing(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
+        lambda: check_bracketing_penta(2.0, -1.5, 0.75, 6, 9),
+        lambda: main(["check", "--factors", "0:1,2.0:2", "--split", "20,23"]),
+    ],
+    ids=["check_bracketing", "penta", "cli_check"],
+)
+def test_modified_certificate_runs_the_exact_pass_once(monkeypatch, call):
+    # delta compares the parts it reads with the exact sums the build
+    # made, so a modified certificate runs the exact Gram pass once,
+    # counted in every module that binds it.
+    calls = []
+    original = symbols._gram_exact
+
+    def spy(c):
+        calls.append(len(c))
+        return original(c)
+
+    for module in (toepbrack, symbols, boundary, spectra, cli):
+        if getattr(module, "_gram_exact", None) is original:
+            monkeypatch.setattr(module, "_gram_exact", spy)
+    call()
+    assert len(calls) == 1, calls
+
+
+def test_certificate_delta_is_that_of_a_fresh_pass(monkeypatch):
+    # The sums a certificate's delta reads from its build are those a
+    # fresh exact pass of the stencil makes, and its (delta, right) is
+    # bitwise the pair evaluated from them, for seeded symbols at every
+    # degree up to 16 and at 64.
+    seen = []
+
+    def spy(exact, a, bottom):
+        seen.append((exact, a, bottom, _gram_delta(exact, a, bottom)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(spectra, "_gram_delta", spy)
+    local = np.random.default_rng(3701)
+    for degree in [*range(1, 17), 64]:
+        count = min(degree - 1, int(local.integers(0, 4)))
+        cuts = sorted(local.choice(np.arange(1, degree), count, replace=False).tolist())
+        mults = np.diff([0, *cuts, degree]).tolist()
+        spec = make_symbol(zip((TWO_PI * local.random(len(mults))).tolist(), mults))
+        report = check_bracketing(spec, 2 * degree + 1, 2 * degree + 3)
+        ((exact, a, bottom, pair),) = seen
+        seen.clear()
+        fresh = _gram_exact(stencil(spec))
+        assert exact == fresh, spec
+        assert [x.hex() for x in pair] == [x.hex() for x in _gram_delta(fresh, a, bottom)], spec
+        assert report.all_hold and report.floor_nn == 0.0 - pair[0], spec
+
+
 _CLASSIC = BoundaryKind.CLASSIC_NEUMANN
 _REAL = make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)])
 
@@ -572,7 +626,7 @@ def test_delta_bounds_what_every_window_differs_by_from_its_gram_form():
     for spec in specs:
         n, c = spec.degree, stencil(spec)
         bottom = _nn_bottom(spec)
-        delta, bound = _gram_delta(c, fourier_coefficients(spec).a, bottom)
+        delta, bound = _gram_delta(_gram_exact(c), fourier_coefficients(spec).a, bottom)
         x, right, left = exact_residual(spec)
         for window, m in (("floor", 2 * n + 1), ("floor", 3 * n + 2), ("lower", 2 * n)):
             expected = [[x[j - i + n] if abs(j - i) <= n else zero for j in range(m)] for i in range(m)]
@@ -603,7 +657,7 @@ def test_integer_rows_have_zero_delta_and_print_plus_zero(capsys, alpha):
     spec = make_symbol([(0.0, alpha)])
     c = stencil(spec)
     bottom = _nn_bottom(spec)
-    assert _gram_delta(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
+    assert _gram_delta(_gram_exact(c), fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
     split = (2 * alpha + 1, 2 * alpha + 3)
     assert main(["check", "--factors", f"0:{alpha}", "--split", "{},{}".format(*split)]) == 0
     out = capsys.readouterr().out
@@ -663,8 +717,8 @@ def test_former_fallback_certificates_hold(monkeypatch, factors, split):
     monkeypatch.setattr(multisection, "lambda_mins", lambda windows: calls.append(windows))
     spec = make_symbol(factors)
     report = check_bracketing(spec, *split)
-    coeffs, c, bottom = _row_and_stencil(spec)
-    delta = _gram_delta(c, coeffs.a, bottom)[0]
+    coeffs, c, bottom, exact = _row_and_stencil(spec)
+    delta = _gram_delta(exact, coeffs.a, bottom)[0]
     assert report.all_hold and calls == [], report.margins
     assert report.floor_nn == report.delta_lower == -delta and delta <= 1e-6 * report.abs_tol
 
@@ -682,8 +736,8 @@ def test_seeded_high_degree_certificates_hold(monkeypatch):
             mults = np.diff([0, *cuts, degree]).tolist()
             spec = make_symbol(zip((TWO_PI * local.random(len(mults))).tolist(), mults))
             report = check_bracketing(spec, 2 * degree + 1, 2 * degree + 3)
-            coeffs, c, bottom = _row_and_stencil(spec)
-            delta = _gram_delta(c, coeffs.a, bottom)[0]
+            coeffs, c, bottom, exact = _row_and_stencil(spec)
+            delta = _gram_delta(exact, coeffs.a, bottom)[0]
             parts = float(np.abs(coeffs.a.view(float)).sum())  # |re| + |im| of each entry
             norms = parts + np.linalg.norm(bottom / 2.0**600) * 2.0**600
             assert report.all_hold and delta <= 1e-3 * report.abs_tol, (degree, report.margins)
@@ -720,7 +774,7 @@ def test_penta_delta_takes_in_the_decomposition():
         report, deco = check_bracketing_penta(*row, 9, 11)
         coeffs = fourier_coefficients(deco.spec)
         c = stencil(deco.spec)
-        delta = _gram_delta(c, coeffs.a, _nn_bottom(deco.spec))[0]
+        delta = _gram_delta(_gram_exact(c), coeffs.a, _nn_bottom(deco.spec))[0]
         scale = Fraction(deco.scale)
         exact = Fraction(0)
         for t, (mine, theirs) in enumerate(zip(penta_coefficients(*row).a, coeffs.a)):
@@ -764,7 +818,7 @@ def test_gram_residual_keeps_to_quadratic_memory():
     spec = make_symbol([(TWO_PI * (k + 0.5) / 96, 1) for k in range(96)])
     c, a = stencil(spec), fourier_coefficients(spec).a
     bottom = _nn_bottom(spec)
-    assert _peak_bytes(lambda: _gram_delta(c, a, bottom)) < 16 * 2**20
+    assert _peak_bytes(lambda: _gram_delta(_gram_exact(c), a, bottom)) < 16 * 2**20
 
 
 def test_kernel_check_of_many_sizes_stays_small(monkeypatch):
@@ -1294,7 +1348,7 @@ def test_proved_nn_vs_0n_windows_are_the_engines_zeros():
     for spec in gram_floor_symbols():
         n, c = spec.degree, stencil(spec)
         bottom = _nn_bottom(spec)
-        bound = _gram_floor(c, _gram_delta(c, fourier_coefficients(spec).a, bottom)[1])
+        bound = _gram_floor(c, _gram_delta(_gram_exact(c), fourier_coefficients(spec).a, bottom)[1])
         assert bound <= np.linalg.eigvalsh(-bottom)[0], spec
         if bound > 0.0:
             proved[n] += 1
@@ -1312,7 +1366,7 @@ def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
     spec = make_symbol([(0.0, 12)])
     c = stencil(spec)
     bottom = _nn_bottom(spec)
-    assert _gram_delta(c, fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
+    assert _gram_delta(_gram_exact(c), fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
     assert np.abs(bottom).max() > 2.7e6 and 0.0 < _gram_floor(c, 0.0) < 1e-12
     report = check_bracketing(spec, 25, 27)
     assert sum(jobs) == 0 and report.all_hold

@@ -269,7 +269,7 @@ def test_row_and_corner_are_correctly_rounded_gram_sums():
     assert {spec.degree for spec in specs} == set(range(1, 15))
     for spec in specs:
         n = spec.degree
-        coeffs, c, bottom = built = _row_and_stencil(spec)
+        coeffs, c, bottom, _ = built = _row_and_stencil(spec)
         assert all(c[k].real == c[n - k].real and c[k].imag == -c[n - k].imag for k in range(n + 1)), spec
         assert (bottom == bottom.conj().T).all()
         top, right_corner = _window_corners(spec, N_KIND, N_KIND, built)
