@@ -10,8 +10,8 @@ promises.
 
 Importing the package loads none of its modules: each public name, and
 each submodule (``toepbrack.spectra`` ...), is imported on first access,
-so a command that needs only the symbol layer never loads the eigen
-engine.
+so a command that needs only the symbol layer never loads the gap's
+factor path.
 """
 
 import importlib

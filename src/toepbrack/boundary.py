@@ -34,9 +34,8 @@ equals the direct crossing-placement sum at the left edge (for a modified
 kind, that sum correctly rounded, as the stencil is palindromic); a plain
 (unconjugated) reflection would transpose the block and break both the rank-one identity and the operator inequalities
 for complex symbols.  So a window with the same kind at both edges is
-mirror-symmetric, W = J conj(W) J with J the exchange matrix: the identity
-the eigen engine (``_multisection.lambda_mins``) takes as given, reading
-only a window's top block and factoring the window from both ends.
+mirror-symmetric, W = J conj(W) J with J the exchange matrix, and a window
+is stored as its band and its top block alone.
 """
 
 from __future__ import annotations

@@ -33,7 +33,8 @@ report each (``gap`` with the sampled floor of every size); ``export``
 writes CSV.  Each command imports the library modules it uses when it runs, so
 ``coeffs`` loads only ``symbols`` and ``export`` never loads ``spectra``.  Exit status
 is 0 on success with all verdicts true; 1 on a false ``check`` verdict or a
-verification failure (``KernelMismatchError``, reported as
+verification failure (``KernelMismatchError``, or ``NoConvergenceError`` of
+an iteration past its step or sweep budget, reported as
 ``verification failure:``); 2 on any other library error, a
 ``ValueError`` or a usage error (``error:``).  ``coeffs --eval`` evaluates
 g with ``evaluate_symbol``, in product form, and a ``--penta`` row as
@@ -73,7 +74,7 @@ import sys
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .errors import KernelMismatchError, ToepbrackError
+from .errors import KernelMismatchError, NoConvergenceError, ToepbrackError
 from .symbols import (
     SymbolSpec,
     _row_and_stencil,
@@ -496,7 +497,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code, lines = args.func(args)
         _emit(lines, args.out)
         return code
-    except KernelMismatchError as exc:
+    except (KernelMismatchError, NoConvergenceError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
     except (ToepbrackError, ValueError, CliUsageError) as exc:

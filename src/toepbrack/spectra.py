@@ -1,7 +1,7 @@
 """Eigenvalues, operator-inequality certification, kernels and gap scaling.
 
-One engine keeps external eigensolvers out of the verification path;
-LAPACK appears only as an independent cross-check in the test suite.
+No LAPACK eigen or SVD routine is in the verification path; they
+appear only as independent cross-checks in the test suite.
 A modified bracketing certificate is proved: in exact arithmetic each
 of its windows is a Gram form of stencil placements, and the float
 windows differ from those by one residual delta, at most 2**-53 of the
@@ -14,23 +14,18 @@ floors from the DCT-II spectrum g(pi*k/L) of its windows, at a few grid
 points next to the zeros of g (:func:`_dct_floor`), its ``nn_vs_0n``
 from the smallest eigenvalue of its N x N Hankel corner, by a cyclic
 Jacobi in Python floats (:func:`_corner_lambda_min`), and its ``lower``
-and ``upper`` as twice that.  No certificate runs an engine job.  Every
-gap is the smallest eigenvalue of a banded window, read by
-``lambda_mins``, the multisection engine's one entry, which this module
-loads on first use.  What it asks of the engine: windows (coeffs, m,
-top[, enclosure]), each the m x m Toeplitz body T_m(g) plus the N x N
-block top at its top-left corner and that block's conjugated reflection
-at its bottom-right one, and the smallest eigenvalue of each as a
-midpoint to within the stopping width w.  By the Gram identity the
+and ``upper`` as twice that.  No certificate solves for an eigenvalue
+of a window.  Every gap is the smallest eigenvalue of T_{L-N}(g) = C C*,
+C the placements of the stencil, and so sigma_min(C)**2: one blocked QR
+of C* serves every size of a scan, inverse subspace iteration from one
+vector per factor runs on all sizes at once, and the gap is a Rayleigh
+quotient summed in double-double (``_factor.smallest_eigenvalues``,
+which :func:`_gaps` loads on first use, so that no certificate and no
+CLI ``check`` or ``export`` loads it).  By the Gram identity the
 softened window of size L has an N-dimensional kernel and the rest of
-its spectrum is that of T_{L-N}(g), so a gap window has no corners; the
-kernels of all sizes are checked by one banded product.  Each gap window goes in with an
-enclosure (lower, upper) of its eigenvalue, the sampling bound at the
-constructive grid shift and a Gram-form Rayleigh quotient, each with an
-estimated rounding allowance (:func:`_enclosure`); the engine skips the
-passes and shifts it decides, with a safety margin of 64 stopping
-widths, so every gap keeps the bits it has without it, and no report
-shows it.  Neither a certificate nor a gap builds an L x L matrix.  A
+its spectrum is that of T_{L-N}(g); the kernels of all sizes are checked
+by one banded product.  Neither a certificate nor a gap builds an L x L
+matrix.  A
 cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
 reference of the test suite and the benchmark baseline; no command
 calls it.  The sampled
@@ -161,8 +156,7 @@ def eigenvalues(matrix: HermitianMatrix) -> Spectrum:
     )
 
 
-#: Relative threshold of every bracketing verdict, not the engine's
-#: stopping width w.
+#: Relative threshold of every bracketing verdict.
 _REL_TOL = 1e-9
 
 
@@ -277,11 +271,12 @@ def check_bracketing(
     ``lower`` = ``upper`` = 2 * ``nn_vs_0n``.  ``nn_vs_0n`` is min(0, .) of
     lambda_min(-bottom), an N x N eigenvalue that :func:`_corner_lambda_min`
     reads by cyclic Jacobi from the corner's rows in Python floats
-    (``boundary._classic_corner``), so a classic certificate runs no engine
-    job.  Either kind makes its row, stencil and Neumann corner once, in
-    one exact pass (``symbols._row_and_stencil``); a modified one reads
-    that corner through ``boundary._gram_corner``, as every window does,
-    and its delta the pass's sums.  The classic condition brackets only
+    (``boundary._classic_corner``), so a classic certificate solves for no
+    window's eigenvalue.  Either kind makes its row, stencil and Neumann
+    corner once, in one exact pass (``symbols._row_and_stencil``); a
+    modified one reads that corner through ``boundary._gram_corner``, as
+    every window does, and its delta the pass's sums.  The classic
+    condition brackets only
     the plain Laplacian (E = 0, N = 1); already 2 + 2*cos(x) fails
     nn_vs_0n and the lower bracket.
     """
@@ -433,15 +428,6 @@ def _corner_lambda_min(block: list[list[float]]) -> float:
     raise NoConvergenceError(f"corner entries above {cutoff:.3e} after {_MAX_SWEEPS} sweeps")
 
 
-def lambda_mins(windows: Sequence[tuple]) -> list[float]:
-    """``_multisection.lambda_mins``, the engine's entry, loaded on first
-    use, so that no certificate, and no CLI ``check``, loads or compiles
-    the engine: its one caller is :func:`_gaps`."""
-    from ._multisection import lambda_mins as engine
-
-    return engine(windows)
-
-
 def check_bracketing_penta(
     a0: float,
     a1: float,
@@ -582,81 +568,21 @@ def grid_shift(angles: Sequence[float], grid_size: int) -> float:
     return shift
 
 
-def _enclosure(spec: SymbolSpec, c: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Enclosures lower <= lambda_min(T_m) <= upper, m = L - N, of the float
-    row's windows T_m, which the engine factors, as two arrays over ``sizes``.
-
-    The rounding allowances below are error estimates, not derived
-    bounds: they take libm's exp and sin as good to an ulp or two and
-    count a few eps per rounded operation.  They are checked, not proven,
-    by an ``mpmath`` measurement of the row error and by tests against
-    ``scipy`` singular values.  The engine that skips passes on them
-    (:func:`_multisection._enclose`) widens the enclosure by 64 stopping
-    widths, the safety margin that the bitwise equality of every gap
-    rests on.
-
-    ``row`` = 8 * N * 4**N * eps stands for the 1-norm of the float row
-    minus the symbol's, and of the float row minus the autocorrelation of
-    the float stencil c, and so for how far each moves lambda_min: each
-    of the N convolutions that make a row rounds a coefficient by a few
-    eps relative to the sum of its absolute products, and the absolute
-    products of the N triples (1, 2, 1) sum to 4**N.  On 300 random
-    symbols with N <= 15 the measured error was at most 0.08 of it.
-
-    lower is the paper's sampling bound at the constructive
-    :func:`grid_shift`, the first floor of :func:`sampled_gap_floor`, less
-    16 * N * 2**n * L * eps of itself (n factors) and less ``row``.  Each
-    sample angle is off by at most 2 * eps * 2*pi and lies at least
-    2*pi / (2**n * L) from every factor angle, and g is a product of 2N
-    sines of such distances, so the computed floor is off by about
-    4 * N * 2**n * L * eps of its value; the allowance is four times that.
-
-    upper is the smallest Gram-form Rayleigh quotient ||c * u||**2 /
-    ||u||**2 over the factors (E, alpha), with u_k = exp(-i*E*k) *
-    sin(pi*k/(m+1))**alpha for k = 1..m (0 up to the largest m), a
-    stand-in for the mode of the clamped problem: u* T_m u is the sum of
-    squares ||c * u||**2, with no cancellation.  Each entry of the computed
-    c * u is off by at most (N+3) * eps * sum_j |c_j| |u_{k-j}|, so the
-    root of the quotient is off by at most (N+3) * eps * ||c||_1 <= (N+3) *
-    2**N * eps, and each sum of squares by at most (m+N) * eps relative;
-    upper allows for both, and for ``row``.
-    """
-    n, sizes = spec.degree, np.asarray(sizes)
-    m, row = sizes - n, 8 * n * 4.0**n * _EPS
-    starts = np.cumsum(sizes) - sizes
-    k = np.arange(1, sizes.sum() + 1) - np.repeat(starts, sizes)  # 1..L for each L
-    shifts = [grid_shift(spec.angles, size) for size in sizes.tolist()]
-    x = TWO_PI * k / np.repeat(sizes, sizes) - np.repeat(shifts, sizes)
-    floors = np.minimum.reduceat(evaluate_symbol(spec, x), starts)
-    k = np.arange(1, m.max() + 1)
-    sines = np.where(k <= m[:, None], np.sin(math.pi * k / (m[:, None] + 1)), 0.0)
-    quotient = np.inf
-    for e, alpha in spec.factors:
-        u = np.exp(-1j * phase_angle(e) * k) * sines**alpha
-        image = np.zeros((len(m), len(k) + n), dtype=complex)
-        for j, cj in enumerate(c.tolist()):
-            image[:, j : j + len(k)] += cj * u
-        quotient = np.minimum(quotient, np.divide(*[(z.real**2 + z.imag**2).sum(axis=1) for z in (image, u)]))
-    root = np.sqrt(quotient) + (n + 3) * 2.0**n * _EPS
-    lower = floors * (1.0 - 16 * n * 2.0 ** len(spec.factors) * sizes * _EPS) - row
-    return lower, (1.0 + 4 * (m + n) * _EPS) * root * root + row
-
-
 def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     """The gap of the softened window W of each size, by the Gram identity.
 
     W of size L is the Gram matrix Psi* Psi of the L - N stencil
     placements, and Psi has full row rank because the stencil's first
     coefficient is nonzero.  So W has an exactly N-dimensional kernel and its
-    nonzero spectrum is that of T_{L-N}(g): the gap is lambda_min(T_{L-N}(g)),
-    every size in one batch of the banded engine, each window passed with
-    its :func:`_enclosure` (every gap bit is that of the engine without
-    it).  All sizes are checked first, then every kernel: KernelMismatchError,
-    for the first failing size, unless max|W v| <= 1e-9 * sum|a_k| (the row
-    sum of W's interior rows; NaN fails) for each :func:`kernel_basis`
-    vector v.  W v is one banded product over the bases of all sizes,
-    zero-padded to a (sizes, max L, N) block (chunks of at most 2**16
-    entries), plus the corners on each size's N edge rows.
+    nonzero spectrum is that of T_{L-N}(g) = C C*: the gap is
+    sigma_min(C)**2, every size from one factor path
+    (``_factor.smallest_eigenvalues``).  All sizes are checked first, then
+    every kernel: KernelMismatchError, for the first failing size, unless
+    max|W v| <= 1e-9 * sum|a_k| (the row sum of W's interior rows; NaN
+    fails) for each :func:`kernel_basis` vector v.  W v is one banded
+    product over the bases of all sizes, zero-padded to a (sizes, max L, N)
+    block (chunks of at most 2**16 entries), plus the corners on each
+    size's N edge rows.
     """
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
@@ -664,7 +590,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     coeffs, c, _, _ = built = _row_and_stencil(spec)
     top, bottom = _window_corners(spec, nn, nn, built)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
-    width, enclosures = max(sizes, default=0), []
+    width = max(sizes, default=0)
     step = max(1, 2**16 // (width * n + 1))
     for chunk in (np.array(sizes[i : i + step]) for i in range(0, len(sizes), step)):
         basis = np.zeros((len(chunk), width, n), dtype=complex)
@@ -684,8 +610,9 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
                     f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
                     f" > {kernel_tol:.3e} in the softened window of size {size}"
                 )
-        enclosures += zip(*(bound.tolist() for bound in _enclosure(spec, c, chunk)))
-    return lambda_mins([(coeffs, size - n, None, e) for size, e in zip(sizes, enclosures)])
+    from ._factor import smallest_eigenvalues
+
+    return smallest_eigenvalues(c, spec.factors, [size - n for size in sizes], _corner_lambda_min)
 
 
 def spectral_gap(spec: SymbolSpec, size: int) -> Tuple[int, float]:
@@ -719,8 +646,8 @@ def gap_scan(spec: SymbolSpec, sizes: Iterable[int]) -> GapReport:
     """Measure the spectral gap across window sizes and fit its decay rate.
 
     Each size is the gap of :func:`spectral_gap`, in ascending size order:
-    the kernel of every window is checked first, then one batch of the
-    banded engine reads all the gaps, bitwise as one call per size would.
+    the kernel of every window is checked first, then one factor path
+    reads all the gaps (:func:`_gaps`), bitwise as one call per size would.
     """
     n = spec.degree
     size_list = sorted(set(int(s) for s in sizes))
@@ -758,8 +685,7 @@ def sampled_gap_floor(spec: SymbolSpec, size: int, seed: int = 0) -> float:
     961.389.  Near a zero the rounding of x - E_i dominates:
     the grid keeps every angle at least 2*pi/(2**n * L) away, n the number
     of factors, so the floor carries a relative error of about
-    4 * N * 2**n * L * eps, N the degree.  The gap enclosure's lower end
-    starts from the first of these floors, the same floats (:func:`_enclosure`).
+    4 * N * 2**n * L * eps, N the degree.
     """
     shifts = [grid_shift(spec.angles, size)]
     rng = np.random.default_rng(seed)

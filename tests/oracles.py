@@ -5,9 +5,10 @@ blocks.  These oracles build the same objects the way the paper states
 them, as rank-one stencil sums and as the Dirichlet-from-Neumann map, so
 the tests can compare the two routes.  The symbol itself has a second
 route too: the sum over its coefficient row, the reference for
-``fourier_coefficients``.  The eigen engine reads a window from its
-coefficient row and top corner; :func:`dense_window` builds the same
-window densely, for LAPACK.  :func:`outer_sum_corner` sums the
+``fourier_coefficients``.  :func:`dense_window` builds a window from its
+coefficient row and top corner densely, for LAPACK, and
+:func:`stencil_factor` the stencil factor C of T_m = C C*, for its
+singular values.  :func:`outer_sum_corner` sums the
 modified corner blocks' placements exactly and rounds each part once,
 :func:`hankel_corner` builds the classic one as it was first built, by a
 generic symmetrization, and :func:`dct_grid_floor` reads a classic
@@ -16,15 +17,13 @@ floor from the full DCT-II grid.  :func:`exact_gram_difference` and
 certificate's windows differ by from Gram forms, the oracle of its
 proof.  :func:`brute_confluent_det` and
 :func:`exhaustive_grid_distance` are the brute-force references for
-``confluent_vandermonde_abs`` and ``grid_shift``.  The engine's own
-oracles, one uniform pass per row loop and the plain twisted recurrence,
-live with its tests at the end of ``test_spectra.py``.
+``confluent_vandermonde_abs`` and ``grid_shift``.
 
 The inputs that several test files share live here too, so that no test
 module imports another: ``ALL_PAIRS``, the 16 boundary pairs; the symbols
 each pair is tested on (``REAL_SPECS``, ``COMPLEX_SPECS``,
 :func:`_window_specs`); the window of a pair (:func:`_window`); the gap
-scans of the enclosure tests (:func:`enclosure_symbols`); the symbols
+scans of the gap accuracy tests (:func:`gap_symbols`); the symbols
 of the ``nn_vs_0n`` bound tests (:func:`gram_floor_symbols`); and the real
 symbols of the classic-Neumann tests (:func:`real_symbols`).
 """
@@ -309,24 +308,27 @@ def exhaustive_grid_distance(angles, shift, size):
     return best
 
 
-def enclosure_symbols():
-    """Gap-scan symbols of the enclosure tests: 100 seeded random symbols
-    with N <= 8 (ties, and angles as close as 0.001, included), the
-    near-confluent pairs, and sizes for each; 0:3 and 1.0:2,1.0001:1 also
-    at L = 1024 and 4096, where the engine returns its stopping width."""
-    local = np.random.default_rng(2700)
-    cases = [
-        (make_symbol([(0.0, 3)]), [16, 64, 1024, 4096]),
-        (make_symbol([(1.0, 2), (1.0001, 1)]), [16, 64, 1024, 4096]),
-        (make_symbol([(1.0, 1), (1.001, 1)]), [8, 64, 256]),
-        (make_symbol([(0.0, 1), (2.0, 1)]), [8, 33, 128]),
-        (make_symbol([(1.0, 1), (2.5, 2), (4.0, 1)]), [16, 64, 256]),
-    ]
-    while len(cases) < 105:
-        spec = random_spec(local, max_factors=4, max_mult=2, min_sep=float(local.choice([0.001, 0.05, 0.5])))
+def gap_symbols():
+    """Symbols of the gap accuracy tests: 40 seeded random symbols with N <=
+    8, multiplicities up to 3 and factor angles at least 0.001, 0.05 or 0.5
+    apart, each with its sizes up to L = 512."""
+    local = np.random.default_rng(3800)
+    cases = []
+    while len(cases) < 40:
+        spec = random_spec(local, max_factors=4, max_mult=3, min_sep=float(local.choice([0.001, 0.05, 0.5])))
         low = 2 * spec.degree + 1
-        cases.append((spec, sorted({low, *local.integers(low, 160, 2).tolist()})))
+        if spec.degree <= 8:
+            cases.append((spec, sorted({low, int(local.integers(low, 160)), 128, 512})))
     return cases
+
+
+def stencil_factor(c: np.ndarray, m: int) -> np.ndarray:
+    """The dense m x (m+N) matrix C of the placements of the stencil c,
+    C[i, i+p] = conj(c_p), whose Gram matrix C C* is T_m of the row."""
+    factor = np.zeros((m, m + len(c) - 1), dtype=complex)
+    for i in range(m):
+        factor[i, i : i + len(c)] = np.conj(c)
+    return factor
 
 
 def gram_floor_symbols():

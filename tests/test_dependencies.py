@@ -1,7 +1,7 @@
 """The library runs on numpy alone: scipy and mpmath are test oracles only,
 and no certificate, gap or command calls a LAPACK eigen or SVD routine.
-The multisection engine imports at most the symbol layer, and only
-``spectra`` imports it, and only its entry ``lambda_mins``.  No test module
+The gap's factor path imports at most the symbol layer and the errors, and
+only ``spectra`` imports it, and only its entry ``smallest_eigenvalues``.  No test module
 imports another, so each test is collected from its own file."""
 
 import ast
@@ -104,10 +104,10 @@ def package_imports(filename):
 
 
 def test_engine_imports_nothing_above_the_symbol_layer():
-    # spectra imports the engine, so an engine import of spectra, boundary
+    # spectra imports the factor path, so its import of spectra, boundary
     # or matrices would close a cycle.
-    ours = {module for module, _ in package_imports("_multisection.py") if module.startswith("toepbrack")}
-    assert ours <= {"toepbrack.symbols"}
+    ours = {module for module, _ in package_imports("_factor.py") if module.startswith("toepbrack")}
+    assert ours <= {"toepbrack.symbols", "toepbrack.errors"}
 
 
 def test_spectra_alone_imports_the_engine_and_only_its_entry():
@@ -115,9 +115,9 @@ def test_spectra_alone_imports_the_engine_and_only_its_entry():
     for filename in sorted(os.listdir(PACKAGE)):
         if filename.endswith(".py"):
             for module, names in package_imports(filename):
-                if module == "toepbrack._multisection":
+                if module == "toepbrack._factor":
                     importers.setdefault(filename, []).extend(names)
-    assert importers == {"spectra.py": ["lambda_mins"]}
+    assert importers == {"spectra.py": ["smallest_eigenvalues"]}
 
 
 def test_no_test_module_imports_another():

@@ -55,7 +55,7 @@ def test_coeffs_loads_only_the_symbol_layer(argv):
 def test_export_does_not_load_the_eigen_engine(argv):
     loaded = loaded_after(*argv)
     assert "toepbrack.spectra" not in loaded
-    assert "toepbrack._multisection" not in loaded
+    assert "toepbrack._factor" not in loaded
     assert "toepbrack.boundary" in loaded
 
 
@@ -71,13 +71,13 @@ def test_export_does_not_load_the_eigen_engine(argv):
 def test_check_does_not_load_the_eigen_engine(argv):
     # A modified certificate proves its margins without an eigenvalue, and
     # a classic one reads its nn_vs_0n from the corner Jacobi in spectra,
-    # so no CLI check loads or compiles the engine.
+    # so no CLI check loads the gap's factor path.
     loaded = loaded_after(*argv)
     assert "toepbrack.spectra" in loaded
-    assert "toepbrack._multisection" not in loaded
+    assert "toepbrack._factor" not in loaded
 
 
-HEAVY = ("fractions", "decimal", "toepbrack._multisection")
+HEAVY = ("fractions", "decimal", "toepbrack._factor")
 
 HEAVY_PROBE = """
 import contextlib, io, sys
@@ -108,7 +108,7 @@ def test_gap_loads_the_eigen_engine():
     # The control of the two tests above: a gap scan loads both modules
     # that an export loads neither of.
     loaded = loaded_after("gap", "--factors", "0:1", "--sizes", "8,16,32")
-    assert {"toepbrack.spectra", "toepbrack._multisection"} <= loaded
+    assert {"toepbrack.spectra", "toepbrack._factor"} <= loaded
 
 
 def test_every_public_name_and_submodule_resolves():

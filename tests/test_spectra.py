@@ -1,14 +1,11 @@
 """Eigensolver, bracketing certification, kernels, Vandermonde, gap scaling
-and the multisection engine behind the certificates and gaps."""
+and the factor path behind the gaps."""
 
-import bisect
 import decimal
-import itertools
 import json
 import math
 import time
 import tracemalloc
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +27,6 @@ from toepbrack import (
     circulant_periodic,
     classic_split_difference,
     confluent_vandermonde_abs,
-    decompose_pentadiagonal,
     build_restricted,
     direct_sum,
     eigenvalues,
@@ -49,8 +45,7 @@ from toepbrack import (
 )
 import toepbrack
 from toepbrack import boundary, cli, matrices, spectra, symbols
-from toepbrack import _multisection as multisection
-from toepbrack._multisection import lambda_mins
+from toepbrack import _factor
 from toepbrack.boundary import _affine_residual, _classic_corner, _gram_delta, _gram_floor, _window_corners
 from toepbrack.cli import main
 from toepbrack.symbols import _gram_exact, _row_and_stencil
@@ -58,22 +53,37 @@ from conftest import random_spec, random_split
 from oracles import (
     ALL_PAIRS,
     _window,
-    _window_specs,
     brute_confluent_det,
     certificate_windows,
     dct_grid_floor,
     dense_toeplitz,
     dense_window,
     dirichlet_from_neumann,
-    enclosure_symbols,
     exact_gram_difference,
     exact_residual,
     exhaustive_grid_distance,
+    gap_symbols,
     gram_floor_symbols,
     real_symbols,
+    stencil_factor,
 )
 
 N_KIND = BoundaryKind.MODIFIED_NEUMANN
+
+
+@pytest.fixture
+def factor_calls(monkeypatch):
+    """The number of sizes of each call of the gap's factor path, which
+    still runs."""
+    calls = []
+    solve = _factor.smallest_eigenvalues
+
+    def spy(c, factors, ms, jacobi):
+        calls.append(len(ms))
+        return solve(c, factors, ms, jacobi)
+
+    monkeypatch.setattr(_factor, "smallest_eigenvalues", spy)
+    return calls
 
 
 class TestEigenvalues:
@@ -287,31 +297,26 @@ class TestClassicCertificate:
             assert abs(report.delta_lower - expected) <= 1e-12 * scale, (spec, size1, size2)
             assert report.delta_lower == report.delta_upper == 2.0 * report.delta_nn
 
-    def test_verdicts_and_nn_vs_0n_match_the_four_engine_windows(self, monkeypatch):
-        # The certificate once read all four windows through the engine;
-        # every verdict is the same, with no engine call, and nn_vs_0n is
-        # within 4 * N * eps * ||H||_F of LAPACK's min(0, lambda_min(-H)).
-        calls = []
-        engine = multisection.lambda_mins
-
-        def spy(windows):
-            calls.append(len(windows))
-            return engine(windows)
-
-        monkeypatch.setattr(multisection, "lambda_mins", spy)
+    def test_verdicts_and_nn_vs_0n_match_the_four_engine_windows(self, factor_calls):
+        # The certificate once read all four windows through an eigen
+        # engine; every verdict is that of LAPACK's smallest eigenvalues of
+        # the four dense windows, with no gap solve, and nn_vs_0n is within
+        # 4 * N * eps * ||H||_F of LAPACK's min(0, lambda_min(-H)).
         local = np.random.default_rng(3240)
         failing = 0
         for spec in real_symbols(3241, 100):
             split = random_split(local, spec.degree, 4 * spec.degree + 40)
             report = check_bracketing(spec, *split, neumann=self.C_KIND)
-            floor1, floor2, lower, nn = engine(certificate_windows(spec, *split, self.C_KIND))
+            floor1, floor2, lower, nn = (
+                np.linalg.eigvalsh(dense_window(*w))[0] for w in certificate_windows(spec, *split, self.C_KIND)
+            )
             parent = {"floor_nn": min(floor1, floor2), "nn_vs_0n": nn, "lower": lower, "upper": lower}
             assert report.verdicts == {k: v >= -report.abs_tol for k, v in parent.items()}, spec
             block = -np.array(_classic_corner(fourier_coefficients(spec), spec))
             bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
             assert abs(report.delta_nn - min(0.0, np.linalg.eigvalsh(block)[0])) <= bound, spec
             failing += not report.verdicts["lower"]
-        assert calls == [] and failing >= 90
+        assert factor_calls == [] and failing >= 90
 
     def test_corner_jacobi_matches_lapack_and_mpmath(self):
         # Within 4 * N * eps * ||H||_F of eigvalsh for N = 2..16, and of
@@ -422,7 +427,7 @@ def builds(monkeypatch):
 def test_corners_and_row_built_once_per_call(builds, call, request):
     # One pass makes the row, the stencil and the Neumann corner, which
     # serve the delta and the nn_vs_0n bound of a certificate, and the
-    # corners and the enclosures of a gap scan; the corner is exactly
+    # corners of a gap scan; the corner is exactly
     # Hermitian as made, so nothing symmetrizes it.  A certificate reads
     # its bottom corner through the corner builder itself, a gap scan
     # through _window_corners.
@@ -534,19 +539,17 @@ def test_each_corner_kind_symmetrized_once(builds, call, kinds):
 
 
 def test_min0_window_keeps_a_nan_midpoint():
-    # A window with a NaN corner entry has a NaN midpoint, and the
+    # A window with a NaN corner entry has no eigenvalue but NaN, and the
     # certificate's min(0, .) keeps it: min(0.0, nan) is 0.0, which would
-    # report a NaN window as a holding zero margin.
+    # report a NaN window as a holding zero margin.  The healthy nn_vs_0n
+    # window, a zero row with corners -bottom and -top, is positive
+    # definite, and its margin is +0.0.
     spec = make_symbol([(0.0, 1), (2.0, 1)])
-    coeffs = fourier_coefficients(spec)
-    healthy = certificate_windows(spec, 5, 5)[3]  # nn_vs_0n: a zero row, corners -bottom, -top
-    corrupted = healthy[2].copy()
-    corrupted[0, 0] = np.nan
-    windows = [healthy, healthy[:2] + (corrupted,), (coeffs, 4, corrupted)]
-    with np.errstate(all="ignore"):
-        healthy, broken, whole = (spectra._min0(x) for x in lambda_mins(windows))
+    healthy = certificate_windows(spec, 5, 5)[3]
+    healthy = spectra._min0(float(np.linalg.eigvalsh(dense_window(*healthy))[0]))
+    broken = spectra._min0(math.nan)
     assert healthy == 0.0 and math.copysign(1.0, healthy) == 1.0
-    assert math.isnan(broken) and math.isnan(whole)
+    assert math.isnan(broken)
     assert min(0.0, broken) == 0.0
 
 
@@ -666,20 +669,14 @@ def test_integer_rows_have_zero_delta_and_print_plus_zero(capsys, alpha):
     assert "-0.0" not in out
 
 
-def test_no_modified_certificate_runs_the_engine(monkeypatch):
+def test_no_modified_certificate_runs_the_engine(factor_calls):
     # 140 product certificates, ten of each degree up to 14 (ties and
     # angles 0.001 apart included), and 10 pentadiagonal ones: none calls
-    # lambda_mins, and each holds, as it did on the engine's margins;
-    # neither does a classic one, 0:2, which still fails lower.  The
-    # control: a gap scan's one engine call, with its three windows.
-    calls = []
-    engine = multisection.lambda_mins
-
-    def spy(windows):
-        calls.append(len(windows))
-        return engine(windows)
-
-    monkeypatch.setattr(multisection, "lambda_mins", spy)
+    # the gap's factor path, and each holds, as it did on the margins of
+    # the eigen engine it replaced; neither does a classic one, 0:2, which
+    # still fails lower.  The control: a gap scan's one call, with its
+    # three sizes.
+    calls = factor_calls
     local = np.random.default_rng(3102)
     products = [spec for k, spec in enumerate(gram_floor_symbols()) if k % 15 < 10]
     for spec in products:
@@ -712,9 +709,8 @@ FORMER_FALLBACKS = [
 @pytest.mark.parametrize(
     "factors,split", FORMER_FALLBACKS, ids=["n28", "n29_holds", "n29", "n33", "n36", "n40", "n128"]
 )
-def test_former_fallback_certificates_hold(monkeypatch, factors, split):
-    calls = []
-    monkeypatch.setattr(multisection, "lambda_mins", lambda windows: calls.append(windows))
+def test_former_fallback_certificates_hold(factor_calls, factors, split):
+    calls = factor_calls
     spec = make_symbol(factors)
     report = check_bracketing(spec, *split)
     coeffs, c, bottom, exact = _row_and_stencil(spec)
@@ -723,12 +719,11 @@ def test_former_fallback_certificates_hold(monkeypatch, factors, split):
     assert report.floor_nn == report.delta_lower == -delta and delta <= 1e-6 * report.abs_tol
 
 
-def test_seeded_high_degree_certificates_hold(monkeypatch):
+def test_seeded_high_degree_certificates_hold(factor_calls):
     # Three seeded symbols (1-4 factors) at each of N = 64, 128, 256 and
     # one at 511, the CLI's largest degree: each holds without the engine,
     # with delta at most 2**-53 * (||a||_1 + ||bottom||_F) plus a little.
-    calls = []
-    monkeypatch.setattr(multisection, "lambda_mins", lambda windows: calls.append(windows))
+    calls = factor_calls
     local = np.random.default_rng(3601)
     for degree, count in ((64, 3), (128, 3), (256, 3), (511, 1)):
         for _ in range(count):
@@ -745,13 +740,12 @@ def test_seeded_high_degree_certificates_hold(monkeypatch):
     assert calls == []
 
 
-def test_tiny_angle_holds_through_the_proof(monkeypatch, capsys):
+def test_tiny_angle_holds_through_the_proof(factor_calls, capsys):
     # The angle 1e-140 gives the stencil parts near 1e-140; every part is
     # an exact integer over one power of two, so delta counts them exactly
     # and stays tiny and finite, the certificate holds without the engine,
     # and no margin prints as -Infinity.
-    calls = []
-    monkeypatch.setattr(multisection, "lambda_mins", lambda windows: calls.append(windows))
+    calls = factor_calls
     report = check_bracketing(make_symbol([(1e-140, 1)]), 5, 5)
     assert report.all_hold and all(-1e-130 < m <= 0.0 for m in report.margins.values())
     assert main(["check", "--factors", "1e-140:1", "--split", "5,5"]) == 0
@@ -821,10 +815,10 @@ def test_gram_residual_keeps_to_quadratic_memory():
     assert _peak_bytes(lambda: _gram_delta(_gram_exact(c), a, bottom)) < 16 * 2**20
 
 
-def test_kernel_check_of_many_sizes_stays_small(monkeypatch):
+def test_kernel_check_of_many_sizes_stays_small():
     # The kernel check pads the sizes' bases into blocks of at most 2**16
-    # entries: 256 sizes up to 4096 in one block would peak near 90 MB.
-    monkeypatch.setattr(spectra, "lambda_mins", lambda windows: [0.0] * len(windows))
+    # entries, and the factor path iterates the sizes' vectors in chunks as
+    # small: 256 sizes up to 4096 in one block would peak near 90 MB.
     sizes = list(range(3, 4097, 16))
     assert _peak_bytes(lambda: spectra._gaps(make_symbol([(0.0, 1)]), sizes)) < 16 * 2**20
 
@@ -1093,39 +1087,6 @@ class TestSpectralGap:
             ).values
             assert_allclose(ev, ev_shifted, atol=1e-9 * max(1.0, ev.max()))
 
-    def test_enclosure_holds_the_engine_gap(self):
-        # The engine's midpoint lies within its width w of lambda_min.
-        for spec, sizes in enclosure_symbols():
-            c = stencil(spec)
-            width = 8 * (spec.degree + 1) * symbols._EPS * max(1.0, float(np.abs(fourier_coefficients(spec).a).sum()))
-            bounds = zip(*spectra._enclosure(spec, c, sizes))
-            for size, gap, (lower, upper) in zip(sizes, spectra._gaps(spec, sizes), bounds):
-                assert lower <= upper, (spec, size)
-                assert lower - width <= gap <= upper + width, (spec, size)
-
-    def test_enclosure_holds_the_factor_svd(self):
-        # T_{L-N}(g) = C C*, C the (L-N) x L matrix of the stencil
-        # placements, so the gap is sigma_min(C)**2; LAPACK's sigma is
-        # within about (L-N) * eps * ||C|| <= (L-N) * eps * ||c||_1.
-        linalg = pytest.importorskip("scipy.linalg")
-        checked = 0
-        for spec, sizes in enclosure_symbols():
-            c = stencil(spec)
-            n = spec.degree
-            bounds = dict(zip(sizes, zip(*spectra._enclosure(spec, c, sizes))))
-            for size in (s for s in sizes if s <= 512):
-                m = size - n
-                factor = np.zeros((m, size), dtype=complex)
-                for i in range(m):
-                    factor[i, i : i + n + 1] = c
-                sigma = linalg.svdvals(factor)[-1]
-                slack = m * symbols._EPS * float(np.abs(c).sum())
-                lower, upper = bounds[size]
-                assert lower <= (sigma + slack) ** 2, (spec, size)
-                assert (sigma - slack) ** 2 <= upper, (spec, size)
-                checked += 1
-        assert checked > 300
-
 
 class TestGapScan:
     def test_path_laplacian_slope(self):
@@ -1156,8 +1117,9 @@ class TestGapScan:
             gap_scan(make_symbol([(0.0, 1)]), [3, 4])
 
     def test_no_sizes_fails_like_one_size(self):
-        # The engine takes an empty batch; the slope fit refuses it.
-        assert spectra.lambda_mins([]) == []
+        # The factor path takes no sizes; the slope fit refuses them.
+        c = stencil(make_symbol([(0.0, 1)]))
+        assert _factor.smallest_eigenvalues(c, [(TWO_PI, 1)], [], spectra._corner_lambda_min) == []
         for sizes in ([16], []):
             with pytest.raises(ValueError, match="two sizes"):
                 gap_scan(make_symbol([(0.0, 1)]), sizes)
@@ -1221,51 +1183,60 @@ class TestPentaBracketing:
         with pytest.raises(ValueError, match="not all finite"):
             check_bracketing_penta(*row, 8, 8)
 
-# The multisection engine behind ``spectra``, through its one entry,
-# ``lambda_mins``, and past it into ``_pass``, ``_multisection``,
-# ``_SWEEP`` and the jobs they share: pass counts, the look-ahead twins,
-# the passes a gap enclosure decides, batches and the meet in the
-# middle, with the engine's two oracles, one uniform pass
-# per row loop (:func:`uniform_multisection`) and the plain twisted
-# recurrence (:func:`reference_meet`); and the check that no certificate
-# or gap calls the dense Jacobi reference.  Everything from here to the
-# end of the file tests the engine, and goes with it.
+# The factor path behind every gap (``_factor.smallest_eigenvalues``):
+# its gaps against LAPACK's singular values, mpmath and the exact slope,
+# its pins, its step cap; and the check that no certificate or gap calls
+# the dense Jacobi reference, and that no certificate solves for a gap.
 
 
-def _run_windows(spec, size1, size2):
-    """The three windows of a modified certificate that the engine ran
-    before its margins were proved (both floors and ``lower``), fed to it
-    directly."""
-    return lambda: lambda_mins(certificate_windows(spec, size1, size2)[:3])
+class TestGapAccuracy:
+    def test_gaps_match_the_factors_singular_values(self):
+        # T_{L-N}(g) = C C*, so the gap is s**2 for s = sigma_min(C), which
+        # LAPACK reads to about eps * ||C|| <= eps * ||c||_1; 40 seeded
+        # symbols with N <= 8, angles as close as 0.001 and sizes up to 512.
+        linalg = pytest.importorskip("scipy.linalg")
+        checked = 0
+        for spec, sizes in gap_symbols():
+            c = stencil(spec)
+            reach = 4 * symbols._EPS * float(np.abs(c).sum())
+            for size, gap in zip(sizes, spectra._gaps(spec, sizes)):
+                s = linalg.svdvals(stencil_factor(c, size - spec.degree))[-1]
+                assert abs(gap - s * s) <= 1e-9 * s * s + reach * s, (spec, size)
+                checked += 1
+        assert checked >= 150
 
+    def test_path_laplacian_gap_to_twelve_digits(self):
+        # For 0:1 the gap is 4 sin**2(pi / 2L) exactly.
+        mpmath = pytest.importorskip("mpmath")
+        sizes = [8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096]
+        with mpmath.workdps(40):
+            exact = [float(4 * mpmath.sin(mpmath.pi / (2 * size)) ** 2) for size in sizes]
+        for size, gap, ref in zip(sizes, spectra._gaps(make_symbol([(0.0, 1)]), sizes), exact):
+            assert abs(gap - ref) <= 1e-12 * ref, size
 
-_PENTA = decompose_pentadiagonal(2.0, -1.5, 0.75).spec
+    @pytest.mark.parametrize("factors", ["0:3", "1.0:2,1.0001:1"])
+    def test_no_gap_is_a_stopping_width(self, capsys, factors):
+        # The multisection engine printed its stopping width 2.842e-14 as
+        # the gap of these symbols at L = 1024..4096; the gaps fall like
+        # L**-6 instead.
+        assert main(["gap", "--factors", factors, "--sizes", "64,256,1024,2048,4096"]) == 0
+        out = capsys.readouterr().out
+        assert "2.842" not in out
+        gaps = [r["gap"] for r in json.loads(out)["records"]]
+        assert all(a > 30 * b for a, b in zip(gaps, gaps[1:]))
 
-ENGINE_CALLS = pytest.mark.parametrize(
-    "call",
-    [
-        _run_windows(make_symbol([(0.0, 1), (2.0, 2)]), 20, 23),
-        _run_windows(_PENTA, 6, 9),
-        lambda: spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30),
-        lambda: gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32]),
-    ],
-    ids=["check_bracketing", "check_bracketing_penta", "spectral_gap", "gap_scan"],
-)
+    def test_triple_root_slope_is_minus_six(self):
+        report = gap_scan(make_symbol([(0.0, 3)]), [256, 1024, 2048, 4096])
+        assert abs(report.slope + 6.0) <= 0.01
 
-
-@ENGINE_CALLS
-def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
-    # All windows of a certificate, or all sizes of a scan, share a row loop.
-    kinds = []
-    row_loop = multisection._multisection
-
-    def spy(jobs):
-        kinds.append(np.iscomplexobj(jobs[0][0]))
-        row_loop(jobs)
-
-    monkeypatch.setattr(multisection, "_multisection", spy)
-    call()
-    assert kinds and len(kinds) == len(set(kinds))
+    def test_step_cap_raises_no_convergence(self, monkeypatch, capsys):
+        # A scan whose top Ritz value still grows at the step cap raises,
+        # and the CLI reports it as a verification failure.
+        monkeypatch.setattr(_factor, "_MAX_STEPS", 1)
+        with pytest.raises(NoConvergenceError, match="still grew after 1 steps"):
+            gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
+        assert main(["gap", "--factors", "0:2", "--sizes", "8,16,32"]) == 1
+        assert capsys.readouterr().err.startswith("verification failure: the top Ritz value")
 
 
 @pytest.mark.parametrize(
@@ -1282,7 +1253,7 @@ def test_one_row_loop_per_arithmetic_kind(monkeypatch, call):
     ids=["check_bracketing", "check_classic", "check_bracketing_penta", "spectral_gap", "gap_scan"],
 )
 def test_certificates_and_gaps_never_call_jacobi(monkeypatch, call):
-    # The banded engine reads every gap, a modified certificate computes
+    # The factor path reads every gap, a modified certificate computes
     # no eigenvalue, and a classic one reads its nn_vs_0n
     # from the private corner Jacobi (spectra._corner_lambda_min); the
     # public Jacobi, eigenvalues, is a test oracle.
@@ -1292,32 +1263,29 @@ def test_certificates_and_gaps_never_call_jacobi(monkeypatch, call):
     assert calls == []
 
 
-@pytest.fixture
-def passes(monkeypatch):
-    """The arithmetic kind (True: complex) of every engine pass, in order."""
+@pytest.mark.parametrize(
+    "call, dtype",
+    [
+        (lambda: spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30), np.complex128),
+        (lambda: gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32]), np.float64),
+    ],
+    ids=["spectral_gap", "gap_scan"],
+)
+def test_one_row_loop_per_arithmetic_kind(monkeypatch, call, dtype):
+    # All sizes of a scan share one factorization of C*, also when each
+    # size is iterated in its own chunk, in one arithmetic kind: real
+    # where the stencil is real.
     kinds = []
-    one_pass = multisection._pass
+    factor = _factor._factor
 
-    def spy(jobs, shifts):
-        kinds.append(np.iscomplexobj(jobs[0][0]))
-        return one_pass(jobs, shifts)
+    def spy(c, b, blocks):
+        kinds.append(c.dtype)
+        return factor(c, b, blocks)
 
-    monkeypatch.setattr(multisection, "_pass", spy)
-    return kinds
-
-
-@pytest.fixture
-def jobs(monkeypatch):
-    """How many jobs each engine row-loop group starts with."""
-    counts = []
-    row_loop = multisection._multisection
-
-    def spy(group):
-        counts.append(len(group))
-        row_loop(group)
-
-    monkeypatch.setattr(multisection, "_multisection", spy)
-    return counts
+    monkeypatch.setattr(_factor, "_factor", spy)
+    monkeypatch.setattr(_factor, "_ENTRIES", 1)
+    call()
+    assert kinds == [dtype]
 
 
 @pytest.mark.parametrize(
@@ -1331,19 +1299,19 @@ def jobs(monkeypatch):
     ],
     ids=["complex", "degree1", "penta", "classic", "undecided"],
 )
-def test_proved_nn_vs_0n_takes_no_job(jobs, call):
-    # A modified certificate proves all four margins and runs no job, 0:12
-    # too, whose nn_vs_0n bound is far below the engine's stopping width; a
-    # classic one reads its nn_vs_0n from the corner Jacobi and runs none.
+def test_proved_nn_vs_0n_takes_no_job(factor_calls, call):
+    # A modified certificate proves all four margins and solves for no
+    # eigenvalue, 0:12 too, whose nn_vs_0n bound is 5.5e-13; a classic one
+    # reads its nn_vs_0n from the corner Jacobi and solves for none either.
     call()
-    assert sum(jobs) == 0
+    assert factor_calls == []
 
 
 def test_proved_nn_vs_0n_windows_are_the_engines_zeros():
     # Every bound is below LAPACK's eigenvalue, and a window the bound
     # proves positive definite, which the certificate reports as 0.0, is
-    # one whose engine eigenvalue min(0, .) makes 0.0 too.  It proves every
-    # symbol up to N = 7.
+    # one whose LAPACK eigenvalue min(0, .) makes 0.0 too.  It proves
+    # every symbol up to N = 7.
     proved = dict.fromkeys(range(1, 15), 0)
     for spec in gram_floor_symbols():
         n, c = spec.degree, stencil(spec)
@@ -1353,23 +1321,22 @@ def test_proved_nn_vs_0n_windows_are_the_engines_zeros():
         if bound > 0.0:
             proved[n] += 1
             window = (BandedCoeffs(np.zeros(2 * n + 1, dtype=complex)), 2 * n, -bottom)
-            assert spectra._min0(lambda_mins([window])[0]) == 0.0, spec
+            assert spectra._min0(float(np.linalg.eigvalsh(dense_window(*window))[0])) == 0.0, spec
     assert [proved[n] for n in range(1, 8)] == [15] * 7
 
 
-def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
+def test_undecided_nn_vs_0n_keeps_its_oracle_margin(factor_calls):
     # For 0:12 the corners reach 2.7e6 and 1/||d||_1**2 is 5.5e-13
-    # (||d||_1 = C(23, 11)), far below the engine's stopping width; the
-    # integer row and corners have residual 0, so the bound still proves
-    # nn_vs_0n, every margin is 0.0, and each is within the LAPACK
-    # margin's own error.
+    # (||d||_1 = C(23, 11)); the integer row and corners have residual 0,
+    # so the bound still proves nn_vs_0n, every margin is 0.0, and each is
+    # within the LAPACK margin's own error.
     spec = make_symbol([(0.0, 12)])
     c = stencil(spec)
     bottom = _nn_bottom(spec)
     assert _gram_delta(_gram_exact(c), fourier_coefficients(spec).a, bottom) == (0.0, 0.0)
     assert np.abs(bottom).max() > 2.7e6 and 0.0 < _gram_floor(c, 0.0) < 1e-12
     report = check_bracketing(spec, 25, 27)
-    assert sum(jobs) == 0 and report.all_hold
+    assert factor_calls == [] and report.all_hold
     floor1, floor2, lower, delta_nn = (
         np.linalg.eigvalsh(dense_window(*w))[0] for w in certificate_windows(spec, 25, 27)
     )
@@ -1385,11 +1352,11 @@ def test_undecided_nn_vs_0n_keeps_its_oracle_margin(jobs):
 
 
 @pytest.mark.parametrize("corruption", ["indefinite", "nan"])
-def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
+def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, factor_calls, corruption):
     # delta and the bound measure the block they are given, so a -bottom
     # that is not the Gram form proves nothing: the certificate reports
     # -delta, a lower bound of the corrupted block's eigenvalue, or NaN,
-    # runs no engine job, and its nn_vs_0n margin fails.
+    # solves for no eigenvalue, and its nn_vs_0n margin fails.
     exact = boundary._gram_corner
     spec = make_symbol([(0.3, 2), (2.0, 1)])
 
@@ -1403,7 +1370,7 @@ def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
 
     monkeypatch.setattr(spectra, "_gram_corner", corrupted)
     report = check_bracketing(spec, 9, 11)
-    assert sum(jobs) == 0
+    assert factor_calls == []
     assert not any(report.verdicts.values())
     if corruption == "nan":
         assert all(math.isnan(m) for m in report.margins.values())
@@ -1412,149 +1379,31 @@ def test_corrupted_nn_vs_0n_is_never_proved(monkeypatch, jobs, corruption):
         assert report.delta_nn <= least < -report.abs_tol
 
 
-def test_gap_scan_keeps_its_passes_and_values(passes):
-    # Gap windows have no corners and start inside their enclosure: every
-    # bit of each gap is that of the uniform [0, r] multisection, which
-    # takes 10 row loops where the look-ahead's twin jobs take 7 and the
-    # enclosure and the twins together 6.
+# Gaps of the factor path, pinned bitwise.  Each is within 1.1e-12
+# relative of scipy's svdvals(C)**2, whose own error is about
+# 2 * eps * ||c||_1 / sigma of itself; the engine's 0:2 and N = 10 pins
+# were up to 5.6e-12 and 2e-4 off.
+GAPS_0_2 = ["0x1.fb8ccbaa2f93cp-4", "0x1.f68a03b809d4bp-8", "0x1.f5124ec8ebfebp-12"]
+GAP_30 = "0x1.ca2aad930e922p-10"
+GAPS_N10 = ["0x1.b67d56d184efap-29", "0x1.b68061dc10b09p-35"]
+
+
+def test_gap_scan_keeps_its_passes_and_values(factor_calls):
+    # A scan makes one call of the factor path for all its sizes, and
+    # spectral_gap one for its size; pinned bitwise.
     report = gap_scan(make_symbol([(0.0, 2)]), [8, 16, 32])
-    assert passes == [False] * 6
-    assert [g.hex() for _, g in report.records] == [
-        "0x1.fb8ccbaa2fa00p-4",
-        "0x1.f68a03b80a000p-8",
-        "0x1.f5124ec8e0000p-12",
-    ]
-    passes.clear()
+    assert factor_calls == [3]
+    assert [g.hex() for _, g in report.records] == GAPS_0_2
+    factor_calls.clear()
     _, gap = spectral_gap(make_symbol([(0.0, 1), (2.0, 2)]), 30)
-    assert len(passes) == 5
-    assert gap.hex() == "0x1.ca2aad93147cbp-10"
-
-
-@pytest.mark.parametrize(
-    "sizes", [[8, 16, 32, 64, 128, 256], list(range(8, 257))], ids=["doubling", "every_size"]
-)
-def test_laplacian_scan_takes_at_most_three_row_loops(passes, sizes):
-    # For 0:1 the sampling bound and the quotient both equal the gap in
-    # exact arithmetic, so the enclosure decides every pass down to about
-    # 64 w, where the twins take over; without it the scan takes 8.
-    gap_scan(make_symbol([(0.0, 1)]), sizes)
-    assert 0 < len(passes) <= 3
-
-
-@pytest.mark.parametrize(
-    "factors,gaps,loops",
-    [
-        (
-            [(0.0, 2)],
-            [
-                "0x1.fb8ccbaa2fa00p-4",
-                "0x1.f68a03b80a000p-8",
-                "0x1.f5124ec8e0000p-12",
-                "0x1.f4b110a600000p-16",
-                "0x1.f4988ca000000p-20",
-                "0x1.f4926a0000000p-24",
-            ],
-            6,
-        ),
-        (
-            [(1.4485082373978546, 1), (3.542451982324839, 1), (5.510446367681306, 1)],
-            [
-                "0x1.cb34cfc093a30p-1",
-                "0x1.248bd25d98928p-2",
-                "0x1.3d05fab792e84p-4",
-                "0x1.455071c557e17p-6",
-                "0x1.478983c64c8fep-8",
-                "0x1.481ced1008984p-10",
-            ],
-            8,
-        ),
-    ],
-    ids=["laplacian_squared", "three_factors"],
-)
-def test_first_row_loop_runs_no_shift_its_enclosure_decides(monkeypatch, factors, gaps, loops):
-    # Every shift more than 64 widths w above a window's enclosure fails
-    # (_enclose), so its first row loop runs none of them: the bracket's
-    # upper end becomes the first of them untested.  The gaps keep their
-    # bits and the scan its row loops.
-    calls = []
-    one_pass = multisection._pass
-
-    def spy(jobs, shifts):
-        calls.append([(job[8], job[4], s) for job, s in zip(jobs, shifts)])
-        return one_pass(jobs, shifts)
-
-    monkeypatch.setattr(multisection, "_pass", spy)
-    report = gap_scan(make_symbol(factors), [8, 16, 32, 64, 128, 256])
-    windows = [(upper, w, s) for upper, w, s in calls[0] if upper is not None]
-    assert windows
-    for upper, w, s in windows:
-        assert s.max() <= upper + multisection._MARGIN * w
-    assert [g.hex() for _, g in report.records] == gaps
-    assert len(calls) == loops
+    assert factor_calls == [1]
+    assert gap.hex() == GAP_30
 
 
 def test_degree_ten_scan_keeps_its_gaps():
-    # At N = 10 and L = 512, 1024 the periodic drops of retired shifts pay;
-    # pinned bitwise.
+    # N = 10 at L = 512, 1024; pinned bitwise.
     report = gap_scan(make_symbol([(0.5, 3), (2.1, 2), (3.7, 3), (5.2, 2)]), [512, 1024])
-    assert [g.hex() for _, g in report.records] == ["0x1.b67c727292af8p-29", "0x1.b696d24f71a40p-35"]
-
-
-def test_enclosed_gaps_match_the_uniform_engine(monkeypatch):
-    # Each gap window starts inside its enclosure, which decides passes
-    # without a row loop, and runs a twin from its first row loop.  Every
-    # gap is bitwise that of the engine without an enclosure, one uniform
-    # pass per row loop from [0, r].
-    decided = []
-    enclose = multisection._enclose
-
-    def spy(job, lower, upper):
-        start = job[5:7]
-        enclose(job, lower, upper)
-        decided.append(job[5:7] != start)
-
-    monkeypatch.setattr(multisection, "_enclose", spy)
-    for spec, sizes in enclosure_symbols():
-        coeffs = fourier_coefficients(spec)
-        enclosed = spectra._gaps(spec, sizes)
-        with monkeypatch.context() as patch:
-            patch.setattr(multisection, "_multisection", uniform_multisection)
-            plain = lambda_mins([(coeffs, size - spec.degree, None) for size in sizes])
-        assert [g.hex() for g in enclosed] == [g.hex() for g in plain], (spec, sizes)
-    # The enclosure decided at least the first pass of 268 of the 316
-    # windows; all but one of the others have the smallest size, L = 2N+1,
-    # and an enclosure that holds a shift r*k/32 of the first pass (for
-    # 0:1 at L = 3, the gap 1 is itself the shift 8 * 4/32).
-    assert sum(decided) > 0.8 * len(decided)
-
-
-def test_an_enclosure_that_is_not_one_decides_nothing(passes):
-    # lower > upper, or NaN, leaves the window to the row loops, which
-    # reach the engine's own bits in as many row loops.
-    coeffs = fourier_coefficients(make_symbol([(0.0, 2)]))
-    plain = lambda_mins([(coeffs, 60, None)])[0]
-    loops = len(passes)
-    for enclosure in ((1e-3, 1e-4), (math.nan, 1.0), (0.0, math.nan)):
-        passes.clear()
-        assert lambda_mins([(coeffs, 60, None, enclosure)])[0].hex() == plain.hex()
-        assert len(passes) == loops
-
-
-@pytest.mark.parametrize("factors", [[(0.0, 2)], [(1.0, 1), (2.5, 2)]], ids=["real", "complex"])
-def test_an_enclosure_a_few_widths_off_keeps_every_bit(passes, factors):
-    # The enclosure's rounding allowances are estimates; the engine widens
-    # it by 64 stopping widths w on each side, so one that misses
-    # lambda_min by up to 48 w still leaves every bit, in fewer row loops.
-    # A widening of 16 w or less fails here.
-    coeffs = fourier_coefficients(make_symbol(factors))
-    width = multisection._window_setup(coeffs, None)[2]
-    plain = lambda_mins([(coeffs, 60, None)])[0]
-    loops = len(passes)
-    for k in (-48, -16, -4, 4, 16, 48):
-        passes.clear()
-        off = plain + k * width
-        assert lambda_mins([(coeffs, 60, None, (off, off))])[0].hex() == plain.hex(), k
-        assert len(passes) < loops
+    assert [g.hex() for _, g in report.records] == GAPS_N10
 
 
 class TestBandedLambdaMin:
@@ -1564,38 +1413,20 @@ class TestBandedLambdaMin:
             spec = random_spec(rng, max_factors=3, max_mult=2, min_sep=0.3)
             n = spec.degree
             coeffs = fourier_coefficients(spec)
-            m = int(rng.integers(2 * n + 1, 201)) - n
-            ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, m))[0]
+            size = int(rng.integers(2 * n + 1, 201))
+            ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, size - n))[0]
             tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
-            assert abs(lambda_mins([(coeffs, m, None)])[0] - ref) <= tol, (spec.factors, m)
+            assert abs(spectral_gap(spec, size)[1] - ref) <= tol, (spec.factors, size)
 
     @pytest.mark.parametrize("size", [512, 1024, 4096])
     def test_path_laplacian_gap_at_large_sizes(self, size):
-        coeffs = fourier_coefficients(make_symbol([(0.0, 1)]))
         exact = 4.0 * math.sin(math.pi / (2 * size)) ** 2
-        assert abs(lambda_mins([(coeffs, size - 1, None)])[0] - exact) <= 1e-12 * 4.0
-
-    @pytest.mark.parametrize("pair", ["00", "nn", "dd", "cc"])
-    def test_corner_windows_against_lapack(self, pair):
-        # A window with the same kind at both edges is the Toeplitz body plus
-        # its top corner and that corner's mirror, which is all the engine
-        # reads.  Mixed pairs are not mirror windows; test_boundary.py pins
-        # their bandwidth and Hermitian symmetry.
-        kind = BoundaryKind.from_code(pair[0])
-        for spec in _window_specs(pair):
-            coeffs = fourier_coefficients(spec)
-            top, _ = _window_corners(spec, kind, kind, _row_and_stencil(spec))
-            for size in (2 * spec.degree + 1, 2 * spec.degree + 2, 33):
-                window = hermitian(_window(spec, size, pair))
-                ref = np.linalg.eigvalsh(window.entries)[0]
-                tol = 1e-12 * max(1.0, window.row_sum_norm())
-                value = lambda_mins([(coeffs, size, top)])[0]
-                assert abs(value - ref) <= tol, (spec, size)
+        assert abs(spectral_gap(make_symbol([(0.0, 1)]), size)[1] - exact) <= 1e-12 * 4.0
 
     def test_deterministic(self):
-        coeffs = fourier_coefficients(make_symbol([(1.0, 1), (2.5, 2)]))
-        first = lambda_mins([(coeffs, 97, None)])
-        assert lambda_mins([(coeffs, 97, None)]) == first
+        spec = make_symbol([(1.0, 1), (2.5, 2)])
+        first = spectral_gap(spec, 100)
+        assert spectral_gap(spec, 100) == first
 
     @pytest.mark.parametrize("factors", [[(0.0, 1)], [(0.0, 2)], [(0.4, 1), (2.0, 2), (4.1, 1)]])
     def test_smallest_window(self, factors):
@@ -1605,477 +1436,94 @@ class TestBandedLambdaMin:
         coeffs = fourier_coefficients(spec)
         ref = np.linalg.eigvalsh(dense_toeplitz(coeffs, n + 1))[0]
         tol = 1e-12 * max(1.0, float(np.abs(coeffs.a).sum()))
-        value = lambda_mins([(coeffs, n + 1, None)])[0]
-        assert abs(value - ref) <= tol
-        _, gap = spectral_gap(spec, 2 * n + 1)
-        assert gap == value
+        assert abs(spectral_gap(spec, 2 * n + 1)[1] - ref) <= tol
 
-    # N = 1, m = 2: [[1/8 + t, -1/8], [-1/8, 1/8 + t]] has smallest
-    # eigenvalue t, exactly.  Its row-sum bound is below 1, so the engine
-    # width is w = 8 * 2 * eps = 2**-48 and every k * w below is exact.
-    W = 2.0**-48
-
-    @staticmethod
-    def dyadic_window(t):
-        coeffs = BandedCoeffs(np.array([-0.125, 0.25 + t, -0.125]))
-        corner = np.array([[-0.125]])
-        return coeffs, 2, corner
-
-    @pytest.mark.parametrize("expect", ["zero", "min0"])
-    @pytest.mark.parametrize("k", [0, 4, -4, 5, -5, 16, -16, 17, -17])
-    def test_seeded_first_pass_edges(self, expect, k):
-        # Windows seeded at k * w, a few widths on either side of 0, where
-        # every margin of a certificate lies in exact arithmetic: uniform
-        # passes bracket each to within w, a floor ("zero") as it is and a
-        # difference ("min0") through the certificate's min(0, .), which
-        # reports 0.0, never -0.0, for every k >= 0.
-        window = self.dyadic_window(k * self.W)
-        dense = dense_window(*window)
-        assert np.abs(dense).sum(axis=1).max() < 1.0
-        exact = k * self.W
-        ref = np.linalg.eigvalsh(dense)[0]
-        value = lambda_mins([window])[0]
-        assert abs(value - ref) <= 1e-12
-        assert abs(value - exact) <= self.W
-        if expect == "min0":
-            margin = spectra._min0(value)
-            assert abs(margin - min(0.0, exact)) <= self.W
-            assert margin < 0.0 or (margin == 0.0 and math.copysign(1.0, margin) == 1.0)
-            assert margin == 0.0 or k <= 0
-
-    def test_seeded_window_far_below_zero(self, passes):
-        # The classic lower window of (2 - 2cos x)**2 at 7,7 sits near -0.4721.
+    def test_seeded_window_far_below_zero(self):
+        # The classic lower window of (2 - 2cos x)**2 at 7,7 sits near
+        # -0.4721; the classic certificate reads it, as twice the smallest
+        # eigenvalue of its corner, to LAPACK's value.
         spec = make_symbol([(0.0, 2)])
         window = certificate_windows(spec, 7, 7, BoundaryKind.CLASSIC_NEUMANN)[2]
         ref = np.linalg.eigvalsh(dense_window(*window))[0]
         assert ref == pytest.approx(-0.4721359549995, abs=1e-12)
         tol = 1e-12 * max(1.0, float(np.abs(window[0].a).sum()))
-        assert abs(lambda_mins([window])[0] - ref) <= tol
-        assert len(passes) > 2
+        report = check_bracketing(spec, 7, 7, neumann=BoundaryKind.CLASSIC_NEUMANN)
+        assert abs(report.delta_lower - ref) <= tol and not report.verdicts["lower"]
 
     def test_full_rank_min0_window_reports_zero(self):
         # nn_vs_0n of (2 - 2cos x)(2 - 2cos(x - 2)) is positive definite on
         # its 2N rows: only min(0, lambda_min) = 0 is wanted, as the proof
-        # reports it.
+        # reports it, with no eigenvalue solved for.
         spec = make_symbol([(0.0, 1), (2.0, 1)])
         window = certificate_windows(spec, 7, 9)[3]
         ref = np.linalg.eigvalsh(dense_window(*window))[0]
-        assert ref > 0.3
-        value = lambda_mins([window])[0]
-        assert abs(value - ref) <= 1e-12 and spectra._min0(value) == 0.0
-        assert check_bracketing(spec, 7, 9).delta_nn == 0.0
+        assert ref > 0.3 and spectra._min0(float(ref)) == 0.0
+        delta = check_bracketing(spec, 7, 9).delta_nn
+        assert delta == 0.0 and math.copysign(1.0, delta) == 1.0
+
+    @staticmethod
+    def seeded_specs(n):
+        """A zero of order n at 0 (a real stencil), at a seeded angle, and
+        n seeded simple zeros (complex stencils), with seeded sizes."""
+        local = np.random.default_rng(3800 + n)
+        angles = np.sort(local.uniform(0.0, TWO_PI, n)).tolist()
+        factors = ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)], [(a, 1) for a in angles])
+        return [make_symbol(f) for f in factors], local
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_batch_composition_changes_no_result(self, monkeypatch, rng, n):
-        # Real and complex windows, without corners, with corners and with
-        # corners on a zero row, on one row loop: each result is bitwise
-        # that of the window run alone.
-        # Each row loop runs one arithmetic kind, real windows in float64:
-        # complex / real division can round differently from real / real.
-        dtypes = []
-        row_loop = multisection._multisection
-
-        def spy(jobs):
-            dtypes.append({job[0].dtype for job in jobs})
-            row_loop(jobs)
-
-        monkeypatch.setattr(multisection, "_multisection", spy)
-        batches, local = seeded_batches(rng, n)
-        for windows in batches:
-            alone = [lambda_mins([w])[0].hex() for w in windows]
-            dtypes.clear()
-            assert [x.hex() for x in lambda_mins(windows)] == alone
-            assert dtypes == [{np.dtype(np.float64)}, {np.dtype(np.complex128)}]
-            assert [x.hex() for x in lambda_mins(windows[::-1])] == alone[::-1]
-        # A gap scan is one batch too: spectral_gap, its one-size case, gives
-        # bitwise the record of each size.
-        for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
-            spec = make_symbol(factors)
-            report = gap_scan(spec, [4 * n, 8 * n, *local.integers(2 * n + 1, 200, 4).tolist()])
-            assert [spectral_gap(spec, s)[1].hex() for s, _ in report.records] == [
-                g.hex() for _, g in report.records
-            ]
+    def test_batch_composition_changes_no_result(self, n):
+        # Each gap of a scan is bitwise that of its size run alone
+        # (spectral_gap) and of its size in a scan of other sizes: every
+        # product that mixes rows runs on one block of one size.
+        specs, local = self.seeded_specs(n)
+        for spec in specs:
+            sizes = sorted({4 * n, 8 * n, *local.integers(2 * n + 1, 300, 5).tolist()})
+            alone = [spectral_gap(spec, s)[1].hex() for s in sizes]
+            assert [g.hex() for _, g in gap_scan(spec, sizes).records] == alone
+            others = sizes[1::2] + [int(local.integers(300, 700))]
+            assert [g.hex() for g in spectra._gaps(spec, others)][:-1] == alone[1::2]
 
     @pytest.mark.parametrize("n", range(1, 7))
-    def test_counts_do_not_depend_on_when_columns_leave(self, monkeypatch, rng, n):
-        # Retired and ended columns leave the block at end rows and every
-        # _SWEEP rows.  Leaving after every row, or only at end rows, must
-        # give every result bitwise as it is.
-        batches, _ = seeded_batches(rng, n)
-        results = []
-        for sweep in (multisection._SWEEP, 1, 10**6):
-            monkeypatch.setattr(multisection, "_SWEEP", sweep)
-            results.append([[x.hex() for x in lambda_mins(w)] for w in batches])
-        assert results[1] == results[0]
-        assert results[2] == results[0]
-
-    @pytest.mark.parametrize("sweep", [16, 1])
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_look_ahead_changes_no_result(self, monkeypatch, passes, rng, n, sweep):
-        # Each row loop also runs, as a twin job, the pass after it on the
-        # bracket its pivots predict.  Every result is bitwise that of one
-        # uniform pass per row loop, also when retired columns leave between
-        # a twin's rows q and p (sweep 1), and the windows, each run alone,
-        # take fewer row loops.  A batch takes as many row loops as its
-        # slowest window, here one whose eigenvalue lies at 0 within
-        # rounding, whose pivots predict nothing.
-        monkeypatch.setattr(multisection, "_SWEEP", sweep)
-        batches, _ = seeded_batches(rng, n)
-        results, loops = [], []
-        for engine in (multisection._multisection, uniform_multisection):
-            monkeypatch.setattr(multisection, "_multisection", engine)
-            results.append([[x.hex() for x in lambda_mins(w)] for w in batches])
-            passes.clear()
-            for window in itertools.chain(*batches):
-                lambda_mins([window])
-            loops.append(len(passes))
-        assert results[0] == results[1]
-        assert loops[0] < loops[1]
+    def test_counts_do_not_depend_on_when_columns_leave(self, monkeypatch, n):
+        # A scan iterates its sizes in chunks of at most _factor._ENTRIES
+        # vector entries, and a size that stops leaves its chunk's stack.
+        # Chunks of one size each, or one chunk of all, give every gap
+        # bitwise as it is.
+        specs, local = self.seeded_specs(n)
+        for spec in specs:
+            sizes = sorted({*local.integers(2 * n + 1, 1500, 10).tolist(), 2048})
+            results = []
+            for entries in (_factor._ENTRIES, 1, 10**9):
+                monkeypatch.setattr(_factor, "_ENTRIES", entries)
+                results.append([g.hex() for g in spectra._gaps(spec, sizes)])
+            assert results[1] == results[0]
+            assert results[2] == results[0]
 
     @pytest.mark.parametrize(
-        "call, sharing",
+        "call, dtype",
         [
-            (_run_windows(make_symbol([(0.3, 2), (2.0, 1)]), 20, 23), 2),
-            (_run_windows(make_symbol([(0.0, 2)]), 9, 12), 2),
-            (lambda: gap_scan(make_symbol([(1.0, 1), (2.5, 2)]), [16, 24, 40]), 3),
+            (lambda: gap_scan(make_symbol([(0.3, 2), (2.0, 1)]), [20, 23, 40]), np.complex128),
+            (lambda: gap_scan(make_symbol([(0.0, 2)]), [9, 12, 30]), np.float64),
+            (lambda: gap_scan(make_symbol([(1.0, 1), (TWO_PI - 1.0, 2)]), [16, 24, 40]), np.complex128),
         ],
         ids=["complex", "real", "gap_scan"],
     )
-    def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call, sharing):
-        # Both floors of a certificate, and all sizes of a gap scan, differ
-        # only in m: their jobs share one template and T_N(g), which no
-        # pass may write.
-        first_pass = []
-        one_pass = multisection._pass
-
-        def spy(jobs, shifts):
-            if not first_pass:
-                first_pass.extend(list(job) for job in jobs)
-            return one_pass(jobs, shifts)
-
-        monkeypatch.setattr(multisection, "_pass", spy)
-        call()
-        shared = first_pass[:sharing]
-        for k in (0, 3):
-            assert all(job[k] is shared[0][k] for job in shared)
-        for job in first_pass:
-            for array in (job[0], job[3]):
-                assert not array.flags.writeable
-                with pytest.raises(ValueError):
-                    array[(0,) * array.ndim] = 0.0
-
-
-def scan_gaps(factors, sizes):
-    return [g for _, g in gap_scan(make_symbol(factors), sizes).records]
-
-
-@pytest.mark.parametrize(
-    "call,fewer",
-    [
-        (lambda: scan_gaps([(0.0, 3)], [1024, 2048, 4096]), False),
-        (lambda: scan_gaps([(1.0, 2), (1.0001, 1)], [1024, 2048, 4096]), False),
-        # A complex three-factor scan over 8..256, as in the gap-scan
-        # benchmark, on which twins whose shifts all pass are dropped.
-        (
-            lambda: scan_gaps(
-                [(1.4485082373978546, 1), (3.542451982324839, 1), (5.510446367681306, 1)],
-                [8, 16, 32, 64, 128, 256],
-            ),
-            True,
-        ),
-        # The four windows of failing classic certificates, fed to the
-        # engine directly: margins far from 0.  The floors of 0:2 lie at 0 within
-        # rounding, so that batch takes as many row loops as the uniform
-        # engine.
-        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 2)]), 7, 7, _CLASSIC)), False),
-        (lambda: lambda_mins(certificate_windows(make_symbol([(0.0, 3)]), 9, 11, _CLASSIC)), True),
-        (lambda: lambda_mins(certificate_windows(make_symbol([(1.0, 1), (-1.0, 1)]), 16, 18, _CLASSIC)), True),
-    ],
-    ids=["gap_0_3", "gap_near_confluent", "gap_three_factors", "classic_0_2", "classic_0_3", "classic_pair"],
-)
-def test_look_ahead_matches_uniform_passes(monkeypatch, passes, call, fewer):
-    # Gaps at the engine's stopping width, whose pivots are rounding noise
-    # and predict nothing, a scan whose gaps they do predict, and failing
-    # classic windows: bitwise the values of one uniform pass per row
-    # loop, and in fewer row loops unless a window whose pivots predict
-    # nothing sets the pace (``fewer`` False).
-    values, loops = [], []
-    for engine in (multisection._multisection, uniform_multisection):
-        monkeypatch.setattr(multisection, "_multisection", engine)
-        passes.clear()
-        out = call()
-        values.append([x.hex() for x in out])
-        loops.append(len(passes))
-    assert values[0] == values[1]
-    assert loops[0] < loops[1] if fewer else loops[0] <= loops[1]
-
-
-def seeded_batches(rng, n):
-    """Two batches of windows of half-bandwidth n, real and complex, without
-    corners, with corners and with corners on a zero row, plus certificate
-    windows; and the generator that drew the latter."""
-
-    def hermitian_block(real):
-        x = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
-        return (x + x.conj().T) / 2
-
-    local = np.random.default_rng(n)
-    batches = []
-    for _ in range(2):
-        windows = []
-        # Both kinds with every corner shape; the first window ends
-        # before the second reaches its middle row.
-        for j, m in enumerate((n + 1, 200, *rng.integers(2 * n, 201, 6))):
-            real, shape = j % 2 == 0, j // 2
-            k = int(rng.integers(1, n + 1))
-            if real:
-                factors = [(0.0, k)] + ([(math.pi, n - k)] if k < n else [])
-            else:
-                factors = [(float(rng.uniform(0.1, 3.0)), n)]
-            coeffs = fourier_coefficients(make_symbol(factors))
-            top = None
-            if shape == 1:
-                top = -np.eye(n)  # a definite corner beside the indefinite ones
-            elif shape > 1:
-                top = hermitian_block(real)
-            if shape == 3:
-                coeffs = BandedCoeffs(np.zeros_like(coeffs.a))
-            windows.append((coeffs, int(m), top))
-        # Certificate windows, whose smallest eigenvalues lie near 0.
-        for factors in ([(0.0, n)], [(float(local.uniform(0.1, 3.0)), n)]):
-            split = local.integers(2 * n + 1, 60, 2)
-            windows += certificate_windows(make_symbol(factors), *split)
-        batches.append(windows)
-    return batches, local
-
-
-def uniform_multisection(jobs: list[list]) -> None:
-    """``multisection._multisection`` without its look-ahead: one level per row loop.
-
-    Each pass of :func:`multisection._pass` tests the 31 equispaced
-    interior shifts of a job's bracket and narrows the bracket to the two
-    shifts around its count.  A job stops when its bracket is no wider
-    than its tolerance.
-    """
-    jobs = [job for job in jobs if multisection._open(job)]
-    while jobs:
-        shifts = [job[5] + (job[6] - job[5]) * multisection._STEPS for job in jobs]
-        remaining = []
-        for job, s, count in zip(jobs, shifts, multisection._pass(jobs, shifts)):
-            if count > 0:
-                job[5] = float(s[count - 1])
-            if count < len(s):
-                job[6] = float(s[count])
-            if multisection._open(job):
-                remaining.append(job)
-        jobs = remaining
-
-
-def reference_meet(job, shifts):
-    """Oracle: the twisted recurrence of one mirror window, written plainly.
-
-    The block is (S, N+1, N+1) with the shifts on its first axis, every row
-    allocates its temporaries, and no shift ever leaves.  Rows 0..p-1 run
-    forward, S_q is copied at the start of row q, and row p starts from the
-    meeting block S_p + J conj(S_q) J - T_N(g) + s*I, whose N pivot steps
-    end the window.  Returns the count of shifts before the first one with
-    a nonpositive pivot, and each shift's first row with one (-1 if none)."""
-    template, q, p, body = job[:4]
-    n = len(template) - 1
-    real = not np.iscomplexobj(template)
-    block = template - shifts[:, None, None] * np.eye(n + 1)
-    least = np.full(len(shifts), np.inf)
-    first_row = np.full(len(shifts), -1)
-    diagonal = np.arange(n)
-    for i in range(p + n):
-        if i == q:
-            saved = block[:, :n, :n].copy()
-        if i == p:
-            block[:, :, n] = block[:, n, :] = 0.0
-            block[:, n, n] = 1.0
-            mirror = saved[:, ::-1, ::-1]
-            middle = block[:, :n, :n] + (mirror if real else np.conj(mirror)) - body
-            middle[:, diagonal, diagonal] += shifts[:, None]
-            block[:, :n, :n] = middle
-        pivots = block[:, 0, 0].real
-        first_row[(pivots <= 0.0) & (first_row < 0)] = i
-        least = np.fmin(least, pivots)
-        v = block[:, 1:, 0]
-        w = v if real else np.conj(v)
-        with np.errstate(all="ignore"):  # a retired shift may divide by 0
-            block[:, :n, :n] = block[:, 1:, 1:] - (v / pivots[:, None])[:, :, None] * w[:, None, :]
-    hits = np.flatnonzero(least <= 0.0)
-    return (int(hits[0]) if len(hits) else len(shifts)), first_row
-
-
-class TestMeetAgainstReference:
-    """Every window meets in the middle, and _pass counts it exactly as the
-    plain twisted recurrence does."""
-
-    @staticmethod
-    def mirror_window(local, n, m, real, corners, zero_row):
-        """A window with a Hermitian row and, if asked, a random top corner."""
-        row = local.normal(size=2 * n + 1)
-        if not real:
-            row = row + 1j * local.normal(size=2 * n + 1)
-        row = np.zeros_like(row) if zero_row else (row + row[::-1].conj()) / 2
-        top = None
-        if corners:
-            x = local.normal(size=(n, n)) + (0.0 if real else 1j * local.normal(size=(n, n)))
-            top = (x + x.conj().T) / 2
-        return BandedCoeffs(row), m, top
-
-    @staticmethod
-    def engine_job(monkeypatch, window):
-        """The job that lambda_mins builds for a window, from its first pass."""
+    def test_windows_of_one_row_and_corner_share_read_only_arrays(self, monkeypatch, call, dtype):
+        # All sizes of a scan differ only in m: every chunk of sizes, here
+        # one per size, steps with the parts of one R, in the stencil's
+        # arithmetic kind, which no step may write.
         seen = []
-        one_pass = multisection._pass
+        step = _factor._step
 
-        def spy(jobs, shifts):
-            seen.extend(jobs)
-            return one_pass(jobs, shifts)
+        def spy(parts, x, ms, refine=False):
+            seen.append(parts)
+            return step(parts, x, ms, refine)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(multisection, "_pass", spy)
-            lambda_mins([window])
-        return seen[0]
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_counts_match_the_reference(self, monkeypatch, n):
-        # Pivot r of W - s*I is the first nonpositive one when s lies
-        # between the smallest eigenvalues of W's leading r+1 and r rows, so
-        # each shift is aimed at one row: for a row r < p through those
-        # leading blocks, and for meeting row p+d between the smallest
-        # eigenvalues of the rows {0..p+d-1} and {0..p+d}, each joined with
-        # the bottom rows p+N..m-1.  The rows aimed at are the sweep rows
-        # and their neighbours, rows q and p and two random rows.  Four
-        # shifts sit 2w and 4w on either side of lambda_min, and two below
-        # it never retire.  Every third batch has two jobs that end on the
-        # same row, and a third job whose shifts all retire before row q.
-        local = np.random.default_rng(1300 + n)
-        sweeps = {r for k in (1, 2, 3) for r in (16 * k - 1, 16 * k, 16 * k + 1)}
-        hit, shared_end, all_retired = set(), False, False
-        for batch in range(8):
-            jobs, shifts, expected = [], [], []
-            for j in range(1 + (batch + n) % 4):
-                corners = (batch + j) % 3 > 0
-                low = 2 * n if corners or batch % 3 == 0 else n + 1
-                if j == 1 and batch % 3 == 0:
-                    m = jobs[0][2] + n + jobs[0][1]  # the first job's m
-                else:
-                    m = int(local.choice([low, low + 1, local.integers(low, 60), local.integers(100, 201)]))
-                window = self.mirror_window(
-                    local, n, m, batch % 2 == 0, corners, corners and (batch + j) % 3 == 2
-                )
-                job = self.engine_job(monkeypatch, window)
-                q, p = job[1:3]
-                assert (q, p) == ((m - n) // 2, (m - n + 1) // 2)
-                shared_end |= j == 1 and p == jobs[0][2]
-                dense = dense_window(*window)
-                bottom_rows = list(range(p + n, m))
-
-                def lam(rows):
-                    return np.linalg.eigvalsh(dense[np.ix_(rows, rows)])[0] if rows else math.inf
-
-                lead = [lam(list(range(r))) for r in range(p + 1)]
-                middle = [lead[p]] + [lam(list(range(p + d + 1)) + bottom_rows) for d in range(n)]
-                rows = {0, q - 1, q, q + 1, p - 1, *sweeps, *local.integers(0, p, 2)}
-                rows = sorted(int(r) for r in rows if 0 <= r < p)
-                s = [lead[1] + 1.0 if r == 0 else 0.5 * (lead[r] + lead[r + 1]) for r in rows]
-                s += [0.5 * (middle[d] + middle[d + 1]) for d in range(n)]
-                lam_min, w = middle[n], job[4]
-                s += [lam_min + k * w for k in (-4, -2, 2, 4)]
-                if j == 2 and q > 0:
-                    # Every shift retires before row q.
-                    s = np.maximum(s, lead[q] + 1e-6)
-                else:
-                    s += [lam_min - 1e-3, lam_min - 1.0]
-                s = np.sort(s)
-                count, first_row = reference_meet(job, s)
-                if j == 2 and q > 0:
-                    assert count == 0 and 0 <= first_row.min() <= first_row.max() < q
-                    all_retired = True
-                for r in first_row[first_row >= 0].tolist():
-                    hit.add(r if r < p else f"p+{r - p}")
-                    hit.update(["q"] if r == q else [])
-                # lambda_min is read by eigvalsh, independently of both loops.
-                assert np.all(s[:count] < lam_min + 2 * w) and np.all(s[count:] > lam_min - 2 * w)
-                jobs.append(job)
-                shifts.append(s)
-                expected.append(count)
-            for kind in (False, True):
-                mine = [i for i, job in enumerate(jobs) if np.iscomplexobj(job[0]) == kind]
-                if mine:
-                    counts = multisection._pass([jobs[i] for i in mine], [shifts[i] for i in mine])
-                    assert counts == [expected[i] for i in mine]
-        assert shared_end and all_retired
-        assert {15, 16, 17, 31, 32, 33} <= hit
-        assert {"q", *(f"p+{d}" for d in range(n))} <= hit
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_group_meets_after_its_first_job_lost_columns(self, monkeypatch, n):
-        # A window and its twin share template, q, p and T_N(g), so _pass
-        # copies and meets their columns as one group.  Here the window's
-        # upper shifts retire at row q - 1 and leave at the sweep of row
-        # q, after the copy and before the meeting at row p = q + 1, so
-        # each job must find its own columns in the copy.
-        local = np.random.default_rng(1500 + n)
-        for real in (True, False):
-            m = n + 41  # m - N odd: p = q + 1
-            window = self.mirror_window(local, n, m, real, True, False)
-            job = self.engine_job(monkeypatch, window)
-            q, p = job[1:3]
-            assert p == q + 1 and q >= 2
-            twin = list(job)
-            dense = dense_window(*window)
-            lead = [np.linalg.eigvalsh(dense[:r, :r])[0] for r in (q - 1, q)]
-            lam_min, w = np.linalg.eigvalsh(dense)[0], job[4]
-            below = [lam_min - 1.0, lam_min - 1e-3]
-            own = np.sort(below + [0.5 * (lead[0] + lead[1])] * 3)
-            ahead = np.sort(below + [lam_min + k * w for k in (-4, -2, 2, 4)])
-            expected = [reference_meet(job, own)[0], reference_meet(twin, ahead)[0]]
-            assert expected == [2, 4]
-            monkeypatch.setattr(multisection, "_SWEEP", q)
-            assert multisection._pass([job, twin], [own, ahead]) == expected
-
-    def test_no_periodic_sweep_before_a_shift_retires(self, monkeypatch):
-        # Columns leave at end rows and, every _SWEEP rows, once a shift has
-        # retired.  A pass whose shifts all pass sweeps only at its end row;
-        # one whose top shifts retire at row 0 (above a_0) drops them at the
-        # first periodic sweep, and then sweeps at its end row only.
-        sweeps = []
-
-        def first_hit(hits, start):
-            sweeps.append(start)
-            return bisect.bisect_left(hits, start)
-
-        window = (fourier_coefficients(make_symbol([(0.0, 2)])), 200, None)
-        job = self.engine_job(monkeypatch, window)
-        assert job[2] + 2 > 6 * multisection._SWEEP  # p + N, the end row
-        monkeypatch.setattr(multisection, "bisect", types.SimpleNamespace(bisect_left=first_hit))
-        below = np.linspace(-1.0, 0.0, 5)
-        assert multisection._pass([job], [below]) == [5]
-        assert len(sweeps) == 1
-        sweeps.clear()
-        assert multisection._pass([job], [np.concatenate([below, [7.0, 8.0]])]) == [5]
-        assert len(sweeps) == 2
-
-    def test_corners_must_not_overlap(self):
-        # The meet needs the two corners apart: a window with corners and
-        # m = 2N - 1 is refused, while one with corners and m = 2N, and one
-        # without corners and m = N + 1, are read like any other window.
-        local = np.random.default_rng(1400)
-        for n in (2, 3):
-            for real in (True, False):
-                coeffs, m, top = self.mirror_window(local, n, 2 * n, real, True, False)
-                with pytest.raises(ValueError, match="m >= 2N"):
-                    lambda_mins([(coeffs, 2 * n - 1, top)])
-                # Without corners the bracket starts at 0, so the row is a
-                # product symbol's, with T_m(g) >= 0.
-                factors = [(0.0, n)] if real else [(float(local.uniform(0.1, 3.0)), n)]
-                plain = fourier_coefficients(make_symbol(factors))
-                for window in ((coeffs, m, top), (plain, n + 1, None)):
-                    dense = dense_window(*window)
-                    tol = 1e-12 * max(1.0, np.abs(dense).sum(axis=1).max())
-                    value = lambda_mins([window])[0]
-                    assert abs(value - np.linalg.eigvalsh(dense)[0]) <= tol
+        monkeypatch.setattr(_factor, "_step", spy)
+        monkeypatch.setattr(_factor, "_ENTRIES", 1)
+        call()
+        assert len(seen) >= 6 and all(parts is seen[0] for parts in seen)
+        for array in seen[0][0] + seen[0][1]:
+            assert array.dtype == dtype and not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0.0
