@@ -27,8 +27,9 @@ additions, and writes the rest from the band.  Corner orientation:
 (right boundary), a modified kind's as the correctly rounded exact Gram
 sums that ``symbols._row_and_stencil`` makes with the row, exactly
 Hermitian, the Dirichlet one its exact negation (:func:`_gram_corner`),
-and the classic one exactly symmetric as read from the row
-(:func:`_classic_corner`).  The matching top-left block is the
+and the classic one exactly symmetric as read from a real row
+(:func:`_classic_corner`); an even symbol's row and corners are exactly
+real, as its stencil is.  The matching top-left block is the
 conjugated anti-diagonal reflection of it, exactly Hermitian too, which
 equals the direct crossing-placement sum at the left edge (for a modified
 kind, that sum correctly rounded, as the stencil is palindromic); a plain
@@ -50,13 +51,11 @@ from .errors import NonHermitianError
 from .matrices import HermitianMatrix, _require_size, _toeplitz_body, _wrap, hermitian
 from .symbols import (
     _EPS,
-    ANGLE_TOL,
     BandedCoeffs,
     SymbolSpec,
     _as_integers,
     _freeze,
     _row_and_stencil,
-    circular_distance,
 )
 
 
@@ -82,7 +81,7 @@ def stencil(spec: SymbolSpec) -> np.ndarray:
 
     Returns the stencil c_0..c_N as a read-only array with c_{N-k} ==
     conj(c_k) exactly and c_0 unimodular (the convolution times one
-    unimodular factor, exactly +-1j or 1 for a real stencil).  The
+    unimodular factor, exactly 1 or 1j for an even symbol).  The
     autocorrelation sum_j c_j * conj(c_{j+t}) reproduces the symbol
     coefficient a_t, which is the identity all boundary constructions here
     rely on.  It is the stencil of ``symbols._row_and_stencil``.
@@ -104,7 +103,7 @@ def corner_block(spec: SymbolSpec, kind: BoundaryKind) -> HermitianMatrix:
     """
     row, _, bottom, _ = _row_and_stencil(spec)
     if kind is BoundaryKind.CLASSIC_NEUMANN:
-        return _wrap(np.array(_classic_corner(row, spec), dtype=np.complex128))
+        return _wrap(np.array(_classic_corner(row), dtype=np.complex128))
     return _wrap(_gram_corner(bottom, kind))
 
 
@@ -232,35 +231,22 @@ def _up(x: float) -> float:
     return x if x == 0.0 else math.nextafter(x * (1.0 + 4 * _EPS), math.inf)
 
 
-def _is_real(spec: SymbolSpec) -> bool:
-    """Whether g is even, g(-x) = g(x), so that its row is real: each factor
-    (E, alpha) has a factor (E', alpha) with E' within ``ANGLE_TOL`` of -E
-    (E itself at pi and 2*pi)."""
-    return all(
-        any(m == mult and circular_distance(e, -angle) <= ANGLE_TOL for e, m in spec.factors)
-        for angle, mult in spec.factors
-    )
-
-
-def _classic_corner(coeffs: BandedCoeffs, spec: SymbolSpec | None = None) -> list[list[float]]:
+def _classic_corner(coeffs: BandedCoeffs) -> list[list[float]]:
     """The rows, in Python floats, of the mirror of the top-left Hankel
     block H[i][j] = a_{-(i+j+1)}, zero past anti-diagonal N, of a real row:
     entry (i, j) is Re a_{i+j+1-N} for i + j >= N - 1 and 0.0 elsewhere.
 
-    ``spec``, the row's symbol where it has one, decides first: when g is
-    even (:func:`_is_real`) the rows are read from the real parts of the
-    row, whatever the rounding of its imaginary parts, which grows with
-    sum|a_k| and passes 1e-14 * max|H| for some real symbols of degree 6
-    and more.  Any other row, a bare one too, is tested as outside input
+    The row decides: an exactly real one, as every even symbol's is, is
+    read from its real parts.  Any other is tested as outside input
     (``matrices.hermitian``): a complex one raises NonHermitianError with
-    its Hermitian deviation, and the symmetrized block of a real one is the
-    same Re(H) mirrored, bitwise, as H is symmetric.  The DCT-II floors of
-    a classic certificate (``spectra._dct_floor``) take g even: this test
-    is their precondition, and a row that passes it only by its tolerance
-    is within 1e-14 * max|H| of real in each entry.
+    its Hermitian deviation, and one within the tolerance gives the same
+    Re(H) mirrored, bitwise, as H is symmetric.  The DCT-II floors of a
+    classic certificate (``spectra._dct_floor``) take g even: this test is
+    their precondition, and a row that passes it only by its tolerance is
+    within 1e-14 * max|H| of real in each entry.
     """
     n = coeffs.half_bandwidth
-    if spec is None or not _is_real(spec):
+    if coeffs.a.imag.any():
         h = np.zeros((n, n), dtype=np.complex128)
         for i in range(n):
             for j in range(n - i):
@@ -279,7 +265,6 @@ def _mirror(block: np.ndarray) -> np.ndarray:
 
 
 def _window_corners(
-    spec: SymbolSpec | None,
     left: BoundaryKind,
     right: BoundaryKind,
     built: tuple[BandedCoeffs, np.ndarray, np.ndarray, tuple[list, int]] | None,
@@ -288,7 +273,7 @@ def _window_corners(
 
     None stands for a simple edge.  Each kind's :func:`corner_block` is
     taken once from the caller's ``built``, the build (coeffs, c, bottom,
-    exact) of spec (``symbols._row_and_stencil``), which only an edge
+    exact) of the symbol (``symbols._row_and_stencil``), which only an edge
     that is not simple reads: a modified kind's by :func:`_gram_corner`
     from bottom, the classic one by :func:`_classic_corner` from coeffs.
     The top-left block is its :func:`_mirror`.  :func:`_window` adds them
@@ -297,7 +282,7 @@ def _window_corners(
     simple, classic = BoundaryKind.SIMPLE, BoundaryKind.CLASSIC_NEUMANN
     kinds = {left, right} - {simple}
     blocks = {
-        kind: np.array(_classic_corner(built[0], spec), dtype=np.complex128)
+        kind: np.array(_classic_corner(built[0]), dtype=np.complex128)
         if kind is classic
         else _gram_corner(built[2], kind)
         for kind in kinds
@@ -322,7 +307,7 @@ def build_restricted(
     """
     _require_size(size, 2 * spec.degree + 1)
     built = _row_and_stencil(spec)
-    top, bottom = _window_corners(spec, left, right, built)
+    top, bottom = _window_corners(left, right, built)
     return _window(built[0], size, top, bottom)
 
 
@@ -343,9 +328,7 @@ def _window(
     return _wrap(out)
 
 
-def classic_split_difference(
-    coeffs: BandedCoeffs, size1: int, size2: int, spec: SymbolSpec | None = None
-) -> HermitianMatrix:
+def classic_split_difference(coeffs: BandedCoeffs, size1: int, size2: int) -> HermitianMatrix:
     """T_{L1+L2} minus the direct sum of classic-Neumann halves.
 
     For the plain Laplacian this difference is positive semidefinite; for
@@ -353,34 +336,28 @@ def classic_split_difference(
     which is exactly why the classic condition cannot bracket.  The
     returned matrix makes that failure inspectable.  It vanishes outside
     the 2N rows at the split, where it is the :func:`_split_block`.
-    ``spec``, the row's symbol where it has one, decides whether the row
-    is real (:func:`_classic_corner`), as for ``check --classic-neumann``;
-    a bare row is tested as outside input.
     """
     n = coeffs.half_bandwidth
-    block = _split_block(coeffs, size1, size2, spec)
+    block = _split_block(coeffs, size1, size2)
     size = size1 + size2
     out = np.zeros((size, size), dtype=np.complex128)
     out[size1 - n : size1 + n, size1 - n : size1 + n] = block
     return _wrap(out)
 
 
-def _split_block(
-    coeffs: BandedCoeffs, size1: int, size2: int, spec: SymbolSpec | None = None
-) -> np.ndarray:
+def _split_block(coeffs: BandedCoeffs, size1: int, size2: int) -> np.ndarray:
     """The 2N x 2N block of :func:`classic_split_difference` at the split.
 
     It is T_2N with its diagonal N x N blocks replaced by minus the two
     classic corners that meet there.  The sizes are checked first: each
     half may be as small as N+1, where its corner still fits.  A complex
-    row raises NonHermitianError (:func:`_classic_corner`, which ``spec``,
-    the row's symbol where it has one, lets decide by the symbol).
+    row raises NonHermitianError (:func:`_classic_corner`).
     """
     n = coeffs.half_bandwidth
     _require_size(size1 + size2, 2 * n + 1)
     for half in (size1, size2):
         _require_size(half, n + 1)
-    bottom = np.array(_classic_corner(coeffs, spec), dtype=np.complex128)
+    bottom = np.array(_classic_corner(coeffs), dtype=np.complex128)
     block = _toeplitz_body(coeffs, 2 * n)
     # 0 - corner, not -corner, so that zero cells stay 0+0i.
     block[:n, :n] = 0.0 - bottom

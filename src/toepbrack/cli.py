@@ -403,7 +403,7 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
         if args.size is not None and args.size != size:
             raise CliUsageError(f"--size {args.size} differs from L1+L2 = {size} of --split")
         _require_within_cap(size, "--split")
-        rows = _split_lines(_split_block(coeffs, size1, size2, spec), size1, size2)
+        rows = _split_lines(_split_block(coeffs, size1, size2), size1, size2)
         bc_token = "lap2-diff"
     else:
         if args.size is None:
@@ -427,9 +427,9 @@ def cmd_export(args) -> tuple[int, Iterable[str]]:
             deco = decompose_pentadiagonal(*penta) if penta and not simple else None
             _require_size(size, 2 * n + 1)
             if deco is None:
-                top, bottom = _window_corners(spec, left, right, built)
+                top, bottom = _window_corners(left, right, built)
             else:
-                corners = _window_corners(deco.spec, left, right, _row_and_stencil(deco.spec))
+                corners = _window_corners(left, right, _row_and_stencil(deco.spec))
                 top, bottom = (None if b is None else deco.scale * b for b in corners)
             model = _window(coeffs, 2 * n + 1, top, bottom)
         rows = _window_lines(size, model)

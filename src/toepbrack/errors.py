@@ -26,7 +26,8 @@ class SizeTooSmallError(ToepbrackError):
 
 
 class NoConvergenceError(ToepbrackError):
-    """The eigenvalue iteration did not reach tolerance within its sweep budget."""
+    """An iteration did not converge: the sweep budget or a non-finite entry of
+    ``spectra._corner_lambda_min``, or the step cap of the gap's factor path."""
 
 
 class KernelMismatchError(ToepbrackError):

@@ -257,8 +257,8 @@ def check_bracketing(
 
     Passing ``neumann=BoundaryKind.CLASSIC_NEUMANN`` substitutes the
     classic Toeplitz-plus-Hankel condition (with its induced Dirichlet
-    counterpart 2*T - T_classic), for a real row only: the symbol must be
-    even (``boundary._classic_corner``).  Its corners are not Gram forms,
+    counterpart 2*T - T_classic), for a real row only, as an even symbol's
+    is exactly (``boundary._classic_corner``).  Its corners are not Gram forms,
     so the margins are the smallest eigenvalues themselves, min(0, .) of
     them for the differences (:func:`_min0`), each from an exact identity.
     A classic window of size L is diagonalized by the DCT-II, with the
@@ -313,7 +313,7 @@ def _certify(
     abs_tol = _REL_TOL * max(1.0, float(np.abs(row).sum()))
     coeffs, c, bottom, exact = built
     if neumann is BoundaryKind.CLASSIC_NEUMANN:  # only for g itself: scale 1, shift 0
-        hankel = _classic_corner(coeffs, spec)  # refuses a complex row first
+        hankel = _classic_corner(coeffs)  # refuses a complex row first
         delta_nn = _min0(_corner_lambda_min([[-x for x in r] for r in hankel]))
         floor = _dct_floor(spec, (size1, size2))
         return BracketReport(size1, size2, floor, delta_nn, 2.0 * delta_nn, shift, _REL_TOL, abs_tol)
@@ -338,7 +338,7 @@ def _dct_floor(spec: SymbolSpec, sizes: Sequence[int]) -> float:
     For a real row, T_L(g) with the Hankel corners a_{i+j+1} at both ends
     is diagonalized by the DCT-II, with the eigenvalues g(pi*k/L) (Ng, Chan
     and Tang, SIAM J. Sci. Comput. 21, 1999; Strang, SIAM Review 41, 1999),
-    so g must be even, which the classic corner's realness test ensures.
+    so g must be even; ``boundary._classic_corner`` refuses any other row.
     Between two consecutive zeros of g on the circle, log g is a sum of
     the concave alpha * log(4 sin^2((x - E)/2)), so over the grid points
     of that arc g is smallest at one of its two ends, the grid points next
@@ -385,9 +385,9 @@ def _corner_lambda_min(block: list[list[float]]) -> float:
     eps * ||block||_F per sweep (Demmel and Veselic, "Jacobi's method is
     more accurate than QR", SIAM J. Matrix Anal. Appl. 13, 1992).  On the
     corners of 300 seeded real symbols with N <= 16 it was within 0.12 *
-    4 * N * eps * ||block||_F of LAPACK's.  A corner that passes
-    ``matrices.hermitian`` only by its tolerance, a row no even symbol
-    vouches for (``boundary._classic_corner``), drops an imaginary part of
+    4 * N * eps * ||block||_F of LAPACK's.  An even symbol's corner is
+    exactly real; one that passes ``matrices.hermitian`` only by its
+    tolerance (``boundary._classic_corner``) drops an imaginary part of
     at most 1e-14 * max(1, max|H|) per entry, which moves each eigenvalue
     by at most N times that (Bauer-Fike).
 
@@ -588,7 +588,7 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     for size in sizes:
         _require_size(size, 2 * n + 1)
     coeffs, c, _, _ = built = _row_and_stencil(spec)
-    top, bottom = _window_corners(spec, nn, nn, built)
+    top, bottom = _window_corners(nn, nn, built)
     kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
     width = max(sizes, default=0)
     step = max(1, 2**16 // (width * n + 1))

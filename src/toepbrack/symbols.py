@@ -214,10 +214,13 @@ def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.nda
 
     The stencil is the convolution of the pairs (1, -exp(-i*E)), each
     factor alpha times, turned exactly conjugate-palindromic: rotated by w
-    = sqrt(conj(c_N) / c_0), which is exactly 1 or +-1j for a real stencil,
-    and then c_k = fl((c_k + conj(c_{N-k})) / 2), which rounds the two ends
-    of each pair alike.  A unimodular factor changes no Gram form, and
-    c_0 is unimodular rather than 1.  The row and the corner are then the
+    = sqrt(conj(c_N) / c_0), and then c_k = fl((c_k + conj(c_{N-k})) / 2),
+    which rounds the two ends of each pair alike.  A unimodular factor
+    changes no Gram form, and c_0 is unimodular rather than 1.  An even g
+    (:func:`_is_real`) has a real exact convolution, c_{N-k} = c_N * c_k
+    with c_N = +-1: its imaginary rounding is dropped and w is 1 or 1j, so
+    the stencil is exactly real or imaginary and the row and the corner
+    exactly real.  The row and the corner are then the
     sums :func:`_gram_exact` makes exactly, each part rounded once, so
     every part is the correctly rounded exact one: the corner is exactly
     Hermitian, and its conjugated mirror is the rounded left corner, as
@@ -230,8 +233,12 @@ def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.nda
         for _ in range(mult):
             c = [x + low * y for x, y in zip(c + [0j], [0j] + c)]
     n = len(c) - 1
-    w = cmath.sqrt(c[n].conjugate() / c[0])
-    c = [w * x for x in c]
+    if _is_real(spec):
+        imaginary = c[n].real < 0.0  # c_N = -1, so w = 1j
+        c = [complex(0.0, x.real) if imaginary else complex(x.real, 0.0) for x in c]
+    else:
+        w = cmath.sqrt(c[n].conjugate() / c[0])
+        c = [w * x for x in c]
     c = np.array([0.5 * (x + y.conjugate()) for x, y in zip(c, c[::-1])])
     sums, shift = _gram_exact(c)
     unit = 1 << shift
@@ -246,6 +253,20 @@ def _row_and_stencil(spec: SymbolSpec) -> Tuple[BandedCoeffs, np.ndarray, np.nda
         x, y = next(parts), next(parts)
         row[n - k], row[n + k] = complex(x, y), complex(x, 0.0 - y)
     return BandedCoeffs(_freeze(np.array(row))), _freeze(c), _freeze(np.array(corner, dtype=complex)), (sums, shift)
+
+
+def _is_real(spec: SymbolSpec) -> bool:
+    """Whether g is even, g(-x) = g(x), so that its row is real: each factor
+    (E, alpha) has a factor (E', alpha) with E' within ``ANGLE_TOL`` of -E
+    (E itself at pi and 2*pi).  Every build calls it, so it loops rather
+    than nesting generators, at a third of their cost."""
+    for angle, mult in spec.factors:
+        for e, m in spec.factors:
+            if m == mult and circular_distance(e, -angle) <= ANGLE_TOL:
+                break
+        else:
+            return False
+    return True
 
 
 def _as_integers(values) -> Tuple[list, int]:

@@ -171,7 +171,7 @@ def certificate_windows(spec, size1, size2, neumann=BoundaryKind.MODIFIED_NEUMAN
     corrupted-corner tests read them by LAPACK."""
     n = spec.degree
     coeffs = fourier_coefficients(spec)
-    top, bottom = spectra._window_corners(spec, neumann, neumann, _row_and_stencil(spec))
+    top, bottom = spectra._window_corners(neumann, neumann, _row_and_stencil(spec))
     body = dense_toeplitz(coeffs, n)
     zero_row = BandedCoeffs(np.zeros_like(coeffs.a))
     return [
@@ -215,7 +215,7 @@ def exact_residual(spec):
         for j in range(max(0, -t), min(n, n - t) + 1):
             r = _plus(r, _times_conj(c[j], c[j + t]))
         x.append(_plus(a[t + n], r, -1))
-    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
+    top, bottom = spectra._window_corners(N_KIND, N_KIND, _row_and_stencil(spec))
     right, left = [], []
     for i in range(n):
         right.append([])
@@ -244,7 +244,7 @@ def exact_gram_difference(spec, window, size=0):
     n = spec.degree
     c = [_exact(z) for z in stencil(spec)]
     a = [_exact(z) for z in fourier_coefficients(spec).a]
-    top, bottom = spectra._window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
+    top, bottom = spectra._window_corners(N_KIND, N_KIND, _row_and_stencil(spec))
     m, placed = (size, range(size - n)) if window == "floor" else (2 * n, range(n))
     w = [[a[j - i + n] if abs(j - i) <= n else ZERO for j in range(m)] for i in range(m)]
     for i in range(n):

@@ -270,8 +270,8 @@ def test_dirichlet_corner_is_minus_the_neumann_corner(spec):
     # Exactly equal (only the sign of a zero may differ), so a check can
     # take the stiff corners as -(soft corners).
     assert np.array_equal(corner_block(spec, D_KIND).entries, -corner_block(spec, N_KIND).entries)
-    stiff = _window_corners(spec, D_KIND, D_KIND, _row_and_stencil(spec))
-    soft = _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))
+    stiff = _window_corners(D_KIND, D_KIND, _row_and_stencil(spec))
+    soft = _window_corners(N_KIND, N_KIND, _row_and_stencil(spec))
     for d, n in zip(stiff, soft):
         assert np.array_equal(d, -n)
 
@@ -306,7 +306,7 @@ def test_window_corners_are_the_corner_block_and_its_mirror(pair):
     # never symmetrized a second time.
     left, right = (BoundaryKind.from_code(code) for code in pair)
     for spec in _window_specs(pair):
-        top, bottom = _window_corners(spec, left, right, _row_and_stencil(spec))
+        top, bottom = _window_corners(left, right, _row_and_stencil(spec))
         if left is SIMPLE:
             assert top is None
         else:
@@ -368,8 +368,8 @@ def test_window_corners_take_the_callers_stencil(monkeypatch, pair):
     scale = {SIMPLE: None, BoundaryKind.CLASSIC_NEUMANN: 2.0, N_KIND: 4.0, D_KIND: 4.0}
     for spec in _window_specs(pair):
         coeffs, c, bottom, _ = built = _row_and_stencil(spec)
-        own = _window_corners(spec, left, right, built)
-        doubled = _window_corners(spec, left, right, (BandedCoeffs(2.0 * coeffs.a), c, 4.0 * bottom))
+        own = _window_corners(left, right, built)
+        doubled = _window_corners(left, right, (BandedCoeffs(2.0 * coeffs.a), c, 4.0 * bottom))
         for kind, ours, twice in zip((left, right), own, doubled):
             assert (ours is None and twice is None) or np.array_equal(twice, scale[kind] * ours), spec
 
@@ -528,12 +528,10 @@ class TestClassicNeumann:
         with pytest.raises(NonHermitianError):
             classic_split_difference(fourier_coefficients(spec), 7, 7)
 
-    def test_real_symbol_decides_not_the_rows_rounding(self):
-        # The imaginary rounding of a real symbol's row grows with sum|a_k|
-        # (the stencil's own rounding) and fails the Hermitian tolerance for
-        # one of these, of degree 12; the symbol's corner is Re(H) for
-        # each, and bitwise the corner the row's own test gives wherever
-        # that passes.
+    def test_the_real_symbols_row_decides(self):
+        # An even symbol's row is exactly real, so the bare row's own test
+        # passes for each of these, up to degree 12; the corner is Re(H)
+        # for each, and bitwise the corner of the bare row.
         refused = 0
         for spec in real_symbols(3201, 300):
             coeffs, n = fourier_coefficients(spec), spec.degree
@@ -550,28 +548,27 @@ class TestClassicNeumann:
                 assert n >= 6
             else:
                 assert bare.tobytes() == corner.tobytes(), spec
-        assert refused == 1
+        assert refused == 0
 
-    def test_split_difference_decides_by_the_symbol(self):
-        # Given its symbol, the public split difference refuses none of the
-        # 300 seeded real symbols, one of which it refuses as a bare row, as
-        # check --classic-neumann does; at the split it is _split_block's
-        # block, bit for bit, and zero elsewhere.
+    def test_split_difference_decides_by_the_row(self):
+        # The public split difference refuses none of the 300 seeded real
+        # symbols' rows, as check --classic-neumann does; at the split it
+        # is _split_block's block, bit for bit, and zero elsewhere.
         local = np.random.default_rng(3402)
         refused = 0
         for spec in real_symbols(3201, 300):
             coeffs, n = fourier_coefficients(spec), spec.degree
             size1, size2 = local.integers(n + 1, 3 * n + 4, 2).tolist()
-            diff = classic_split_difference(coeffs, size1, size2, spec).entries.copy()
+            diff = classic_split_difference(coeffs, size1, size2).entries.copy()
             split = slice(size1 - n, size1 + n)
-            assert diff[split, split].tobytes() == _split_block(coeffs, size1, size2, spec).tobytes(), spec
+            assert diff[split, split].tobytes() == _split_block(coeffs, size1, size2).tobytes(), spec
             diff[split, split] = 0.0
             assert not diff.any(), spec
             try:
                 classic_split_difference(coeffs, size1, size2)
             except NonHermitianError:
                 refused += 1
-        assert refused == 1
+        assert refused == 0
 
     def test_conjugate_pairs_plus_pi_of_degree_nine(self):
         factors = [
@@ -582,7 +579,7 @@ class TestClassicNeumann:
         # Its convolved row failed the Hermitian tolerance; the rounded
         # Gram row passes it, with the corner the symbol gives.
         bare = np.array(_classic_corner(fourier_coefficients(spec)), dtype=complex)
-        top, bottom = _window_corners(spec, self.C_KIND, self.C_KIND, _row_and_stencil(spec))
+        top, bottom = _window_corners(self.C_KIND, self.C_KIND, _row_and_stencil(spec))
         assert not top.imag.any() and not bottom.imag.any()
         assert bare.tobytes() == bottom.tobytes()
         build_restricted(spec, 30, self.C_KIND, self.C_KIND)

@@ -291,6 +291,12 @@ class TestCoeffs:
         assert_allclose(values, [1, -4, 6, -4, 1], atol=1e-14)
         assert payload["half_bandwidth"] == 2
 
+    def test_even_symbol_row_is_exactly_real(self, capsys):
+        # exp(-i*pi) rounds to -1 - 1.2e-16i; the build drops that rounding.
+        code, out, _ = run_cli(capsys, "coeffs", "--factors", "pi:1")
+        assert code == 0
+        assert json.loads(out)["coefficients"] == [[1.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
+
     def test_penta_includes_decomposition(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--penta", "6,-4,1")
         assert code == 0
@@ -736,6 +742,12 @@ class TestExport:
         )
         assert_allclose(matrix, expected.entries, atol=1e-15)
 
+    def test_even_symbol_export_is_exactly_real(self, capsys):
+        code, out, _ = run_cli(capsys, "export", "--factors", "pi:1", "--size", "5", "--bc", "cc")
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [rows[i][i + 1] for i in range(4)] + [rows[i + 1][i] for i in range(4)] == ["1+0i"] * 8
+
     def test_lap2_difference_contains_pattern(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -1059,7 +1071,7 @@ class TestMatrixCsv:
         coeffs = penta_coefficients(*row)
         for pair in ("nn", "0d", "dn"):
             left, right = (BoundaryKind.from_code(code) for code in pair)
-            corners = _window_corners(deco.spec, left, right, _row_and_stencil(deco.spec))
+            corners = _window_corners(left, right, _row_and_stencil(deco.spec))
             top, bottom = (None if b is None else deco.scale * b for b in corners)
             for size in (5, 30, 40):
                 matrix = HermitianMatrix(_window(coeffs, size, top, bottom).entries)

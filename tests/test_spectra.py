@@ -312,7 +312,7 @@ class TestClassicCertificate:
             )
             parent = {"floor_nn": min(floor1, floor2), "nn_vs_0n": nn, "lower": lower, "upper": lower}
             assert report.verdicts == {k: v >= -report.abs_tol for k, v in parent.items()}, spec
-            block = -np.array(_classic_corner(fourier_coefficients(spec), spec))
+            block = -np.array(_classic_corner(fourier_coefficients(spec)))
             bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
             assert abs(report.delta_nn - min(0.0, np.linalg.eigvalsh(block)[0])) <= bound, spec
             failing += not report.verdicts["lower"]
@@ -325,7 +325,7 @@ class TestClassicCertificate:
         specs = real_symbols(3301, 60)
         assert max(spec.degree for spec in specs) == 16
         for spec in specs:
-            block = -np.array(_classic_corner(fourier_coefficients(spec), spec))
+            block = -np.array(_classic_corner(fourier_coefficients(spec)))
             bound = 4 * spec.degree * symbols._EPS * np.linalg.norm(block)
             value = spectra._corner_lambda_min(block.tolist())
             assert abs(value - np.linalg.eigvalsh(block)[0]) <= bound, spec
@@ -384,7 +384,7 @@ class TestClassicCertificate:
 
 def _nn_bottom(spec):
     """The modified Neumann bottom corner of spec, as a window takes it."""
-    return _window_corners(spec, N_KIND, N_KIND, _row_and_stencil(spec))[1]
+    return _window_corners(N_KIND, N_KIND, _row_and_stencil(spec))[1]
 
 
 @pytest.fixture
@@ -512,7 +512,7 @@ _REAL = make_symbol([(0.0, 2), (2.0, 1), (-2.0, 1)])
     "call, kinds",
     [
         (lambda: check_bracketing(_REAL, 10, 11, neumann=_CLASSIC), {"c"}),
-        (lambda: classic_split_difference(fourier_coefficients(_REAL), 5, 6, _REAL), {"c"}),
+        (lambda: classic_split_difference(fourier_coefficients(_REAL), 5, 6), {"c"}),
     ]
     + [
         (lambda pair=pair: _window(_REAL, 11, pair), set(pair) - {"0"})
@@ -1009,8 +1009,8 @@ class TestSpectralGap:
             assert gap >= floor - 1e-9 * max(1.0, abs(floor))
 
     def test_corrupted_window_fails_kernel_check(self, monkeypatch):
-        def corrupted(spec, left, right, *stencil):
-            top, bottom = _window_corners(spec, left, right, *stencil)
+        def corrupted(left, right, *stencil):
+            top, bottom = _window_corners(left, right, *stencil)
             top = top.copy()
             top[0, 0] += 1e-3
             return top, bottom
@@ -1063,8 +1063,8 @@ class TestSpectralGap:
     def test_kernel_check_names_the_first_size_on_a_corrupt_corner(self, monkeypatch, factors, message):
         # The bottom corner enters on each size's own last rows: every size
         # fails, and the message names the smallest and its worst vector.
-        def corrupted(spec, left, right, *stencil):
-            top, bottom = _window_corners(spec, left, right, *stencil)
+        def corrupted(left, right, *stencil):
+            top, bottom = _window_corners(left, right, *stencil)
             bottom = bottom.copy()
             bottom[-1, -1] += 1e-3
             return top, bottom
@@ -1193,10 +1193,12 @@ class TestGapAccuracy:
     def test_gaps_match_the_factors_singular_values(self):
         # T_{L-N}(g) = C C*, so the gap is s**2 for s = sigma_min(C), which
         # LAPACK reads to about eps * ||C|| <= eps * ||c||_1; 40 seeded
-        # symbols with N <= 8, angles as close as 0.001 and sizes up to 512.
+        # symbols with N <= 8, angles as close as 0.001 and sizes up to 512,
+        # and four even ones, whose real stencils take the real branch.
         linalg = pytest.importorskip("scipy.linalg")
         checked = 0
-        for spec, sizes in gap_symbols():
+        even = [(spec, [2 * spec.degree + 1, 64, 256]) for spec in real_symbols(3201, 300)[1:5]]
+        for spec, sizes in gap_symbols() + even:
             c = stencil(spec)
             reach = 4 * symbols._EPS * float(np.abs(c).sum())
             for size, gap in zip(sizes, spectra._gaps(spec, sizes)):
@@ -1204,6 +1206,23 @@ class TestGapAccuracy:
                 assert abs(gap - s * s) <= 1e-9 * s * s + reach * s, (spec, size)
                 checked += 1
         assert checked >= 150
+
+    @pytest.mark.parametrize("factors", ["pi:1", "0.3:1,-0.3:1", "0.7:2,-0.7:2,pi:1", "1.0:1,-1.0:1"])
+    def test_an_even_symbol_is_factored_in_real_arithmetic(self, monkeypatch, factors):
+        # An even symbol's stencil is exactly real or exactly imaginary, so
+        # the factor path gets a float64 one, whatever the rounding of the
+        # mirrored angles.
+        dtypes = []
+        factor = _factor._factor
+
+        def spy(c, b, blocks):
+            dtypes.append(c.dtype)
+            return factor(c, b, blocks)
+
+        monkeypatch.setattr(_factor, "_factor", spy)
+        spec = cli.parse_factors(factors)
+        gap_scan(spec, [2 * spec.degree + 1, 32, 64])
+        assert dtypes == [np.float64]
 
     def test_path_laplacian_gap_to_twelve_digits(self):
         # For 0:1 the gap is 4 sin**2(pi / 2L) exactly.

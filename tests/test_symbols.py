@@ -26,7 +26,7 @@ from toepbrack import (
 from toepbrack.boundary import _mirror, _window_corners
 from toepbrack.symbols import _row_and_stencil
 from conftest import random_spec
-from oracles import N_KIND, exact_residual, gram_floor_symbols, row_sum_values
+from oracles import N_KIND, exact_residual, gram_floor_symbols, real_symbols, row_sum_values
 
 
 def product_values(spec, x):
@@ -113,6 +113,18 @@ class TestFourierCoefficients:
             a = fourier_coefficients(spec).a
             assert np.array_equal(a, np.conj(a[::-1]))
             assert a[-1] != 0
+
+    def test_even_symbols_are_exactly_real(self):
+        # An even symbol's stencil is exactly real or exactly imaginary, so
+        # its row and Neumann corner are exactly real, with no -0.0 part; a
+        # mirror within ANGLE_TOL counts, as a duplicate angle does.
+        nearly = make_symbol([(1.0, 1), (-1.0 + 5e-13, 1)])
+        for spec in real_symbols(3201, 300) + [make_symbol([(math.pi, 1)]), nearly]:
+            row, c, corner, _ = _row_and_stencil(spec)
+            assert not c.imag.any() or not c.real.any(), spec
+            for parts in (row.a.view(np.float64), corner.ravel().view(np.float64)):
+                assert not parts[1::2].any(), spec
+                assert not np.signbit(parts[parts == 0.0]).any(), spec
 
     def test_band_is_tight(self, rng):
         for _ in range(10):
@@ -272,7 +284,7 @@ def test_row_and_corner_are_correctly_rounded_gram_sums():
         coeffs, c, bottom, _ = built = _row_and_stencil(spec)
         assert all(c[k].real == c[n - k].real and c[k].imag == -c[n - k].imag for k in range(n + 1)), spec
         assert (bottom == bottom.conj().T).all()
-        top, right_corner = _window_corners(spec, N_KIND, N_KIND, built)
+        top, right_corner = _window_corners(N_KIND, N_KIND, built)
         assert right_corner is bottom and top.tobytes() == _mirror(bottom).tobytes()
         x, right, left = exact_residual(spec)
         for value, (re, im) in zip(coeffs.a.tolist(), x):
