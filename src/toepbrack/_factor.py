@@ -28,7 +28,7 @@ from .symbols import _EPS, phase_angle
 _BLOCK = 32
 _MAX_STEPS = 100
 # Entries of one (sizes, blocks, b, p) stack of vectors: the sizes are
-# iterated in chunks of at most this many, as the kernel check pads its bases.
+# iterated in chunks of at most this many.
 _ENTRIES = 2**16
 # Veltkamp's splitter for float64, 2**27 + 1.
 _SPLITTER = 134217729.0
@@ -40,8 +40,8 @@ def smallest_eigenvalues(
     ms: Sequence[int],
     corner_lambda_min: Callable[[list[list[float]]], float],
 ) -> list[float]:
-    """lambda_min(C C*) for each m >= 1 in ``ms``, C the m x (m+N)
-    placements of the stencil c of the symbol with the (angle,
+    """lambda_min(C C*) for each m >= 1 of the ascending ``ms``, C the m x
+    (m+N) placements of the stencil c of the symbol with the (angle,
     multiplicity) pairs ``factors``.
 
     A stencil that is real up to a unimodular factor, which changes no
@@ -58,12 +58,11 @@ def smallest_eigenvalues(
         c = c.imag
     if not len(ms):
         return []
-    order = np.argsort(ms, kind="stable")
-    ms = np.asarray(ms, dtype=int)[order]
+    ms = np.asarray(ms, dtype=int)
     b = max(_BLOCK, len(c) - 1)
     parts = _factor(c, b, -(-int(ms[-1]) // b))
     reach = _EPS * float(np.abs(c).sum())
-    out = np.empty(len(ms))
+    out = []
     step = max(1, _ENTRIES // (int(ms[-1]) * len(factors)))
     for i in range(0, len(ms), step):
         chunk = ms[i : i + step]
@@ -71,8 +70,8 @@ def smallest_eigenvalues(
         g, x = _step(parts, x, chunk, refine=True)
         y = np.stack([_top_vector(k, p, corner_lambda_min) for k, p in zip(g, _power(g)[1])])
         u = (x @ y[:, None, :, None]).reshape(len(chunk), -1)
-        out[order[i : i + step]] = _quotients(c, u, chunk)
-    return out.tolist()
+        out += _quotients(c, u, chunk).tolist()
+    return out
 
 
 def _factor(c: np.ndarray, b: int, blocks: int) -> tuple[tuple, tuple]:
@@ -215,17 +214,19 @@ def _power(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _iterate(parts: tuple[tuple, tuple], x: np.ndarray, ms: np.ndarray, reach: float) -> np.ndarray:
     """The vectors of :func:`_step` for each size of ``ms`` at its stop,
     when the estimate mu of its top Ritz value (:func:`_power`) grows by
-    less than max(1e-12, reach * sqrt(mu)) of itself, reach = eps *
+    less than min(1, max(1e-12, reach * sqrt(mu))) of itself, reach = eps *
     ||c||_1: sigma_min is known to about eps * ||c||_1, so a smaller change
-    is rounding.  In exact arithmetic these Ritz values only grow, so a
-    fall is rounding too.  A stopped size leaves the stack."""
+    is rounding, and so is any change where that allowance is the whole of
+    mu (capped at 1, it keeps its product with mu in the float range).  In
+    exact arithmetic these Ritz values only grow, so a fall is rounding
+    too.  A stopped size leaves the stack."""
     done = np.zeros_like(x)
     active = np.arange(len(x))
     mu = np.full(len(active), -np.inf)
     for _ in range(_MAX_STEPS):
         g, x = _step(parts, x, ms[active])
         new = _power(g)[0]
-        stop = new - mu <= np.maximum(1e-12, reach * np.sqrt(new)) * new
+        stop = new - mu <= np.minimum(np.maximum(1e-12, reach * np.sqrt(new)), 1.0) * new
         done[active[stop], : x.shape[1]] = x[stop]
         active, x, mu = active[~stop], x[~stop], new[~stop]
         if not len(active):

@@ -31,7 +31,8 @@ class NoConvergenceError(ToepbrackError):
 
 
 class KernelMismatchError(ToepbrackError):
-    """The computed kernel dimension differs from the symbol degree."""
+    """A kernel vector of a softened window has a residual above its
+    threshold (``spectra._gaps``)."""
 
 
 class DuplicateNodeError(ToepbrackError):

@@ -1,7 +1,9 @@
 """Eigenvalues, operator-inequality certification, kernels and gap scaling.
 
-No LAPACK eigen or SVD routine is in the verification path; they
-appear only as independent cross-checks in the test suite.
+No LAPACK eigen or SVD routine computes a margin, a kernel check or a
+gap; the test suite uses them as independent cross-checks.  The one such
+call in the library is :func:`gap_scan`'s slope fit: ``np.polyfit`` solves
+its least squares by ``numpy.linalg.lstsq``, LAPACK's SVD-based gelsd.
 A modified bracketing certificate is proved: in exact arithmetic each
 of its windows is a Gram form of stencil placements, and the float
 windows differ from those by one residual delta, at most 2**-53 of the
@@ -23,8 +25,8 @@ quotient summed in double-double (``_factor.smallest_eigenvalues``,
 which :func:`_gaps` loads on first use, so that no certificate and no
 CLI ``check`` or ``export`` loads it).  By the Gram identity the
 softened window of size L has an N-dimensional kernel and the rest of
-its spectrum is that of T_{L-N}(g); the kernels of all sizes are checked
-by one banded product.  Neither a certificate nor a gap builds an L x L
+its spectrum is that of T_{L-N}(g); each size's kernel is checked by
+its own banded product.  Neither a certificate nor a gap builds an L x L
 matrix.  A
 cyclic Jacobi diagonalization, :func:`eigenvalues`, stays as the dense
 reference of the test suite and the benchmark baseline; no command
@@ -156,7 +158,7 @@ def eigenvalues(matrix: HermitianMatrix) -> Spectrum:
     )
 
 
-#: Relative threshold of every bracketing verdict.
+#: Relative threshold of every bracketing verdict and of the gap's kernel check.
 _REL_TOL = 1e-9
 
 
@@ -576,40 +578,34 @@ def _gaps(spec: SymbolSpec, sizes: Sequence[int]) -> list[float]:
     coefficient is nonzero.  So W has an exactly N-dimensional kernel and its
     nonzero spectrum is that of T_{L-N}(g) = C C*: the gap is
     sigma_min(C)**2, every size from one factor path
-    (``_factor.smallest_eigenvalues``).  All sizes are checked first, then
-    every kernel: KernelMismatchError, for the first failing size, unless
-    max|W v| <= 1e-9 * sum|a_k| (the row sum of W's interior rows; NaN
-    fails) for each :func:`kernel_basis` vector v.  W v is one banded
-    product over the bases of all sizes, zero-padded to a (sizes, max L, N)
-    block (chunks of at most 2**16 entries), plus the corners on each
-    size's N edge rows.
+    (``_factor.smallest_eigenvalues``), which takes the sizes ascending,
+    as both callers give them.  All sizes are checked first, then each
+    kernel in turn: KernelMismatchError, for the first failing size, unless
+    max|W v| <= 1e-9 * sum|a_k| (``_REL_TOL`` times the row sum of W's
+    interior rows; NaN fails) for each :func:`kernel_basis` vector v.  W v
+    is the size's banded product, its 2N + 1 diagonals over the (L, N)
+    stack of its basis, plus the corners on its N first and N last rows.
     """
     n, nn = spec.degree, BoundaryKind.MODIFIED_NEUMANN
     for size in sizes:
         _require_size(size, 2 * n + 1)
     coeffs, c, _, _ = built = _row_and_stencil(spec)
     top, bottom = _window_corners(nn, nn, built)
-    kernel_tol = 1e-9 * float(np.abs(coeffs.a).sum())
-    width = max(sizes, default=0)
-    step = max(1, 2**16 // (width * n + 1))
-    for chunk in (np.array(sizes[i : i + step]) for i in range(0, len(sizes), step)):
-        basis = np.zeros((len(chunk), width, n), dtype=complex)
-        for block, size in zip(basis, chunk.tolist()):
-            block[:size].T[:] = kernel_basis(spec, size)
+    kernel_tol = _REL_TOL * float(np.abs(coeffs.a).sum())
+    for size in sizes:
+        basis = np.stack(kernel_basis(spec, size), axis=1)
         image = np.zeros_like(basis)
         for k in range(-n, n + 1):  # row i of W holds a_k in column i + k
-            lo, hi = max(0, -k), min(width, width - k)
-            image[:, lo:hi] += coeffs.a[k + n] * basis[:, lo + k : hi + k]
-        image[:, :n] += top @ basis[:, :n]
-        edge = np.arange(len(chunk))[:, None], chunk[:, None] - n + np.arange(n)
-        image[edge] += bottom @ basis[edge]
-        image[np.arange(width) >= chunk[:, None]] = 0.0
-        for size, residual in zip(chunk.tolist(), np.abs(image).max(axis=1)):
-            if not residual.max() <= kernel_tol:
-                raise KernelMismatchError(
-                    f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
-                    f" > {kernel_tol:.3e} in the softened window of size {size}"
-                )
+            lo, hi = max(0, -k), min(size, size - k)
+            image[lo:hi] += coeffs.a[k + n] * basis[lo + k : hi + k]
+        image[:n] += top @ basis[:n]
+        image[size - n :] += bottom @ basis[size - n :]
+        residual = np.abs(image).max(axis=0)
+        if not residual.max() <= kernel_tol:
+            raise KernelMismatchError(
+                f"kernel vector {int(np.argmax(residual))} has residual {residual.max():.3e}"
+                f" > {kernel_tol:.3e} in the softened window of size {size}"
+            )
     from ._factor import smallest_eigenvalues
 
     return smallest_eigenvalues(c, spec.factors, [size - n for size in sizes], _corner_lambda_min)

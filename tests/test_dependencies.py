@@ -1,5 +1,9 @@
 """The library runs on numpy alone: scipy and mpmath are test oracles only,
-and no certificate, gap or command calls a LAPACK eigen or SVD routine.
+and no certificate, kernel check or gap calls a LAPACK eigen or SVD
+routine.  The one such call is the slope fit of ``gap_scan`` and of the
+``gap`` command: ``np.polyfit`` calls ``numpy.linalg.lstsq``, LAPACK's
+SVD-based gelsd, which numpy's polynomial module binds at import, so the
+``no_lapack_solvers`` fixture does not see it.
 The gap's factor path imports at most the symbol layer and the errors, and
 only ``spectra`` imports it, and only its entry ``smallest_eigenvalues``.  No test module
 imports another, so each test is collected from its own file."""

@@ -6,6 +6,7 @@ import json
 import math
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -816,9 +817,9 @@ def test_gram_residual_keeps_to_quadratic_memory():
 
 
 def test_kernel_check_of_many_sizes_stays_small():
-    # The kernel check pads the sizes' bases into blocks of at most 2**16
-    # entries, and the factor path iterates the sizes' vectors in chunks as
-    # small: 256 sizes up to 4096 in one block would peak near 90 MB.
+    # The kernel check holds one size's basis at a time, and the factor
+    # path iterates the sizes' vectors in chunks of at most 2**16 entries:
+    # 256 sizes up to 4096 in one block would peak near 90 MB.
     sizes = list(range(3, 4097, 16))
     assert _peak_bytes(lambda: spectra._gaps(make_symbol([(0.0, 1)]), sizes)) < 16 * 2**20
 
@@ -1039,8 +1040,8 @@ class TestSpectralGap:
         ids=["real", "complex"],
     )
     def test_kernel_check_names_the_one_failing_size(self, monkeypatch, factors, message):
-        # All sizes are checked in one padded block; only the largest
-        # size's last vector is poisoned, and the message names that size.
+        # Every size is checked; only the largest size's last vector is
+        # poisoned, and the message names that size.
         def poisoned(spec, size):
             basis = kernel_basis(spec, size)
             if size == 64:
@@ -1123,6 +1124,17 @@ class TestGapScan:
         for sizes in ([16], []):
             with pytest.raises(ValueError, match="two sizes"):
                 gap_scan(make_symbol([(0.0, 1)]), sizes)
+
+    def test_stop_test_stays_in_the_float_range(self):
+        # sigma_min of 0:40 lies far below eps * ||c||_1, so the top Ritz
+        # value mu is near 1e30 and the stop allowance reach * sqrt(mu) * mu
+        # overflowed to inf (a RuntimeWarning, and a stop at the first step).
+        spec = make_symbol([(0.0, 40)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = gap_scan(spec, [160, 320, 640])
+        for size, gap in report.records:
+            assert gap >= sampled_gap_floor(spec, size), size
 
 
 class TestPentaBracketing:
